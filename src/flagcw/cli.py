@@ -13,7 +13,6 @@ import sys
 
 from . import charclass, counts, flagchow, series, steenrod, wdring
 from .flagchow import FlagShape
-from .symfunc import thread_count
 from .wdring import TwistClass
 
 
@@ -202,7 +201,7 @@ def cmd_euler(args) -> int:
 
 
 def cmd_count(args) -> int:
-    result = counts.count_preset(args.preset, threads=thread_count())
+    result = counts.count_preset(args.preset)
     payload = {
         "command": "count",
         "input": {"preset": args.preset},

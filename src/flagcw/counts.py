@@ -96,9 +96,7 @@ def hypersurface_root_factors(ring: PolyRing, k: int, degree: int):
 def count_lines_cubic() -> CountResult:
     """27 complex lines on a cubic surface; signed real count 3."""
     ring = root_ring(2)
-    product = product_of_factors(
-        ring, hypersurface_root_factors(ring, 2, 3), threads=1
-    )
+    product = product_of_factors(ring, hypersurface_root_factors(ring, 2, 3))
     complex_count = grassmann_integrate(2, 4, product)
 
     # real: coefficient of the W-cohomology point class p_top(D_1) of
@@ -132,17 +130,15 @@ def _ratio(a_part, point, pres) -> int:
     return lam
 
 
-def count_quintic_fourplanes(threads: int = None) -> int:
+def count_quintic_fourplanes() -> int:
     """4-planes in A^18 on a generic quintic: integral over Gr(4,18) of the
     product of the 56 Chern roots of Sym^5(S*)."""
     ring = root_ring(4)
-    product = product_of_factors(
-        ring, hypersurface_root_factors(ring, 4, 5), threads=threads
-    )
+    product = product_of_factors(ring, hypersurface_root_factors(ring, 4, 5))
     return grassmann_integrate(4, 18, product)
 
 
-def count_flags_complex(threads: int = None) -> dict:
+def count_flags_complex() -> dict:
     """Complex two-step flag count by two independent routes.
 
     (a) 27 x the quintic 4-plane count (the product of the two numbers);
@@ -152,19 +148,17 @@ def count_flags_complex(threads: int = None) -> dict:
     The routes must agree exactly.
     """
     lines = count_lines_cubic().complex_count
-    quintic = count_quintic_fourplanes(threads=threads)
+    quintic = count_quintic_fourplanes()
     route_a = lines * quintic
 
     ring = root_ring(4)
     sub = [0, 1]
-    g = product_of_factors(ring, hypersurface_root_factors(ring, 2, 3), threads=1)
+    g = product_of_factors(ring, hypersurface_root_factors(ring, 2, 3))
     pushed = grassmann_bundle_pushforward(sub, [0, 1, 2, 3], g)
     if not pushed.is_homogeneous() or pushed.degree() > 0:
         raise ArithmeticError("relative pushforward is not a constant")
     fiber_count = pushed.constant_term()
-    sym5 = product_of_factors(
-        ring, hypersurface_root_factors(ring, 4, 5), threads=threads
-    )
+    sym5 = product_of_factors(ring, hypersurface_root_factors(ring, 4, 5))
     route_b = grassmann_integrate(4, 18, fiber_count * sym5)
 
     if route_a != route_b:
@@ -222,7 +216,7 @@ def even_power_substitution(p: GradedPolynomial, target: PolyRing) -> GradedPoly
     return target.from_terms(terms)
 
 
-def count_preset(name: str, threads: int = None) -> dict:
+def count_preset(name: str) -> dict:
     if name == "cubic-lines":
         res = count_lines_cubic()
         form = gw_form(res.complex_count, res.real_count)
@@ -233,9 +227,9 @@ def count_preset(name: str, threads: int = None) -> dict:
             "notes": res.notes,
         }
     if name == "quintic-4planes":
-        return {"complex": count_quintic_fourplanes(threads=threads)}
+        return {"complex": count_quintic_fourplanes()}
     if name == "flag-3-5":
-        cplx = count_flags_complex(threads=threads)
+        cplx = count_flags_complex()
         real = count_flags_real()
         return {
             "complex": cplx["count"],

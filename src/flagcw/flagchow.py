@@ -9,6 +9,13 @@ polynomials, and reduction against the classical rewriting system
 produces the coinvariant-algebra normal form supported on the standard
 monomials { x^a : a_k <= k-1 }, of which there are exactly N!.
 
+``FullFlagRing`` holds the only implementation of this rewrite.  The
+normal form is linear, so it is computed monomial by monomial through a
+per-ring memo that also keeps every monomial a rewrite passes through.
+Every tail coefficient is +-1, so the mod-2 normal form used by
+``steenrod`` is the integer one with its coefficients taken mod 2, read
+from the same memo.
+
 Partial flag rings embed into the complete one by the splitting
 principle (c_j of a subquotient block maps to the elementary symmetric
 polynomial of the block variables); all partial-flag arithmetic happens
@@ -22,7 +29,7 @@ import warnings
 from functools import lru_cache
 
 from . import intlinalg, series
-from .poly import GradedPolynomial, PolyRing, strip_monomial
+from .poly import GradedPolynomial, PolyRing, merge_monomials, strip_monomial
 
 
 class FlagShape:
@@ -136,27 +143,16 @@ class FullFlagRing:
         self.dim = N * (N - 1) // 2
         # reduction tails: h_k(x_k..x_N) - x_k^k as monomial lists (coeff 1)
         self._tails = [None] + [self._tail(k) for k in range(1, N + 1)]
+        # normal form of every monomial reduced so far, standard ones included
+        self._nf_memo = {}
 
     def _tail(self, k: int):
-        mons = []
-        for mon in self._homog_monomials_in_suffix(k, k):
-            if mon != strip_monomial([0] * (k - 1) + [k]):
-                mons.append(mon)
-        return mons
-
-    def _homog_monomials_in_suffix(self, k: int, deg: int):
-        """Monomials of degree deg in x_k..x_N (1-based k)."""
-        out = []
-
-        def rec(i, rem, acc):
-            if i == self.N - 1:
-                out.append(strip_monomial(acc + [rem]))
-                return
-            for e in range(rem, -1, -1):
-                rec(i + 1, rem - e, acc + [e])
-
-        rec(k - 1, deg, [0] * (k - 1))
-        return out
+        lead = strip_monomial([0] * (k - 1) + [k])
+        return [
+            mon
+            for mon in self.ring.monomials_of_degree(k)
+            if mon != lead and not any(mon[: k - 1])
+        ]
 
     def elementary(self, j: int) -> GradedPolynomial:
         """e_j(x_1..x_N)."""
@@ -184,41 +180,38 @@ class FullFlagRing:
                 return i + 1
         return 0
 
+    def _monomial_nf(self, mon) -> dict:
+        """Normal form of one stripped monomial, as {standard monomial: coeff}.
+
+        Memoized; the returned dict is shared and must not be mutated.
+        """
+        nf = self._nf_memo.get(mon)
+        if nf is not None:
+            return nf
+        k = self._reducer_index(mon)
+        if k == 0:
+            nf = {mon: 1}
+        else:
+            # x_k^k -> -(h_k(x_k..x_N) - x_k^k), multiplied by mon / x_k^k
+            base = mon[: k - 1] + (mon[k - 1] - k,) + mon[k:]
+            acc = {}
+            for tail in self._tails[k]:
+                key = strip_monomial(merge_monomials(base, tail))
+                for m, c in self._monomial_nf(key).items():
+                    acc[m] = acc.get(m, 0) - c
+            nf = {m: c for m, c in acc.items() if c}
+        self._nf_memo[mon] = nf
+        return nf
+
     def normal_form(self, p: GradedPolynomial) -> GradedPolynomial:
         """Unique representative supported on standard monomials (a_k <= k-1)."""
         if p.ring != self.ring:
             raise ValueError("polynomial not in this Fl(N) ring")
         out: dict = {}
-        work = dict(p.terms)
-        while work:
-            next_work: dict = {}
-            for mon, c in work.items():
-                k = self._reducer_index(mon)
-                if k == 0:
-                    s = out.get(mon, 0) + c
-                    if s:
-                        out[mon] = s
-                    elif mon in out:
-                        del out[mon]
-                    continue
-                # x_k^k -> -(h_k(x_k..x_N) - x_k^k), multiplied by mon / x_k^k
-                base = list(mon)
-                base[k - 1] -= k
-                for tail in self._tails[k]:
-                    key = strip_monomial(
-                        tuple(
-                            (base[i] if i < len(base) else 0)
-                            + (tail[i] if i < len(tail) else 0)
-                            for i in range(max(len(base), len(tail)))
-                        )
-                    )
-                    s = next_work.get(key, 0) - c
-                    if s:
-                        next_work[key] = s
-                    elif key in next_work:
-                        del next_work[key]
-            work = next_work
-        return GradedPolynomial(self.ring, out)
+        for mon, c in p.terms.items():
+            for m, d in self._monomial_nf(mon).items():
+                out[m] = out.get(m, 0) + c * d
+        return GradedPolynomial(self.ring, {m: c for m, c in out.items() if c})
 
     @lru_cache(maxsize=None)
     def standard_monomials(self, d: int):
@@ -256,9 +249,6 @@ class FullFlagRing:
         return self.ring.from_terms(
             {mons[i]: c for i, c in enumerate(v) if c}
         )
-
-    def point_class(self) -> GradedPolynomial:
-        return class_of_point(FlagShape([1] * self.N))
 
     def x_interval_product(self, i: int) -> GradedPolynomial:
         """x_{[i]} = x_1 x_2 ... x_i, the class of the special Schubert variety."""

@@ -34,9 +34,6 @@ class GF2Basis:
     def __len__(self):
         return len(self.rows)
 
-    def contains(self, vec: int) -> bool:
-        return self.reduce(vec)[0] == 0
-
     def coordinates(self, vec: int):
         """Expression of vec over the *inserted* vectors; None if outside."""
         residue, comb = self.reduce(vec)
@@ -48,15 +45,3 @@ def rank(rows) -> int:
     for r in rows:
         basis.insert(r)
     return len(basis)
-
-
-def mask_from_bits(bits) -> int:
-    m = 0
-    for i, b in enumerate(bits):
-        if b & 1:
-            m |= 1 << i
-    return m
-
-
-def bits_from_mask(mask: int, n: int):
-    return [(mask >> i) & 1 for i in range(n)]

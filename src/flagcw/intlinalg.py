@@ -84,10 +84,6 @@ def row_rank(rows) -> int:
     return len(hnf(rows))
 
 
-def lattice_eq(gens_a, gens_b) -> bool:
-    return hnf(gens_a) == hnf(gens_b)
-
-
 def lattice_contains(hnf_rows, pivots, v) -> bool:
     """Membership of v in the lattice given by its HNF rows."""
     v = list(v)

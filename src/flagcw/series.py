@@ -40,10 +40,6 @@ def mul(a: list, b: list) -> list:
     return normalize(out)
 
 
-def scale(a: list, c: int) -> list:
-    return normalize([c * x for x in a])
-
-
 def shift(a: list, k: int) -> list:
     """Multiply by t^k."""
     return [0] * k + list(a) if a else []

@@ -17,6 +17,7 @@ exactly by (1+t).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
 
@@ -45,8 +46,6 @@ class Mod2Chow:
         self.pres = ChowRingPresentation(shape)
         self.fl = self.pres.fl
         self._basis_cache = {}
-        self._sq2_cache = {}
-        self._xmul_cache = {}
 
     def rank(self, d: int) -> int:
         return self.pres.rank(d)
@@ -65,35 +64,17 @@ class Mod2Chow:
           * a mapping from monomial to integer coefficient, each coefficient
             taken mod 2 (so -1 counts and -2 does not);
           * a GradedPolynomial, read through its ``terms`` mapping.
+
+        The input is reduced over the integers by the memoized Fl(N)
+        reducer, and the monomials with odd coefficient are kept.  This
+        equals reduction over F_2 because every rewrite coefficient is +-1.
         """
         if isinstance(monomials, GradedPolynomial):
             monomials = monomials.terms
-        if isinstance(monomials, Mapping):
-            monomials = [mon for mon, c in monomials.items() if c % 2]
-        work = set()
-        for mon in monomials:
-            work ^= {strip_monomial(mon)}
-        out = set()
-        while work:
-            nxt = set()
-            for mon in work:
-                k = self.fl._reducer_index(mon)
-                if k == 0:
-                    out ^= {mon}
-                    continue
-                base = list(mon)
-                base[k - 1] -= k
-                for tail in self.fl._tails[k]:
-                    key = strip_monomial(
-                        tuple(
-                            (base[i] if i < len(base) else 0)
-                            + (tail[i] if i < len(tail) else 0)
-                            for i in range(max(len(base), len(tail)))
-                        )
-                    )
-                    nxt ^= {key}
-            work = nxt
-        return frozenset(out)
+        if not isinstance(monomials, Mapping):
+            monomials = Counter(strip_monomial(mon) for mon in monomials)
+        nf = self.fl.normal_form(self.fl.ring.from_terms(monomials))
+        return frozenset(mon for mon, c in nf.terms.items() if c % 2)
 
     def basis(self, d: int):
         """(monomial-set elements, GF2Basis of their bitmasks) in degree d."""
@@ -135,17 +116,13 @@ class Mod2Chow:
 
     def sq2_monomial(self, mon) -> frozenset:
         """Derivation with Sq^2(x_i) = x_i^2 applied to one monomial, mod 2."""
-        if mon in self._sq2_cache:
-            return self._sq2_cache[mon]
         acc = set()
         for i, e in enumerate(mon):
             if e % 2:
                 bumped = list(mon)
                 bumped[i] += 1
                 acc ^= {tuple(bumped)}
-        result = self.nf2(acc)
-        self._sq2_cache[mon] = result
-        return result
+        return self.nf2(acc)
 
     def ell_class(self, twist: TwistClass) -> frozenset:
         """l = sum of c_1(D_i) over the twist, as a mod-2 normal form."""

@@ -11,7 +11,6 @@ by the Vandermonde determinant and read off the staircase coefficient
 from __future__ import annotations
 
 import itertools
-import os
 from functools import lru_cache
 
 from .poly import GradedPolynomial, PolyRing, exact_div, strip_monomial
@@ -309,42 +308,8 @@ def grassmann_integrate(k: int, n: int, p: GradedPolynomial) -> int:
     return anti.coefficient_of(staircase)
 
 
-def thread_count() -> int:
-    """Worker cap from FLAGCW_THREADS (default 1 = sequential)."""
-    try:
-        return max(1, int(os.environ.get("FLAGCW_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _product_chunk(args):
-    ring, factor_terms = args
-    acc = ring.one()
-    for terms in factor_terms:
-        acc = acc * GradedPolynomial(ring, terms)
-    return acc.terms
-
-
-def product_of_factors(ring: PolyRing, factors, threads: int = None) -> GradedPolynomial:
-    """Product of many polynomial factors, optionally split across processes.
-
-    The chunk split is deterministic and the partial products are merged
-    in order, so the result does not depend on the worker count.
-    """
-    factors = list(factors)
-    if threads is None:
-        threads = thread_count()
-    if threads > 1 and len(factors) >= 2 * threads:
-        import multiprocessing as mp
-
-        chunks = [list(factors[i::threads]) for i in range(threads)]
-        payload = [(ring, [f.terms for f in chunk]) for chunk in chunks]
-        with mp.get_context("fork").Pool(threads) as pool:
-            partials = pool.map(_product_chunk, payload)
-        acc = ring.one()
-        for terms in partials:
-            acc = acc * GradedPolynomial(ring, terms)
-        return acc
+def product_of_factors(ring: PolyRing, factors) -> GradedPolynomial:
+    """Product of many polynomial factors, multiplied in order."""
     acc = ring.one()
     for f in factors:
         acc = acc * f

@@ -8,6 +8,7 @@ from flagcw import intlinalg
 from flagcw.flagchow import (
     ChowRingPresentation,
     FlagShape,
+    FullFlagRing,
     SchubertPermutation,
     ann_top_chern,
     chow_poincare,
@@ -138,6 +139,26 @@ def test_normal_form_idempotent_linear_ring_map():
         assert fl.normal_form(nfp) == nfp
         assert fl.normal_form(p + q) == fl.normal_form(p) + fl.normal_form(q)
         assert fl.normal_form(p * q) == fl.normal_form(nfp * fl.normal_form(q))
+
+
+def test_normal_form_against_relation_ideal_oracle():
+    # random homogeneous polynomials, degrees up to one past the top on
+    # Fl(3): the normal form is standard and differs from the input by an
+    # element of the raw ideal (e_1, ..., e_N); a fresh ring with an empty
+    # memo agrees with the shared, warmed one
+    rng = random.Random(314)
+    for N in (3, 4, 5):
+        warm = full_flag_ring(N)
+        fresh = FullFlagRing(N)
+        for _ in range(8):
+            d = rng.randint(1, N + 1)
+            mons = warm.ring.monomials_of_degree(d)
+            sample = rng.sample(mons, min(4, len(mons)))
+            p = warm.ring.from_terms({m: rng.randint(-5, 5) for m in sample})
+            nf = warm.normal_form(p)
+            assert all(e <= i for mon in nf.terms for i, e in enumerate(mon))
+            assert in_relation_ideal(N, p - nf)
+            assert fresh.normal_form(p) == nf
 
 
 def test_standard_monomial_count():

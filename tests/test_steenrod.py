@@ -60,6 +60,26 @@ def test_nf2_reduces_coefficients_mod_2():
     # a plain iterable keeps its symmetric-set meaning: repeats cancel
     assert ring.nf2([mon, mon]) == frozenset()
 
+    # random integer polynomials: nf2 is the odd part of the integer normal
+    # form, for every accepted input type
+    rng = random.Random(1618)
+    for parts in [(1, 1, 1, 1), (2, 2)]:
+        ring = mod2_chow(parts)
+        fl = ring.fl
+        for _ in range(20):
+            poly = fl.ring.from_terms(
+                {
+                    tuple(rng.randint(0, 4) for _ in range(4)): rng.randint(-3, 3)
+                    for _ in range(rng.randint(1, 6))
+                }
+            )
+            nf = fl.normal_form(poly)
+            odd = frozenset(m for m, c in nf.terms.items() if c % 2)
+            assert ring.nf2(poly) == odd
+            assert ring.nf2(poly.terms) == odd
+            repeated = [m for m, c in poly.terms.items() for _ in range(abs(c))]
+            assert ring.nf2(repeated) == odd
+
 
 def test_sq2_squares_to_zero_randomized():
     rng = random.Random(2718)
