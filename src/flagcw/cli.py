@@ -125,6 +125,8 @@ def cmd_poincare(args) -> int:
 def cmd_wring(args) -> int:
     shape = parse_shape(args.shape)
     twist = parse_twist(args.twist, shape.m)
+    if args.degree_max < 0:
+        raise ValidationError(f"--degree-max {args.degree_max} is negative")
     pres = wdring.build_sigma(shape)
     degrees = {}
     lines = []
@@ -185,6 +187,10 @@ def cmd_euler(args) -> int:
         raise ValidationError(
             f"malformed bundle expression at position {exc.position}: {exc}"
         ) from exc
+    if not 1 <= args.roots <= len(charclass.ROOT_NAMES):
+        raise ValidationError(
+            f"--roots {args.roots} out of range 1..{len(charclass.ROOT_NAMES)}"
+        )
     try:
         rank = charclass.bundle_rank(expr, args.roots)
         euler = charclass.euler_of_expression(expr, args.roots)

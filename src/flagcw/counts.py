@@ -2,6 +2,11 @@
 
 The complex counts are Grassmannian integrals of products of Chern roots
 (positive root conventions; dual signs cancel over even-rank bundles).
+The two-step flag count builds the quintic integral once and multiplies
+it by 27, computed twice from the same cubic root product: route a by the
+bialternant integral over Gr(2,4), route b by the Grassmann-bundle
+pushforward constant.
+
 The real signed counts come from the Witt-sheaf presentations: for the
 two-step flag count both extraction rules for the two surviving top
 monomials on Fl(2,2,14;R) are computed -- the paper's displayed rule
@@ -12,7 +17,6 @@ class (difference, the diagnostic) -- and reported side by side.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .charclass import euler_root_ring, euler_sym_rk2, euler_sym_sum_rk2
 from .flagchow import FlagShape
@@ -23,7 +27,7 @@ from .symfunc import (
     product_of_factors,
     root_ring,
 )
-from .wdring import TwistClass, build_sigma
+from .wdring import build_sigma
 
 QUINTIC_FOURPLANES = 64127725294951805931404297113125
 FLAGS_COMPLEX = 1731448582963698760147916022054375
@@ -31,50 +35,16 @@ FLAGS_REAL_PRIMARY = 24681637575
 FLAGS_REAL_DIAGNOSTIC = 112967182575
 
 
-@dataclass
-class CountResult:
-    complex_count: int
-    real_count: int
-    notes: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if abs(self.real_count) > self.complex_count:
-            raise ValueError("|real| must not exceed the complex count")
-        if (self.complex_count - self.real_count) % 2:
-            raise ValueError("complex and real counts must agree mod 2")
-
-
-@dataclass
-class GWForm:
-    """a<1> + b<-1>: rank is the complex count, signature the real one."""
-
-    ones: int
-    minus_ones: int
-
-    def __post_init__(self):
-        if self.ones < 0 or self.minus_ones < 0:
-            raise ValueError("multiplicities must be non-negative")
-
-    @property
-    def rank(self) -> int:
-        return self.ones + self.minus_ones
-
-    @property
-    def signature(self) -> int:
-        return self.ones - self.minus_ones
-
-    def __str__(self):
-        return f"{self.ones}<1> + {self.minus_ones}<-1>"
-
-
-def gw_form(complex_count: int, real_count: int) -> GWForm:
+def gw_form(complex_count: int, real_count: int) -> dict:
+    """a<1> + b<-1> with rank a + b = complex and signature a - b = real."""
     if abs(real_count) > complex_count:
         raise ValueError("|real| must not exceed the complex count")
     if (complex_count + real_count) % 2:
         raise ValueError("parity violation: complex != real mod 2")
-    return GWForm(
-        (complex_count + real_count) // 2, (complex_count - real_count) // 2
-    )
+    return {
+        "ones": (complex_count + real_count) // 2,
+        "minus_ones": (complex_count - real_count) // 2,
+    }
 
 
 def hypersurface_root_factors(ring: PolyRing, k: int, degree: int):
@@ -93,7 +63,7 @@ def hypersurface_root_factors(ring: PolyRing, k: int, degree: int):
     return factors
 
 
-def count_lines_cubic() -> CountResult:
+def count_lines_cubic() -> dict:
     """27 complex lines on a cubic surface; signed real count 3."""
     ring = root_ring(2)
     product = product_of_factors(ring, hypersurface_root_factors(ring, 2, 3))
@@ -109,14 +79,15 @@ def count_lines_cubic() -> CountResult:
     point = pres.p_top_image(1)
     a_part = elt.components.get((frozenset(), frozenset()))
     real_count = _ratio(a_part, point, pres)
-    return CountResult(
-        complex_count,
-        real_count,
-        notes={
+    return {
+        "complex": complex_count,
+        "real": real_count,
+        "gw_form": gw_form(complex_count, real_count),
+        "notes": {
             "complex": "integral over Gr(2,4) of prod (i t1 + j t2), i+j=3",
             "real": "coefficient of p_top(D_1) in e(Sym^3 S*) on W(Gr(2,4))",
         },
-    )
+    }
 
 
 def _ratio(a_part, point, pres) -> int:
@@ -139,27 +110,26 @@ def count_quintic_fourplanes() -> int:
 
 
 def count_flags_complex() -> dict:
-    """Complex two-step flag count by two independent routes.
+    """Complex two-step flag count by two routes over one quintic integral.
 
-    (a) 27 x the quintic 4-plane count (the product of the two numbers);
-    (b) the relative route: push c_top(Sym^3 S1*) forward along the
-        Gr(2, .)-fiber of Fl(2,2,14) -> Gr(4,18) (a degree-0 constant),
-        multiply into c_top(Sym^5 S2*), and integrate over Gr(4,18).
-    The routes must agree exactly.
+    Both routes share g = c_top(Sym^3 S1*) and the quintic 4-plane count
+    (the integral of c_top(Sym^5 S2*) over Gr(4,18)):
+    (a) the bialternant integral of g over Gr(2,4) x the quintic integral;
+    (b) the pushforward constant of g along the Gr(2, .)-fiber of
+        Fl(2,2,14) -> Gr(4,18) x the quintic integral.  By linearity this
+        is the integral over Gr(4,18) of the constant times c_top(Sym^5 S2*).
+    The routes agree exactly iff the two computations of 27 agree.
     """
-    lines = count_lines_cubic().complex_count
-    quintic = count_quintic_fourplanes()
-    route_a = lines * quintic
-
     ring = root_ring(4)
-    sub = [0, 1]
     g = product_of_factors(ring, hypersurface_root_factors(ring, 2, 3))
-    pushed = grassmann_bundle_pushforward(sub, [0, 1, 2, 3], g)
+    lines = grassmann_integrate(2, 4, g)
+    pushed = grassmann_bundle_pushforward([0, 1], [0, 1, 2, 3], g)
     if not pushed.is_homogeneous() or pushed.degree() > 0:
         raise ArithmeticError("relative pushforward is not a constant")
     fiber_count = pushed.constant_term()
-    sym5 = product_of_factors(ring, hypersurface_root_factors(ring, 4, 5))
-    route_b = grassmann_integrate(4, 18, fiber_count * sym5)
+    quintic = count_quintic_fourplanes()
+    route_a = lines * quintic
+    route_b = fiber_count * quintic
 
     if route_a != route_b:
         raise ArithmeticError(
@@ -218,14 +188,7 @@ def even_power_substitution(p: GradedPolynomial, target: PolyRing) -> GradedPoly
 
 def count_preset(name: str) -> dict:
     if name == "cubic-lines":
-        res = count_lines_cubic()
-        form = gw_form(res.complex_count, res.real_count)
-        return {
-            "complex": res.complex_count,
-            "real": res.real_count,
-            "gw_form": {"ones": form.ones, "minus_ones": form.minus_ones},
-            "notes": res.notes,
-        }
+        return count_lines_cubic()
     if name == "quintic-4planes":
         return {"complex": count_quintic_fourplanes()}
     if name == "flag-3-5":

@@ -188,6 +188,8 @@ class FullFlagRing:
         nf = self._nf_memo.get(mon)
         if nf is not None:
             return nf
+        if sum(mon) > self.dim:
+            return {}  # zero above the top degree; left out of the memo
         k = self._reducer_index(mon)
         if k == 0:
             nf = {mon: 1}

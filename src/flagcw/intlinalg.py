@@ -17,12 +17,6 @@ def mat_vec(mat, v):
     return [sum(r[j] * v[j] for j in range(len(v))) for r in mat]
 
 
-def transpose(mat):
-    if not mat:
-        return []
-    return [[row[j] for row in mat] for j in range(len(mat[0]))]
-
-
 def hnf(rows):
     """Canonical row Hermite normal form of the lattice spanned by rows.
 

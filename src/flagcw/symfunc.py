@@ -288,7 +288,9 @@ def grassmann_integrate(k: int, n: int, p: GradedPolynomial) -> int:
     """Integral over Gr(k, n) of a symmetric polynomial in k Chern roots.
 
     Only the part of top degree k(n-k) contributes; the result is the
-    coefficient of s_{(n-k)^k}, read off through the bialternant.
+    coefficient of s_{(n-k)^k}, read off through the bialternant: the
+    coefficient of x^staircase in top * Vandermonde, summed over the
+    Vandermonde's k! terms.
     """
     if p.is_zero():
         return 0
@@ -301,11 +303,14 @@ def grassmann_integrate(k: int, n: int, p: GradedPolynomial) -> int:
             top[mon] = c
     if not top:
         return 0
-    qpoly = GradedPolynomial(p.ring, top)
-    _check_symmetric(qpoly, k)
-    anti = qpoly * vandermonde(p.ring, k)
+    _check_symmetric(GradedPolynomial(p.ring, top), k)
     staircase = tuple(n - 1 - i for i in range(k))
-    return anti.coefficient_of(staircase)
+    total = 0
+    for v, c in vandermonde(p.ring, k).terms.items():
+        # a complement with a negative exponent matches no key of top
+        rest = itertools.zip_longest(staircase, v, fillvalue=0)
+        total += c * top.get(strip_monomial(s - e for s, e in rest), 0)
+    return total
 
 
 def product_of_factors(ring: PolyRing, factors) -> GradedPolynomial:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from flagcw import charclass, cli
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -31,3 +33,16 @@ def test_module_entry_point_rejects_malformed_shape():
     proc = run_module("poincare", "--shape", "x", "--theory", "chow")
     assert proc.returncode == 1
     assert "malformed shape" in proc.stderr
+
+
+def test_negative_degree_max_is_rejected(capsys):
+    assert cli.run(["wring", "--shape", "2,2", "--degree-max", "-3"]) == 1
+    assert "--degree-max -3 is negative" in capsys.readouterr().err
+
+
+def test_roots_outside_root_names_are_rejected(capsys):
+    limit = len(charclass.ROOT_NAMES)
+    for roots in (0, limit + 1):
+        assert cli.run(["euler", "--roots", str(roots), "--expr", "D1"]) == 1
+        assert f"out of range 1..{limit}" in capsys.readouterr().err
+    assert cli.run(["euler", "--roots", str(limit), "--expr", f"D{limit}"]) == 0

@@ -161,6 +161,17 @@ def test_normal_form_against_relation_ideal_oracle():
             assert fresh.normal_form(p) == nf
 
 
+def test_normal_form_above_top_degree_is_zero_and_not_memoized():
+    fl = FullFlagRing(5)
+    for k in (1, 2, 12):
+        assert fl.normal_form(fl.ring.monomial([fl.dim + k])).is_zero()
+    above = fl.ring.from_terms(
+        {m: 1 for m in fl.ring.monomials_of_degree(fl.dim + 1)}
+    )
+    assert fl.normal_form(above).is_zero()
+    assert fl._nf_memo == {}
+
+
 def test_standard_monomial_count():
     for N in range(1, 7):
         fl = full_flag_ring(N)

@@ -17,6 +17,7 @@ from flagcw.symfunc import (
     root_ring,
     schur_at,
     schur_expand,
+    vandermonde,
 )
 
 
@@ -235,6 +236,49 @@ def test_integrate_schur_basis_normalization():
     # s_(2,1): integral 0 by degree
     s21 = ring.monomial([2, 1]) + ring.monomial([1, 2])
     assert grassmann_integrate(2, 4, s21) == 0
+
+
+def test_integrate_matches_full_bialternant_product():
+    # reference: multiply the top part by the Vandermonde polynomial in
+    # full and read the coefficient of x^staircase
+    rng = random.Random(2718)
+    negative_lookup_seen = False
+    for k in (2, 3, 4):
+        ring = root_ring(k)
+        elem = [
+            sum(
+                (ring.monomial([int(i in S) for i in range(k)])
+                 for S in itertools.combinations(range(k), j)),
+                ring.zero(),
+            )
+            for j in range(k + 1)
+        ]
+
+        def random_product(d):
+            acc = ring.one()
+            while d:
+                j = rng.randint(1, min(k, d))
+                acc, d = acc * elem[j], d - j
+            return acc
+
+        vterms = vandermonde(ring, k).terms
+        for n in range(k + 1, k + 4):
+            dim = k * (n - k)
+            staircase = tuple(n - 1 - i for i in range(k))
+            negative_lookup_seen |= any(
+                s < e for v in vterms for s, e in zip(staircase, v)
+            )
+            for _ in range(3):
+                top = sum(
+                    (rng.randint(-9, 9) * random_product(dim) for _ in range(2)),
+                    ring.zero(),
+                )
+                low = rng.randint(1, 9) * random_product(dim - 1)
+                want = (top * vandermonde(ring, k)).coefficient_of(staircase)
+                assert grassmann_integrate(k, n, top + low) == want
+                # no part of top degree
+                assert grassmann_integrate(k, n, low) == 0
+    assert negative_lookup_seen
 
 
 # -- relative pushforward -----------------------------------------------
