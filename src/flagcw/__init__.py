@@ -16,7 +16,6 @@ from .flagchow import (
     full_flag_ring,
     ideal_quotient_degreewise,
     integrate_fln,
-    normal_form_fln,
     schubert_ideal_rank,
     verify_piqp_fln,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "ideal_quotient_degreewise",
     "integrate_fln",
     "jacobi_trudi_delta",
-    "normal_form_fln",
     "partitions_in_box",
     "q_spec",
     "real_fl11n_reduce",

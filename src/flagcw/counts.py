@@ -20,7 +20,7 @@ import itertools
 
 from .charclass import euler_root_ring, euler_sym_rk2, euler_sym_sum_rk2
 from .flagchow import FlagShape
-from .poly import GradedPolynomial, PolyRing, strip_monomial
+from .poly import GradedPolynomial, PolyRing
 from .symfunc import (
     grassmann_bundle_pushforward,
     grassmann_integrate,
@@ -54,12 +54,8 @@ def hypersurface_root_factors(ring: PolyRing, k: int, degree: int):
     for exps in itertools.product(range(degree + 1), repeat=k):
         if sum(exps) != degree:
             continue
-        terms = {}
-        for pos, c in enumerate(exps):
-            if c:
-                mon = strip_monomial([0] * pos + [1])
-                terms[mon] = c
-        factors.append(GradedPolynomial(ring, terms))
+        linear = (c * ring.var(pos) for pos, c in enumerate(exps))
+        factors.append(sum(linear, ring.zero()))
     return factors
 
 
@@ -182,7 +178,7 @@ def even_power_substitution(p: GradedPolynomial, target: PolyRing) -> GradedPoly
     for mon, c in p.terms.items():
         if any(e % 2 for e in mon):
             raise ValueError("polynomial has an odd root exponent")
-        terms[strip_monomial(tuple(e // 2 for e in mon))] = c
+        terms[tuple(e // 2 for e in mon)] = c
     return target.from_terms(terms)
 
 

@@ -27,9 +27,10 @@ from __future__ import annotations
 import itertools
 import warnings
 from functools import lru_cache
+from operator import add
 
 from . import intlinalg, series
-from .poly import GradedPolynomial, PolyRing, merge_monomials, strip_monomial
+from .poly import GradedPolynomial, PolyRing
 
 
 class FlagShape:
@@ -147,22 +148,15 @@ class FullFlagRing:
         self._nf_memo = {}
 
     def _tail(self, k: int):
-        lead = strip_monomial([0] * (k - 1) + [k])
         return [
             mon
             for mon in self.ring.monomials_of_degree(k)
-            if mon != lead and not any(mon[: k - 1])
+            if not any(mon[: k - 1]) and mon[k - 1] != k
         ]
 
     def elementary(self, j: int) -> GradedPolynomial:
         """e_j(x_1..x_N)."""
-        terms = {}
-        for comb in itertools.combinations(range(self.N), j):
-            exps = [0] * self.N
-            for i in comb:
-                exps[i] = 1
-            terms[strip_monomial(exps)] = 1
-        return self.ring.from_terms(terms)
+        return self.block_elementary(range(self.N), j)
 
     def block_elementary(self, span, j: int) -> GradedPolynomial:
         terms = {}
@@ -170,7 +164,7 @@ class FullFlagRing:
             exps = [0] * self.N
             for i in comb:
                 exps[i] = 1
-            terms[strip_monomial(exps)] = 1
+            terms[tuple(exps)] = 1
         return self.ring.from_terms(terms)
 
     def _reducer_index(self, mon) -> int:
@@ -181,7 +175,7 @@ class FullFlagRing:
         return 0
 
     def _monomial_nf(self, mon) -> dict:
-        """Normal form of one stripped monomial, as {standard monomial: coeff}.
+        """Normal form of one monomial, as {standard monomial: coeff}.
 
         Memoized; the returned dict is shared and must not be mutated.
         """
@@ -198,8 +192,7 @@ class FullFlagRing:
             base = mon[: k - 1] + (mon[k - 1] - k,) + mon[k:]
             acc = {}
             for tail in self._tails[k]:
-                key = strip_monomial(merge_monomials(base, tail))
-                for m, c in self._monomial_nf(key).items():
+                for m, c in self._monomial_nf(tuple(map(add, base, tail))).items():
                     acc[m] = acc.get(m, 0) - c
             nf = {m: c for m, c in acc.items() if c}
         self._nf_memo[mon] = nf
@@ -223,13 +216,13 @@ class FullFlagRing:
         def rec(i, rem, acc):
             if i == self.N:
                 if rem == 0:
-                    out.append(strip_monomial(acc))
+                    out.append(tuple(acc))
                 return
             for e in range(min(i, rem), -1, -1):
                 rec(i + 1, rem - e, acc + [e])
 
         rec(0, d, [])
-        out.sort(key=lambda m: tuple(m) + (0,) * (self.N - len(m)), reverse=True)
+        out.sort(reverse=True)
         return out
 
     @lru_cache(maxsize=None)
@@ -248,9 +241,7 @@ class FullFlagRing:
 
     def from_coords(self, v, d: int) -> GradedPolynomial:
         mons = self.standard_monomials(d)
-        return self.ring.from_terms(
-            {mons[i]: c for i, c in enumerate(v) if c}
-        )
+        return GradedPolynomial(self.ring, {mons[i]: c for i, c in enumerate(v) if c})
 
     def x_interval_product(self, i: int) -> GradedPolynomial:
         """x_{[i]} = x_1 x_2 ... x_i, the class of the special Schubert variety."""
@@ -297,10 +288,6 @@ def class_of_point(shape: FlagShape) -> GradedPolynomial:
         sign = -1 if (shape.d[i - 1] * r) % 2 else 1
         result = result * fl.ring.monomial(exps, sign)
     return result
-
-
-def normal_form_fln(N: int, p: GradedPolynomial) -> GradedPolynomial:
-    return full_flag_ring(N).normal_form(p)
 
 
 def integrate_fln(shape: FlagShape, p: GradedPolynomial) -> int:
@@ -422,10 +409,6 @@ class ChowRingPresentation:
             raise ArithmeticError("element does not lie in the partial-flag image")
         return coords
 
-    def basis_element(self, d: int, idx: int) -> GradedPolynomial:
-        rows, _ = self.image_basis(d)
-        return self.fl.from_coords(rows[idx], d)
-
     def multiplication_matrix(self, g_img: GradedPolynomial, d: int, e: int):
         """Multiplication by an image element of degree e on the image basis."""
         rows, _ = self.image_basis(d)
@@ -452,15 +435,10 @@ def schubert_ideal_rank(N: int, i: int) -> int:
         raise ValueError("need 1 <= i <= N")
     fl = full_flag_ring(N)
     g = fl.x_interval_product(i)
-    total = 0
-    for d in range(fl.dim - i + 1):
-        mat = fl.multiplication_matrix(g, d)
-        rows = [r for r in mat if any(r)]
-        if rows:
-            total += intlinalg.row_rank(
-                [[mat[i2][j] for i2 in range(len(mat))] for j in range(len(mat[0]))]
-            )
-    return total
+    return sum(
+        intlinalg.row_rank(fl.multiplication_matrix(g, d))
+        for d in range(fl.dim - i + 1)
+    )
 
 
 def _ideal_lattice_fln(fl: FullFlagRing, gens, d: int):

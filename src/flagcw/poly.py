@@ -7,36 +7,21 @@ which fixes the variable names and a weight vector: the degree of a
 monomial is the weighted sum of its exponents.  Chern-class variables
 have weight 1, Euler roots weight 2, Pontryagin variables weight 4.
 
-Monomials are exponent tuples with trailing zeros stripped, so equal
-monomials are equal as tuples.  Coefficients are plain Python ints
-(several results in this package have 30+ digits, so nothing here may
-ever truncate).  No floating point is used anywhere.
+A monomial is an exponent tuple with exactly ``ring.nvars`` entries, so
+equal monomials are equal as tuples and a product of monomials is an
+entrywise sum.  ``PolyRing.key`` is the one place that turns outside
+input (shorter tuples, trailing zeros) into such a key.  Coefficients
+are plain Python ints (several results in this package have 30+ digits,
+so nothing here may ever truncate).  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from typing import Iterable, Mapping, Union
+from operator import add, sub
+from typing import Mapping, Union
 
-Monomial = tuple  # exponent tuple, trailing zeros stripped
+Monomial = tuple  # exponent tuple with exactly ring.nvars entries
 Scalar = int
-
-
-def strip_monomial(exps: Iterable[int]) -> Monomial:
-    """Canonical monomial key: drop trailing zero exponents."""
-    t = tuple(exps)
-    n = len(t)
-    while n and t[n - 1] == 0:
-        n -= 1
-    return t[:n]
-
-
-def merge_monomials(a: Monomial, b: Monomial) -> Monomial:
-    if not b:
-        return a
-    if not a:
-        return b
-    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
 
 
 class PolyRing:
@@ -52,6 +37,7 @@ class PolyRing:
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
         self._index = {n: i for i, n in enumerate(self.names)}
+        self.unit = (0,) * len(self.names)
 
     @property
     def nvars(self) -> int:
@@ -70,6 +56,17 @@ class PolyRing:
     def __repr__(self):
         return f"PolyRing({list(self.names)}, weights={list(self.weights)})"
 
+    def key(self, exps) -> Monomial:
+        """Canonical monomial key: exps padded with zeros to nvars entries.
+
+        Exponents past the last variable are accepted only when they are 0.
+        """
+        t = tuple(exps)
+        n = len(self.names)
+        if any(t[n:]):
+            raise ValueError("monomial has more exponents than ring variables")
+        return t[:n] + self.unit[len(t):]
+
     def zero(self) -> "GradedPolynomial":
         return GradedPolynomial(self, {})
 
@@ -77,7 +74,7 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, c: int) -> "GradedPolynomial":
-        return GradedPolynomial(self, {(): int(c)} if c else {})
+        return GradedPolynomial(self, {self.unit: int(c)} if c else {})
 
     def var(self, name_or_index) -> "GradedPolynomial":
         i = (
@@ -91,18 +88,14 @@ class PolyRing:
         return [self.var(i) for i in range(self.nvars)]
 
     def monomial(self, exps, coeff: int = 1) -> "GradedPolynomial":
-        key = strip_monomial(exps)
-        if len(key) > self.nvars:
-            raise ValueError("monomial has more exponents than ring variables")
+        key = self.key(exps)
         return GradedPolynomial(self, {key: int(coeff)} if coeff else {})
 
     def from_terms(self, terms: Mapping[tuple, int]) -> "GradedPolynomial":
         out = {}
         for exps, c in terms.items():
             if c:
-                key = strip_monomial(exps)
-                if len(key) > self.nvars:
-                    raise ValueError("monomial has more exponents than ring variables")
+                key = self.key(exps)
                 out[key] = out.get(key, 0) + int(c)
         return GradedPolynomial(self, {k: c for k, c in out.items() if c})
 
@@ -118,7 +111,7 @@ class PolyRing:
         def rec(i, rem, acc):
             if i == len(w) - 1:
                 if rem % w[i] == 0:
-                    out.append(strip_monomial(acc + [rem // w[i]]))
+                    out.append(tuple(acc + [rem // w[i]]))
                 return
             for e in range(rem // w[i], -1, -1):
                 rec(i + 1, rem - e * w[i], acc + [e])
@@ -145,10 +138,10 @@ class GradedPolynomial:
 
     def coefficient_of(self, exps) -> int:
         """Exact coefficient of the given monomial; 0 if absent."""
-        return self.terms.get(strip_monomial(exps), 0)
+        return self.terms.get(self.ring.key(exps), 0)
 
     def constant_term(self) -> int:
-        return self.terms.get((), 0)
+        return self.terms.get(self.ring.unit, 0)
 
     def degree(self) -> int:
         """Maximal weighted degree; -1 for the zero polynomial."""
@@ -227,17 +220,8 @@ class GradedPolynomial:
             a, b = b, a
         out: dict = {}
         for m1, c1 in a.items():
-            n1 = len(m1)
             for m2, c2 in b.items():
-                if n1 <= len(m2):
-                    key = tuple(
-                        (m2[i] + m1[i]) if i < n1 else m2[i] for i in range(len(m2))
-                    )
-                else:
-                    key = tuple(
-                        (m1[i] + m2[i]) if i < len(m2) else m1[i]
-                        for i in range(n1)
-                    )
+                key = tuple(map(add, m1, m2))
                 s = out.get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
@@ -262,7 +246,7 @@ class GradedPolynomial:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.terms == ({(): other} if other else {})
+            return self.terms == ({self.ring.unit: other} if other else {})
         return (
             isinstance(other, GradedPolynomial)
             and self.ring == other.ring
@@ -316,8 +300,7 @@ class GradedPolynomial:
     # -- printing ------------------------------------------------------
 
     def _sort_key(self, mon: Monomial):
-        padded = mon + (0,) * (self.ring.nvars - len(mon))
-        return (self.ring.monomial_degree(mon), padded)
+        return (self.ring.monomial_degree(mon), mon)
 
     def sorted_terms(self):
         """Terms in graded-lex order, largest first."""
@@ -360,25 +343,20 @@ def exact_div(p: GradedPolynomial, q: GradedPolynomial) -> GradedPolynomial:
     ring = p.ring
     qt = q.sorted_terms()
     lead_mon, lead_coeff = qt[0]
-    nl = len(lead_mon)
     rem = dict(p.terms)
     quot: dict = {}
     while rem:
-        mon = max(rem, key=lambda m: p._sort_key(m))
+        mon = max(rem, key=p._sort_key)
         c = rem[mon]
-        if len(mon) < nl or any(mon[i] < lead_mon[i] for i in range(nl)):
+        fmon = tuple(map(sub, mon, lead_mon))
+        if any(e < 0 for e in fmon):
             raise ArithmeticError("non-exact polynomial division (monomial)")
         fc, r = divmod(c, lead_coeff)
         if r:
             raise ArithmeticError("non-exact polynomial division (coefficient)")
-        fmon = strip_monomial(
-            tuple(
-                mon[i] - (lead_mon[i] if i < nl else 0) for i in range(len(mon))
-            )
-        )
         quot[fmon] = quot.get(fmon, 0) + fc
         for m2, c2 in qt:
-            key = merge_monomials(fmon, m2)
+            key = tuple(map(add, fmon, m2))
             s = rem.get(key, 0) - fc * c2
             if s:
                 rem[key] = s

@@ -20,10 +20,11 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
+from operator import add
 
 from . import gf2, series
 from .flagchow import ChowRingPresentation, FlagShape, chow_poincare, full_flag_ring
-from .poly import GradedPolynomial, strip_monomial
+from .poly import GradedPolynomial
 from .wdring import TwistClass
 
 
@@ -72,7 +73,7 @@ class Mod2Chow:
         if isinstance(monomials, GradedPolynomial):
             monomials = monomials.terms
         if not isinstance(monomials, Mapping):
-            monomials = Counter(strip_monomial(mon) for mon in monomials)
+            monomials = Counter(monomials)
         nf = self.fl.normal_form(self.fl.ring.from_terms(monomials))
         return frozenset(mon for mon, c in nf.terms.items() if c % 2)
 
@@ -145,11 +146,7 @@ class Mod2Chow:
             prod = set()
             for m1 in elt:
                 for m2 in ell:
-                    padded = tuple(
-                        (m1[i] if i < len(m1) else 0) + (m2[i] if i < len(m2) else 0)
-                        for i in range(max(len(m1), len(m2)))
-                    )
-                    prod ^= {padded}
+                    prod ^= {tuple(map(add, m1, m2))}
             out ^= self.nf2(prod)
         return frozenset(out)
 

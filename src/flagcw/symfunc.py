@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import sub
 
-from .poly import GradedPolynomial, PolyRing, exact_div, strip_monomial
+from .poly import GradedPolynomial, PolyRing, exact_div
 
 
 class Partition:
@@ -122,8 +123,10 @@ def jacobi_trudi_delta(lam: Partition, v):
     """det(v_{lam_i + j - i}) over i, j = 1..len(lam); v_j = 0 for j < 0.
 
     ``v`` is indexed by integers: a sequence (entries beyond the end are
-    zero) or a callable.  Entries may be integers or polynomials; the
-    determinant is expanded over permutations, so no division happens.
+    zero) or a callable.  Entries may be integers or polynomials, so no
+    division happens: the determinant is expanded by minors along the
+    rows, bottom up, with each minor on the last rows kept by its set of
+    columns (2^ell * ell products in place of ell! * ell).
     """
     ell = len(lam)
     if ell == 0:
@@ -138,27 +141,21 @@ def jacobi_trudi_delta(lam: Partition, v):
             return seq[j] if 0 <= j < len(seq) else 0
 
     entries = [[fetch(lam[i] + j - i) for j in range(ell)] for i in range(ell)]
-    total = 0
-    for perm in itertools.permutations(range(ell)):
-        sign = perm_sign(perm)
-        prod = sign
-        for i in range(ell):
-            e = entries[i][perm[i]]
-            if isinstance(e, int) and e == 0:
-                prod = 0
-                break
-            prod = prod * e
-        total = total + prod
-    return total
-
-
-def perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+    # minors[cols]: determinant of the last popcount(cols) rows on the
+    # columns in the bitmask cols; a smaller mask is always filled first
+    minors = [1] + [0] * ((1 << ell) - 1)
+    for cols in range(1, 1 << ell):
+        row = entries[ell - bin(cols).count("1")]
+        total, sign = 0, 1
+        for j in range(ell):
+            if cols >> j & 1:
+                rest = minors[cols ^ (1 << j)]
+                # only integer zeros are skipped; a polynomial is always truthy
+                if row[j] and rest:
+                    total = total + sign * row[j] * rest
+                sign = -sign
+        minors[cols] = total
+    return minors[-1]
 
 
 def elementary_values(points):
@@ -237,13 +234,15 @@ class SchurExpansion:
 
 
 def _check_symmetric(p: GradedPolynomial, k: int):
+    if k > p.ring.nvars:
+        raise ValueError(f"{k} roots but only {p.ring.nvars} ring variables")
     names = p.ring.names[:k]
     for i in range(k - 1):
         swapped = {}
         for mon, c in p.terms.items():
-            padded = list(mon) + [0] * (k - len(mon))
-            padded[i], padded[i + 1] = padded[i + 1], padded[i]
-            swapped[strip_monomial(padded)] = c
+            m = list(mon)
+            m[i], m[i + 1] = m[i + 1], m[i]
+            swapped[tuple(m)] = c
         if swapped != p.terms:
             raise ValueError(
                 f"polynomial is not symmetric under swapping {names[i]},{names[i+1]}"
@@ -271,9 +270,8 @@ def schur_expand(p: GradedPolynomial, k: int = None) -> SchurExpansion:
     delta = tuple(range(k - 1, -1, -1))
     coeffs = {}
     for mon, c in anti.terms.items():
-        padded = tuple(mon) + (0,) * (k - len(mon))
-        if all(padded[i] > padded[i + 1] for i in range(k - 1)):
-            lam = Partition(padded[i] - delta[i] for i in range(k))
+        if all(mon[i] > mon[i + 1] for i in range(k - 1)):
+            lam = Partition(mon[i] - delta[i] for i in range(k))
             coeffs[lam] = c
     return SchurExpansion(coeffs, k)
 
@@ -297,19 +295,18 @@ def grassmann_integrate(k: int, n: int, p: GradedPolynomial) -> int:
     dim = k * (n - k)
     top = {}
     for mon, c in p.terms.items():
-        if len(mon) > k:
+        if any(mon[k:]):
             raise ValueError("polynomial uses more than k root variables")
         if sum(mon) == dim:
             top[mon] = c
     if not top:
         return 0
     _check_symmetric(GradedPolynomial(p.ring, top), k)
-    staircase = tuple(n - 1 - i for i in range(k))
+    staircase = p.ring.key(n - 1 - i for i in range(k))
     total = 0
     for v, c in vandermonde(p.ring, k).terms.items():
         # a complement with a negative exponent matches no key of top
-        rest = itertools.zip_longest(staircase, v, fillvalue=0)
-        total += c * top.get(strip_monomial(s - e for s, e in rest), 0)
+        total += c * top.get(tuple(map(sub, staircase, v)), 0)
     return total
 
 
@@ -357,7 +354,7 @@ def grassmann_bundle_pushforward(
             for i, e in enumerate(mon):
                 if e:
                     new_exps[perm.get(i, i)] += e
-            key = strip_monomial(new_exps)
+            key = tuple(new_exps)
             moved[key] = moved.get(key, 0) + c
         g_s = ring.from_terms(moved)
         sign = 1

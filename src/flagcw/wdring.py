@@ -164,24 +164,28 @@ class WDPresentation:
         top += sum(self.r_degree(l) for l in self.r_labels)
         return top
 
-    # -- all-even quotient machinery --------------------------------------
+    # -- quotient machinery ------------------------------------------------
 
     def _quotient_data(self, I: frozenset, chow_deg: int):
-        """(rank_of_image, U, Uinv, dim) for A^chow_deg modulo (p_{I^c})."""
+        """(rank_of_image, U, Uinv, dim) for A^chow_deg modulo (p_{I^c}).
+
+        Only all-even shapes take this quotient; for the others the image
+        has rank 0 and every component is A itself.
+        """
         key = (I, chow_deg)
         if key in self._quotient_cache:
             return self._quotient_cache[key]
         dim = self.A.rank(chow_deg)
         comp = [i for i in range(1, self.shape.m + 1) if i not in I]
         k = sum(self.p_top_chow_degree(i) for i in comp)
+        if self.parity != "all-even" or chow_deg < k or dim == 0:
+            data = (0, None, None, dim)
+            self._quotient_cache[key] = data
+            return data
         gen = self.A.fl.ring.one()
         for i in comp:
             gen = gen * self.p_top_image(i)
         gen = self.A.fl.normal_form(gen)
-        if chow_deg < k or dim == 0:
-            data = (0, None, None, dim)
-            self._quotient_cache[key] = data
-            return data
         mat = self.A.multiplication_matrix(gen, chow_deg - k, k)
         diag, U, Uinv = intlinalg.smith_normal_form(mat)
         if any(s != 1 for s in diag):
@@ -196,7 +200,7 @@ class WDPresentation:
     def reduce_component(self, I: frozenset, a: GradedPolynomial) -> GradedPolynomial:
         """Normal form of the A-part of the e_I component."""
         a = self.A.fl.normal_form(a)
-        if self.parity != "all-even" or a.is_zero():
+        if a.is_zero():
             return a
         out = self.A.fl.ring.zero()
         for dchow in a.homogeneous_degrees():
@@ -226,10 +230,6 @@ class WDPresentation:
         polynomial degree is the Chow degree (the W-degree is 4x that).
         """
         part = a.homogeneous_part(chow_deg) if not a.is_zero() else a
-        if self.parity != "all-even":
-            if part.is_zero():
-                return [0] * self.A.rank(chow_deg)
-            return self.A.image_coords(part, chow_deg)
         rank, U, Uinv, dim = self._quotient_data(I, chow_deg)
         if dim == 0:
             return []
@@ -244,16 +244,12 @@ class WDPresentation:
         return w[rank:]
 
     def component_rank(self, I: frozenset, chow_deg: int) -> int:
-        if self.parity != "all-even":
-            return self.A.rank(chow_deg)
         rank, _, _, dim = self._quotient_data(I, chow_deg)
         return dim - rank
 
     def component_basis_polys(self, I: frozenset, chow_deg: int):
         """A-parts of the free-module basis of the e_I component."""
         rows, _ = self.A.image_basis(chow_deg)
-        if self.parity != "all-even":
-            return [self.A.fl.from_coords(r, chow_deg) for r in rows]
         rank, U, Uinv, dim = self._quotient_data(I, chow_deg)
         if rank == 0:
             return [self.A.fl.from_coords(r, chow_deg) for r in rows]
@@ -613,7 +609,7 @@ def real_fl11n_reduce(n: int, p: GradedPolynomial):
     for mon in p.terms:
         if sum(mon) != top:
             raise ValueError("input is not homogeneous of x-degree 2n+1")
-        if len(mon) > 2:
+        if any(mon[2:]):
             raise ValueError("input must live in the two variables x1, x2")
     return (
         p.coefficient_of((n + 1, n)),

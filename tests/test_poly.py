@@ -82,6 +82,44 @@ def test_coefficient_trailing_zeros_canonical(xy):
     assert p.coefficient_of((1, 0)) == 5
 
 
+def test_every_key_has_one_exponent_per_variable():
+    ring = PolyRing(["x", "y", "z"], 1)
+    x, y, z = ring.gens()
+    p = ring.monomial([2]) - 3 * y * z + 4
+    q = ring.from_terms({(1,): 2, (0, 1): -1, (): 5})
+    target = PolyRing(["a", "b"], 2)
+    a, b = target.gens()
+    polys = {
+        "var": x,
+        "monomial": ring.monomial([1, 2]),
+        "from_terms": q,
+        "constant": ring.constant(7),
+        "+": p + q,
+        "*": p * q,
+        "**": (p + x) ** 3,
+        "substitute": p.substitute({"x": a, "y": b, "z": a * b}),
+        "exact_div": exact_div(p * q, q),
+    }
+    for name, poly in polys.items():
+        assert not poly.is_zero(), name
+        assert all(len(m) == poly.ring.nvars for m in poly.terms), name
+    assert ring.one().terms == {ring.unit: 1} and ring.unit == (0, 0, 0)
+    assert exact_div(p * q, q) == p
+
+
+def test_short_and_full_keys_are_one_term(xy):
+    p = xy.from_terms({(1,): 2, (1, 0): 3})
+    assert p.terms == {(1, 0): 5}
+    assert xy.monomial((0, 1, 0, 0)).terms == {(0, 1): 1}
+    assert xy.key(()) == (0, 0) and xy.key([2, 1, 0]) == (2, 1)
+    with pytest.raises(ValueError):
+        xy.monomial((0, 0, 1))
+    with pytest.raises(ValueError):
+        xy.from_terms({(1, 0, 2): 1})
+    with pytest.raises(ValueError):
+        xy.zero().coefficient_of((0, 0, 0, 1))
+
+
 def test_homogeneous_part(xy):
     x, _ = xy.gens()
     p = 1 + x + x * x

@@ -186,6 +186,11 @@ def test_schur_expand_rejects_asymmetric():
     x1, _ = ring.gens()
     with pytest.raises(ValueError):
         schur_expand(x1)
+    # more roots than ring variables
+    with pytest.raises(ValueError):
+        schur_expand(ring.one(), 3)
+    with pytest.raises(ValueError):
+        grassmann_integrate(3, 4, x1 * x1 * ring.var(1))
 
 
 def test_schur_expand_roundtrip_evaluation():
