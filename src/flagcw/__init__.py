@@ -39,7 +39,6 @@ from .wdring import (
     build_sigma,
     real_fl11n_reduce,
     wd_basis,
-    wd_normal_form,
     wd_poincare,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "schur_expand",
     "verify_piqp_fln",
     "wd_basis",
-    "wd_normal_form",
     "wd_poincare",
 ]
 

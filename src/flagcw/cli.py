@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import charclass, counts, flagchow, series, steenrod, wdring
@@ -22,12 +23,18 @@ class ValidationError(Exception):
 
 def parse_shape(text: str) -> FlagShape:
     try:
-        shape = FlagShape.parse(text)
-    except Exception as exc:
+        parts = [int(p) for p in text.strip().split(",")]
+    except ValueError as exc:
         raise ValidationError(f"malformed shape {text!r}: {exc}") from exc
-    if shape.m == 0:
-        raise ValidationError(f"malformed shape {text!r}: no blocks")
-    return shape
+    if 0 in parts:
+        # the library would drop it and renumber the blocks after it
+        raise ValidationError(
+            f"malformed shape {text!r}: block {parts.index(0) + 1} has size 0"
+        )
+    try:
+        return FlagShape(parts)
+    except ValueError as exc:
+        raise ValidationError(f"malformed shape {text!r}: {exc}") from exc
 
 
 def parse_twist(text: str, m: int) -> TwistClass:
@@ -99,8 +106,18 @@ def emit(args, payload: dict, text_lines) -> None:
 def cmd_poincare(args) -> int:
     shape = parse_shape(args.shape)
     twist = parse_twist(args.twist, shape.m)
+    checks = []
     if args.theory == "chow" or args.theory == "ch2":
         poly = flagchow.chow_poincare(shape)
+        cells = math.factorial(shape.N)
+        for d in shape.d:
+            cells //= math.factorial(d)
+        checks.append(
+            {
+                "name": f"coefficients sum to the multinomial N!/prod d_i! = {cells}",
+                "status": "pass" if sum(poly) == cells else "fail",
+            }
+        )
     elif args.theory == "w":
         poly = wdring.wd_poincare(shape, twist)
     else:
@@ -116,10 +133,10 @@ def cmd_poincare(args) -> int:
             "twist": str(twist),
         },
         "result": {"coefficients": poly, "polynomial": series.to_string(poly)},
-        "checks": [],
+        "checks": checks,
     }
     emit(args, payload, [series.to_string(poly)])
-    return 0
+    return 0 if all(c["status"] == "pass" for c in checks) else 2
 
 
 def cmd_wring(args) -> int:

@@ -8,13 +8,15 @@ lattice iff their HNFs are equal as nested lists.
 
 from __future__ import annotations
 
+from operator import mul
+
 
 def identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_vec(mat, v):
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in mat]
+    return [sum(map(mul, r, v)) for r in mat]
 
 
 def hnf(rows):

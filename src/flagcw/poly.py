@@ -21,7 +21,6 @@ from operator import add, sub
 from typing import Mapping, Union
 
 Monomial = tuple  # exponent tuple with exactly ring.nvars entries
-Scalar = int
 
 
 class PolyRing:

@@ -119,6 +119,18 @@ class WDPresentation:
         self.n = shape.N // 2
         self.r_labels = tuple(range(self.q + 1, self.n + 1))
         self._quotient_cache = {}
+        self._basis_poly_cache = {}
+        self._p_top_cache = {}
+        # twist -> [(I, deg e_I), ...] in _euler_subsets() order; basis
+        # keys and coordinates follow this order
+        self._euler_slots = {}
+        for I in self._euler_subsets():
+            self._euler_slots.setdefault(self.subset_twist(I), []).append(
+                (I, self.subset_degree(I))
+            )
+        self._exterior_slots = [
+            (S, sum(self.r_degree(l) for l in S)) for S in self._exterior_subsets()
+        ]
 
     # -- generator data --------------------------------------------------
 
@@ -134,11 +146,19 @@ class WDPresentation:
         return TwistClass.from_blocks(self.shape.m, [i])
 
     def p_top_image(self, i: int) -> GradedPolynomial:
-        """p_top(D_i) as a normal-form element of the Pontryagin subalgebra."""
+        """p_top(D_i) as a normal-form element of the Pontryagin subalgebra.
+
+        Cached per instance: the returned polynomial is shared, and
+        callers must not mutate it.
+        """
+        if i in self._p_top_cache:
+            return self._p_top_cache[i]
         if i not in self._half_block:
-            return self.A.fl.ring.one()
-        hb = self._half_block[i]
-        return self.A.pullback_nf(self.A.top_chern(hb))
+            img = self.A.fl.ring.one()
+        else:
+            img = self.A.pullback_nf(self.A.top_chern(self._half_block[i]))
+        self._p_top_cache[i] = img
+        return img
 
     def p_top_chow_degree(self, i: int) -> int:
         return self.shape.d[i - 1] // 2
@@ -248,19 +268,29 @@ class WDPresentation:
         return dim - rank
 
     def component_basis_polys(self, I: frozenset, chow_deg: int):
-        """A-parts of the free-module basis of the e_I component."""
+        """A-parts of the free-module basis of the e_I component.
+
+        Each is a column of Uinv with index >= rank, so it is already
+        quotient-reduced.  Cached per instance: the returned list and its
+        polynomials are shared, and callers must not mutate them.
+        """
+        key = (I, chow_deg)
+        if key in self._basis_poly_cache:
+            return self._basis_poly_cache[key]
         rows, _ = self.A.image_basis(chow_deg)
         rank, U, Uinv, dim = self._quotient_data(I, chow_deg)
         if rank == 0:
-            return [self.A.fl.from_coords(r, chow_deg) for r in rows]
-        out = []
-        for idx in range(rank, dim):
-            col = [Uinv[r][idx] for r in range(dim)]
-            poly = self.A.fl.ring.zero()
-            for coef, row in zip(col, rows):
-                if coef:
-                    poly = poly + coef * self.A.fl.from_coords(row, chow_deg)
-            out.append(poly)
+            out = [self.A.fl.from_coords(r, chow_deg) for r in rows]
+        else:
+            out = []
+            for idx in range(rank, dim):
+                col = [Uinv[r][idx] for r in range(dim)]
+                poly = self.A.fl.ring.zero()
+                for coef, row in zip(col, rows):
+                    if coef:
+                        poly = poly + coef * self.A.fl.from_coords(row, chow_deg)
+                out.append(poly)
+        self._basis_poly_cache[key] = out
         return out
 
     # -- elements ----------------------------------------------------------
@@ -306,12 +336,8 @@ class WDPresentation:
         index running over the component basis in that Chow degree.
         """
         out = []
-        for I in self._euler_subsets():
-            if self.subset_twist(I) != twist:
-                continue
-            e_deg = self.subset_degree(I)
-            for S in self._exterior_subsets():
-                r_deg = sum(self.r_degree(l) for l in S)
+        for I, e_deg in self._euler_slots.get(twist, ()):
+            for S, r_deg in self._exterior_slots:
                 rem = degree - e_deg - r_deg
                 if rem < 0 or rem % 4:
                     continue
@@ -324,7 +350,8 @@ class WDPresentation:
     def basis_element(self, key) -> "WDElement":
         I, S, chow_deg, idx = key
         poly = self.component_basis_polys(I, chow_deg)[idx]
-        return WDElement(self, {(I, S): poly})
+        # a component basis polynomial is its own quotient normal form
+        return WDElement(self, {(I, S): poly}, reduce=False)
 
     def basis_label(self, key) -> str:
         I, S, chow_deg, idx = key
@@ -360,17 +387,14 @@ class WDPresentation:
     def coords(self, x: "WDElement", degree: int, twist: TwistClass):
         """Coordinates of the (degree, twist) part of x over basis()."""
         out = []
-        for I in self._euler_subsets():
-            if self.subset_twist(I) != twist:
-                continue
-            e_deg = self.subset_degree(I)
-            for S in self._exterior_subsets():
-                r_deg = sum(self.r_degree(l) for l in S)
+        zero = self.A.fl.ring.zero()
+        for I, e_deg in self._euler_slots.get(twist, ()):
+            for S, r_deg in self._exterior_slots:
                 rem = degree - e_deg - r_deg
                 if rem < 0 or rem % 4:
                     continue
                 chow_deg = rem // 4
-                a = x.components.get((I, S), self.A.fl.ring.zero())
+                a = x.components.get((I, S), zero)
                 out.extend(self.component_coords(I, a, chow_deg))
         return out
 
@@ -501,10 +525,6 @@ def wd_poincare(shape: FlagShape, twist: TwistClass):
     return build_sigma(shape).poincare(twist)
 
 
-def wd_normal_form(x: WDElement) -> WDElement:
-    return WDElement(x.pres, dict(x.components))
-
-
 def annihilator_generator(shape: FlagShape, i: int) -> WDElement:
     """The theorem's generator of Ann(e_i): prod_{j != i} e_j when every
     block is even, else e_i * prod_{j != i} p_top(D_j)."""
@@ -547,11 +567,12 @@ def ann_euler(shape: FlagShape, i: int, degree_bound: int = None):
     e_elt = pres.euler(i)
     deg_e = pres.euler_degree(i)
     twist_e = pres.euler_twist(i)
+    twists = all_twist_classes(shape.m)
     degrees_checked = []
     status = "pass"
     failure = None
     for d in range(degree_bound + 1):
-        for twist in all_twist_classes(shape.m):
+        for twist in twists:
             src = pres.basis(d, twist)
             if not src:
                 continue

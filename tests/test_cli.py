@@ -2,9 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
-from flagcw import charclass, cli
+from flagcw import charclass, cli, wdring
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -46,3 +47,36 @@ def test_roots_outside_root_names_are_rejected(capsys):
         assert cli.run(["euler", "--roots", str(roots), "--expr", "D1"]) == 1
         assert f"out of range 1..{limit}" in capsys.readouterr().err
     assert cli.run(["euler", "--roots", str(limit), "--expr", f"D{limit}"]) == 0
+
+
+def test_zero_block_is_rejected_before_twist_and_block(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(["poincare", "--shape", "1,0,2", "--theory", "w",
+                        "--twist", "2"]) == 1
+        assert "block 2 has size 0" in capsys.readouterr().err
+        # block 3 is in range for the original shape, not for a renumbered one
+        assert cli.run(["annihilator", "--shape", "2,0,2", "--block", "3"]) == 1
+        assert "block 2 has size 0" in capsys.readouterr().err
+
+
+def test_chow_poincare_checks_the_multinomial(capsys):
+    for theory in ("chow", "ch2"):
+        assert cli.run(["--format", "json", "poincare", "--shape", "2,2,4",
+                        "--theory", theory]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sum(payload["result"]["coefficients"]) == 420
+        assert payload["checks"] == [
+            {"name": "coefficients sum to the multinomial N!/prod d_i! = 420",
+             "status": "pass"}
+        ]
+
+
+def test_failed_verification_exits_2(monkeypatch, capsys):
+    def failing(shape, i):
+        return None, {"statement": "forced failure", "status": "fail",
+                      "degrees_checked": []}
+
+    monkeypatch.setattr(wdring, "ann_euler", failing)
+    assert cli.run(["annihilator", "--shape", "2,2", "--block", "1"]) == 2
+    assert "status: fail" in capsys.readouterr().out

@@ -372,6 +372,19 @@ def test_ann_top_chern_examples():
     assert rep["status"] == "pass"  # degenerate: ring is ZZ
 
 
+def test_ann_top_chern_sweep_up_to_n5():
+    shapes = 0
+    for N in range(2, 6):
+        for r in range(1, N):
+            for cuts in itertools.combinations(range(1, N), r):
+                bounds = (0,) + cuts + (N,)
+                parts = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+                _, rep = ann_top_chern(FlagShape(parts))
+                assert rep["status"] == "pass", (parts, rep)
+                shapes += 1
+    assert shapes == 26
+
+
 def test_report_shape():
     _, rep = ann_top_chern(FlagShape([1, 2]))
     assert set(rep) >= {"shape", "statement", "degrees_checked", "status"}

@@ -1,16 +1,18 @@
+import itertools
+
 import pytest
 
 from flagcw.flagchow import FlagShape, chow_poincare
 from flagcw.poly import PolyRing
 from flagcw.wdring import (
     TwistClass,
+    WDElement,
     all_twist_classes,
     ann_euler,
     annihilator_generator,
     build_sigma,
     real_fl11n_reduce,
     wd_basis,
-    wd_normal_form,
     wd_poincare,
 )
 
@@ -107,7 +109,7 @@ def test_wd_normal_form_relations():
     assert (r * r).is_zero()
     # idempotence of the normal form
     x = pres.euler(1) + pres.pontryagin(1, 1)
-    assert wd_normal_form(x) == x
+    assert WDElement(x.pres, dict(x.components)) == x
 
 
 def test_products_add_twists():
@@ -196,6 +198,94 @@ def test_freeness_quotients_are_unimodular():
         for I in pres._euler_subsets():
             for dchow in range(pres.half_shape.dim + 1):
                 pres._quotient_data(I, dchow)
+
+
+# -- cached presentation data ------------------------------------------------
+
+CACHE_SHAPES = [(2, 2), (2, 4), (2, 2, 2), (2, 2, 2, 2), (1, 2, 2), (1, 4), (1, 2, 3)]
+
+
+def reference_basis(pres, degree, twist):
+    """basis() enumerated straight from the subsets, with no grouping."""
+    out = []
+    for I in pres._euler_subsets():
+        if pres.subset_twist(I) != twist:
+            continue
+        for S in pres._exterior_subsets():
+            rem = degree - pres.subset_degree(I) - sum(pres.r_degree(l) for l in S)
+            if rem < 0 or rem % 4:
+                continue
+            for idx in range(pres.component_rank(I, rem // 4)):
+                out.append((I, S, rem // 4, idx))
+    return out
+
+
+@pytest.mark.parametrize("parts", CACHE_SHAPES)
+def test_component_basis_polys_are_reduced(parts):
+    # basis_element skips the reduction on the strength of this identity
+    pres = build_sigma(FlagShape(parts))
+    for I in pres._euler_subsets():
+        for k in range(pres.half_shape.dim + 1):
+            polys = pres.component_basis_polys(I, k)
+            assert len(polys) == pres.component_rank(I, k)
+            for p in polys:
+                assert pres.reduce_component(I, p) == p
+
+
+@pytest.mark.parametrize("parts", CACHE_SHAPES)
+def test_basis_elements_have_unit_coords(parts):
+    pres = build_sigma(FlagShape(parts))
+    for twist in all_twist_classes(pres.shape.m):
+        for deg in range(pres.max_degree() + 1):
+            keys = pres.basis(deg, twist)
+            assert keys == reference_basis(pres, deg, twist)
+            for pos, key in enumerate(keys):
+                unit = [0] * len(keys)
+                unit[pos] = 1
+                assert pres.coords(pres.basis_element(key), deg, twist) == unit
+
+
+@pytest.mark.parametrize("parts", CACHE_SHAPES)
+def test_p_top_image_matches_fresh_pullback(parts):
+    pres = build_sigma(FlagShape(parts))
+    A = pres.A
+    for i, d in enumerate(pres.shape.d, start=1):
+        if d // 2 == 0:
+            expected = A.fl.ring.one()
+        else:
+            expected = A.pullback_nf(A.top_chern(pres._half_block[i]))
+        assert pres.p_top_image(i) == expected
+        assert pres.p_top_image(i) == expected  # second call reads the cache
+
+
+def test_basis_key_order_within_a_twist():
+    # e_1 e_2 and e_3 e_4 share a twist; labels keep the subset order
+    tw = TwistClass.from_blocks(4, [1, 2])
+    assert wd_basis(FlagShape([2, 2, 2, 2]), 4, tw) == ["e1*e2", "e3*e4"]
+
+
+# -- annihilator sweeps -------------------------------------------------------
+
+
+def compositions(N):
+    """Every composition of N with at least two parts."""
+    for r in range(1, N):
+        for cuts in itertools.combinations(range(1, N), r):
+            bounds = (0,) + cuts + (N,)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def test_ann_euler_sweep_up_to_n7():
+    cases = 0
+    for N in range(2, 8):
+        for parts in compositions(N):
+            shape = FlagShape(parts)
+            for i, d in enumerate(parts, start=1):
+                if d % 2 == 0:
+                    _, rep = ann_euler(shape, i)
+                    assert rep["status"] == "pass", (parts, i, rep)
+                    cases += 1
+    assert cases == 132
 
 
 # -- the real Fl(1,1,n) reduction -------------------------------------------
