@@ -26,6 +26,7 @@ from .symfunc import (
     box_complement,
     grassmann_bundle_pushforward,
     grassmann_integrate,
+    grassmann_integrate_product,
     jacobi_trudi_delta,
     partitions_in_box,
     q_spec,
@@ -63,6 +64,7 @@ __all__ = [
     "full_flag_ring",
     "grassmann_bundle_pushforward",
     "grassmann_integrate",
+    "grassmann_integrate_product",
     "ideal_quotient_degreewise",
     "integrate_fln",
     "jacobi_trudi_delta",

@@ -49,13 +49,6 @@ def double_factorial(m: int) -> int:
     return out
 
 
-def sym_rank_c1(ell: int, s: int):
-    """(rank, c_1 multiplier) of Sym^ell of a rank-s bundle."""
-    if ell < 0 or s < 1:
-        raise ValueError("need ell >= 0 and s >= 1")
-    return binomial(ell + s - 1, s - 1), binomial(ell + s - 1, s)
-
-
 def orientability_conditions(ell1: int, ell2: int, d: int) -> dict:
     """The numerical conditions for the two-step flag problem on Fl(2,2,d).
 
@@ -178,11 +171,6 @@ def euler_sym_sum_rk2(k: int, ring: PolyRing = None) -> GradedPolynomial:
     for i in range(k + 1):
         out = out * euler_sym_tensor(k - i, i, ring)
     return out
-
-
-def euler_dual_sign(n: int) -> int:
-    """Sign relating e(E*) and e(E) for a rank-n bundle: (-1)^n."""
-    return -1 if n % 2 else 1
 
 
 # ----------------------------------------------------------------------

@@ -223,17 +223,49 @@ def cmd_euler(args) -> int:
     return 0
 
 
+def count_checks(preset: str, result: dict) -> list:
+    """(statement, holds) pairs for a count preset's result."""
+    if preset == "cubic-lines":
+        form = result["gw_form"]
+        return [
+            ("complex count = 27", result["complex"] == 27),
+            ("real count = 3", result["real"] == 3),
+            ("GW form has rank 27 and signature 3",
+             (form["ones"] + form["minus_ones"], form["ones"] - form["minus_ones"])
+             == (27, 3)),
+        ]
+    if preset == "quintic-4planes":
+        return [("complex count = QUINTIC_FOURPLANES",
+                 result["complex"] == counts.QUINTIC_FOURPLANES)]
+    cplx = result["complex"]
+    routes = result["complex_routes"]
+    checks = [
+        ("complex routes a and b agree", routes["a"] == routes["b"] == cplx),
+        ("complex count = 27 x QUINTIC_FOURPLANES = FLAGS_COMPLEX",
+         cplx == 27 * counts.QUINTIC_FOURPLANES == counts.FLAGS_COMPLEX),
+    ]
+    for key in ("real_primary", "real_diagnostic"):
+        real = result[key]
+        checks.append((f"{key}: |real| <= complex and real = complex mod 2",
+                       abs(real) <= cplx and (cplx - real) % 2 == 0))
+    return checks
+
+
 def cmd_count(args) -> int:
     result = counts.count_preset(args.preset)
+    checks = [
+        {"name": name, "status": "pass" if holds else "fail"}
+        for name, holds in count_checks(args.preset, result)
+    ]
     payload = {
         "command": "count",
         "input": {"preset": args.preset},
         "result": result,
-        "checks": [],
+        "checks": checks,
     }
     # counts always print machine-readable JSON
     print(json.dumps(payload, sort_keys=True))
-    return 0
+    return 0 if all(c["status"] == "pass" for c in checks) else 2
 
 
 def cmd_verify(args) -> int:

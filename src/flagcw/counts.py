@@ -2,10 +2,14 @@
 
 The complex counts are Grassmannian integrals of products of Chern roots
 (positive root conventions; dual signs cancel over even-rank bundles).
-The two-step flag count builds the quintic integral once and multiplies
-it by 27, computed twice from the same cubic root product: route a by the
-bialternant integral over Gr(2,4), route b by the Grassmann-bundle
-pushforward constant.
+The lines on the cubic and the 4-planes on the quintic go through
+``grassmann_integrate_product``, which keeps only the monomials the
+bialternant can read and never forms the full root product.  The
+two-step flag count computes the quintic integral once and multiplies it
+by 27, computed twice from one cubic root product g that is formed in
+full, because the pushforward needs all of g: route a by the bialternant
+integral over Gr(2,4), route b by the Grassmann-bundle pushforward
+constant.
 
 The real signed counts come from the Witt-sheaf presentations: for the
 two-step flag count both extraction rules for the two surviving top
@@ -24,6 +28,7 @@ from .poly import GradedPolynomial, PolyRing
 from .symfunc import (
     grassmann_bundle_pushforward,
     grassmann_integrate,
+    grassmann_integrate_product,
     product_of_factors,
     root_ring,
 )
@@ -62,8 +67,9 @@ def hypersurface_root_factors(ring: PolyRing, k: int, degree: int):
 def count_lines_cubic() -> dict:
     """27 complex lines on a cubic surface; signed real count 3."""
     ring = root_ring(2)
-    product = product_of_factors(ring, hypersurface_root_factors(ring, 2, 3))
-    complex_count = grassmann_integrate(2, 4, product)
+    complex_count = grassmann_integrate_product(
+        2, 4, hypersurface_root_factors(ring, 2, 3)
+    )
 
     # real: coefficient of the W-cohomology point class p_top(D_1) of
     # Gr(2,4) in e(Sym^3 S*) = 3 a^2, with a^2 = e_1^2 = p_top(D_1)
@@ -101,8 +107,7 @@ def count_quintic_fourplanes() -> int:
     """4-planes in A^18 on a generic quintic: integral over Gr(4,18) of the
     product of the 56 Chern roots of Sym^5(S*)."""
     ring = root_ring(4)
-    product = product_of_factors(ring, hypersurface_root_factors(ring, 4, 5))
-    return grassmann_integrate(4, 18, product)
+    return grassmann_integrate_product(4, 18, hypersurface_root_factors(ring, 4, 5))
 
 
 def count_flags_complex() -> dict:

@@ -11,6 +11,7 @@ by the Vandermonde determinant and read off the staircase coefficient
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from operator import sub
 
@@ -316,6 +317,86 @@ def product_of_factors(ring: PolyRing, factors) -> GradedPolynomial:
     for f in factors:
         acc = acc * f
     return acc
+
+
+def _check_factors_symmetric(factors, k: int):
+    """Raise unless the multiset of factors is stable under every swap of
+    adjacent roots among the first k, which makes their product symmetric."""
+    ring = factors[0].ring
+    if k > ring.nvars:
+        raise ValueError(f"{k} roots but only {ring.nvars} ring variables")
+    for f in factors:
+        if f.ring != ring:
+            raise ValueError("factors live in different rings")
+        if any(any(mon[k:]) for mon in f.terms):
+            raise ValueError("factor uses more than k root variables")
+    names = ring.names[:k]
+    multiset = Counter(frozenset(f.terms.items()) for f in factors)
+    for i in range(k - 1):
+        swapped = Counter()
+        for f in multiset:
+            moved = []
+            for mon, c in f:
+                m = list(mon)
+                m[i], m[i + 1] = m[i + 1], m[i]
+                moved.append((tuple(m), c))
+            swapped[frozenset(moved)] += multiset[f]
+        if swapped != multiset:
+            raise ValueError(
+                f"factor list is not stable under swapping {names[i]},{names[i+1]}"
+            )
+
+
+def grassmann_integrate_product(k: int, n: int, factors) -> int:
+    """Integral over Gr(k, n) of the product of factors in k Chern roots.
+
+    Equals ``grassmann_integrate(k, n, product_of_factors(ring, factors))``
+    for a non-empty factor list that every permutation of the k roots
+    maps to itself (checked up front, so the product is symmetric), but
+    never forms the full product.  The bialternant reads only exponents
+    up to n-1 and exponents only grow, so after each factor every
+    monomial with an exponent above n-1 is dropped.
+
+    Monomials are packed into one int with W bits per root, so a product
+    of monomials is one add.  Every accumulated key carries 2^(W-1)-1-(n-1)
+    in each field, so a field's top bit is set exactly when its exponent
+    exceeds n-1.  With 2^(W-1) > n-1, a field of a kept key plus a factor
+    exponent of at most n-1 stays below 2^W and never carries into the
+    next field.
+    """
+    factors = list(factors)
+    _check_factors_symmetric(factors, k)
+    cap = n - 1
+    width = cap.bit_length() + 1
+    off = high = 0
+    for i in range(k):
+        off |= ((1 << (width - 1)) - 1 - cap) << (width * i)
+        high |= 1 << (width * i + width - 1)
+
+    def pack(mon):
+        return sum(e << (width * i) for i, e in enumerate(mon))
+
+    acc = {off: 1}
+    for f in factors:
+        # a factor term above the cap only makes products above the cap
+        terms = [
+            (pack(mon), c) for mon, c in f.terms.items() if max(mon, default=0) <= cap
+        ]
+        out = {}
+        get = out.get
+        for key2, c2 in terms:
+            for key1, c1 in acc.items():
+                key = key1 + key2
+                if not key & high:
+                    out[key] = get(key, 0) + c1 * c2
+        acc = out
+    staircase = tuple(n - 1 - i for i in range(k))
+    total = 0
+    for v, c in vandermonde(factors[0].ring, k).terms.items():
+        rest = tuple(map(sub, staircase, v))
+        if min(rest, default=0) >= 0:
+            total += c * acc.get(pack(rest) + off, 0)
+    return total
 
 
 def grassmann_bundle_pushforward(

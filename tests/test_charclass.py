@@ -9,7 +9,6 @@ from flagcw.charclass import (
     Tensor,
     Trivial,
     bundle_rank,
-    euler_dual_sign,
     euler_of_expression,
     euler_root_ring,
     euler_sym_rk2,
@@ -20,7 +19,6 @@ from flagcw.charclass import (
     parse_bundle,
     pontryagin_sequence,
     pontryagin_sym_rk2,
-    sym_rank_c1,
 )
 from flagcw.poly import PolyRing
 from flagcw.symfunc import Partition, jacobi_trudi_delta, q_spec
@@ -61,12 +59,6 @@ def tensor_root_oracle(M, N, ring):
 
 
 # -- ranks, c1, orientability ----------------------------------------------
-
-
-def test_sym_rank_c1_values():
-    assert sym_rank_c1(3, 2) == (4, 6)
-    assert sym_rank_c1(5, 4) == (56, 70)
-    assert sym_rank_c1(0, 7) == (1, 0)
 
 
 def test_orientability_conditions():
@@ -230,12 +222,6 @@ def test_euler_sym_sum_symmetric_up_to_sign():
             swapped_terms[(eb, ea)] = c
         swapped = s.ring.from_terms(swapped_terms)
         assert s == swapped or s == -swapped
-
-
-def test_euler_dual_sign():
-    assert euler_dual_sign(2) == 1
-    assert euler_dual_sign(3) == -1
-    assert euler_dual_sign(56) == 1
 
 
 # -- bundle expressions -------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from flagcw import charclass, cli, wdring
+from flagcw import charclass, cli, counts, wdring
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -80,3 +80,54 @@ def test_failed_verification_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(wdring, "ann_euler", failing)
     assert cli.run(["annihilator", "--shape", "2,2", "--block", "1"]) == 2
     assert "status: fail" in capsys.readouterr().out
+
+
+SCHEMA_COMMANDS = [
+    ["poincare", "--shape", "1,2", "--theory", "chow"],
+    ["poincare", "--shape", "1,1,1", "--theory", "torsion"],
+    ["wring", "--shape", "2,2", "--degree-max", "4"],
+    ["annihilator", "--shape", "2,2", "--block", "1"],
+    ["euler", "--expr", "sym^3(D1)"],
+    ["count", "--preset", "cubic-lines"],
+    ["count", "--preset", "quintic-4planes"],
+    ["count", "--preset", "flag-3-5"],
+    ["verify", "--suite", "poincare"],
+]
+
+
+def test_json_payload_schema(capsys):
+    for argv in SCHEMA_COMMANDS:
+        assert cli.run(["--format", "json", *argv]) == 0, argv
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"command", "input", "result", "checks"}, argv
+        assert payload["command"] == argv[0]
+        for check in payload["checks"]:
+            assert set(check) == {"name", "status"}, argv
+            assert check["status"] in ("pass", "fail"), argv
+
+
+def test_count_fills_checks(capsys):
+    for preset, n_checks in [("cubic-lines", 3), ("quintic-4planes", 1),
+                             ("flag-3-5", 4)]:
+        assert cli.run(["count", "--preset", preset]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert len(checks) == n_checks, preset
+        assert all(c["status"] == "pass" for c in checks), checks
+
+
+def test_failed_count_check_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(counts, "count_preset", lambda name: {"complex": 1})
+    assert cli.run(["count", "--preset", "quintic-4planes"]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [{"name": "complex count = QUINTIC_FOURPLANES",
+                       "status": "fail"}]
+
+
+def test_count_output_is_deterministic():
+    argv = ("--format", "json", "count", "--preset", "quintic-4planes")
+    first, second = run_module(*argv), run_module(*argv)
+    assert first.returncode == second.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    assert json.loads(first.stdout)["result"] == {
+        "complex": counts.QUINTIC_FOURPLANES
+    }

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from flagcw.counts import hypersurface_root_factors
 from flagcw.poly import PolyRing
 from flagcw.symfunc import (
     Partition,
@@ -11,8 +12,10 @@ from flagcw.symfunc import (
     box_dual,
     grassmann_bundle_pushforward,
     grassmann_integrate,
+    grassmann_integrate_product,
     jacobi_trudi_delta,
     partitions_in_box,
+    product_of_factors,
     q_spec,
     root_ring,
     schur_at,
@@ -284,6 +287,98 @@ def test_integrate_matches_full_bialternant_product():
                 # no part of top degree
                 assert grassmann_integrate(k, n, low) == 0
     assert negative_lookup_seen
+
+
+def random_stable_factors(rng, ring, k, orbits):
+    """Union of S_k-orbits of random polynomials in the first k roots.
+
+    Each orbit seed has one or two terms on one or two roots, with
+    exponents up to 3 and maybe a constant term, so the list holds
+    factors with exponents > 1 and non-homogeneous factors.
+    """
+    factors = []
+    for _ in range(orbits):
+        support = rng.sample(range(k), rng.randint(1, min(2, k)))
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            mon = [0] * ring.nvars
+            for i in support:
+                mon[i] = rng.randint(0, 3)
+            terms[tuple(mon)] = rng.choice([-3, -1, 1, 2, 5])
+        if rng.random() < 0.4:
+            terms[ring.unit] = rng.randint(1, 4)
+        seed = ring.from_terms(terms)
+        if seed.is_zero():
+            continue
+        orbit = set()
+        for perm in itertools.permutations(range(k)):
+            moved = {}
+            for mon, c in seed.terms.items():
+                new = list(mon)
+                for i in range(k):
+                    new[perm[i]] = mon[i]
+                moved[tuple(new)] = c
+            orbit.add(frozenset(moved.items()))
+        factors += [ring.from_terms(dict(f)) for f in sorted(orbit, key=sorted)]
+    return factors
+
+
+def test_integrate_product_matches_full_product():
+    rng = random.Random(4242)
+    nonzero = 0
+    for k in (2, 3, 4):
+        # one spare variable: factors may live in a larger ring
+        ring = root_ring(k + 1)
+        for _ in range(12):
+            factors = random_stable_factors(rng, ring, k, rng.randint(1, 3))
+            rng.shuffle(factors)
+            full = product_of_factors(ring, factors)
+            for n in range(k, k + 6):
+                want = grassmann_integrate(k, n, full)
+                assert grassmann_integrate_product(k, n, factors) == want
+                nonzero += want != 0
+    assert nonzero >= 20
+
+
+def test_integrate_product_of_wrong_degree_is_zero():
+    ring = root_ring(3)
+    t = ring.gens()
+    e1 = t[0] + t[1] + t[2]
+    squares = [t[0] ** 2 + 1, t[1] ** 2 + 1, t[2] ** 2 + 1]
+    # homogeneous of degree 7 and 9 against dim Gr(3,6) = 9 and Gr(3,5) = 6
+    assert grassmann_integrate_product(3, 6, [e1] * 7) == 0
+    assert grassmann_integrate_product(3, 5, [e1] * 9) == 0
+    assert grassmann_integrate_product(3, 6, [e1] * 9) == 42
+    # the degree-6 part of prod (t_i^2 + 1) is (t1 t2 t3)^2, the point of Gr(3,5)
+    assert grassmann_integrate_product(3, 5, squares) == 1
+    assert grassmann_integrate_product(3, 5, [ring.zero()] + squares) == 0
+    # t1^11 and t1^10 t2 are far above the exponent cap 3 of Gr(2,4): they
+    # must be dropped, not confused with a kept monomial
+    assert grassmann_integrate_product(2, 4, [t[0] + t[1]] * 11) == 0
+
+
+def test_integrate_product_lines_on_hypersurfaces():
+    # lines on a degree-(2N-3) hypersurface in P^N: Gr(2, N+1)
+    ring = root_ring(2)
+    for n, lines in [(4, 27), (5, 2875), (6, 698005)]:
+        factors = hypersurface_root_factors(ring, 2, 2 * n - 5)
+        assert grassmann_integrate_product(2, n, factors) == lines
+
+
+def test_integrate_product_rejects_bad_factor_lists():
+    ring = root_ring(3)
+    t = ring.gens()
+    # symmetric product, but the list is not stable under swapping t1, t2
+    with pytest.raises(ValueError, match="not stable"):
+        grassmann_integrate_product(2, 4, [2 * t[0], t[1]])
+    with pytest.raises(ValueError, match="not stable"):
+        grassmann_integrate_product(3, 5, [t[0] + t[1], t[1] + t[2]])
+    with pytest.raises(ValueError, match="more than k"):
+        grassmann_integrate_product(2, 4, [t[0], t[1], t[2]])
+    with pytest.raises(ValueError, match="ring variables"):
+        grassmann_integrate_product(4, 6, [t[0]])
+    with pytest.raises(ValueError, match="different rings"):
+        grassmann_integrate_product(1, 3, [t[0], root_ring(1).var(0)])
 
 
 # -- relative pushforward -----------------------------------------------
