@@ -163,6 +163,26 @@ def euler_sym_tensor(M: int, N: int, ring: PolyRing = None) -> GradedPolynomial:
     return E * double_factorial(M) * a ** m
 
 
+def _euler_sym_tensor_cauchy(M: int, N: int, ring: PolyRing) -> GradedPolynomial:
+    """euler_sym_tensor(M, N) by an independent route, the Cauchy determinant.
+
+    For even M, Sym^M(A) is a rank-M bundle with the same Pontryagin class
+    plus a trivial line, which contributes the factor e(Sym^N(B)).
+    """
+    if M % 2 == 0 and N % 2 == 0:
+        return ring.zero()  # trivial line (x) trivial line
+    a, b = ring.var(0), ring.var(1)
+    m, n = (M + 1) // 2, (N + 1) // 2
+    pA = pontryagin_sequence(pontryagin_sym_rk2(M, a), m)
+    pB = pontryagin_sequence(pontryagin_sym_rk2(N, b), n)
+    out = euler_tensor_cauchy(pA, pB, m, n)
+    if M % 2 == 0:
+        out = out * euler_sym_rk2(N, b)
+    if N % 2 == 0:
+        out = out * euler_sym_rk2(M, a)
+    return out
+
+
 def euler_sym_sum_rk2(k: int, ring: PolyRing = None) -> GradedPolynomial:
     """e(Sym^k(A + B)) = prod_{i=0..k} e(Sym^(k-i) A (x) Sym^i B)."""
     if ring is None:
@@ -403,3 +423,16 @@ def euler_of_expression(expr, nblocks: int) -> GradedPolynomial:
                 {pair.names[0]: ring.var(i - 1), pair.names[1]: ring.var(j - 1)}
             )
     return out
+
+
+def euler_checks(expr, nblocks: int) -> list:
+    """(statement, holds) per Sym^M(D_i) (x) Sym^N(D_j) factor of expr: the
+    Cauchy-determinant route equals euler_sym_tensor(M, N)."""
+    ring = euler_root_ring(2)
+    factors = [a[1:] for a in _normalize(expr, nblocks) if a[0] == "symtensor"]
+    return [
+        (f"Sym^{M}(D{i}) (x) Sym^{N}(D{j}): Cauchy determinant = "
+         f"euler_sym_tensor({M}, {N})",
+         _euler_sym_tensor_cauchy(M, N, ring) == euler_sym_tensor(M, N, ring))
+        for M, i, N, j in dict.fromkeys(factors)
+    ]

@@ -213,14 +213,18 @@ def cmd_euler(args) -> int:
         euler = charclass.euler_of_expression(expr, args.roots)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    checks = [
+        {"name": name, "status": "pass" if holds else "fail"}
+        for name, holds in charclass.euler_checks(expr, args.roots)
+    ]
     payload = {
         "command": "euler",
         "input": {"expr": args.expr, "roots": args.roots},
         "result": {"rank": rank, "euler": str(euler)},
-        "checks": [],
+        "checks": checks,
     }
     emit(args, payload, [f"rank: {rank}", f"euler: {euler}"])
-    return 0
+    return 0 if all(c["status"] == "pass" for c in checks) else 2
 
 
 def count_checks(preset: str, result: dict) -> list:

@@ -81,10 +81,6 @@ class FlagShape:
     def __repr__(self):
         return f"FlagShape({self.d})"
 
-    @staticmethod
-    def parse(text: str) -> "FlagShape":
-        return FlagShape(int(p) for p in text.strip().split(","))
-
 
 class SchubertPermutation:
     """A permutation of {1..N} in one-line notation with its Bruhat length."""
@@ -469,7 +465,8 @@ def ideal_quotient_degreewise(N: int, gens_I, gens_J, degree_bound: int):
     result = {}
     for d in range(degree_bound + 1):
         dim_d = len(fl.standard_monomials(d))
-        solution = intlinalg.identity(dim_d)
+        # None stands for Z^dim_d until a generator constrains the lattice
+        solution = None
         for g in gens_J:
             e = g.degree()
             if d + e > fl.dim:
@@ -485,10 +482,14 @@ def ideal_quotient_degreewise(N: int, gens_I, gens_J, degree_bound: int):
             ]
             kern = intlinalg.kernel_basis(aug, ncols)
             cand = [k[:dim_d] for k in kern]
-            # intersect with the running solution lattice
-            solution = _lattice_intersection(solution, cand, dim_d)
+            if solution is None:
+                solution = cand
+            else:
+                solution = _lattice_intersection(solution, cand, dim_d)
             if not solution:
                 break
+        if solution is None:
+            solution = intlinalg.identity(dim_d)
         result[d] = intlinalg.hnf(solution)
     return result
 

@@ -80,19 +80,6 @@ def row_rank(rows) -> int:
     return len(hnf(rows))
 
 
-def lattice_contains(hnf_rows, pivots, v) -> bool:
-    """Membership of v in the lattice given by its HNF rows."""
-    v = list(v)
-    for row, p in zip(hnf_rows, pivots):
-        if v[p]:
-            q, r = divmod(v[p], row[p])
-            if r:
-                return False
-            for j in range(p, len(v)):
-                v[j] -= q * row[j]
-    return not any(v)
-
-
 def lattice_coords(hnf_rows, pivots, v):
     """Integer coordinates of v over the HNF rows; None if not in the lattice."""
     v = list(v)

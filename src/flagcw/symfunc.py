@@ -81,15 +81,6 @@ class Partition:
     def __repr__(self):
         return f"Partition{self.parts}"
 
-    @staticmethod
-    def parse(text: str) -> "Partition":
-        text = text.strip()
-        if text.startswith("(") and text.endswith(")"):
-            text = text[1:-1]
-        if not text:
-            return Partition()
-        return Partition(int(p) for p in text.split(","))
-
 
 def box_complement(lam: Partition, m: int, n: int) -> Partition:
     """Complement in the m x n box: part i becomes n - lam_{m+1-i}."""

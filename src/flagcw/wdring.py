@@ -11,8 +11,11 @@ The Pontryagin subalgebra A is the Chow ring of the half shape
 (floor(d_i/2)) with degrees multiplied by 4; elements are stored as
 components  a * e_I * R_S  with a in A.  In the all-even case the
 component for e_I carries A modulo the ideal (p_{I^c}); those quotients
-are handled degreewise through Smith normal form, asserting along the
-way that every invariant factor is 1 (the quotients are free).
+are handled degreewise through Smith normal form U . M . V = diag,
+asserting that every invariant factor is 1 (the quotients are free).
+The last rows U[rank:] vanish on the ideal and are the only route through
+a quotient: they give the coordinates of any representative, and the
+reduced form is rebuilt from them on the cached basis polynomials.
 
 Coefficients are plain integers standing in for an arbitrary coefficient
 ring; no Witt-ring arithmetic of a specific field is modelled.
@@ -119,7 +122,6 @@ class WDPresentation:
         self.n = shape.N // 2
         self.r_labels = tuple(range(self.q + 1, self.n + 1))
         self._quotient_cache = {}
-        self._basis_poly_cache = {}
         self._p_top_cache = {}
         # twist -> [(I, deg e_I), ...] in _euler_subsets() order; basis
         # keys and coordinates follow this order
@@ -187,111 +189,73 @@ class WDPresentation:
     # -- quotient machinery ------------------------------------------------
 
     def _quotient_data(self, I: frozenset, chow_deg: int):
-        """(rank_of_image, U, Uinv, dim) for A^chow_deg modulo (p_{I^c}).
+        """(P, basis) for A^chow_deg modulo (p_{I^c}), cached per instance.
 
-        Only all-even shapes take this quotient; for the others the image
-        has rank 0 and every component is A itself.
+        P = U[rank:] maps image coordinates to quotient coordinates; the
+        A-part basis[j], column rank + j of U^-1, has coordinates e_j.  Only
+        all-even shapes take the quotient; for the others P is None and the
+        component is A itself on its image basis.
         """
         key = (I, chow_deg)
         if key in self._quotient_cache:
             return self._quotient_cache[key]
-        dim = self.A.rank(chow_deg)
+        rows, _ = self.A.image_basis(chow_deg)
         comp = [i for i in range(1, self.shape.m + 1) if i not in I]
         k = sum(self.p_top_chow_degree(i) for i in comp)
-        if self.parity != "all-even" or chow_deg < k or dim == 0:
-            data = (0, None, None, dim)
-            self._quotient_cache[key] = data
-            return data
-        gen = self.A.fl.ring.one()
-        for i in comp:
-            gen = gen * self.p_top_image(i)
-        gen = self.A.fl.normal_form(gen)
-        mat = self.A.multiplication_matrix(gen, chow_deg - k, k)
-        diag, U, Uinv = intlinalg.smith_normal_form(mat)
-        if any(s != 1 for s in diag):
-            raise ArithmeticError(
-                f"quotient A/(p_I^c) not free for shape {self.shape}, "
-                f"I={sorted(I)}, degree {chow_deg}: invariant factors {diag}"
-            )
-        data = (len(diag), U, Uinv, dim)
+        if self.parity != "all-even" or chow_deg < k or not rows:
+            proj, vectors = None, rows
+        else:
+            gen = self.A.fl.ring.one()
+            for i in comp:
+                gen = gen * self.p_top_image(i)
+            gen = self.A.fl.normal_form(gen)
+            mat = self.A.multiplication_matrix(gen, chow_deg - k, k)
+            diag, U, Uinv = intlinalg.smith_normal_form(mat)
+            if any(s != 1 for s in diag):
+                raise ArithmeticError(
+                    f"quotient A/(p_I^c) not free for shape {self.shape}, "
+                    f"I={sorted(I)}, degree {chow_deg}: invariant factors {diag}"
+                )
+            proj = U[len(diag):]
+            cols = list(zip(*rows))
+            vectors = [intlinalg.mat_vec(cols, c) for c in list(zip(*Uinv))[len(diag):]]
+        data = (proj, [self.A.fl.from_coords(v, chow_deg) for v in vectors])
         self._quotient_cache[key] = data
         return data
 
     def reduce_component(self, I: frozenset, a: GradedPolynomial) -> GradedPolynomial:
-        """Normal form of the A-part of the e_I component."""
+        """Normal form of the A-part of the e_I component: in each Chow
+        degree with a quotient, sum_j c_j * basis[j] over its coordinates c."""
         a = self.A.fl.normal_form(a)
-        if a.is_zero():
-            return a
         out = self.A.fl.ring.zero()
         for dchow in a.homogeneous_degrees():
             part = a.homogeneous_part(dchow)
-            rank, U, Uinv, dim = self._quotient_data(I, dchow)
-            if rank == 0:
+            proj, polys = self._quotient_data(I, dchow)
+            if proj is None:
                 out = out + part
                 continue
-            if rank == dim:
-                continue
-            v = self.A.image_coords(part, dchow)
-            w = intlinalg.mat_vec(U, v)
-            w[:rank] = [0] * rank
-            v2 = intlinalg.mat_vec(Uinv, w)
-            rows, _ = self.A.image_basis(dchow)
-            red = self.A.fl.ring.zero()
-            for coef, row in zip(v2, rows):
-                if coef:
-                    red = red + coef * self.A.fl.from_coords(row, dchow)
-            out = out + red
+            coords = self.component_coords(I, part, dchow)
+            out = sum((c * poly for c, poly in zip(coords, polys) if c), out)
         return out
 
     def component_coords(self, I: frozenset, a: GradedPolynomial, chow_deg: int):
-        """Coordinates of a reduced component over its free-module basis.
-
-        A-parts are polynomials in the ambient Fl(q) variables, so their
-        polynomial degree is the Chow degree (the W-degree is 4x that).
-        """
-        part = a.homogeneous_part(chow_deg) if not a.is_zero() else a
-        rank, U, Uinv, dim = self._quotient_data(I, chow_deg)
-        if dim == 0:
-            return []
-        if part.is_zero():
-            return [0] * (dim - rank)
-        v = self.A.image_coords(part, chow_deg)
-        if rank == 0:
-            return v
-        w = intlinalg.mat_vec(U, v)
-        if any(w[:rank]):
-            raise AssertionError("component was not quotient-reduced")
-        return w[rank:]
+        """Coordinates over the component's free-module basis of a
+        normal-form A-part a of Chow degree chow_deg (its polynomial degree
+        in the Fl(q) variables); every representative of a class gives the
+        same coordinates."""
+        proj, polys = self._quotient_data(I, chow_deg)
+        if a.is_zero():
+            return [0] * len(polys)
+        v = self.A.image_coords(a, chow_deg)
+        return v if proj is None else intlinalg.mat_vec(proj, v)
 
     def component_rank(self, I: frozenset, chow_deg: int) -> int:
-        rank, _, _, dim = self._quotient_data(I, chow_deg)
-        return dim - rank
+        return len(self._quotient_data(I, chow_deg)[1])
 
     def component_basis_polys(self, I: frozenset, chow_deg: int):
-        """A-parts of the free-module basis of the e_I component.
-
-        Each is a column of Uinv with index >= rank, so it is already
-        quotient-reduced.  Cached per instance: the returned list and its
-        polynomials are shared, and callers must not mutate them.
-        """
-        key = (I, chow_deg)
-        if key in self._basis_poly_cache:
-            return self._basis_poly_cache[key]
-        rows, _ = self.A.image_basis(chow_deg)
-        rank, U, Uinv, dim = self._quotient_data(I, chow_deg)
-        if rank == 0:
-            out = [self.A.fl.from_coords(r, chow_deg) for r in rows]
-        else:
-            out = []
-            for idx in range(rank, dim):
-                col = [Uinv[r][idx] for r in range(dim)]
-                poly = self.A.fl.ring.zero()
-                for coef, row in zip(col, rows):
-                    if coef:
-                        poly = poly + coef * self.A.fl.from_coords(row, chow_deg)
-                out.append(poly)
-        self._basis_poly_cache[key] = out
-        return out
+        """A-parts of the free-module basis of the e_I component, each
+        quotient-reduced; shared with the cache, so do not mutate them."""
+        return self._quotient_data(I, chow_deg)[1]
 
     # -- elements ----------------------------------------------------------
 
@@ -385,7 +349,8 @@ class WDPresentation:
         return series.normalize(coeffs)
 
     def coords(self, x: "WDElement", degree: int, twist: TwistClass):
-        """Coordinates of the (degree, twist) part of x over basis()."""
+        """Coordinates over basis() of the (degree, twist) part of x, which
+        may be any representative: each part read is normal-formed here."""
         out = []
         zero = self.A.fl.ring.zero()
         for I, e_deg in self._euler_slots.get(twist, ()):
@@ -394,7 +359,8 @@ class WDPresentation:
                 if rem < 0 or rem % 4:
                     continue
                 chow_deg = rem // 4
-                a = x.components.get((I, S), zero)
+                a = x.components.get((I, S), zero).homogeneous_part(chow_deg)
+                a = self.A.fl.normal_form(a)
                 out.extend(self.component_coords(I, a, chow_deg))
         return out
 
@@ -427,11 +393,10 @@ class WDElement:
     def __add__(self, other: "WDElement") -> "WDElement":
         out = dict(self.components)
         for key, a in other.components.items():
-            if key in out:
-                out[key] = out[key] + a
-            else:
-                out[key] = a
-        return WDElement(self.pres, out)
+            out[key] = out[key] + a if key in out else a
+        # reduced components span a subgroup, so their sums stay reduced
+        out = {k: a for k, a in out.items() if not a.is_zero()}
+        return WDElement(self.pres, out, reduce=False)
 
     def __neg__(self):
         return WDElement(
@@ -443,14 +408,18 @@ class WDElement:
 
     def __rmul__(self, other):
         if isinstance(other, int):
-            return WDElement(
-                self.pres, {k: a * other for k, a in self.components.items()}
-            )
+            # integer multiples of reduced components stay reduced
+            out = {k: a * other for k, a in self.components.items()} if other else {}
+            return WDElement(self.pres, out, reduce=False)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.__rmul__(other)
+        return WDElement(self.pres, self._unreduced_product(other))
+
+    def _unreduced_product(self, other: "WDElement") -> dict:
+        """Components of self * other before the quotient reduction."""
         pres = self.pres
         out: dict = {}
         for (I, S), a in self.components.items():
@@ -468,7 +437,7 @@ class WDElement:
                     out[key] = out[key] + part
                 else:
                     out[key] = part
-        return WDElement(pres, out)
+        return out
 
     def __pow__(self, n: int):
         result = self.pres.one()
@@ -568,6 +537,12 @@ def ann_euler(shape: FlagShape, i: int, degree_bound: int = None):
     deg_e = pres.euler_degree(i)
     twist_e = pres.euler_twist(i)
     twists = all_twist_classes(shape.m)
+
+    def product_coords(key, y, degree, twist):
+        # coords reads any representative, so the product is not reduced
+        prod = pres.basis_element(key)._unreduced_product(y)
+        return pres.coords(WDElement(pres, prod, reduce=False), degree, twist)
+
     degrees_checked = []
     status = "pass"
     failure = None
@@ -579,10 +554,7 @@ def ann_euler(shape: FlagShape, i: int, degree_bound: int = None):
             tgt_twist = twist + twist_e
             tgt = pres.basis(d + deg_e, tgt_twist)
             mat_rows = len(tgt)
-            cols = []
-            for key in src:
-                prod = pres.basis_element(key) * e_elt
-                cols.append(pres.coords(prod, d + deg_e, tgt_twist))
+            cols = [product_coords(key, e_elt, d + deg_e, tgt_twist) for key in src]
             mat = [
                 [cols[j][r] for j in range(len(cols))] for r in range(mat_rows)
             ]
@@ -590,8 +562,7 @@ def ann_euler(shape: FlagShape, i: int, degree_bound: int = None):
             ideal_rows = []
             if d >= deg_x:
                 for key in pres.basis(d - deg_x, twist + twist_x):
-                    prod = pres.basis_element(key) * x
-                    ideal_rows.append(pres.coords(prod, d, twist))
+                    ideal_rows.append(product_coords(key, x, d, twist))
             if intlinalg.hnf(kern) != intlinalg.hnf(ideal_rows):
                 status = "fail"
                 failure = (d, str(twist))

@@ -9,6 +9,7 @@ from flagcw.charclass import (
     Tensor,
     Trivial,
     bundle_rank,
+    euler_checks,
     euler_of_expression,
     euler_root_ring,
     euler_sym_rk2,
@@ -156,6 +157,18 @@ def test_euler_sym_tensor_root_oracle_odd_up_to_seven():
     for M in (1, 3, 5, 7):
         for N in (1, 3, 5, 7):
             assert euler_sym_tensor(M, N) == tensor_root_oracle(M, N, ring)
+
+
+def test_euler_checks_cauchy_route_on_every_parity():
+    for M in range(1, 8):
+        for N in range(1, 8):
+            expr = parse_bundle(f"sym^{M}(D1) * sym^{N}(D2)")
+            checks = euler_checks(expr, 2)
+            assert len(checks) == 1, (M, N)
+            assert checks[0][1], checks
+    # a repeated factor is checked once; rank-2 factors carry no check
+    expr = parse_bundle("D1 * D2 + D1 * D2 + sym^3(D1)")
+    assert [holds for _, holds in euler_checks(expr, 2)] == [True]
 
 
 def test_q_spec_consistency_with_pontryagin():

@@ -131,3 +131,26 @@ def test_count_output_is_deterministic():
     assert json.loads(first.stdout)["result"] == {
         "complex": counts.QUINTIC_FOURPLANES
     }
+
+
+def test_euler_checks_the_cauchy_route(capsys):
+    assert cli.run(["--format", "json", "euler", "--expr", "sym^5(D1 + D2)"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"].split(":")[0] for c in checks] == [
+        "Sym^4(D1) (x) Sym^1(D2)",
+        "Sym^3(D1) (x) Sym^2(D2)",
+        "Sym^2(D1) (x) Sym^3(D2)",
+        "Sym^1(D1) (x) Sym^4(D2)",
+    ]
+    assert all(c["status"] == "pass" for c in checks)
+
+
+def test_failed_euler_check_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(charclass, "euler_tensor_cauchy", lambda *args: 0)
+    assert cli.run(["--format", "json", "euler", "--expr", "D1 * D2"]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [{
+        "name": "Sym^1(D1) (x) Sym^1(D2): Cauchy determinant = "
+                "euler_sym_tensor(1, 1)",
+        "status": "fail",
+    }]

@@ -93,8 +93,6 @@ def test_partition_validation():
 
 def test_partition_text_format():
     assert str(Partition([14, 14, 14, 14])) == "(14,14,14,14)"
-    assert Partition.parse("(14,14,14,14)") == Partition([14] * 4)
-    assert Partition.parse("()") == Partition()
 
 
 def test_box_complement_examples():

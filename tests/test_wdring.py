@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from flagcw import intlinalg
 from flagcw.flagchow import FlagShape, chow_poincare
 from flagcw.poly import PolyRing
 from flagcw.wdring import (
@@ -256,6 +258,113 @@ def test_p_top_image_matches_fresh_pullback(parts):
             expected = A.pullback_nf(A.top_chern(pres._half_block[i]))
         assert pres.p_top_image(i) == expected
         assert pres.p_top_image(i) == expected  # second call reads the cache
+
+
+# -- quotient coordinates ------------------------------------------------------
+
+QUOTIENT_SHAPES = CACHE_SHAPES + [(2, 4, 4)]
+
+
+def random_a_part(pres, k, rng):
+    """A seeded random normal-form element of A in Chow degree k."""
+    rows, _ = pres.A.image_basis(k)
+    out = pres.A.fl.ring.zero()
+    for row in rows:
+        out = out + rng.randint(-3, 3) * pres.A.fl.from_coords(row, k)
+    return out
+
+
+def random_element(pres, rng):
+    comps = {}
+    for I in pres._euler_subsets():
+        for S in pres._exterior_subsets():
+            a = pres.A.fl.ring.zero()
+            for k in range(pres.half_shape.dim + 1):
+                a = a + random_a_part(pres, k, rng)
+            comps[(I, S)] = a
+    return WDElement(pres, comps)
+
+
+def ideal_generator(pres, I):
+    """p_{I^c}, not normal-formed, and its Chow degree."""
+    comp = [i for i in range(1, pres.shape.m + 1) if i not in I]
+    gen = pres.A.fl.ring.one()
+    for i in comp:
+        gen = gen * pres.p_top_image(i)
+    return gen, sum(pres.p_top_chow_degree(i) for i in comp)
+
+
+@pytest.mark.parametrize("parts", QUOTIENT_SHAPES)
+def test_component_coords_do_not_depend_on_the_representative(parts):
+    pres = build_sigma(FlagShape(parts))
+    rng = random.Random(str(parts))
+    for I in pres._euler_subsets():
+        gen, gen_deg = ideal_generator(pres, I)
+        for k in range(pres.half_shape.dim + 1):
+            for _ in range(3):
+                a = random_a_part(pres, k, rng)
+                red = pres.reduce_component(I, a)
+                coords = pres.component_coords(I, a, k)
+                assert len(coords) == pres.component_rank(I, k)
+                assert pres.component_coords(I, red, k) == coords
+                if pres.parity == "all-even" and k >= gen_deg:
+                    b = random_a_part(pres, k - gen_deg, rng)
+                    other = pres.A.fl.normal_form(a + gen * b)
+                    assert pres.component_coords(I, other, k) == coords
+                    assert pres.reduce_component(I, other) == red
+
+
+@pytest.mark.parametrize("parts", QUOTIENT_SHAPES)
+def test_reduced_components_lie_in_the_last_columns_of_u_inverse(parts):
+    # U . v of a reduced part vanishes in its first rank entries, and its
+    # remaining entries are the component coordinates
+    pres = build_sigma(FlagShape(parts))
+    rng = random.Random(str(parts))
+    for I in pres._euler_subsets():
+        gen, gen_deg = ideal_generator(pres, I)
+        gen = pres.A.fl.normal_form(gen)
+        for k in range(gen_deg, pres.half_shape.dim + 1):
+            if pres.parity != "all-even" or not pres.A.rank(k):
+                continue
+            mat = pres.A.multiplication_matrix(gen, k - gen_deg, gen_deg)
+            diag, U, _ = intlinalg.smith_normal_form(mat)
+            rank = len(diag)
+            for _ in range(3):
+                red = pres.reduce_component(I, random_a_part(pres, k, rng))
+                w = intlinalg.mat_vec(U, pres.A.image_coords(red, k))
+                assert not any(w[:rank])
+                assert w[rank:] == pres.component_coords(I, red, k)
+
+
+@pytest.mark.parametrize("parts", QUOTIENT_SHAPES)
+def test_linear_operations_stay_reduced(parts):
+    pres = build_sigma(FlagShape(parts))
+    rng = random.Random(str(parts))
+    for _ in range(3):
+        x, y = random_element(pres, rng), random_element(pres, rng)
+        for z in (x + y, 3 * x, x * 3, x - x, -x, 0 * x):
+            assert z == WDElement(pres, dict(z.components))
+        assert (x - x).is_zero() and (0 * x).is_zero()
+        assert x + y == WDElement(
+            pres,
+            {key: x.components.get(key, 0) + y.components.get(key, 0)
+             for key in set(x.components) | set(y.components)},
+        )
+
+
+@pytest.mark.parametrize("parts", QUOTIENT_SHAPES)
+def test_coords_read_unreduced_products(parts):
+    pres = build_sigma(FlagShape(parts))
+    rng = random.Random(str(parts))
+    x, y = random_element(pres, rng), random_element(pres, rng)
+    unreduced = WDElement(pres, x._unreduced_product(y), reduce=False)
+    product = x * y
+    assert not product.is_zero()
+    for twist in all_twist_classes(pres.shape.m):
+        for deg in range(pres.max_degree() + 1):
+            assert pres.coords(unreduced, deg, twist) == pres.coords(
+                product, deg, twist
+            )
 
 
 def test_basis_key_order_within_a_twist():
