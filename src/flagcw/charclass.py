@@ -183,10 +183,9 @@ def _euler_sym_tensor_cauchy(M: int, N: int, ring: PolyRing) -> GradedPolynomial
     return out
 
 
-def euler_sym_sum_rk2(k: int, ring: PolyRing = None) -> GradedPolynomial:
+def euler_sym_sum_rk2(k: int) -> GradedPolynomial:
     """e(Sym^k(A + B)) = prod_{i=0..k} e(Sym^(k-i) A (x) Sym^i B)."""
-    if ring is None:
-        ring = euler_root_ring(2)
+    ring = euler_root_ring(2)
     out = ring.one()
     for i in range(k + 1):
         out = out * euler_sym_tensor(k - i, i, ring)

@@ -455,9 +455,12 @@ def ideal_quotient_degreewise(N: int, gens_I, gens_J, degree_bound: int):
     """Degreewise basis of the ideal quotient (I : J) in CH^*(Fl(N)).
 
     For each degree d the conditions  a * g in I  (over g in J) are
-    solved exactly over the integers: a lies in the projection of the
-    kernel of [M_g | -L] where M_g is multiplication by g and L spans
-    the ideal I in the target degree.  Returns {d: HNF rows}.
+    solved exactly over the integers at once: a lies in the projection of
+    the kernel of the stacked bands [M_g | ... -L_g ...], where M_g is
+    multiplication by g and the columns L_g span the ideal I in the
+    target degree of g.  A generator that maps degree d above the top
+    degree adds no band; with no band the kernel is all of Z^dim_d.
+    Returns {d: HNF rows}.
     """
     fl = full_flag_ring(N)
     gens_I = [fl.normal_form(g) for g in gens_I]
@@ -465,54 +468,26 @@ def ideal_quotient_degreewise(N: int, gens_I, gens_J, degree_bound: int):
     result = {}
     for d in range(degree_bound + 1):
         dim_d = len(fl.standard_monomials(d))
-        # None stands for Z^dim_d until a generator constrains the lattice
-        solution = None
+        bands = []
         for g in gens_J:
-            e = g.degree()
-            if d + e > fl.dim:
-                continue
-            mat = fl.multiplication_matrix(g, d)
-            lat = _ideal_lattice_fln(fl, gens_I, d + e)
-            nrows = len(mat)
-            ncols = dim_d + len(lat)
-            aug = [
-                [mat[r][c] for c in range(dim_d)]
-                + [-lat[k][r] for k in range(len(lat))]
-                for r in range(nrows)
-            ]
-            kern = intlinalg.kernel_basis(aug, ncols)
-            cand = [k[:dim_d] for k in kern]
-            if solution is None:
-                solution = cand
-            else:
-                solution = _lattice_intersection(solution, cand, dim_d)
-            if not solution:
-                break
-        if solution is None:
-            solution = intlinalg.identity(dim_d)
-        result[d] = intlinalg.hnf(solution)
+            target = d + g.degree()
+            if target <= fl.dim:
+                lat = _ideal_lattice_fln(fl, gens_I, target)
+                bands.append((fl.multiplication_matrix(g, d), lat))
+        ncols = dim_d + sum(len(lat) for _, lat in bands)
+        aug = []
+        offset = dim_d
+        for mat, lat in bands:
+            for r, row in enumerate(mat):
+                band = [0] * ncols
+                band[:dim_d] = row
+                for k, v in enumerate(lat):
+                    band[offset + k] = -v[r]
+                aug.append(band)
+            offset += len(lat)
+        kern = intlinalg.kernel_basis(aug, ncols)
+        result[d] = intlinalg.hnf([k[:dim_d] for k in kern])
     return result
-
-
-def _lattice_intersection(gens_a, gens_b, n: int):
-    if not gens_a or not gens_b:
-        return []
-    aug = [
-        [gens_a[i][j] if i < len(gens_a) else -gens_b[i - len(gens_a)][j] for j in range(n)]
-        for i in range(len(gens_a) + len(gens_b))
-    ]
-    # rows of aug^T annihilated: v = sum l_i a_i = sum mu_j b_j
-    mat = [[aug[i][j] for i in range(len(aug))] for j in range(n)]
-    kern = intlinalg.kernel_basis(mat, len(aug))
-    out = []
-    for k in kern:
-        v = [
-            sum(k[i] * gens_a[i][j] for i in range(len(gens_a)))
-            for j in range(n)
-        ]
-        if any(v):
-            out.append(v)
-    return out
 
 
 def principal_ideal_lattice(N: int, gen: GradedPolynomial, d: int):

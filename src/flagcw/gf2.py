@@ -1,43 +1,37 @@
-"""Linear algebra over F_2 with rows stored as Python int bitmasks."""
+"""Linear algebra over F_2 with rows stored as Python int bitmasks.
+
+Only row spaces and ranks are computed; no coordinates over the inserted
+vectors are kept.
+"""
 
 from __future__ import annotations
 
 
 class GF2Basis:
-    """Row space over F_2 in reduced echelon form, built incrementally."""
+    """Row space over F_2 in echelon form, built incrementally."""
 
     def __init__(self):
-        self.rows = []      # echelon rows (bitmasks), decreasing pivot bit
-        self.pivots = []    # pivot bit index of each row
-        self.history = []   # combination of inserted vectors giving each row
+        self.rows = []      # bitmasks, each zero at the pivots of earlier rows
+        self.pivots = []    # highest set bit of each row
 
-    def reduce(self, vec: int, track: int = 0):
-        """Reduce vec against the basis; returns (residue, combination)."""
-        comb = track
-        for row, piv, h in zip(self.rows, self.pivots, self.history):
+    def reduce(self, vec: int) -> int:
+        """Residue of vec against the basis; 0 iff vec lies in the span."""
+        for row, piv in zip(self.rows, self.pivots):
             if vec >> piv & 1:
                 vec ^= row
-                comb ^= h
-        return vec, comb
+        return vec
 
-    def insert(self, vec: int, track: int = 0) -> bool:
+    def insert(self, vec: int) -> bool:
         """Insert vec; returns True if it enlarged the space."""
-        residue, comb = self.reduce(vec, track)
+        residue = self.reduce(vec)
         if residue == 0:
             return False
-        piv = residue.bit_length() - 1
         self.rows.append(residue)
-        self.pivots.append(piv)
-        self.history.append(comb)
+        self.pivots.append(residue.bit_length() - 1)
         return True
 
     def __len__(self):
         return len(self.rows)
-
-    def coordinates(self, vec: int):
-        """Expression of vec over the *inserted* vectors; None if outside."""
-        residue, comb = self.reduce(vec)
-        return comb if residue == 0 else None
 
 
 def rank(rows) -> int:

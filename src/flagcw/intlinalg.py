@@ -58,9 +58,10 @@ def hnf(rows):
             result.append(pivot_row)
         work = rest
         col += 1
-    # reduce entries above each pivot into [0, pivot)
+    # reduce entries above each pivot into [0, pivot), top row first: row i
+    # is zero left of its pivot, so it leaves the earlier pivot columns alone
     pivots = [next(j for j, c in enumerate(r) if c) for r in result]
-    for i in range(len(result) - 1, -1, -1):
+    for i in range(len(result)):
         p = pivots[i]
         pv = result[i][p]
         for k in range(i):
@@ -95,34 +96,36 @@ def lattice_coords(hnf_rows, pivots, v):
     return coords if not any(v) else None
 
 
-def kernel_basis(mat, ncols=None):
+def kernel_basis(mat, ncols: int):
     """Basis of the integer kernel {v : mat . v = 0} as rows.
 
+    ncols is the number of columns, which an empty mat does not show.
     The kernel of an integer matrix is a saturated sublattice, and the
     result is a basis of it (computed by row-reducing [A^T | I]).
     """
     m = len(mat)
-    if ncols is None:
-        ncols = len(mat[0]) if m else 0
-    n = ncols
-    if n == 0:
+    if ncols == 0:
         return []
     if m == 0:
-        return identity(n)
+        return identity(ncols)
     aug = [
-        [mat[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(n)]
-        for j in range(n)
+        [mat[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(ncols)]
+        for j in range(ncols)
     ]
     reduced = hnf(aug)
     return [r[m:] for r in reduced if not any(r[:m])]
 
 
 def smith_normal_form(mat):
-    """Smith normal form with left transforms: returns (diag, U, Uinv).
+    """Diagonal form with left transforms: returns (diag, U, Uinv).
 
-    U is unimodular with (U . mat . V) diagonal for a suitable unimodular
-    V (not returned); diag lists the invariant factors (positive, each
-    dividing the next).  Uinv is the inverse of U, maintained alongside.
+    U is unimodular with U . mat . V diagonal for a suitable unimodular V
+    (not returned), and Uinv is the inverse of U, maintained alongside.
+    diag lists the nonzero diagonal entries, made positive; with rank =
+    len(diag), the rows of U . mat at index rank and above are 0.  The
+    entries are not folded into a divisibility chain: their product is
+    the product of the invariant factors, so they are all 1 exactly when
+    every invariant factor is 1, which is the only case callers accept.
     """
     S = [list(r) for r in mat]
     m = len(S)
@@ -183,7 +186,7 @@ def smith_normal_form(mat):
                         col_swap(t, j)
                         dirty = True
         t += 1
-    # sign normalization and divisibility chain
+    # sign normalization
     rank = sum(1 for i in range(min(m, n)) if S[i][i])
     for i in range(rank):
         if S[i][i] < 0:
@@ -193,39 +196,5 @@ def smith_normal_form(mat):
                 U[i][j] = -U[i][j]
             for r in range(m):
                 Uinv[r][i] = -Uinv[r][i]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = S[i][i], S[i + 1][i + 1]
-            if b % a:
-                # fold the pair (a, b) into (gcd, lcm) via elementary moves
-                col_op(i, i + 1, -1)          # col_i += col_{i+1}
-                q = S[i + 1][i] // a
-                row_op(i + 1, i, q)
-                while S[i + 1][i]:
-                    row_swap(i, i + 1)
-                    # re-clear the 2x2 block
-                    q = S[i + 1][i] // S[i][i]
-                    row_op(i + 1, i, q)
-                for j in range(i + 1, n):
-                    if S[i][j]:
-                        q = S[i][j] // S[i][i]
-                        col_op(j, i, q)
-                if S[i][i] < 0:
-                    for j in range(n):
-                        S[i][j] = -S[i][j]
-                    for j in range(m):
-                        U[i][j] = -U[i][j]
-                    for r in range(m):
-                        Uinv[r][i] = -Uinv[r][i]
-                if S[i + 1][i + 1] < 0:
-                    for j in range(n):
-                        S[i + 1][j] = -S[i + 1][j]
-                    for j in range(m):
-                        U[i + 1][j] = -U[i + 1][j]
-                    for r in range(m):
-                        Uinv[r][i + 1] = -Uinv[r][i + 1]
-                changed = True
     diag = [S[i][i] for i in range(rank)]
     return diag, U, Uinv

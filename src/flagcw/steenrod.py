@@ -8,11 +8,19 @@ which on the complete flag ring (line blocks) is the derivation with
 Sq^2(x_i) = x_i^2.  The twisted operation adds a multiplication term:
 Sq^2_L(x) = Sq^2(x) + l.x where l is the sum of the first Chern classes
 of the blocks in the twist.  Sq^2_L o Sq^2_L = 0 because Sq^2(l) = l^2.
+On a monomial both terms are one multiplication,
+
+    Sq^2_L(x^a) = x^a * sum_i (a_i + L_i) x_i   (mod 2),
+
+with L_i = 1 on the variables of the twisted blocks, so an element costs
+one mod-2 normal form.
 
 Bockstein cohomology ker Sq^2 / im Sq^2 computes the free part of the
 real cohomology, and im Sq^2 its 2-torsion, degree-shifted by one; the
 closed-form torsion Poincare polynomials for complete flags divide
-exactly by (1+t).
+exactly by (1+t).  The ranks are read from the Sq^2 images as bitmasks
+over the standard monomials, with no coordinates over the image basis:
+on the image, taking coordinates is an isomorphism.
 """
 
 from __future__ import annotations
@@ -20,10 +28,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
-from operator import add
 
 from . import gf2, series
-from .flagchow import ChowRingPresentation, FlagShape, chow_poincare, full_flag_ring
+from .flagchow import ChowRingPresentation, FlagShape, chow_poincare
 from .poly import GradedPolynomial
 from .wdring import TwistClass
 
@@ -87,8 +94,7 @@ class Mod2Chow:
         space = gf2.GF2Basis()
         for r in rows:
             elt = frozenset(mons[i] for i, c in enumerate(r) if c % 2)
-            mask = self._mask(elt, d)
-            if not space.insert(mask, 1 << len(elements)):
+            if not space.insert(self._mask(elt, d)):
                 raise ArithmeticError(
                     "mod-2 reduction of the image basis is dependent"
                 )
@@ -103,88 +109,71 @@ class Mod2Chow:
             m |= 1 << index[mon]
         return m
 
-    def coords_mask(self, elt: frozenset, d: int) -> int:
-        """Coordinates over the degree-d basis, as a bitmask."""
-        if not elt:
-            return 0
-        elements, space = self.basis(d)
-        comb = space.coordinates(self._mask(elt, d))
-        if comb is None:
-            raise ArithmeticError("element is not in the mod-2 image")
-        return comb
-
     # -- the operation -----------------------------------------------------
 
-    def sq2_monomial(self, mon) -> frozenset:
-        """Derivation with Sq^2(x_i) = x_i^2 applied to one monomial, mod 2."""
-        acc = set()
-        for i, e in enumerate(mon):
-            if e % 2:
-                bumped = list(mon)
-                bumped[i] += 1
-                acc ^= {tuple(bumped)}
-        return self.nf2(acc)
-
-    def ell_class(self, twist: TwistClass) -> frozenset:
-        """l = sum of c_1(D_i) over the twist, as a mod-2 normal form."""
-        mons = []
-        for i, bit in enumerate(twist.bits, start=1):
-            if bit:
-                for j in self.shape.block_span(i):
-                    exps = [0] * self.fl.N
-                    exps[j] = 1
-                    mons.append(tuple(exps))
-        return self.nf2(mons)
-
     def sq2(self, elt: frozenset, twist: TwistClass = None) -> frozenset:
-        """Sq^2 (optionally twisted) of a mod-2 normal-form element."""
-        out = set()
+        """Sq^2_L of a mod-2 normal-form element, as one multiplication.
+
+        Sq^2_L(x^a) = x^a * sum_i (a_i + L_i) x_i (mod 2), where L_i = 1 on
+        the variables of the twisted blocks: the derivation contributes
+        a_i x^a x_i and the twist l.x^a contributes L_i x^a x_i.
+        """
+        L = [0] * self.fl.N
+        if twist is not None:
+            for block, bit in enumerate(twist.bits, start=1):
+                if bit:
+                    for j in self.shape.block_span(block):
+                        L[j] = 1
+        bumped = []
         for mon in elt:
-            out ^= self.sq2_monomial(mon)
-        if twist is not None and not twist.is_trivial():
-            ell = self.ell_class(twist)
-            prod = set()
-            for m1 in elt:
-                for m2 in ell:
-                    prod ^= {tuple(map(add, m1, m2))}
-            out ^= self.nf2(prod)
-        return frozenset(out)
+            for i, e in enumerate(mon):
+                if (e + L[i]) & 1:
+                    exps = list(mon)
+                    exps[i] += 1
+                    bumped.append(tuple(exps))
+        return self.nf2(bumped)
 
     def sq2_matrix_rows(self, d: int, twist: TwistClass):
-        """Images of the degree-d basis under Sq^2_twist, as coordinate masks."""
+        """Images of the degree-d basis under Sq^2_twist, as bitmasks over
+        the degree-(d+1) standard monomials.
+
+        Each image must lie in the mod-2 image of Ch^(d+1)(Fl(D)); on that
+        space the masks have the rank of the coordinate rows.
+        """
         elements, _ = self.basis(d)
         if d + 1 > self.top_degree():
             return [0] * len(elements)
-        return [self.coords_mask(self.sq2(e, twist), d + 1) for e in elements]
+        _, image = self.basis(d + 1)
+        rows = []
+        for e in elements:
+            mask = self._mask(self.sq2(e, twist), d + 1)
+            if image.reduce(mask):
+                raise ArithmeticError("element is not in the mod-2 image")
+            rows.append(mask)
+        return rows
 
 
-def sq2(shape: FlagShape, elt: frozenset, twist: TwistClass = None) -> frozenset:
-    return mod2_chow(shape.d).sq2(elt, twist)
+def _sq2_ranks(shape: FlagShape, twist: TwistClass):
+    """rank of Sq^2_twist: Ch^d -> Ch^(d+1) for d = 0..dim Fl(D)."""
+    ring = mod2_chow(shape.d)
+    return [
+        gf2.rank(ring.sq2_matrix_rows(d, twist))
+        for d in range(ring.top_degree() + 1)
+    ]
 
 
 def bockstein_cohomology_ranks(shape: FlagShape, twist: TwistClass):
     """Per-degree ranks of ker Sq^2_twist / im Sq^2_twist on Ch^*(Fl(D))."""
     ring = mod2_chow(shape.d)
-    top = ring.top_degree()
-    rank_out = [0] * (top + 2)
-    for d in range(top + 1):
-        rank_out[d] = gf2.rank(ring.sq2_matrix_rows(d, twist))
-    ranks = []
-    for d in range(top + 1):
-        dim = ring.rank(d)
-        incoming = rank_out[d - 1] if d else 0
-        ranks.append(dim - rank_out[d] - incoming)
-    return series.normalize(ranks)
+    out = _sq2_ranks(shape, twist)
+    return series.normalize(
+        [ring.rank(d) - r - (out[d - 1] if d else 0) for d, r in enumerate(out)]
+    )
 
 
 def torsion_poincare_from_sq2(shape: FlagShape, twist: TwistClass):
-    """P_Tor = t * sum_q rank(Sq^2_twist on Ch^q) t^q, from raw matrices."""
-    ring = mod2_chow(shape.d)
-    top = ring.top_degree()
-    coeffs = [0] * (top + 2)
-    for d in range(top + 1):
-        coeffs[d + 1] = gf2.rank(ring.sq2_matrix_rows(d, twist))
-    return series.normalize(coeffs)
+    """P_Tor = t * sum_q rank(Sq^2_twist on Ch^q) t^q, from the Sq^2 images."""
+    return series.normalize([0] + _sq2_ranks(shape, twist))
 
 
 def w_poincare_closed(N: int):

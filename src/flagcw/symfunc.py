@@ -268,10 +268,8 @@ def schur_expand(p: GradedPolynomial, k: int = None) -> SchurExpansion:
     return SchurExpansion(coeffs, k)
 
 
-def root_ring(k: int, names=None, weight: int = 1) -> PolyRing:
-    if names is None:
-        names = [f"t{i+1}" for i in range(k)]
-    return PolyRing(names, weight)
+def root_ring(k: int) -> PolyRing:
+    return PolyRing([f"t{i+1}" for i in range(k)])
 
 
 def grassmann_integrate(k: int, n: int, p: GradedPolynomial) -> int:

@@ -11,8 +11,9 @@ The Pontryagin subalgebra A is the Chow ring of the half shape
 (floor(d_i/2)) with degrees multiplied by 4; elements are stored as
 components  a * e_I * R_S  with a in A.  In the all-even case the
 component for e_I carries A modulo the ideal (p_{I^c}); those quotients
-are handled degreewise through Smith normal form U . M . V = diag,
-asserting that every invariant factor is 1 (the quotients are free).
+are handled degreewise through a diagonal form U . M . V = diag
+(intlinalg.smith_normal_form), asserting that every diagonal entry is 1,
+that is, every invariant factor is 1 (the quotients are free).
 The last rows U[rank:] vanish on the ideal and are the only route through
 a quotient: they give the coordinates of any representative, and the
 reduced form is rebuilt from them on the cached basis polynomials.
@@ -214,7 +215,7 @@ class WDPresentation:
             if any(s != 1 for s in diag):
                 raise ArithmeticError(
                     f"quotient A/(p_I^c) not free for shape {self.shape}, "
-                    f"I={sorted(I)}, degree {chow_deg}: invariant factors {diag}"
+                    f"I={sorted(I)}, degree {chow_deg}: diagonal entries {diag}"
                 )
             proj = U[len(diag):]
             cols = list(zip(*rows))
@@ -232,6 +233,8 @@ class WDPresentation:
             part = a.homogeneous_part(dchow)
             proj, polys = self._quotient_data(I, dchow)
             if proj is None:
+                # raises ArithmeticError off the Pontryagin subalgebra A
+                self.A.image_coords(part, dchow)
                 out = out + part
                 continue
             coords = self.component_coords(I, part, dchow)
@@ -515,7 +518,7 @@ def annihilator_generator(shape: FlagShape, i: int) -> WDElement:
     return x
 
 
-def ann_euler(shape: FlagShape, i: int, degree_bound: int = None):
+def ann_euler(shape: FlagShape, i: int):
     """Verify Ann(e_i) = (x) degreewise by exact integer linear algebra.
 
     Returns (x, report); the report records each (degree, twist) slot
@@ -525,8 +528,6 @@ def ann_euler(shape: FlagShape, i: int, degree_bound: int = None):
     pres = build_sigma(shape)
     if shape.d[i - 1] % 2:
         raise ValueError(f"block {i} has odd rank; e_{i} = 0")
-    if degree_bound is None:
-        degree_bound = pres.max_degree()
     x = annihilator_generator(shape, i)
     x_degs = x.homogeneous_degrees()
     if len(x_degs) != 1:
@@ -546,7 +547,7 @@ def ann_euler(shape: FlagShape, i: int, degree_bound: int = None):
     degrees_checked = []
     status = "pass"
     failure = None
-    for d in range(degree_bound + 1):
+    for d in range(pres.max_degree() + 1):
         for twist in twists:
             src = pres.basis(d, twist)
             if not src:

@@ -1,4 +1,6 @@
+import itertools
 import random
+from operator import add
 
 import pytest
 
@@ -100,8 +102,58 @@ def test_twisted_sq2_of_unit_is_ell():
     ring = mod2_chow((1, 1, 1))
     twist = TwistClass.from_blocks(3, [1])
     unit = ring.nf2([()])
-    assert ring.sq2(unit, twist) == ring.ell_class(twist)
+    # l = c_1(D_1) = x_1, the line class of the one twisted block
+    assert ring.sq2(unit, twist) == ring.nf2([(1, 0, 0)])
     assert ring.sq2(unit, TwistClass.trivial(3)) == frozenset()
+
+
+def sq2_reference(ring, elt, twist):
+    """Sq^2_L term by term: the derivation Sq^2(x_i) = x_i^2 on each
+    monomial, plus the product with l = the sum of the line classes of
+    the twisted blocks, every piece through nf2."""
+    N = ring.fl.N
+    out = set()
+    for mon in elt:
+        for i, e in enumerate(mon):
+            if e % 2:
+                out ^= ring.nf2([mon[:i] + (e + 1,) + mon[i + 1 :]])
+    lines = [
+        tuple(int(k == j) for k in range(N))
+        for block, bit in enumerate(twist.bits, start=1)
+        if bit
+        for j in ring.shape.block_span(block)
+    ]
+    ell = ring.nf2(lines)
+    out ^= ring.nf2([tuple(map(add, m1, m2)) for m1 in elt for m2 in ell])
+    return frozenset(out)
+
+
+def test_sq2_matches_termwise_reference():
+    rng = random.Random(5772)
+    for parts in [(1, 1, 1, 1), (2, 2), (3, 1), (1, 2, 2), (3, 3)]:
+        ring = mod2_chow(parts)
+        for twist in all_twist_classes(len(parts)):
+            for d in range(ring.top_degree() + 1):
+                elements, _ = ring.basis(d)
+                for _ in range(3):
+                    elt = frozenset()
+                    for e in elements:
+                        if rng.random() < 0.5:
+                            elt ^= e
+                    assert ring.sq2(elt, twist) == sq2_reference(
+                        ring, elt, twist
+                    ), (parts, twist, d)
+
+
+def test_sq2_matrix_rows_rejects_image_outside_partial_ring(monkeypatch):
+    ring = mod2_chow((2, 2))
+    twist = TwistClass.trivial(2)
+    assert ring.sq2_matrix_rows(0, twist) == [0]
+    # x_1 alone is not a class pulled back from Gr(2, 4)
+    outside = ring.nf2([(1, 0, 0, 0)])
+    monkeypatch.setattr(ring, "sq2", lambda elt, twist=None: outside)
+    with pytest.raises(ArithmeticError):
+        ring.sq2_matrix_rows(0, twist)
 
 
 def test_rank_nullity_per_degree():
@@ -154,12 +206,22 @@ def test_from_sq2_matches_closed_small():
 
 
 def test_bockstein_matches_wd_poincare():
-    for parts in [(1, 1, 1), (1, 1, 1, 1), (2, 2), (1, 2)]:
+    # every composition of N <= 5 and every twist
+    shapes = [
+        tuple(b - a for a, b in zip((0,) + cuts, cuts + (N,)))
+        for N in range(1, 6)
+        for r in range(N)
+        for cuts in itertools.combinations(range(1, N), r)
+    ]
+    slots = 0
+    for parts in shapes:
         shape = FlagShape(parts)
         for twist in all_twist_classes(shape.m):
             assert bockstein_cohomology_ranks(shape, twist) == wd_poincare(
                 shape, twist
             ), (parts, twist)
+            slots += 1
+    assert (len(shapes), slots) == (31, 121)
 
 
 def test_p2_reassembly():

@@ -367,6 +367,16 @@ def test_coords_read_unreduced_products(parts):
             )
 
 
+def test_element_rejects_a_part_outside_the_pontryagin_subalgebra():
+    # (1,4) has no quotient (mixed shape); its A is the Chow ring of a point
+    pres = build_sigma(FlagShape([1, 4]))
+    ring = pres.A.fl.ring
+    key = (frozenset(), frozenset())
+    with pytest.raises(ArithmeticError):
+        WDElement(pres, {key: ring.var(0)})
+    assert WDElement(pres, {key: 3 * ring.one()}) == 3 * pres.one()
+
+
 def test_basis_key_order_within_a_twist():
     # e_1 e_2 and e_3 e_4 share a twist; labels keep the subset order
     tw = TwistClass.from_blocks(4, [1, 2])
