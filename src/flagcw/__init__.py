@@ -9,7 +9,6 @@ arithmetic is exact over arbitrary-precision integers.
 from .flagchow import (
     ChowRingPresentation,
     FlagShape,
-    SchubertPermutation,
     ann_top_chern,
     chow_poincare,
     class_of_point,
@@ -49,7 +48,6 @@ __all__ = [
     "GradedPolynomial",
     "Partition",
     "PolyRing",
-    "SchubertPermutation",
     "SchurExpansion",
     "TwistClass",
     "WDElement",

@@ -95,7 +95,7 @@ def count_lines_cubic() -> dict:
 def _ratio(a_part, point, pres) -> int:
     if a_part is None or a_part.is_zero():
         return 0
-    point = pres.A.fl.normal_form(point)
+    point = pres.A.normal_form(point)
     mon, c = next(iter(point.terms.items()))
     lam, rem = divmod(a_part.coefficient_of(mon), c)
     if rem or a_part != point * lam:

@@ -72,11 +72,6 @@ def hnf(rows):
     return result
 
 
-def hnf_with_pivots(rows):
-    h = hnf(rows)
-    return h, [next(j for j, c in enumerate(r) if c) for r in h]
-
-
 def row_rank(rows) -> int:
     return len(hnf(rows))
 

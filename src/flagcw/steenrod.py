@@ -4,23 +4,25 @@ Sq^2 is the additive derivation determined on Chern classes by
 
     Sq^2(c_j(E)) = c_1(E) c_j(E) + (j+1) c_{j+1}(E)   (mod 2),
 
-which on the complete flag ring (line blocks) is the derivation with
-Sq^2(x_i) = x_i^2.  The twisted operation adds a multiplication term:
+and the twisted operation adds a multiplication term:
 Sq^2_L(x) = Sq^2(x) + l.x where l is the sum of the first Chern classes
 of the blocks in the twist.  Sq^2_L o Sq^2_L = 0 because Sq^2(l) = l^2.
-On a monomial both terms are one multiplication,
+On a monomial in the generators c_{i,j} = c_j(D_i) with n_i factors from
+block i this reads
 
-    Sq^2_L(x^a) = x^a * sum_i (a_i + L_i) x_i   (mod 2),
+    Sq^2_L(c^a) = c^a * sum_i (n_i + L_i) c_{i,1}
+                  + sum_{i, j even, j < d_i} a_{i,j} c^a c_{i,j+1} / c_{i,j}
+                                                                (mod 2),
 
-with L_i = 1 on the variables of the twisted blocks, so an element costs
-one mod-2 normal form.
+so an element costs one mod-2 normal form.  On complete flags (line
+blocks) only the first sum is left: Sq^2(x_i) = x_i^2.
 
-Bockstein cohomology ker Sq^2 / im Sq^2 computes the free part of the
-real cohomology, and im Sq^2 its 2-torsion, degree-shifted by one; the
-closed-form torsion Poincare polynomials for complete flags divide
-exactly by (1+t).  The ranks are read from the Sq^2 images as bitmasks
-over the standard monomials, with no coordinates over the image basis:
-on the image, taking coordinates is an isomorphism.
+The standard monomials of ``ChowRingPresentation`` are a ZZ-basis, so
+their reductions are an F_2-basis of Ch^*(Fl(D)); elements are sets of
+them, and the Sq^2 images are bitmasks over them.  Bockstein cohomology
+ker Sq^2 / im Sq^2 computes the free part of the real cohomology, and
+im Sq^2 its 2-torsion, degree-shifted by one; the closed-form torsion
+Poincare polynomials for complete flags divide exactly by (1+t).
 """
 
 from __future__ import annotations
@@ -41,19 +43,15 @@ def mod2_chow(parts: tuple) -> "Mod2Chow":
 
 
 class Mod2Chow:
-    """Ch^*(Fl(D)) = CH^Fl(D) mod 2, embedded in the complete flag ring.
+    """Ch^*(Fl(D)) = CH^*(Fl(D)) mod 2.
 
-    Elements are frozensets of Fl(N) standard monomials (the nonzero
-    mod-2 normal-form coefficients).  The degreewise F_2 basis is the
-    mod-2 reduction of the integral image basis, which stays a basis
-    because the image is a direct summand.
+    Elements are frozensets of standard monomials of the integral ring
+    (the monomials with odd normal-form coefficient).
     """
 
     def __init__(self, shape: FlagShape):
         self.shape = shape
         self.pres = ChowRingPresentation(shape)
-        self.fl = self.pres.fl
-        self._basis_cache = {}
 
     def rank(self, d: int) -> int:
         return self.pres.rank(d)
@@ -61,10 +59,8 @@ class Mod2Chow:
     def top_degree(self) -> int:
         return self.shape.dim
 
-    # -- element plumbing ------------------------------------------------
-
     def nf2(self, monomials) -> frozenset:
-        """Mod-2 normal form of a sum of Fl(N) monomials.
+        """Mod-2 normal form of a sum of monomials.
 
         ``monomials`` may be
           * an iterable of monomials, summed mod 2 (a repeated monomial
@@ -73,84 +69,56 @@ class Mod2Chow:
             taken mod 2 (so -1 counts and -2 does not);
           * a GradedPolynomial, read through its ``terms`` mapping.
 
-        The input is reduced over the integers by the memoized Fl(N)
-        reducer, and the monomials with odd coefficient are kept.  This
-        equals reduction over F_2 because every rewrite coefficient is +-1.
+        The input is reduced over the integers by the memoized reducer,
+        and the monomials with odd coefficient are kept; reduction is a
+        ring map, so this is the reduction over F_2.
         """
         if isinstance(monomials, GradedPolynomial):
             monomials = monomials.terms
         if not isinstance(monomials, Mapping):
             monomials = Counter(monomials)
-        nf = self.fl.normal_form(self.fl.ring.from_terms(monomials))
+        nf = self.pres.normal_form(self.pres.ring.from_terms(monomials))
         return frozenset(mon for mon, c in nf.terms.items() if c % 2)
 
-    def basis(self, d: int):
-        """(monomial-set elements, GF2Basis of their bitmasks) in degree d."""
-        if d in self._basis_cache:
-            return self._basis_cache[d]
-        rows, _ = self.pres.image_basis(d)
-        mons = self.fl.standard_monomials(d)
-        elements = []
-        space = gf2.GF2Basis()
-        for r in rows:
-            elt = frozenset(mons[i] for i, c in enumerate(r) if c % 2)
-            if not space.insert(self._mask(elt, d)):
-                raise ArithmeticError(
-                    "mod-2 reduction of the image basis is dependent"
-                )
-            elements.append(elt)
-        self._basis_cache[d] = (elements, space)
-        return self._basis_cache[d]
+    def _bumped(self, mon, bits):
+        """The monomials of Sq^2_L(mon) before reduction, repeats kept.
 
-    def _mask(self, elt: frozenset, d: int) -> int:
-        index = self.fl.standard_index(d)
-        m = 0
-        for mon in elt:
-            m |= 1 << index[mon]
-        return m
-
-    # -- the operation -----------------------------------------------------
+        A monomial c^a with n_i factors from block i gains c_{i,1} when
+        n_i + L_i is odd, and c_{i,j+1} / c_{i,j} for every even j < d_i
+        with a_{i,j} odd.
+        """
+        out = []
+        for (start, stop), bit in zip(self.pres._spans, bits):
+            if (sum(mon[start:stop]) + bit) & 1:
+                out.append(mon[:start] + (mon[start] + 1,) + mon[start + 1:])
+            for v in range(start + 1, stop - 1, 2):
+                if mon[v] & 1:
+                    out.append(mon[:v] + (mon[v] - 1, mon[v + 1] + 1) + mon[v + 2:])
+        return out
 
     def sq2(self, elt: frozenset, twist: TwistClass = None) -> frozenset:
-        """Sq^2_L of a mod-2 normal-form element, as one multiplication.
-
-        Sq^2_L(x^a) = x^a * sum_i (a_i + L_i) x_i (mod 2), where L_i = 1 on
-        the variables of the twisted blocks: the derivation contributes
-        a_i x^a x_i and the twist l.x^a contributes L_i x^a x_i.
-        """
-        L = [0] * self.fl.N
-        if twist is not None:
-            for block, bit in enumerate(twist.bits, start=1):
-                if bit:
-                    for j in self.shape.block_span(block):
-                        L[j] = 1
-        bumped = []
+        """Sq^2_L of a mod-2 normal-form element, as one multiplication:
+        the odd parts of the memoized normal forms of the bumped monomials,
+        summed mod 2."""
+        bits = twist.bits if twist is not None else (0,) * self.shape.m
+        nf = self.pres._monomial_nf
+        out = set()
         for mon in elt:
-            for i, e in enumerate(mon):
-                if (e + L[i]) & 1:
-                    exps = list(mon)
-                    exps[i] += 1
-                    bumped.append(tuple(exps))
-        return self.nf2(bumped)
+            for b in self._bumped(mon, bits):
+                out.symmetric_difference_update(m for m, c in nf(b).items() if c & 1)
+        return frozenset(out)
 
     def sq2_matrix_rows(self, d: int, twist: TwistClass):
-        """Images of the degree-d basis under Sq^2_twist, as bitmasks over
-        the degree-(d+1) standard monomials.
-
-        Each image must lie in the mod-2 image of Ch^(d+1)(Fl(D)); on that
-        space the masks have the rank of the coordinate rows.
-        """
-        elements, _ = self.basis(d)
+        """Images of the degree-d standard monomials under Sq^2_twist, as
+        bitmasks over the degree-(d+1) standard monomials."""
+        mons = self.pres.standard_monomials(d)
         if d + 1 > self.top_degree():
-            return [0] * len(elements)
-        _, image = self.basis(d + 1)
-        rows = []
-        for e in elements:
-            mask = self._mask(self.sq2(e, twist), d + 1)
-            if image.reduce(mask):
-                raise ArithmeticError("element is not in the mod-2 image")
-            rows.append(mask)
-        return rows
+            return [0] * len(mons)
+        index = self.pres.standard_index(d + 1)
+        return [
+            sum(1 << index[m] for m in self.sq2(frozenset([mon]), twist))
+            for mon in mons
+        ]
 
 
 def _sq2_ranks(shape: FlagShape, twist: TwistClass):

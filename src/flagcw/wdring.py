@@ -8,8 +8,11 @@ e_i^2 = p_top(D_i) for even blocks, and prod e_i = 0 when every block
 has even rank.
 
 The Pontryagin subalgebra A is the Chow ring of the half shape
-(floor(d_i/2)) with degrees multiplied by 4; elements are stored as
-components  a * e_I * R_S  with a in A.  In the all-even case the
+(floor(d_i/2)) with degrees multiplied by 4, computed on its own
+generators: p_{2j}(D_i) is c_j of the half block, and an A-part is a
+normal-form polynomial over the standard monomials of that ring, with
+coordinates read off directly.  Elements are stored as components
+a * e_I * R_S  with a in A.  In the all-even case the
 component for e_I carries A modulo the ideal (p_{I^c}); those quotients
 are handled degreewise through a diagonal form U . M . V = diag
 (intlinalg.smith_normal_form), asserting that every diagonal entry is 1,
@@ -157,9 +160,9 @@ class WDPresentation:
         if i in self._p_top_cache:
             return self._p_top_cache[i]
         if i not in self._half_block:
-            img = self.A.fl.ring.one()
+            img = self.A.ring.one()
         else:
-            img = self.A.pullback_nf(self.A.top_chern(self._half_block[i]))
+            img = self.A.normal_form(self.A.top_chern(self._half_block[i]))
         self._p_top_cache[i] = img
         return img
 
@@ -173,7 +176,7 @@ class WDPresentation:
         hb = self._half_block[i]
         if not 1 <= j <= self.half_shape.d[hb - 1]:
             raise ValueError(f"p_{2*j}(D_{i}) is not a generator")
-        return self.A.pullback_nf(self.A.generator(hb, j))
+        return self.A.normal_form(self.A.generator(hb, j))
 
     def subset_twist(self, I) -> TwistClass:
         return TwistClass.from_blocks(self.shape.m, list(I))
@@ -192,49 +195,45 @@ class WDPresentation:
     def _quotient_data(self, I: frozenset, chow_deg: int):
         """(P, basis) for A^chow_deg modulo (p_{I^c}), cached per instance.
 
-        P = U[rank:] maps image coordinates to quotient coordinates; the
-        A-part basis[j], column rank + j of U^-1, has coordinates e_j.  Only
-        all-even shapes take the quotient; for the others P is None and the
-        component is A itself on its image basis.
+        P = U[rank:] maps coordinates over the standard monomials of A to
+        quotient coordinates; the A-part basis[j], column rank + j of U^-1,
+        has coordinates e_j.  Only all-even shapes take the quotient; for
+        the others P is None and the basis is the standard monomials.
         """
         key = (I, chow_deg)
         if key in self._quotient_cache:
             return self._quotient_cache[key]
-        rows, _ = self.A.image_basis(chow_deg)
+        mons = self.A.standard_monomials(chow_deg)
         comp = [i for i in range(1, self.shape.m + 1) if i not in I]
         k = sum(self.p_top_chow_degree(i) for i in comp)
-        if self.parity != "all-even" or chow_deg < k or not rows:
-            proj, vectors = None, rows
+        if self.parity != "all-even" or chow_deg < k or not mons:
+            data = (None, [self.A.ring.monomial(mon) for mon in mons])
         else:
-            gen = self.A.fl.ring.one()
+            gen = self.A.ring.one()
             for i in comp:
-                gen = gen * self.p_top_image(i)
-            gen = self.A.fl.normal_form(gen)
-            mat = self.A.multiplication_matrix(gen, chow_deg - k, k)
-            diag, U, Uinv = intlinalg.smith_normal_form(mat)
+                gen = gen * self.A.top_chern(self._half_block[i])
+            diag, U, Uinv = intlinalg.smith_normal_form(
+                self.A.multiplication_matrix(gen, chow_deg - k)
+            )
             if any(s != 1 for s in diag):
                 raise ArithmeticError(
                     f"quotient A/(p_I^c) not free for shape {self.shape}, "
                     f"I={sorted(I)}, degree {chow_deg}: diagonal entries {diag}"
                 )
-            proj = U[len(diag):]
-            cols = list(zip(*rows))
-            vectors = [intlinalg.mat_vec(cols, c) for c in list(zip(*Uinv))[len(diag):]]
-        data = (proj, [self.A.fl.from_coords(v, chow_deg) for v in vectors])
+            cols = list(zip(*Uinv))[len(diag):]
+            data = (U[len(diag):], [self.A.from_coords(c, chow_deg) for c in cols])
         self._quotient_cache[key] = data
         return data
 
     def reduce_component(self, I: frozenset, a: GradedPolynomial) -> GradedPolynomial:
         """Normal form of the A-part of the e_I component: in each Chow
         degree with a quotient, sum_j c_j * basis[j] over its coordinates c."""
-        a = self.A.fl.normal_form(a)
-        out = self.A.fl.ring.zero()
+        a = self.A.normal_form(a)
+        out = self.A.ring.zero()
         for dchow in a.homogeneous_degrees():
             part = a.homogeneous_part(dchow)
             proj, polys = self._quotient_data(I, dchow)
             if proj is None:
-                # raises ArithmeticError off the Pontryagin subalgebra A
-                self.A.image_coords(part, dchow)
                 out = out + part
                 continue
             coords = self.component_coords(I, part, dchow)
@@ -243,13 +242,12 @@ class WDPresentation:
 
     def component_coords(self, I: frozenset, a: GradedPolynomial, chow_deg: int):
         """Coordinates over the component's free-module basis of a
-        normal-form A-part a of Chow degree chow_deg (its polynomial degree
-        in the Fl(q) variables); every representative of a class gives the
-        same coordinates."""
+        normal-form A-part a of Chow degree chow_deg; every representative
+        of a class gives the same coordinates."""
         proj, polys = self._quotient_data(I, chow_deg)
         if a.is_zero():
             return [0] * len(polys)
-        v = self.A.image_coords(a, chow_deg)
+        v = self.A.coords(a, chow_deg)
         return v if proj is None else intlinalg.mat_vec(proj, v)
 
     def component_rank(self, I: frozenset, chow_deg: int) -> int:
@@ -270,14 +268,14 @@ class WDPresentation:
 
     def one(self) -> "WDElement":
         return WDElement(
-            self, {(frozenset(), frozenset()): self.A.fl.ring.one()}
+            self, {(frozenset(), frozenset()): self.A.ring.one()}
         )
 
     def euler(self, i: int) -> "WDElement":
         if self.shape.d[i - 1] % 2:
             return self.zero()
         return WDElement(
-            self, {(frozenset([i]), frozenset()): self.A.fl.ring.one()}
+            self, {(frozenset([i]), frozenset()): self.A.ring.one()}
         )
 
     def pontryagin(self, i: int, j: int) -> "WDElement":
@@ -290,7 +288,7 @@ class WDPresentation:
         if l not in self.r_labels:
             raise ValueError(f"no exterior generator R_{l} for this shape")
         return WDElement(
-            self, {(frozenset(), frozenset([l])): self.A.fl.ring.one()}
+            self, {(frozenset(), frozenset([l])): self.A.ring.one()}
         )
 
     # -- basis / Poincare ----------------------------------------------------
@@ -355,7 +353,7 @@ class WDPresentation:
         """Coordinates over basis() of the (degree, twist) part of x, which
         may be any representative: each part read is normal-formed here."""
         out = []
-        zero = self.A.fl.ring.zero()
+        zero = self.A.ring.zero()
         for I, e_deg in self._euler_slots.get(twist, ()):
             for S, r_deg in self._exterior_slots:
                 rem = degree - e_deg - r_deg
@@ -363,7 +361,7 @@ class WDPresentation:
                     continue
                 chow_deg = rem // 4
                 a = x.components.get((I, S), zero).homogeneous_part(chow_deg)
-                a = self.A.fl.normal_form(a)
+                a = self.A.normal_form(a)
                 out.extend(self.component_coords(I, a, chow_deg))
         return out
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,7 +6,9 @@ import sys
 import warnings
 from pathlib import Path
 
-from flagcw import charclass, cli, counts, wdring
+from flagcw import charclass, cli, counts, steenrod, wdring
+from flagcw.flagchow import FlagShape
+from flagcw.wdring import TwistClass
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -154,3 +157,101 @@ def test_failed_euler_check_exits_2(monkeypatch, capsys):
                 "euler_sym_tensor(1, 1)",
         "status": "fail",
     }]
+
+
+def answer_hash(result: dict) -> str:
+    """sha256 of the canonical JSON of a result, free-text notes left out
+    (the rule of bench/jobs.py)."""
+    body = {k: v for k, v in result.items() if k != "notes"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The answer hash of each command's JSON ``result``.  The basis labels of
+# wring 2,2,4 print its half shape (1,1,2) on that ring's own standard
+# monomials; every other hash is also the one before that ring had them.
+GOLDEN_COMMANDS = [
+    ("count", "--preset", "cubic-lines",
+     "584a438887ba00b6d1f4a52b0e580e21ff2545edb4c0c81a8fdf09fa41f2d7f4"),
+    ("count", "--preset", "quintic-4planes",
+     "ac9e84f6a09efdf7364d72ecbf4cedc4959396f9616d8a9594171cf7f2df68cf"),
+    ("count", "--preset", "flag-3-5",
+     "b5ecbe78984d01bbc0ec8feb8c5d4f1e0bb5c2190863d36b42cff48b6475b7b3"),
+    ("poincare", "--theory", "torsion", "--shape", "3,3,1",
+     "74c9a820524c51f3f43231559b99e12d1834438838a1cfe0c11433c5eaac5372"),
+    ("poincare", "--theory", "torsion", "--shape", "1,1,1,1,2",
+     "f0ce79eee08fa3e8eef0e24fed84ac064643759e3e943ccb864231df72454b76"),
+    ("poincare", "--theory", "torsion", "--shape", "1,1,2,2",
+     "0b80a3b624e06525112585175d394551c020769aa5d3afa8166650b72f429da6"),
+    ("annihilator", "--shape", "2,2,2,2,2", "--block", "1",
+     "82af0b824fe08ff4a6d902decf0076048f22caba30f1c3af367bc6cb901b06c9"),
+    ("annihilator", "--shape", "4,4,4", "--block", "1",
+     "91afefc73e72aeaddcc04196d74a49bddea35db3a4864effb9144c5c408e5fdc"),
+    ("annihilator", "--shape", "2,6,4", "--block", "2",
+     "dbe98433de4b5ad434e4f9b9a0b03c757edcb44d3aa4deeea4b8e84af017ea04"),
+    ("verify", "--suite", "annihilator",
+     "c3d6dd94c60e1437e52e42cf2c7fc2535617b19552d0236c3328b92d2ed502ef"),
+    ("verify", "--suite", "piqp",
+     "d457d591d426389e89a23657b032e447ccee136c5c02a5c38ad4d98c64c27064"),
+    ("verify", "--suite", "sq2",
+     "e16515024e6828cb594101acd6f17875ca3a907728ab9a87b2b0776edb537ca1"),
+    ("verify", "--suite", "poincare",
+     "af071939267d521ca51d0489050627ab22eb559a0202c2d412cc1994ee2e16d3"),
+    ("wring", "--shape", "2,2,4", "--degree-max", "20",
+     "b375885a009919c14d1f503553c20d6a07cef62ace993689aa62116514c88605"),
+    ("wring", "--shape", "1,2,3", "--degree-max", "20",
+     "73b8f91b6ab9dfe09b73443aee3fc67ca60769c850dbdedba03faf7f00cfee54"),
+    ("wring", "--shape", "1,2,2", "--degree-max", "20", "--twist", "1",
+     "bff7aa07848a0c359c861c89e5d59c03699cee64efa6f519c4c2114a03dee6e2"),
+    ("wring", "--shape", "1,4", "--degree-max", "20",
+     "3de23426d646b2a1b098bd1d9e8efeefb3b84dd4b022d26f56065e166c3fa817"),
+    ("poincare", "--theory", "w", "--shape", "2,2,4",
+     "ed777164a335bb7f6538206c59dc1bf7b0ab3936d20260aae44127f0f2795e0b"),
+    ("poincare", "--theory", "w", "--shape", "1,2",
+     "8909036692608a6bb99bcb5b782e588b90effc9d8ca8aeb7a07bd3ebe24adcd9"),
+    ("poincare", "--theory", "w", "--shape", "1,2,2", "--twist", "2",
+     "b5e5f6852d7379964835772b931505b2e09ca71564bea1ecce5f0f23b93e05d4"),
+    ("poincare", "--theory", "w", "--shape", "1,4",
+     "8909036692608a6bb99bcb5b782e588b90effc9d8ca8aeb7a07bd3ebe24adcd9"),
+    ("poincare", "--theory", "w", "--shape", "1,2,3",
+     "5b2fb885850443fdf0556e091b9ed7750a2ff3d380280cd5ff2bc31ca82a206a"),
+    ("poincare", "--theory", "ch2", "--shape", "2,2,4",
+     "2cab798bd67689830c2fa971484b680a2e1d5dea6a6ce5f1ecc6fb301b038f0e"),
+    ("euler", "--expr", "sym^5(D1 + D2)",
+     "50c9aab5555f465436fcaa357bbe297bb3c66c1d0631eb37afbfb190584af0c7"),
+]
+
+# torsion_poincare_from_sq2 on Fl(6), by twist: the library job that
+# bench/child.py runs, since the CLI prints the closed form for Fl(N)
+GOLDEN_FL6_SQ2 = [
+    ("0", "30942afce60ea8ba7f929f0d6add98cb486f1488146b8ad07371ef3ee6415aee"),
+    ("2,3,4,6", "2e56936255ccb2ba9d698fafa0cc51938d7541002e3956358d77d8f2c4b1c882"),
+    ("2,3,4,5,6", "2e56936255ccb2ba9d698fafa0cc51938d7541002e3956358d77d8f2c4b1c882"),
+]
+
+
+def test_golden_answer_hashes(capsys):
+    for *argv, expected in GOLDEN_COMMANDS:
+        assert cli.run(["--format", "json", *argv]) == 0, argv
+        payload = json.loads(capsys.readouterr().out)
+        assert answer_hash(payload["result"]) == expected, argv
+    for twist, expected in GOLDEN_FL6_SQ2:
+        blocks = [] if twist == "0" else [int(b) for b in twist.split(",")]
+        coefficients = steenrod.torsion_poincare_from_sq2(
+            FlagShape([1] * 6), TwistClass.from_blocks(6, blocks)
+        )
+        assert answer_hash({"coefficients": coefficients}) == expected, twist
+
+
+def test_torsion_refuses_a_shape_above_the_rank_limit(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("torsion computed for a refused shape")
+
+    monkeypatch.setattr(steenrod, "torsion_poincare_from_sq2", no_work)
+    assert cli.run(["poincare", "--shape", "5,5,5", "--theory", "torsion"]) == 1
+    err = capsys.readouterr().err
+    assert "756756" in err and str(cli.TORSION_RANK_LIMIT) in err
+    assert cli.multinomial(FlagShape([4, 4, 4])) == 34650 <= cli.TORSION_RANK_LIMIT
+    # complete flags print the closed form and need no limit
+    assert cli.run(["poincare", "--shape", "1,1,1,1,1,1,1,1,1",
+                    "--theory", "torsion"]) == 0

@@ -1,15 +1,14 @@
-import itertools
 import math
 import random
 
 import pytest
+from flag_oracle import block_elementary, compositions, pullback, pullback_nf
 
 from flagcw import intlinalg
 from flagcw.flagchow import (
     ChowRingPresentation,
     FlagShape,
     FullFlagRing,
-    SchubertPermutation,
     ann_top_chern,
     chow_poincare,
     class_of_point,
@@ -34,7 +33,7 @@ def relation_ideal_lattice(N, d):
     for j in range(1, N + 1):
         if j > d:
             continue
-        ej = fl.elementary(j)
+        ej = block_elementary(fl, range(N), j)
         for mon in ring.monomials_of_degree(d - j):
             prod = ring.monomial(mon) * ej
             vec = [0] * len(monomials)
@@ -69,14 +68,6 @@ def test_shape_drops_zero_parts_with_notice():
     with pytest.warns(UserWarning):
         sh = FlagShape([2, 0, 1])
     assert sh.d == (2, 1)
-
-
-def test_schubert_permutation():
-    w = SchubertPermutation.special(4, 2)
-    assert w.one_line == (2, 3, 1, 4)
-    assert w.length == 2
-    with pytest.raises(ValueError):
-        SchubertPermutation([1, 1, 2])
 
 
 # -- Poincare polynomials -------------------------------------------------
@@ -117,7 +108,7 @@ def test_normal_form_kills_relations():
     for N in range(2, 6):
         fl = full_flag_ring(N)
         for j in range(1, N + 1):
-            assert fl.normal_form(fl.elementary(j)).is_zero()
+            assert fl.normal_form(block_elementary(fl, range(N), j)).is_zero()
 
 
 def test_normal_form_idempotent_linear_ring_map():
@@ -179,20 +170,75 @@ def test_standard_monomial_count():
 
 
 def test_graded_ranks_match_poincare():
-    shapes = []
-    for N in range(1, 6):
-        for m in range(1, N + 1):
-            for comp in itertools.product(range(1, N + 1), repeat=m):
-                if sum(comp) == N:
-                    shapes.append(comp)
-    shapes += [(2, 2, 2), (1, 2, 3), (3, 3), (2, 4), (1, 1, 4)]
-    for parts in shapes:
-        shape = FlagShape(parts)
-        pres = ChowRingPresentation(shape)
-        expected = chow_poincare(shape)
-        for d in range(shape.dim + 1):
-            rows, _ = pres.image_basis(d)  # raises if rank mismatches
-            assert len(rows) == (expected[d] if d < len(expected) else 0)
+    # the standard monomials in every degree, for every composition of
+    # N <= 7 (standard_monomials raises on a count other than the
+    # Poincare coefficient)
+    shapes = 0
+    for N in range(1, 8):
+        for parts in compositions(N):
+            shape = FlagShape(parts)
+            pres = ChowRingPresentation(shape)
+            expected = chow_poincare(shape)
+            for d in range(shape.dim + 2):
+                mons = pres.standard_monomials(d)
+                assert len(mons) == (expected[d] if d < len(expected) else 0)
+                assert all(pres.ring.monomial_degree(m) == d for m in mons)
+                assert pres.normal_form(pres.ring.from_terms(dict.fromkeys(mons, 1))) \
+                    == pres.ring.from_terms(dict.fromkeys(mons, 1))
+            shapes += 1
+    assert shapes == 127
+
+
+def test_standard_monomial_count_mismatch_raises(monkeypatch):
+    pres = ChowRingPresentation(FlagShape([2, 2]))
+    monkeypatch.setattr(pres, "_poincare", [1, 1, 2, 1, 2])
+    with pytest.raises(ArithmeticError):
+        pres.standard_monomials(4)
+
+
+def test_normal_form_matches_the_pullback_oracle():
+    # seeded integer polynomials in the generators, on every composition of
+    # N <= 6: the native normal form and the polynomial itself have the same
+    # Fl(N) normal form after c_j(D_i) -> e_j(block variables)
+    rng = random.Random(2302)
+    checked = 0
+    for N in range(1, 7):
+        for parts in compositions(N):
+            pres = ChowRingPresentation(FlagShape(parts))
+            for _ in range(4):
+                d = rng.randint(1, pres.dim + 1)
+                mons = pres.ring.monomials_of_degree(d)
+                sample = rng.sample(mons, min(4, len(mons)))
+                p = pres.ring.from_terms({m: rng.randint(-5, 5) for m in sample})
+                nf = pres.normal_form(p)
+                for mon in nf.terms:
+                    assert pres.standard_index(d)[mon] >= 0
+                assert pullback_nf(pres, nf) == pullback_nf(pres, p), (parts, p)
+                checked += 1
+    assert checked == 4 * 63
+
+
+def test_full_flag_rules_are_complete_homogeneous_tails():
+    # on D = (1^N) the rule for x_k^k is -(h_k(x_k..x_N) - x_k^k); rules
+    # are made only for monomials up to the top degree
+    for N in range(2, 8):
+        fl = FullFlagRing(N)
+        for k in range(1, min(N, fl.dim) + 1):
+            lead = fl.ring.key([0] * (k - 1) + [k])
+            h = {
+                m: 1
+                for m in fl.ring.monomials_of_degree(k)
+                if not any(m[: k - 1]) and m != lead
+            }
+            assert {m: -c for m, c in fl._rule(lead)} == h
+
+
+def test_rule_leading_coefficient_must_be_a_unit(monkeypatch):
+    pres = ChowRingPresentation(FlagShape([2, 2]))
+    doubled = [2 * s for s in pres._sigma(1)]
+    monkeypatch.setattr(pres, "_sigma", lambda b: doubled)
+    with pytest.raises(ArithmeticError):
+        pres.normal_form(pres.generator(2, 1) ** 3)
 
 
 # -- pullbacks and the class of a point ----------------------------------
@@ -200,20 +246,20 @@ def test_graded_ranks_match_poincare():
 
 def test_pullback_chern_block_elementaries():
     pres = ChowRingPresentation(FlagShape([2, 1]))
-    fl = pres.fl
-    x1, x2 = fl.ring.var(0), fl.ring.var(1)
-    assert pres.pullback(pres.generator(1, 1)) == x1 + x2
-    assert pres.pullback(pres.generator(1, 2)) == x1 * x2
+    x1, x2 = full_flag_ring(3).ring.gens()[:2]
+    assert pullback(pres, pres.generator(1, 1)) == x1 + x2
+    assert pullback(pres, pres.generator(1, 2)) == x1 * x2
 
 
 def test_pullback_chern_full_flag():
     pres = ChowRingPresentation(FlagShape([1, 1, 1]))
+    fl = full_flag_ring(3)
     for i in range(1, 4):
-        assert pres.pullback(pres.generator(i, 1)) == pres.fl.ring.var(i - 1)
-    prod = pres.gen_ring.one()
+        assert pullback(pres, pres.generator(i, 1)) == fl.ring.var(i - 1)
+    prod = pres.ring.one()
     for i in range(1, 3):
         prod = prod * pres.generator(i, 1)
-    assert pres.pullback(prod) == pres.fl.ring.monomial((1, 1))
+    assert pullback(pres, prod) == fl.ring.monomial((1, 1))
 
 
 def test_class_of_point_examples():
@@ -382,7 +428,7 @@ def test_piqp_full_suite_small():
 def test_ann_top_chern_examples():
     x, rep = ann_top_chern(FlagShape([1, 1]))
     assert rep["status"] == "pass"
-    assert str(x) == "c1_1"
+    assert str(x) == "x1"
     x, rep = ann_top_chern(FlagShape([1, 2]))
     assert rep["status"] == "pass"
     assert str(x) == "c1_1"
@@ -396,13 +442,10 @@ def test_ann_top_chern_examples():
 def test_ann_top_chern_sweep_up_to_n5():
     shapes = 0
     for N in range(2, 6):
-        for r in range(1, N):
-            for cuts in itertools.combinations(range(1, N), r):
-                bounds = (0,) + cuts + (N,)
-                parts = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-                _, rep = ann_top_chern(FlagShape(parts))
-                assert rep["status"] == "pass", (parts, rep)
-                shapes += 1
+        for parts in compositions(N, min_parts=2):
+            _, rep = ann_top_chern(FlagShape(parts))
+            assert rep["status"] == "pass", (parts, rep)
+            shapes += 1
     assert shapes == 26
 
 

@@ -1,10 +1,9 @@
-import itertools
 import random
 from operator import add
 
-import pytest
+from flag_oracle import compositions, pullback
 
-from flagcw import series
+from flagcw import gf2, series
 from flagcw.flagchow import FlagShape, chow_poincare
 from flagcw.steenrod import (
     Mod2Chow,
@@ -28,25 +27,23 @@ def test_sq2_chern_class_formula_on_blocks():
     # Sq^2(c_2(D_1)) = c_1 c_2 + 3 c_3 = c_1 c_2 + c_3 on a rank-3 block
     ring = mod2_chow((3, 1))
     pres = ring.pres
-    c1 = pres.pullback_nf(pres.generator(1, 1))
-    c2 = pres.pullback_nf(pres.generator(1, 2))
-    c3 = pres.pullback_nf(pres.generator(1, 3))
-    got = ring.sq2(ring.nf2(c2.terms))
-    expected_poly = pres.fl.normal_form(c1 * c2 + c3)
-    assert got == ring.nf2(expected_poly.terms)
+    c1, c2, c3 = (pres.generator(1, j) for j in (1, 2, 3))
+    assert ring.sq2(ring.nf2(c2)) == ring.nf2(c1 * c2 + c3)
 
-    # On Fl(3,1) both sides vanish (c_2 = x_4^2 and Sq^2(x_4^2) = 0), so
-    # the shape (3,3) is what tells a wrong Sq^2 apart; the odd
-    # coefficient 3 must reduce to 1.
+    # On Fl(3,1) both sides vanish, so the shape (3,3) is what tells a
+    # wrong Sq^2 apart; the odd coefficient 3 must reduce to 1, and the
+    # pullback to Fl(6) must agree with Sq^2(x_i) = x_i^2 there.
     ring = mod2_chow((3, 3))
     pres = ring.pres
-    c1, c2, c3 = (pres.pullback_nf(pres.generator(1, j)) for j in (1, 2, 3))
-    nf = pres.fl.normal_form
+    c1, c2, c3 = (pres.generator(1, j) for j in (1, 2, 3))
     got = ring.sq2(ring.nf2(c2))
-    assert len(got) == 6
-    assert got == ring.nf2(nf(c1 * c2 + 3 * c3))
-    assert got != ring.nf2(nf(c1 * c2))
+    assert got == ring.nf2(c1 * c2 + 3 * c3)
+    assert got != ring.nf2(c1 * c2)
     assert got != ring.nf2(c3)
+    fl6 = mod2_chow((1,) * 6)
+    assert pull2(fl6, ring, got) == sq2_reference(
+        fl6, pull2(fl6, ring, ring.nf2(c2)), TwistClass.trivial(6)
+    )
 
 
 def test_nf2_reduces_coefficients_mod_2():
@@ -55,9 +52,7 @@ def test_nf2_reduces_coefficients_mod_2():
     assert ring.nf2({mon: -2}) == frozenset()
     assert ring.nf2({mon: -1}) == frozenset({mon})
     pres = ring.pres
-    c1 = pres.pullback_nf(pres.generator(1, 1))
-    c2 = pres.pullback_nf(pres.generator(1, 2))
-    poly = pres.fl.normal_form(c1 * c2)
+    poly = pres.normal_form(pres.generator(1, 1) * pres.generator(1, 2))
     assert ring.nf2(poly) == ring.nf2(poly.terms)
     # a plain iterable keeps its symmetric-set meaning: repeats cancel
     assert ring.nf2([mon, mon]) == frozenset()
@@ -67,15 +62,15 @@ def test_nf2_reduces_coefficients_mod_2():
     rng = random.Random(1618)
     for parts in [(1, 1, 1, 1), (2, 2)]:
         ring = mod2_chow(parts)
-        fl = ring.fl
+        pres = ring.pres
         for _ in range(20):
-            poly = fl.ring.from_terms(
+            poly = pres.ring.from_terms(
                 {
                     tuple(rng.randint(0, 4) for _ in range(4)): rng.randint(-3, 3)
                     for _ in range(rng.randint(1, 6))
                 }
             )
-            nf = fl.normal_form(poly)
+            nf = pres.normal_form(poly)
             odd = frozenset(m for m, c in nf.terms.items() if c % 2)
             assert ring.nf2(poly) == odd
             assert ring.nf2(poly.terms) == odd
@@ -86,11 +81,10 @@ def test_nf2_reduces_coefficients_mod_2():
 def test_sq2_squares_to_zero_randomized():
     rng = random.Random(2718)
     ring = mod2_chow((1, 1, 1, 1))
-    fl = ring.fl
     for twist in all_twist_classes(4):
         for _ in range(25):
             d = rng.randint(0, ring.top_degree() - 2)
-            mons = fl.standard_monomials(d)
+            mons = ring.pres.standard_monomials(d)
             elt = ring.nf2(
                 [m for m in mons if rng.random() < 0.5] or [mons[0]]
             )
@@ -108,10 +102,10 @@ def test_twisted_sq2_of_unit_is_ell():
 
 
 def sq2_reference(ring, elt, twist):
-    """Sq^2_L term by term: the derivation Sq^2(x_i) = x_i^2 on each
-    monomial, plus the product with l = the sum of the line classes of
-    the twisted blocks, every piece through nf2."""
-    N = ring.fl.N
+    """Sq^2_L on a complete flag ring, term by term: the derivation
+    Sq^2(x_i) = x_i^2 on each monomial, plus the product with l = the sum
+    of the line classes of the twisted blocks, every piece through nf2."""
+    N = ring.shape.N
     out = set()
     for mon in elt:
         for i, e in enumerate(mon):
@@ -128,44 +122,46 @@ def sq2_reference(ring, elt, twist):
     return frozenset(out)
 
 
+def pull2(full, ring, elt):
+    """A mod-2 element of ring, pulled back to the complete flag ring full."""
+    return full.nf2(pullback(ring.pres, ring.pres.ring.from_terms(dict.fromkeys(elt, 1))))
+
+
 def test_sq2_matches_termwise_reference():
+    # Sq^2_L by the Chern-class formula, pulled back to Fl(N), against the
+    # line derivation there; the twist of block i twists its lines
     rng = random.Random(5772)
-    for parts in [(1, 1, 1, 1), (2, 2), (3, 1), (1, 2, 2), (3, 3)]:
+    for parts in [(1, 1, 1, 1), (2, 2), (3, 1), (1, 2, 2), (3, 3), (2, 3)]:
         ring = mod2_chow(parts)
+        full = mod2_chow((1,) * ring.shape.N)
         for twist in all_twist_classes(len(parts)):
+            lines = TwistClass(
+                [bit for bit, d in zip(twist.bits, parts) for _ in range(d)]
+            )
             for d in range(ring.top_degree() + 1):
-                elements, _ = ring.basis(d)
+                mons = ring.pres.standard_monomials(d)
                 for _ in range(3):
-                    elt = frozenset()
-                    for e in elements:
-                        if rng.random() < 0.5:
-                            elt ^= e
-                    assert ring.sq2(elt, twist) == sq2_reference(
-                        ring, elt, twist
+                    elt = frozenset(m for m in mons if rng.random() < 0.5)
+                    assert pull2(full, ring, ring.sq2(elt, twist)) == sq2_reference(
+                        full, pull2(full, ring, elt), lines
                     ), (parts, twist, d)
 
 
-def test_sq2_matrix_rows_rejects_image_outside_partial_ring(monkeypatch):
-    ring = mod2_chow((2, 2))
-    twist = TwistClass.trivial(2)
-    assert ring.sq2_matrix_rows(0, twist) == [0]
-    # x_1 alone is not a class pulled back from Gr(2, 4)
-    outside = ring.nf2([(1, 0, 0, 0)])
-    monkeypatch.setattr(ring, "sq2", lambda elt, twist=None: outside)
-    with pytest.raises(ArithmeticError):
-        ring.sq2_matrix_rows(0, twist)
-
-
 def test_rank_nullity_per_degree():
-    from flagcw import gf2
-
+    # on Fl(4), dim ker Sq^2_d - rank Sq^2_(d-1) is the Bockstein
+    # cohomology, whose Poincare polynomial is the closed form P_0(Fl(4))
     ring = mod2_chow((1, 1, 1, 1))
     twist = TwistClass.trivial(4)
-    for d in range(ring.top_degree() + 1):
-        rows = ring.sq2_matrix_rows(d, twist)
-        r = gf2.rank(rows)
+    ranks = [
+        gf2.rank(ring.sq2_matrix_rows(d, twist))
+        for d in range(ring.top_degree() + 1)
+    ]
+    expected = w_poincare_closed(4)
+    for d, r in enumerate(ranks):
         kernel_dim = ring.rank(d) - r
-        assert kernel_dim + r == ring.rank(d)
+        image_below = ranks[d - 1] if d else 0
+        assert kernel_dim - image_below == (expected[d] if d < len(expected) else 0)
+    assert ring.sq2_matrix_rows(0, twist) == [0]
 
 
 def test_torsion_closed_paper_values():
@@ -206,13 +202,8 @@ def test_from_sq2_matches_closed_small():
 
 
 def test_bockstein_matches_wd_poincare():
-    # every composition of N <= 5 and every twist
-    shapes = [
-        tuple(b - a for a, b in zip((0,) + cuts, cuts + (N,)))
-        for N in range(1, 6)
-        for r in range(N)
-        for cuts in itertools.combinations(range(1, N), r)
-    ]
+    # every composition of N <= 6 and every twist
+    shapes = [parts for N in range(1, 7) for parts in compositions(N)]
     slots = 0
     for parts in shapes:
         shape = FlagShape(parts)
@@ -221,7 +212,7 @@ def test_bockstein_matches_wd_poincare():
                 shape, twist
             ), (parts, twist)
             slots += 1
-    assert (len(shapes), slots) == (31, 121)
+    assert (len(shapes), slots) == (63, 364)
 
 
 def test_p2_reassembly():
