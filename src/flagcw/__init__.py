@@ -11,17 +11,14 @@ from .flagchow import (
     FlagShape,
     ann_top_chern,
     chow_poincare,
-    class_of_point,
     full_flag_ring,
     ideal_quotient_degreewise,
-    integrate_fln,
     schubert_ideal_rank,
     verify_piqp_fln,
 )
 from .poly import GradedPolynomial, PolyRing, exact_div
 from .symfunc import (
     Partition,
-    SchurExpansion,
     box_complement,
     grassmann_bundle_pushforward,
     grassmann_integrate,
@@ -29,7 +26,6 @@ from .symfunc import (
     jacobi_trudi_delta,
     partitions_in_box,
     q_spec,
-    schur_expand,
 )
 from .wdring import (
     TwistClass,
@@ -37,7 +33,6 @@ from .wdring import (
     WDPresentation,
     ann_euler,
     build_sigma,
-    real_fl11n_reduce,
     wd_basis,
     wd_poincare,
 )
@@ -48,7 +43,6 @@ __all__ = [
     "GradedPolynomial",
     "Partition",
     "PolyRing",
-    "SchurExpansion",
     "TwistClass",
     "WDElement",
     "WDPresentation",
@@ -57,20 +51,16 @@ __all__ = [
     "box_complement",
     "build_sigma",
     "chow_poincare",
-    "class_of_point",
     "exact_div",
     "full_flag_ring",
     "grassmann_bundle_pushforward",
     "grassmann_integrate",
     "grassmann_integrate_product",
     "ideal_quotient_degreewise",
-    "integrate_fln",
     "jacobi_trudi_delta",
     "partitions_in_box",
     "q_spec",
-    "real_fl11n_reduce",
     "schubert_ideal_rank",
-    "schur_expand",
     "verify_piqp_fln",
     "wd_basis",
     "wd_poincare",

@@ -271,6 +271,11 @@ def count_checks(preset: str, result: dict) -> list:
         real = result[key]
         checks.append((f"{key}: |real| <= complex and real = complex mod 2",
                        abs(real) <= cplx and (cplx - real) % 2 == 0))
+    # the integral reads every monomial of e(E), the difference only the
+    # two the paper keeps
+    c_plus, c_minus = counts.flag_survivors(counts.flag_euler_class())
+    checks.append(("real_diagnostic = int_W e(E) = c_{8,7} - c_{7,8}",
+                   result["real_diagnostic"] == c_plus - c_minus))
     return checks
 
 

@@ -11,11 +11,18 @@ full, because the pushforward needs all of g: route a by the bialternant
 integral over Gr(2,4), route b by the Grassmann-bundle pushforward
 constant.
 
-The real signed counts come from the Witt-sheaf presentations: for the
-two-step flag count both extraction rules for the two surviving top
-monomials on Fl(2,2,14;R) are computed -- the paper's displayed rule
-(sum, the primary value) and the sign-rigorous reading of the point
-class (difference, the diagnostic) -- and reported side by side.
+The real signed counts are one integral over the real flag variety:
+int_W e(E), the Euler class of the bundle in Witt-sheaf cohomology,
+integrated by ``WDPresentation.integrate``.  e(E) is a polynomial in
+the Euler roots of the blocks, and substituting the Euler classes
+e_i of W_D for the roots gives the Euler class itself.  This is
+``real`` for the lines on the cubic, 3 e_1^2 over Gr(2,4) = Fl(2,2), and
+``real_diagnostic`` for the two-step flags, 3 e_1^2 e(Sym^5(D1* + D2*))
+over Fl(2,2,14).  ``real_primary`` is instead the paper's displayed
+reading: of the monomials p_top(D_1)^i p_top(D_2)^(15-i) only i = 8 and
+i = 7 survive, and the paper adds their coefficients c_{8,7} + c_{7,8},
+identifying both with the point class.  The integral reads them with
+opposite signs; ``cli`` checks real_diagnostic = c_{8,7} - c_{7,8}.
 """
 
 from __future__ import annotations
@@ -71,16 +78,10 @@ def count_lines_cubic() -> dict:
         2, 4, hypersurface_root_factors(ring, 2, 3)
     )
 
-    # real: coefficient of the W-cohomology point class p_top(D_1) of
-    # Gr(2,4) in e(Sym^3 S*) = 3 a^2, with a^2 = e_1^2 = p_top(D_1)
     pres = build_sigma(FlagShape([2, 2]))
-    aring = euler_root_ring(1)
-    e_sym3 = euler_sym_rk2(3, aring.var(0))
-    coeff_a2 = e_sym3.coefficient_of((2,))
-    elt = coeff_a2 * (pres.euler(1) * pres.euler(1))
-    point = pres.p_top_image(1)
-    a_part = elt.components.get((frozenset(), frozenset()))
-    real_count = _ratio(a_part, point, pres)
+    real_count = pres.integrate(
+        euler_root_image(pres, euler_sym_rk2(3, euler_root_ring(1).var(0)))
+    )
     return {
         "complex": complex_count,
         "real": real_count,
@@ -92,15 +93,19 @@ def count_lines_cubic() -> dict:
     }
 
 
-def _ratio(a_part, point, pres) -> int:
-    if a_part is None or a_part.is_zero():
-        return 0
-    point = pres.A.normal_form(point)
-    mon, c = next(iter(point.terms.items()))
-    lam, rem = divmod(a_part.coefficient_of(mon), c)
-    if rem or a_part != point * lam:
-        raise ArithmeticError("class is not a multiple of the point class")
-    return lam
+def euler_root_image(pres, p: GradedPolynomial):
+    """p(e_1, e_2, ...) in W_D, for p a polynomial in the Euler roots of
+    the blocks 1, 2, ... of pres.shape."""
+    powers = [[pres.one()] for _ in p.ring.names]
+    out = pres.zero()
+    for mon, c in p.terms.items():
+        x = pres.one()
+        for i, e in enumerate(mon):
+            while len(powers[i]) <= e:
+                powers[i].append(powers[i][-1] * pres.euler(i + 1))
+            x = x * powers[i][e]
+        out = out + c * x
+    return out
 
 
 def count_quintic_fourplanes() -> int:
@@ -144,30 +149,34 @@ def count_flags_complex() -> dict:
     }
 
 
+def flag_euler_class() -> GradedPolynomial:
+    """e(E) = 3a^2 e(Sym^5(D1* + D2*)) on Fl(2,2,14), in the Euler roots
+    a, b of D1, D2: the Euler class of Sym^3 S1* + Sym^5 S2*."""
+    return euler_sym_rk2(3, euler_root_ring(2).var(0)) * euler_sym_sum_rk2(5)
+
+
+def flag_survivors(e: GradedPolynomial) -> tuple:
+    """(c_{8,7}, c_{7,8}): the coefficients in e of a^16 b^14 and a^14 b^16,
+    that is of p_top(D_1)^8 p_top(D_2)^7 and p_top(D_1)^7 p_top(D_2)^8."""
+    return e.coefficient_of((16, 14)), e.coefficient_of((14, 16))
+
+
 def count_flags_real() -> dict:
-    """Real two-step flag count on Fl(2,2,14;R), both extraction rules.
+    """Real two-step flag count on Fl(2,2,14;R), by two readings.
 
-    The Euler class 3x_1 * e(Sym^5(D1* + D2*)) (with x_i = p_2(D_i),
-    a^2 = x_1, b^2 = x_2) survives only in the monomials x_1^8 x_2^7 and
-    x_1^7 x_2^8.  The paper's displayed arithmetic adds the two
-    coefficients (primary = 24681637575); the sign-rigorous reading of
-    the point class -x_1^(n+1) x_2^n = x_1^n x_2^(n+1) subtracts them
-    (diagnostic = 112967182575).  Both are reported.
+    The diagnostic value is int_W e(E), which reads every monomial of
+    e(E) through the normal form on the half shape (1,1,7); all but the
+    two survivors integrate to 0 there.  The primary
+    value is the paper's displayed reading c_{8,7} + c_{7,8}
+    (24681637575).  The integral gives c_{8,7} - c_{7,8} (112967182575).
+    Both are reported.
     """
-    from .wdring import real_fl11n_reduce
-
-    sym5 = euler_sym_sum_rk2(5)
-    xring = PolyRing(("x1", "x2"), 1)
-    sym5_x = even_power_substitution(sym5, xring)
-    e_sym3 = 3 * xring.var(0)
-    total = e_sym3 * sym5_x
-    c_plus, c_minus = real_fl11n_reduce(7, total)
-    primary = c_plus + c_minus
-    diagnostic = c_plus - c_minus
+    e = flag_euler_class()
+    c_plus, c_minus = flag_survivors(e)
+    pres = build_sigma(FlagShape([2, 2, 14]))
     return {
-        "primary": primary,
-        "diagnostic": diagnostic,
-        "survivors": (c_plus, c_minus),
+        "primary": c_plus + c_minus,
+        "diagnostic": pres.integrate(euler_root_image(pres, e)),
         "notes": {
             "primary": "c_{8,7} + c_{7,8}: the paper's displayed identification "
             "of both surviving monomials with the same point class",
@@ -175,16 +184,6 @@ def count_flags_real() -> dict:
             "[pt] = -x1^(n+1) x2^n = x1^n x2^(n+1)",
         },
     }
-
-
-def even_power_substitution(p: GradedPolynomial, target: PolyRing) -> GradedPolynomial:
-    """Substitute root^2 -> target variable (all exponents must be even)."""
-    terms = {}
-    for mon, c in p.terms.items():
-        if any(e % 2 for e in mon):
-            raise ValueError("polynomial has an odd root exponent")
-        terms[tuple(e // 2 for e in mon)] = c
-    return target.from_terms(terms)
 
 
 def count_preset(name: str) -> dict:

@@ -10,7 +10,10 @@ parts, all at most d_i, gives the relation
     G_lam = det(sigma_{lam'_a - a + b})_{a, b <= lam_1} = 0
 
 (up to sign the Schur class s_lam of F_{i-1}, which has too few roots),
-whose leading monomial prod_a c_{i,lam_a} has coefficient +-1.  A
+whose leading monomial prod_a c_{i,lam_a} has coefficient +-1.  When
+lam_1 > s_{i-1} + 1 the same polynomial is the smaller determinant
+det(h_{lam_a - a + b})_{a, b <= s_{i-1} + 1}, h_k = (-1)^k c_k(D_i + ... + D_m)
+the complete homogeneous classes of F_{i-1}.  A
 monomial is standard when it has at most s_{i-1} factors from every
 block i.  By Leray-Hirsch along the tower of Grassmann bundles
 Fl(D) -> Fl(d_1 + d_2, d_3, ..., d_m) -> ..., the standard monomials are a
@@ -20,6 +23,14 @@ monomial through a per-ring memo that also keeps every monomial a
 rewrite passes through.  The mod-2 normal form used by ``steenrod`` is
 the integer one with its coefficients taken mod 2, read from the same
 memo.
+
+The top degree dim Fl(D) has exactly one standard monomial t, and
+``integrate`` reads the degree of a class from it.  The class of a point
+is the top Chern class of the direct sum over i < m of Hom(D_i, A^N/F_i),
+each quotient taken trivial: [pt] = prod_{i<m} (-1)^{d_i r_i} c_{i,d_i}^{r_i},
+r_i = N - s_i.  Its normal form is +-t, which fixes the orientation:
+the integral of p is the coefficient of t in the normal form of p,
+divided by that sign, so that [pt] integrates to 1.
 
 For complete flags D = (1^N) the generators are x_1..x_N and the rules
 are the classical x_k^k -> -(h_k(x_k..x_N) - x_k^k); ``FullFlagRing``
@@ -67,7 +78,8 @@ class FlagShape:
         )
 
     def block_span(self, i: int):
-        """0-based variable indices of block i (1-based) inside Fl(N)."""
+        """0-based indices of the generators c_{i,1}..c_{i,d_i} of block i
+        (1-based): s_{i-1}..s_i - 1."""
         start = sum(self.d[: i - 1])
         return range(start, start + self.d[i - 1])
 
@@ -185,7 +197,9 @@ class ChowRingPresentation:
         if self._sigmas is None:
             one, zero = self.ring.one(), self.ring.zero()
             later = [one] + [zero] * self.dim
+            rest = [one]  # c(D_t + ... + D_m) up to the top degree
             self._sigmas = [None] * len(self._spans)
+            self._completes = [None] * len(self._spans)
             for t in reversed(range(len(self._spans))):
                 start, stop = self._spans[t]
                 c = [one] + [self.ring.var(v) for v in range(start, stop)]
@@ -198,7 +212,20 @@ class ChowRingPresentation:
                     for k in range(len(inv))
                 ]
                 self._sigmas[t] = later
+                rest = [
+                    sum((c[j] * rest[k - j] for j in range(min(k, stop - start) + 1)
+                         if k - j < len(rest)), zero)
+                    for k in range(min(len(rest) + stop - start, self.dim + 1))
+                ]
+                self._completes[t] = [-p if k % 2 else p for k, p in enumerate(rest)]
         return self._sigmas[b]
+
+    def _complete(self, b: int):
+        """h_0..h_K for the 0-based block b, K = min(N - s_b, dim):
+        h_k = (-1)^k c_k(D_{b+1} + ... + D_m), the complete homogeneous
+        classes of D_1 + ... + D_b."""
+        self._sigma(b)
+        return self._completes[b]
 
     def _rule(self, lead):
         """[(monomial, coefficient), ...] whose sum equals lead in the ring.
@@ -206,7 +233,11 @@ class ChowRingPresentation:
         lead = prod_a c_{i,lam_a} with lam of s_{i-1} + 1 parts, and the
         relation is G_lam = det(sigma_{lam'_a - a + b})_{a,b <= lam_1}, the
         Schur class s_lam of D_1 + ... + D_{i-1} up to sign, zero because
-        that bundle has only s_{i-1} Chern roots.
+        that bundle has only s_{i-1} Chern roots.  When lam has fewer parts
+        than columns, the other Jacobi-Trudi identity gives the same
+        polynomial on the smaller matrix: det(h_{lam_a - a + b})_{a,b <=
+        s_{i-1}+1}.  Every index either determinant reads is at most
+        |lam| <= dim, where sigma and h are exact, so the two agree.
         """
         rule = self._rules.get(lead)
         if rule is None:
@@ -216,7 +247,11 @@ class ChowRingPresentation:
             lam = [v - start + 1 for v in range(stop - 1, start - 1, -1)
                    for _ in range(lead[v])]
             conj = [sum(1 for p in lam if p > a) for a in range(lam[0])]
-            rel = self.ring.zero() + jacobi_trudi_delta(conj, self._sigma(b))
+            if len(lam) < len(conj):
+                rel = jacobi_trudi_delta(lam, self._complete(b))
+            else:
+                rel = jacobi_trudi_delta(conj, self._sigma(b))
+            rel = self.ring.zero() + rel
             c = rel.terms.get(lead, 0)
             if c not in (1, -1):
                 raise ArithmeticError(
@@ -337,6 +372,38 @@ class ChowRingPresentation:
         ]
         return [[col[i] for col in cols] for i in range(self.rank(target))]
 
+    # -- integration -----------------------------------------------------------
+
+    def point_class(self) -> GradedPolynomial:
+        """prod_{i<m} c_top(Hom(D_i, A^N/F_i)), with A^N/F_i taken trivial:
+        prod_{i<m} (-1)^{d_i r_i} c_{i,d_i}^{r_i}, r_i = N - s_i."""
+        pt = self.ring.one()
+        s = 0
+        for i, d in enumerate(self.shape.d[:-1], start=1):
+            s += d
+            r = self.shape.N - s
+            pt = pt * self.top_chern(i) ** r
+            if d * r % 2:
+                pt = -pt
+        return pt
+
+    def integrate(self, p: GradedPolynomial) -> int:
+        """The degree of p: its top-degree part is k * [pt]; returns k.
+
+        The top degree has one standard monomial t.  The top-degree part
+        of p normal-forms to k' * t and the point class to +-t, so k is
+        k' divided by that sign.  Parts below the top degree integrate
+        to 0.
+        """
+        (t,) = self.standard_monomials(self.dim)
+        pt = self.normal_form(self.point_class()).terms
+        if set(pt) != {t} or pt[t] not in (1, -1):
+            raise ArithmeticError(
+                f"point class of {self.shape} normal-forms to {pt}, not +-{t}"
+            )
+        top = self.normal_form(p.homogeneous_part(self.dim))
+        return pt[t] * top.terms.get(t, 0)
+
 
 @lru_cache(maxsize=None)
 def full_flag_ring(N: int) -> "FullFlagRing":
@@ -357,51 +424,6 @@ class FullFlagRing(ChowRingPresentation):
     def x_interval_product(self, i: int) -> GradedPolynomial:
         """x_{[i]} = x_1 x_2 ... x_i, the class of the special Schubert variety."""
         return self.ring.monomial([1] * i)
-
-
-# ----------------------------------------------------------------------
-# Class of a point and integration
-# ----------------------------------------------------------------------
-
-
-def class_of_point(shape: FlagShape) -> GradedPolynomial:
-    """prod_{i<m} c_top(Hom(D_i, A^N/F_i)) with block Chern roots.
-
-    Hom of the block into a trivial bundle of rank N - s_i contributes
-    (-1)^{d_i (N - s_i)} (prod of block variables)^(N - s_i).
-    """
-    fl = full_flag_ring(shape.N)
-    result = fl.ring.one()
-    s = 0
-    for i in range(1, shape.m):
-        s += shape.d[i - 1]
-        r = shape.N - s
-        exps = [0] * shape.N
-        for j in shape.block_span(i):
-            exps[j] = r
-        sign = -1 if (shape.d[i - 1] * r) % 2 else 1
-        result = result * fl.ring.monomial(exps, sign)
-    return result
-
-
-def integrate_fln(shape: FlagShape, p: GradedPolynomial) -> int:
-    """Coefficient of the class of a point; 0 off the top degree."""
-    fl = full_flag_ring(shape.N)
-    top = p.homogeneous_part(shape.dim)
-    if top.is_zero():
-        return 0
-    nf = fl.normal_form(top)
-    pt = fl.normal_form(class_of_point(shape))
-    if nf.is_zero():
-        return 0
-    # nf must be an integer multiple of pt
-    mon, c = next(iter(pt.terms.items()))
-    lam, rem = divmod(nf.coefficient_of(mon), c)
-    if rem or nf != pt * lam:
-        raise ArithmeticError(
-            "reduced class is not an integer multiple of the point class"
-        )
-    return lam
 
 
 # ----------------------------------------------------------------------

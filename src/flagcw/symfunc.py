@@ -1,4 +1,4 @@
-"""Partitions, Jacobi-Trudi determinants, Schur expansions, Grassmannian integrals.
+"""Partitions, Jacobi-Trudi determinants, Schur evaluations, Grassmannian integrals.
 
 The integration convention: for the Grassmannian of k-subspaces of an
 n-space, a symmetric polynomial in the k Chern roots of the (dual)
@@ -191,40 +191,6 @@ def q_spec(lam: Partition, M: int) -> int:
     return schur_at(lam, points)
 
 
-class SchurExpansion:
-    """A finite sum  sum_lam c_lam s_lam  in a fixed number of variables."""
-
-    def __init__(self, coefficients: dict, nvars: int):
-        self.coefficients = {
-            lam: c for lam, c in coefficients.items() if c
-        }
-        self.nvars = nvars
-        for lam in self.coefficients:
-            if len(lam) > nvars:
-                raise ValueError("partition longer than the variable count")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SchurExpansion)
-            and self.nvars == other.nvars
-            and self.coefficients == other.coefficients
-        )
-
-    def coefficient(self, lam: Partition) -> int:
-        return self.coefficients.get(lam, 0)
-
-    def evaluate(self, points) -> int:
-        if len(points) != self.nvars:
-            raise ValueError("wrong number of evaluation points")
-        return sum(c * schur_at(lam, points) for lam, c in self.coefficients.items())
-
-    def __repr__(self):
-        body = " + ".join(
-            f"{c}*s{lam}" for lam, c in sorted(self.coefficients.items(), key=lambda t: t[0].parts)
-        )
-        return f"<SchurExpansion {body or '0'}>"
-
-
 def _check_symmetric(p: GradedPolynomial, k: int):
     if k > p.ring.nvars:
         raise ValueError(f"{k} roots but only {p.ring.nvars} ring variables")
@@ -247,25 +213,6 @@ def vandermonde(ring: PolyRing, k: int) -> GradedPolynomial:
         for j in range(i + 1, k):
             v = v * (ring.var(i) - ring.var(j))
     return v
-
-
-def schur_expand(p: GradedPolynomial, k: int = None) -> SchurExpansion:
-    """Exact Schur expansion of a symmetric polynomial in its first k variables.
-
-    Bialternant method: multiply by the Vandermonde determinant; the
-    coefficient of x^(lam + staircase) is the coefficient of s_lam.
-    """
-    if k is None:
-        k = p.ring.nvars
-    _check_symmetric(p, k)
-    anti = p * vandermonde(p.ring, k)
-    delta = tuple(range(k - 1, -1, -1))
-    coeffs = {}
-    for mon, c in anti.terms.items():
-        if all(mon[i] > mon[i + 1] for i in range(k - 1)):
-            lam = Partition(mon[i] - delta[i] for i in range(k))
-            coeffs[lam] = c
-    return SchurExpansion(coeffs, k)
 
 
 def root_ring(k: int) -> PolyRing:

@@ -21,6 +21,15 @@ The last rows U[rank:] vanish on the ideal and are the only route through
 a quotient: they give the coordinates of any representative, and the
 reduced form is rebuilt from them on the cached basis polynomials.
 
+For an all-even shape the integral int_W reads the trivial-twist part in
+the top degree dim Fl(D) = 4 dim Fl(h), h = D/2.  That part is A itself,
+since the ideal (p_{I^c}) of the component I = {} is generated by
+prod_i p_top(D_i) = 0, and there are no exterior generators.  So
+int_W x = eps * A.integrate(A-part of x), with the sign eps chosen so
+that prod_{i<m} p_top(D_i)^{(N - s_i)/2} integrates to 1: the Chow
+point class of the half shape, up to the sign eps.  Other parities
+are refused rather than given a second, untested rule.
+
 Coefficients are plain integers standing in for an arbitrary coefficient
 ring; no Witt-ring arithmetic of a specific field is modelled.
 """
@@ -197,8 +206,9 @@ class WDPresentation:
 
         P = U[rank:] maps coordinates over the standard monomials of A to
         quotient coordinates; the A-part basis[j], column rank + j of U^-1,
-        has coordinates e_j.  Only all-even shapes take the quotient; for
-        the others P is None and the basis is the standard monomials.
+        has coordinates e_j.  Only all-even shapes take the quotient, and
+        not for I = {}, whose generator prod_i p_top(D_i) is 0 in A; in
+        the other cases P is None and the basis is the standard monomials.
         """
         key = (I, chow_deg)
         if key in self._quotient_cache:
@@ -206,7 +216,7 @@ class WDPresentation:
         mons = self.A.standard_monomials(chow_deg)
         comp = [i for i in range(1, self.shape.m + 1) if i not in I]
         k = sum(self.p_top_chow_degree(i) for i in comp)
-        if self.parity != "all-even" or chow_deg < k or not mons:
+        if self.parity != "all-even" or not I or chow_deg < k or not mons:
             data = (None, [self.A.ring.monomial(mon) for mon in mons])
         else:
             gen = self.A.ring.one()
@@ -257,6 +267,31 @@ class WDPresentation:
         """A-parts of the free-module basis of the e_I component, each
         quotient-reduced; shared with the cache, so do not mutate them."""
         return self._quotient_data(I, chow_deg)[1]
+
+    # -- integration -------------------------------------------------------
+
+    def integrate(self, x: "WDElement") -> int:
+        """int_W x on an all-even shape: eps times the Chow integral over
+        the half shape of the trivial-twist A-part of x.
+
+        eps = prod_{i<m} (-1)^{h_i (n - t_i)}, t_i = h_1 + ... + h_i,
+        normalizes int_W prod_{i<m} p_top(D_i)^{(N - s_i)/2} to 1.
+        Raises ValueError for any other parity.
+        """
+        if self.parity != "all-even":
+            raise ValueError(
+                f"int_W is defined here for all-even shapes only; "
+                f"{self.shape} is {self.parity}"
+            )
+        a = x.components.get((frozenset(), frozenset()))
+        if a is None:
+            return 0
+        eps, t = 1, 0
+        for h in self.half_shape.d[:-1]:
+            t += h
+            if h * (self.n - t) % 2:
+                eps = -eps
+        return eps * self.A.integrate(a)
 
     # -- elements ----------------------------------------------------------
 
@@ -587,22 +622,3 @@ def _element_twist(pres: WDPresentation, x: WDElement) -> TwistClass:
     if len(twists) != 1:
         raise AssertionError("element mixes twist classes")
     return twists.pop()
-
-
-def real_fl11n_reduce(n: int, p: GradedPolynomial):
-    """Surviving coefficients of a top-degree class on real Fl(2,2,2n).
-
-    Every monomial x_1^i x_2^(2n+1-i) with i outside {n, n+1} vanishes;
-    the two survivors are returned as (c_{n+1,n}, c_{n,n+1}) with no sign
-    identification between them.
-    """
-    top = 2 * n + 1
-    for mon in p.terms:
-        if sum(mon) != top:
-            raise ValueError("input is not homogeneous of x-degree 2n+1")
-        if any(mon[2:]):
-            raise ValueError("input must live in the two variables x1, x2")
-    return (
-        p.coefficient_of((n + 1, n)),
-        p.coefficient_of((n, n + 1)),
-    )

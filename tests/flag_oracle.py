@@ -3,7 +3,9 @@
 c_j(D_i) maps to the j-th elementary symmetric polynomial of the
 variables of block i.  The map is injective, so a partial-flag
 computation can be checked against the complete flag ring, which has
-its own reduction rules.
+its own reduction rules.  The same embedding gives the reference
+integral: the class of a point is built inside Fl(N), and a top-degree
+class integrates to its ratio to it there.
 """
 
 import itertools
@@ -37,6 +39,43 @@ def pullback(pres, p):
 
 def pullback_nf(pres, p):
     return full_flag_ring(pres.shape.N).normal_form(pullback(pres, p))
+
+
+def class_of_point(shape):
+    """prod_{i<m} c_top(Hom(D_i, A^N/F_i)) in Fl(N), with block Chern roots.
+
+    Hom of the block into a trivial bundle of rank N - s_i contributes
+    (-1)^{d_i (N - s_i)} (prod of block variables)^(N - s_i).
+    """
+    fl = full_flag_ring(shape.N)
+    result = fl.ring.one()
+    s = 0
+    for i in range(1, shape.m):
+        s += shape.d[i - 1]
+        r = shape.N - s
+        exps = [0] * shape.N
+        for j in shape.block_span(i):
+            exps[j] = r
+        sign = -1 if (shape.d[i - 1] * r) % 2 else 1
+        result = result * fl.ring.monomial(exps, sign)
+    return result
+
+
+def integrate_fln(shape, p):
+    """Ratio of the Fl(N) normal form of p (a polynomial in the variables
+    of Fl(N)) to that of the point class of shape; 0 off the top degree."""
+    fl = full_flag_ring(shape.N)
+    nf = fl.normal_form(p.homogeneous_part(shape.dim))
+    if nf.is_zero():
+        return 0
+    pt = fl.normal_form(class_of_point(shape))
+    mon, c = next(iter(pt.terms.items()))
+    lam, rem = divmod(nf.coefficient_of(mon), c)
+    if rem or nf != pt * lam:
+        raise ArithmeticError(
+            "reduced class is not an integer multiple of the point class"
+        )
+    return lam
 
 
 def compositions(N, min_parts=1):

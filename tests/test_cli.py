@@ -111,7 +111,7 @@ def test_json_payload_schema(capsys):
 
 def test_count_fills_checks(capsys):
     for preset, n_checks in [("cubic-lines", 3), ("quintic-4planes", 1),
-                             ("flag-3-5", 4)]:
+                             ("flag-3-5", 5)]:
         assert cli.run(["count", "--preset", preset]) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert len(checks) == n_checks, preset

@@ -6,8 +6,13 @@ from flagcw.counts import (
     FLAGS_REAL_PRIMARY,
     QUINTIC_FOURPLANES,
     count_preset,
+    euler_root_image,
+    flag_euler_class,
+    flag_survivors,
     gw_form,
 )
+from flagcw.flagchow import FlagShape
+from flagcw.wdring import build_sigma
 
 
 def test_cubic_lines():
@@ -28,6 +33,31 @@ def test_flag_count():
     assert res["pushforward_constant"] == 27
     assert res["real_primary"] == FLAGS_REAL_PRIMARY
     assert res["real_diagnostic"] == FLAGS_REAL_DIAGNOSTIC
+
+
+def test_real_flag_count_by_two_readings():
+    # int_W e(E) reads all nine monomials of e(E); seven integrate to 0
+    # and the survivors a^16 b^14, a^14 b^16 to +1, -1
+    e = flag_euler_class()
+    c_plus, c_minus = flag_survivors(e)
+    assert (c_plus, c_minus) == (68824410075, -44142772500)
+    assert c_plus + c_minus == FLAGS_REAL_PRIMARY
+    assert c_plus - c_minus == FLAGS_REAL_DIAGNOSTIC
+    pres = build_sigma(FlagShape([2, 2, 14]))
+    readings = {
+        mon: pres.integrate(euler_root_image(pres, e.ring.monomial(mon)))
+        for mon in e.terms
+    }
+    assert len(readings) == 9
+    assert {m: r for m, r in readings.items() if r} == {(16, 14): 1, (14, 16): -1}
+
+
+def test_euler_root_image_is_the_substitution():
+    pres = build_sigma(FlagShape([2, 2, 2]))
+    a, b = flag_euler_class().ring.gens()
+    e1, e2 = pres.euler(1), pres.euler(2)
+    p = 3 * a ** 3 * b - b ** 2 + 2
+    assert euler_root_image(pres, p) == 3 * e1 ** 3 * e2 - e2 * e2 + 2 * pres.one()
 
 
 def test_gw_form():

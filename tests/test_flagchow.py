@@ -2,7 +2,14 @@ import math
 import random
 
 import pytest
-from flag_oracle import block_elementary, compositions, pullback, pullback_nf
+from flag_oracle import (
+    block_elementary,
+    class_of_point,
+    compositions,
+    integrate_fln,
+    pullback,
+    pullback_nf,
+)
 
 from flagcw import intlinalg
 from flagcw.flagchow import (
@@ -11,15 +18,14 @@ from flagcw.flagchow import (
     FullFlagRing,
     ann_top_chern,
     chow_poincare,
-    class_of_point,
     full_flag_ring,
     ideal_quotient_degreewise,
-    integrate_fln,
     principal_ideal_lattice,
     schubert_ideal_rank,
     verify_piqp_fln,
 )
 from flagcw.poly import PolyRing
+from flagcw.symfunc import jacobi_trudi_delta, partitions_in_box
 
 
 def relation_ideal_lattice(N, d):
@@ -233,6 +239,29 @@ def test_full_flag_rules_are_complete_homogeneous_tails():
             assert {m: -c for m, c in fl._rule(lead)} == h
 
 
+def test_both_jacobi_trudi_forms_give_the_same_relation():
+    # det(h_{lam_a - a + b}), which _rule takes when lam has fewer parts
+    # than columns, is the polynomial det(sigma_{lam'_a - a + b}) for each
+    # such relation up to the top degree: on every composition of N <= 6
+    # and on two shapes with a long last block
+    shapes = [parts for N in range(1, 7) for parts in compositions(N)]
+    shapes += [(1, 1, 7), (2, 5, 5)]
+    relations = 0
+    for parts in shapes:
+        pres = ChowRingPresentation(FlagShape(parts))
+        for b, (start, stop) in enumerate(pres._spans):
+            for lam in partitions_in_box(start + 1, stop - start):
+                if len(lam) != start + 1 or len(lam) >= lam[0]:
+                    continue
+                if lam.size > pres.dim:
+                    continue
+                by_h = jacobi_trudi_delta(lam, pres._complete(b))
+                by_sigma = jacobi_trudi_delta(lam.transpose(), pres._sigma(b))
+                assert pres.ring.zero() + by_h == pres.ring.zero() + by_sigma
+                relations += 1
+    assert relations == 156
+
+
 def test_rule_leading_coefficient_must_be_a_unit(monkeypatch):
     pres = ChowRingPresentation(FlagShape([2, 2]))
     doubled = [2 * s for s in pres._sigma(1)]
@@ -263,6 +292,8 @@ def test_pullback_chern_full_flag():
 
 
 def test_class_of_point_examples():
+    # the oracle's point class in Fl(N), and the native one, which pulls
+    # back to it
     sh = FlagShape([1, 1])
     assert class_of_point(sh) == -full_flag_ring(2).ring.var(0)
     for n in (1, 2, 3):
@@ -270,6 +301,8 @@ def test_class_of_point_examples():
         fl = full_flag_ring(n + 2)
         expected = fl.ring.monomial((n + 1, n), -1)
         assert class_of_point(sh) == expected
+        pres = ChowRingPresentation(sh)
+        assert pullback(pres, pres.point_class()) == expected
     sh = FlagShape([1, 1, 1])
     fl = full_flag_ring(3)
     assert fl.normal_form(class_of_point(sh)) == fl.ring.monomial((0, 1, 2))
@@ -278,63 +311,96 @@ def test_class_of_point_examples():
 def test_class_of_point_degree():
     for parts in [(1, 1), (2, 1), (2, 2), (1, 2, 2), (1, 1, 1, 1)]:
         sh = FlagShape(parts)
-        pt = class_of_point(sh)
-        assert pt.is_homogeneous() and pt.degree() == sh.dim
+        for pt in (class_of_point(sh), ChowRingPresentation(sh).point_class()):
+            assert pt.is_homogeneous() and pt.degree() == sh.dim
 
 
 # -- integration ----------------------------------------------------------
 
 
 def test_integrate_point_is_one():
+    # the native point class integrates to 1 on its ring and in the
+    # Fl(N) oracle, and normal-forms to +-t, t the top standard monomial
     for N in range(1, 6):
-        sh = FlagShape([1] * N)
-        assert integrate_fln(sh, class_of_point(sh)) == 1
-    for parts in [(2, 1), (2, 2), (1, 2, 1)]:
-        sh = FlagShape(parts)
-        assert integrate_fln(sh, class_of_point(sh)) == 1
+        for parts in compositions(N):
+            pres = ChowRingPresentation(FlagShape(parts))
+            pt = pres.point_class()
+            assert pres.integrate(pt) == 1, parts
+            assert integrate_fln(pres.shape, pullback(pres, pt)) == 1, parts
+            (t,) = pres.standard_monomials(pres.dim)
+            assert set(pres.normal_form(pt).terms) == {t}
 
 
 def test_integrate_low_degree_is_zero():
-    sh = FlagShape([1, 1, 1])
-    fl = full_flag_ring(3)
-    assert integrate_fln(sh, fl.ring.var(1)) == 0
-    assert integrate_fln(sh, fl.ring.one()) == 0
+    for parts in [(1, 1, 1), (2, 1), (2, 2)]:
+        pres = ChowRingPresentation(FlagShape(parts))
+        assert pres.integrate(pres.ring.one()) == 0
+        assert pres.integrate(pres.generator(2, 1)) == 0
+        assert pres.integrate(pres.generator(2, 1) ** (pres.dim - 1)) == 0
+        # only the top-degree part counts
+        pt = pres.point_class()
+        assert pres.integrate(pt + 5 * pres.generator(2, 1) - 3) == 1
 
 
 def test_integrate_fl3_standard_point():
-    sh = FlagShape([1, 1, 1])
     fl = full_flag_ring(3)
-    assert integrate_fln(sh, fl.ring.monomial((0, 1, 2))) == 1
+    assert fl.integrate(fl.ring.monomial((0, 1, 2))) == 1
+    assert fl.integrate(fl.ring.monomial((2, 1), -1)) == 1
+    assert fl.integrate(7 * fl.ring.monomial((1, 1, 1))) == 0
 
 
 def test_integrate_rejects_non_multiple():
-    # x1^2 reduces to x2 x3 which is not in the image of CH^2(Fl(2,1))
+    # in the oracle, x1^2 reduces to x2 x3, which is not in the image of
+    # CH^2(Fl(2,1)); natively, a point class that does not normal-form to
+    # +-t is refused
     sh = FlagShape([2, 1])
     fl = full_flag_ring(3)
     with pytest.raises(ArithmeticError):
         integrate_fln(sh, fl.ring.monomial((2,)))
+    pres = ChowRingPresentation(sh)
+    doubled = 2 * pres.point_class()
+    pres.point_class = lambda: doubled
+    with pytest.raises(ArithmeticError):
+        pres.integrate(pres.point_class())
+
+
+def test_integrate_matches_the_oracle_on_complementary_pairs():
+    # products of standard monomials of complementary degrees on every
+    # composition of N <= 5: the native integral equals the Fl(N) ratio
+    pairs = 0
+    for N in range(1, 6):
+        for parts in compositions(N):
+            pres = ChowRingPresentation(FlagShape(parts))
+            for d in range(pres.dim + 1):
+                for a in pres.standard_monomials(d):
+                    for b in pres.standard_monomials(pres.dim - d):
+                        p = pres.ring.monomial(a) * pres.ring.monomial(b)
+                        assert pres.integrate(p) == integrate_fln(
+                            pres.shape, pullback(pres, p)
+                        ), (parts, a, b)
+                        pairs += 1
+    assert pairs == 4749  # the sum of the squared Poincare coefficients
 
 
 def test_poincare_duality_pairing_unimodular():
     # complementary-degree pairing on the standard basis has det +-1
-    for N in range(2, 5):
-        sh = FlagShape([1] * N)
-        fl = full_flag_ring(N)
-        for d in range(fl.dim + 1):
-            rows = fl.standard_monomials(d)
-            cols = fl.standard_monomials(fl.dim - d)
+    shapes = [(1,) * N for N in range(2, 5)]
+    shapes += [(2, 1), (1, 2), (2, 2), (1, 2, 1), (2, 3), (3, 1, 2), (2, 2, 2)]
+    for parts in shapes:
+        pres = ChowRingPresentation(FlagShape(parts))
+        for d in range(pres.dim + 1):
+            rows = pres.standard_monomials(d)
+            cols = pres.standard_monomials(pres.dim - d)
             assert len(rows) == len(cols)
             mat = [
                 [
-                    integrate_fln(
-                        sh, fl.ring.monomial(a) * fl.ring.monomial(b)
-                    )
+                    pres.integrate(pres.ring.monomial(a) * pres.ring.monomial(b))
                     for b in cols
                 ]
                 for a in rows
             ]
             diag, _, _ = intlinalg.smith_normal_form(mat)
-            assert diag == [1] * len(rows)
+            assert diag == [1] * len(rows), (parts, d)
 
 
 # -- ideals and annihilators ----------------------------------------------

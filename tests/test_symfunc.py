@@ -19,7 +19,6 @@ from flagcw.symfunc import (
     q_spec,
     root_ring,
     schur_at,
-    schur_expand,
     vandermonde,
 )
 
@@ -168,52 +167,6 @@ def test_q_spec_empty_and_vanishing():
     assert q_spec(Partition([1, 1]), 2) == 0
 
 
-# -- Schur expansion ----------------------------------------------------
-
-
-def test_schur_expand_examples():
-    ring = PolyRing(["x1", "x2"], 1)
-    x1, x2 = ring.gens()
-    e = schur_expand(x1 * x2)
-    assert e.coefficients == {Partition([1, 1]): 1}
-    e = schur_expand(x1 * x1 + x1 * x2 + x2 * x2)
-    assert e.coefficients == {Partition([2]): 1}
-    e = schur_expand(9 * x1 * x2 * (2 * x1 + x2) * (x1 + 2 * x2))
-    assert e.coefficient(Partition([2, 2])) == 27
-
-
-def test_schur_expand_rejects_asymmetric():
-    ring = PolyRing(["x1", "x2"], 1)
-    x1, _ = ring.gens()
-    with pytest.raises(ValueError):
-        schur_expand(x1)
-    # more roots than ring variables
-    with pytest.raises(ValueError):
-        schur_expand(ring.one(), 3)
-    with pytest.raises(ValueError):
-        grassmann_integrate(3, 4, x1 * x1 * ring.var(1))
-
-
-def test_schur_expand_roundtrip_evaluation():
-    rng = random.Random(31)
-    ring = PolyRing(["x1", "x2", "x3"], 1)
-    g = ring.gens()
-    e1 = g[0] + g[1] + g[2]
-    e2 = g[0] * g[1] + g[0] * g[2] + g[1] * g[2]
-    e3 = g[0] * g[1] * g[2]
-    p = 3 * e1 * e1 * e2 - 5 * e3 * e1 + 2 * e2 * e2
-    exp = schur_expand(p)
-    for _ in range(5):
-        pts = [rng.randint(-6, 6) for _ in range(3)]
-        direct = sum(
-            c * pts[0] ** m0 * pts[1] ** m1 * pts[2] ** m2
-            for (m0, m1, m2), c in (
-                ((mon + (0, 0, 0))[:3], c) for mon, c in p.terms.items()
-            )
-        )
-        assert exp.evaluate(pts) == direct
-
-
 # -- Grassmannian integration ------------------------------------------
 
 
@@ -224,6 +177,15 @@ def test_integrate_point_class():
             ring = root_ring(k)
             pt = ring.monomial([n - k] * k)
             assert grassmann_integrate(k, n, pt) == 1
+
+
+def test_integrate_rejects_asymmetric_input():
+    ring = PolyRing(["x1", "x2"], 1)
+    x1, x2 = ring.gens()
+    with pytest.raises(ValueError, match="not symmetric"):
+        grassmann_integrate(2, 4, x1 ** 4)
+    with pytest.raises(ValueError, match="ring variables"):
+        grassmann_integrate(3, 4, x1 * x1 * x2)
 
 
 def test_integrate_cubic_lines():

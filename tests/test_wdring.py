@@ -13,7 +13,6 @@ from flagcw.wdring import (
     ann_euler,
     annihilator_generator,
     build_sigma,
-    real_fl11n_reduce,
     wd_basis,
     wd_poincare,
 )
@@ -395,19 +394,73 @@ def test_ann_euler_sweep_up_to_n7():
     assert cases == 132
 
 
-# -- the real Fl(1,1,n) reduction -------------------------------------------
+# -- the integral over the real flag variety ---------------------------------
+
+
+def w_point_class(pres):
+    """prod_{i<m} e_i^(N - s_i) = prod_{i<m} p_top(D_i)^((N - s_i)/2)."""
+    x, s = pres.one(), 0
+    for i, d in enumerate(pres.shape.d[:-1], start=1):
+        s += d
+        x = x * pres.euler(i) ** (pres.shape.N - s)
+    return x
+
+
+def test_w_integral_of_the_point_class_is_one():
+    for parts in [(2, 2), (2, 4), (2, 2, 2), (4, 2), (2,)]:
+        pres = build_sigma(FlagShape(parts))
+        assert pres.integrate(w_point_class(pres)) == 1, parts
+        assert pres.integrate(-3 * w_point_class(pres)) == -3, parts
+
+
+def test_trivial_component_of_an_all_even_shape_is_all_of_a():
+    # prod_i p_top(D_i) = 0 in A, so the component e_{} takes no quotient
+    for parts in [(2, 2), (2, 4), (2, 2, 2), (4, 2), (2, 2, 14)]:
+        pres = build_sigma(FlagShape(parts))
+        A = pres.A
+        top = A.ring.one()
+        for i in range(1, len(parts) + 1):
+            top = top * pres.p_top_image(i)
+        assert A.normal_form(top).is_zero()
+        for d in range(A.dim + 1):
+            mons = A.standard_monomials(d)
+            basis = pres.component_basis_polys(frozenset(), d)
+            assert basis == [A.ring.monomial(m) for m in mons]
+
+
+def test_w_integral_refuses_other_parities():
+    for parts in [(1, 2), (1, 1), (3, 2, 2)]:
+        pres = build_sigma(FlagShape(parts))
+        with pytest.raises(ValueError, match="all-even"):
+            pres.integrate(pres.one())
 
 
 def test_real_reduce_monomial_vanishing():
-    xr = PolyRing(["x1", "x2"], 1)
-    x1, x2 = xr.gens()
-    assert real_fl11n_reduce(1, x1**3) == (0, 0)
-    assert real_fl11n_reduce(3, x1**4 * x2**3) == (1, 0)
-    assert real_fl11n_reduce(3, 5 * x1**3 * x2**4 - 2 * x1**7) == (0, 5)
+    # on real Fl(2,2,2n), of the top monomials p_top(D_1)^i p_top(D_2)^(2n+1-i)
+    # only i = n + 1 and i = n survive, and they integrate to +1 and -1
+    for n in range(1, 5):
+        pres = build_sigma(FlagShape([2, 2, 2 * n]))
+        e1, e2 = pres.euler(1), pres.euler(2)
+        got = [
+            pres.integrate(e1 ** (2 * i) * e2 ** (2 * (2 * n + 1 - i)))
+            for i in range(2 * n + 2)
+        ]
+        assert got == [0] * n + [-1, 1] + [0] * n, n
 
 
 def test_real_reduce_requires_top_degree():
-    xr = PolyRing(["x1", "x2"], 1)
-    x1, _ = xr.gens()
-    with pytest.raises(ValueError):
-        real_fl11n_reduce(2, x1**2)
+    # int_W reads only the top degree: every W_D product of lower degree,
+    # and the lower-degree parts of a sum, integrate to 0
+    for parts in [(2, 2, 2), (2, 4), (4, 2)]:
+        pres = build_sigma(FlagShape(parts))
+        top = pres.shape.dim
+        pt = w_point_class(pres)
+        e = [pres.euler(i) for i in range(1, pres.shape.m + 1)]
+        for exps in itertools.product(range(top // 2), repeat=len(e)):
+            degree = sum(k * d for k, d in zip(exps, parts))
+            if degree < top:
+                x = pres.one()
+                for ei, k in zip(e, exps):
+                    x = x * ei ** k
+                assert pres.integrate(x) == 0, (parts, exps)
+                assert pres.integrate(pt + x) == 1, (parts, exps)
