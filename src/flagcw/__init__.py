@@ -12,8 +12,8 @@ from .flagchow import (
     ann_top_chern,
     chow_poincare,
     full_flag_ring,
+    ideal_lattice,
     ideal_quotient_degreewise,
-    schubert_ideal_rank,
     verify_piqp_fln,
 )
 from .poly import GradedPolynomial, PolyRing, exact_div
@@ -56,11 +56,11 @@ __all__ = [
     "grassmann_bundle_pushforward",
     "grassmann_integrate",
     "grassmann_integrate_product",
+    "ideal_lattice",
     "ideal_quotient_degreewise",
     "jacobi_trudi_delta",
     "partitions_in_box",
     "q_spec",
-    "schubert_ideal_rank",
     "verify_piqp_fln",
     "wd_basis",
     "wd_poincare",

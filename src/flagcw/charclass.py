@@ -424,14 +424,27 @@ def euler_of_expression(expr, nblocks: int) -> GradedPolynomial:
     return out
 
 
+def _tensor_factors(expr, nblocks: int):
+    """Distinct (M, i, N, j) of the Sym^M(D_i) (x) Sym^N(D_j) factors."""
+    atoms = _normalize(expr, nblocks)
+    return list(dict.fromkeys(a[1:] for a in atoms if a[0] == "symtensor"))
+
+
+def cauchy_box_total(expr, nblocks: int) -> int:
+    """Partitions that the Euler class of expr sums over: C(m + n, m) in
+    the m x n box of each distinct Sym^M (x) Sym^N factor, m = ceil(M/2),
+    n = ceil(N/2)."""
+    return sum(binomial((M + 1) // 2 + (N + 1) // 2, (M + 1) // 2)
+               for M, _, N, _ in _tensor_factors(expr, nblocks))
+
+
 def euler_checks(expr, nblocks: int) -> list:
     """(statement, holds) per Sym^M(D_i) (x) Sym^N(D_j) factor of expr: the
     Cauchy-determinant route equals euler_sym_tensor(M, N)."""
     ring = euler_root_ring(2)
-    factors = [a[1:] for a in _normalize(expr, nblocks) if a[0] == "symtensor"]
     return [
         (f"Sym^{M}(D{i}) (x) Sym^{N}(D{j}): Cauchy determinant = "
          f"euler_sym_tensor({M}, {N})",
          _euler_sym_tensor_cauchy(M, N, ring) == euler_sym_tensor(M, N, ring))
-        for M, i, N, j in dict.fromkeys(factors)
+        for M, i, N, j in _tensor_factors(expr, nblocks)
     ]

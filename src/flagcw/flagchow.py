@@ -34,8 +34,14 @@ divided by that sign, so that [pt] integrates to 1.
 
 For complete flags D = (1^N) the generators are x_1..x_N and the rules
 are the classical x_k^k -> -(h_k(x_k..x_N) - x_k^k); ``FullFlagRing``
-is that ring with the Schubert classes x_{[i]} used by the ideal and
-quotient checks below.
+is that ring, and only adds the Schubert classes x_{[i]}.
+
+The ideal section works on any presentation: ``ideal_lattice`` spans an
+ideal in one degree, ``ideal_quotient_degreewise`` solves (I : J) degree
+by degree (with I = 0 it is the annihilator of J), and one check
+compares (I : J) with a principal ideal (g) in every degree.  The
+paper's (x_[i] : x_[j]) = (x_[i]\\[j]) on Fl(N) and the annihilator of
+c_top(D_m) on Fl(D) are both that check.
 """
 
 from __future__ import annotations
@@ -125,11 +131,11 @@ class ChowRingPresentation:
 
     def __init__(self, shape: FlagShape):
         self.shape = shape
-        self._lines = shape.is_full_flag()
+        lines = shape.is_full_flag()
         names, weights = [], []
         for i, d in enumerate(shape.d, start=1):
             for j in range(1, d + 1):
-                names.append(f"x{i}" if self._lines else f"c{i}_{j}")
+                names.append(f"x{i}" if lines else f"c{i}_{j}")
                 weights.append(j)
         self.ring = PolyRing(names, weights)
         self.dim = shape.dim
@@ -138,15 +144,6 @@ class ChowRingPresentation:
         for i in range(1, shape.m + 1):
             span = shape.block_span(i)
             self._spans.append((span.start, span.stop))
-        if self._lines:
-            self._degree = sum
-            # x_{k+1}^{k+1}, the leading monomial of the rule for block k+1
-            self._line_leads = [
-                self.ring.key([0] * k + [k + 1]) for k in range(len(names))
-            ]
-        else:
-            w = self.ring.weights
-            self._degree = lambda mon: sum(map(mul, mon, w))
         self._poincare = chow_poincare(shape)
         self._sigmas = None
         self._rules = {}
@@ -174,13 +171,9 @@ class ChowRingPresentation:
         """Leading monomial of the rule that rewrites mon; None if standard.
 
         It is the s_{i-1} + 1 largest indices of the first block i that
-        has more than s_{i-1} factors.
+        has more than s_{i-1} factors.  On a line block k + 1 (s_k = k)
+        it is x_{k+1}^{k+1}.
         """
-        if self._lines:
-            for k, e in enumerate(mon):
-                if e > k:
-                    return self._line_leads[k]
-            return None
         for start, stop in self._spans:
             left = start + 1
             if sum(mon[start:stop]) >= left:
@@ -272,7 +265,7 @@ class ChowRingPresentation:
         nf = self._nf_memo.get(mon)
         if nf is not None:
             return nf
-        if self._degree(mon) > self.dim:
+        if sum(map(mul, mon, self.ring.weights)) > self.dim:
             return {}  # zero above the top degree; left out of the memo
         lead = self._leading(mon)
         if lead is None:
@@ -426,83 +419,70 @@ class FullFlagRing(ChowRingPresentation):
         return self.ring.monomial([1] * i)
 
 
+
+
 # ----------------------------------------------------------------------
 # Ideals, quotients, annihilators
 # ----------------------------------------------------------------------
 
 
-def schubert_ideal_rank(N: int, i: int) -> int:
-    """Rank of the principal ideal (x_{[i]}) in CH^*(Fl(N)).
-
-    Computed degree by degree as the integer rank of the image of
-    multiplication by x_{[i]}; the paper predicts (N-i)(N-1)!.
-    """
-    if not 1 <= i <= N:
-        raise ValueError("need 1 <= i <= N")
-    fl = full_flag_ring(N)
-    g = fl.x_interval_product(i)
-    return sum(
-        intlinalg.row_rank(fl.multiplication_matrix(g, d))
-        for d in range(fl.dim - i + 1)
-    )
-
-
-def _ideal_lattice_fln(fl: FullFlagRing, gens, d: int):
-    """Generating vectors in degree d of the ideal spanned by gens (NF'd)."""
+def ideal_lattice(pres: ChowRingPresentation, gens, d: int):
+    """HNF of the degree-d part of the ideal generated by gens, over the
+    standard basis of pres.  A zero generator (degree -1) adds nothing."""
     vectors = []
     for g in gens:
         e = g.degree()
-        if e > d:
-            continue
-        for mon in fl.standard_monomials(d - e):
-            prod = fl.normal_form(fl.ring.monomial(mon) * g)
-            if not prod.is_zero():
-                vectors.append(fl.coords(prod, d))
-    return vectors
+        if 0 <= e <= d:
+            vectors.extend(zip(*pres.multiplication_matrix(g, d - e)))
+    return intlinalg.hnf(vectors)
 
 
-def ideal_quotient_degreewise(N: int, gens_I, gens_J, degree_bound: int):
-    """Degreewise basis of the ideal quotient (I : J) in CH^*(Fl(N)).
+def ideal_quotient_degreewise(pres: ChowRingPresentation, gens_I, gens_J):
+    """Degreewise basis of the ideal quotient (I : J) = {a : a J in I} in
+    every degree of pres; with I = 0 it is the annihilator of J.
 
     For each degree d the conditions  a * g in I  (over g in J) are
     solved exactly over the integers at once: a lies in the projection of
     the kernel of the stacked bands [M_g | ... -L_g ...], where M_g is
     multiplication by g and the columns L_g span the ideal I in the
     target degree of g.  A generator that maps degree d above the top
-    degree adds no band; with no band the kernel is all of Z^dim_d.
+    degree adds no band; with no band the kernel is all of Z^rank_d.
     Returns {d: HNF rows}.
     """
-    fl = full_flag_ring(N)
-    gens_I = [fl.normal_form(g) for g in gens_I]
-    gens_J = [fl.normal_form(g) for g in gens_J]
     result = {}
-    for d in range(degree_bound + 1):
-        dim_d = len(fl.standard_monomials(d))
+    for d in range(pres.dim + 1):
+        rank_d = pres.rank(d)
         bands = []
         for g in gens_J:
             target = d + g.degree()
-            if target <= fl.dim:
-                lat = _ideal_lattice_fln(fl, gens_I, target)
-                bands.append((fl.multiplication_matrix(g, d), lat))
-        ncols = dim_d + sum(len(lat) for _, lat in bands)
-        aug = []
-        offset = dim_d
+            if target <= pres.dim:
+                lat = ideal_lattice(pres, gens_I, target)
+                bands.append((pres.multiplication_matrix(g, d), lat))
+        ncols = rank_d + sum(len(lat) for _, lat in bands)
+        aug, offset = [], rank_d
         for mat, lat in bands:
             for r, row in enumerate(mat):
-                band = [0] * ncols
-                band[:dim_d] = row
-                for k, v in enumerate(lat):
-                    band[offset + k] = -v[r]
+                band = row + [0] * (ncols - rank_d)
+                band[offset:offset + len(lat)] = [-v[r] for v in lat]
                 aug.append(band)
             offset += len(lat)
         kern = intlinalg.kernel_basis(aug, ncols)
-        result[d] = intlinalg.hnf([k[:dim_d] for k in kern])
+        result[d] = intlinalg.hnf([k[:rank_d] for k in kern])
     return result
 
 
-def principal_ideal_lattice(N: int, gen: GradedPolynomial, d: int):
-    fl = full_flag_ring(N)
-    return intlinalg.hnf(_ideal_lattice_fln(fl, [fl.normal_form(gen)], d))
+def _check_quotient(pres, gens_I, gens_J, g, statement: str) -> dict:
+    """Report on (I : J) = (g), checked in every degree of pres; it stops
+    at the first degree where the two lattices differ."""
+    report = {"shape": str(pres.shape), "statement": statement,
+              "degrees_checked": [], "status": "pass"}
+    for d, rows in ideal_quotient_degreewise(pres, gens_I, gens_J).items():
+        if rows != ideal_lattice(pres, [g], d):
+            report["status"] = "fail"
+            report["failed_degree"] = d
+            break
+        report["degrees_checked"].append(d)
+    return report
 
 
 def verify_piqp_fln(N: int, i: int, j: int) -> dict:
@@ -510,73 +490,27 @@ def verify_piqp_fln(N: int, i: int, j: int) -> dict:
     if not 1 <= j < i <= N:
         raise ValueError("need 1 <= j < i <= N")
     fl = full_flag_ring(N)
-    quotient = ideal_quotient_degreewise(
-        N, [fl.x_interval_product(i)], [fl.x_interval_product(j)], fl.dim
+    return _check_quotient(
+        fl,
+        [fl.x_interval_product(i)],
+        [fl.x_interval_product(j)],
+        fl.ring.monomial([0] * j + [1] * (i - j)),
+        f"(x_[{i}] : x_[{j}]) = (x_[{i}]\\[{j}])",
     )
-    expected_gen = fl.ring.monomial([0] * j + [1] * (i - j))
-    degrees_checked = []
-    for d, rows in quotient.items():
-        expected = principal_ideal_lattice(N, expected_gen, d)
-        if intlinalg.hnf(rows) != expected:
-            return {
-                "shape": str(FlagShape([1] * N)),
-                "statement": f"(x_[{i}] : x_[{j}]) = (x_[{i}]\\[{j}])",
-                "degrees_checked": degrees_checked,
-                "status": "fail",
-                "failed_degree": d,
-            }
-        degrees_checked.append(d)
-    return {
-        "shape": str(FlagShape([1] * N)),
-        "statement": f"(x_[{i}] : x_[{j}]) = (x_[{i}]\\[{j}])",
-        "degrees_checked": degrees_checked,
-        "status": "pass",
-    }
 
 
 def ann_top_chern(shape: FlagShape):
     """Annihilator of the top Chern class of the last block, with verification.
 
-    Returns (x, report): x = prod_{j != m} c_{d_j}(D_j) in generator
-    variables, and a degreewise brute-force check that the kernel of
-    multiplication by c_{d_m}(D_m) on CH^*(Fl(D)) equals the ideal (x).
+    Returns (x, report): x = prod_{j<m} c_{d_j}(D_j) in generator
+    variables (1 when m = 1), and the check (0 : c_{d_m}(D_m)) = (x) in
+    every degree of CH^*(Fl(D)).
     """
-    if shape.m < 2:
-        # degenerate: the ring is ZZ, the annihilator of c (= 0 classes) is (0)
-        return None, {
-            "shape": str(shape),
-            "statement": "Ann(c_top(D_m)) degenerate shape",
-            "degrees_checked": [],
-            "status": "pass",
-        }
     pres = ChowRingPresentation(shape)
-    m = shape.m
-    x_gen = pres.ring.one()
-    for j in range(1, m):
-        x_gen = x_gen * pres.top_chern(j)
-    c = pres.top_chern(m)
-    deg_x = x_gen.degree()
-    degrees_checked = []
-    status = "pass"
-    failed = None
-    for d in range(shape.dim + 1):
-        if pres.rank(d) == 0:
-            continue
-        kern = intlinalg.kernel_basis(pres.multiplication_matrix(c, d), pres.rank(d))
-        ideal_rows = []
-        if d >= deg_x:
-            ideal_rows = list(zip(*pres.multiplication_matrix(x_gen, d - deg_x)))
-        if intlinalg.hnf(kern) != intlinalg.hnf(ideal_rows):
-            status = "fail"
-            failed = d
-            break
-        degrees_checked.append(d)
-    report = {
-        "shape": str(shape),
-        "statement": "Ann(c_top(D_m)) = (prod_{j<m} c_top(D_j))",
-        "degrees_checked": degrees_checked,
-        "status": status,
-    }
-    if failed is not None:
-        report["failed_degree"] = failed
-    return x_gen, report
+    x = pres.ring.one()
+    for j in range(1, shape.m):
+        x = x * pres.top_chern(j)
+    return x, _check_quotient(
+        pres, [], [pres.top_chern(shape.m)], x,
+        "Ann(c_top(D_m)) = (prod_{j<m} c_top(D_j))",
+    )

@@ -72,10 +72,6 @@ def hnf(rows):
     return result
 
 
-def row_rank(rows) -> int:
-    return len(hnf(rows))
-
-
 def lattice_coords(hnf_rows, pivots, v):
     """Integer coordinates of v over the HNF rows; None if not in the lattice."""
     v = list(v)

@@ -103,11 +103,6 @@ def all_twist_classes(m: int):
     return out
 
 
-@lru_cache(maxsize=None)
-def wd_presentation(parts: tuple) -> "WDPresentation":
-    return WDPresentation(FlagShape(parts))
-
-
 class WDPresentation:
     """Presentation data for Sigma_D and W_D = Sigma_D (x) Lambda(R_l)."""
 
@@ -295,9 +290,6 @@ class WDPresentation:
 
     # -- elements ----------------------------------------------------------
 
-    def element(self, components: dict) -> "WDElement":
-        return WDElement(self, components)
-
     def zero(self) -> "WDElement":
         return WDElement(self, {})
 
@@ -328,6 +320,15 @@ class WDPresentation:
 
     # -- basis / Poincare ----------------------------------------------------
 
+    def _slots(self, degree: int, twist: TwistClass):
+        """(I, S, chow_deg) of every component a * e_I * R_S that can
+        reach the given degree and twist, in basis order."""
+        for I, e_deg in self._euler_slots.get(twist, ()):
+            for S, r_deg in self._exterior_slots:
+                rem = degree - e_deg - r_deg
+                if rem >= 0 and rem % 4 == 0:
+                    yield I, S, rem // 4
+
     def basis(self, degree: int, twist: TwistClass):
         """Free-module basis in the given degree and twist.
 
@@ -335,17 +336,11 @@ class WDPresentation:
         of even blocks, S a square-free set of exterior labels, and
         index running over the component basis in that Chow degree.
         """
-        out = []
-        for I, e_deg in self._euler_slots.get(twist, ()):
-            for S, r_deg in self._exterior_slots:
-                rem = degree - e_deg - r_deg
-                if rem < 0 or rem % 4:
-                    continue
-                chow_deg = rem // 4
-                cnt = self.component_rank(I, chow_deg)
-                for idx in range(cnt):
-                    out.append((I, S, chow_deg, idx))
-        return out
+        return [
+            (I, S, chow_deg, idx)
+            for I, S, chow_deg in self._slots(degree, twist)
+            for idx in range(self.component_rank(I, chow_deg))
+        ]
 
     def basis_element(self, key) -> "WDElement":
         I, S, chow_deg, idx = key
@@ -389,15 +384,10 @@ class WDPresentation:
         may be any representative: each part read is normal-formed here."""
         out = []
         zero = self.A.ring.zero()
-        for I, e_deg in self._euler_slots.get(twist, ()):
-            for S, r_deg in self._exterior_slots:
-                rem = degree - e_deg - r_deg
-                if rem < 0 or rem % 4:
-                    continue
-                chow_deg = rem // 4
-                a = x.components.get((I, S), zero).homogeneous_part(chow_deg)
-                a = self.A.normal_form(a)
-                out.extend(self.component_coords(I, a, chow_deg))
+        for I, S, chow_deg in self._slots(degree, twist):
+            a = x.components.get((I, S), zero).homogeneous_part(chow_deg)
+            a = self.A.normal_form(a)
+            out.extend(self.component_coords(I, a, chow_deg))
         return out
 
 
@@ -517,8 +507,9 @@ class WDElement:
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_sigma(shape: FlagShape) -> WDPresentation:
-    return wd_presentation(shape.d)
+    return WDPresentation(shape)
 
 
 def wd_basis(shape: FlagShape, degree: int, twist: TwistClass):

@@ -95,7 +95,12 @@ SCHEMA_COMMANDS = [
     ["count", "--preset", "quintic-4planes"],
     ["count", "--preset", "flag-3-5"],
     ["verify", "--suite", "poincare"],
+    ["verify", "--suite", "piqp"],
+    ["verify", "--suite", "annihilator"],
+    ["verify", "--suite", "sq2"],
 ]
+
+REPORT_KEYS = {"shape", "statement", "degrees_checked", "status"}
 
 
 def test_json_payload_schema(capsys):
@@ -107,6 +112,10 @@ def test_json_payload_schema(capsys):
         for check in payload["checks"]:
             assert set(check) == {"name", "status"}, argv
             assert check["status"] in ("pass", "fail"), argv
+        for rep in payload["result"].get("reports", []):
+            # only the W_D annihilator reports count (degree, twist) slots
+            wd = rep["statement"].startswith("Ann(e_")
+            assert set(rep) == REPORT_KEYS | ({"slots_checked"} if wd else set()), rep
 
 
 def test_count_fills_checks(capsys):
@@ -146,6 +155,18 @@ def test_euler_checks_the_cauchy_route(capsys):
         "Sym^1(D1) (x) Sym^4(D2)",
     ]
     assert all(c["status"] == "pass" for c in checks)
+
+
+def test_euler_refuses_large_cauchy_boxes(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("Euler class computed for a refused expression")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(charclass, "euler_of_expression", no_work)
+        assert cli.run(["euler", "--expr", "sym^15(D1)*sym^15(D2)"]) == 1
+        err = capsys.readouterr().err
+        assert "12870" in err and str(cli.EULER_BOX_LIMIT) in err
+    assert cli.run(["euler", "--expr", "sym^5(D1 + D2)"]) == 0
 
 
 def test_failed_euler_check_exits_2(monkeypatch, capsys):

@@ -16,12 +16,12 @@ from flagcw.flagchow import (
     ChowRingPresentation,
     FlagShape,
     FullFlagRing,
+    _check_quotient,
     ann_top_chern,
     chow_poincare,
     full_flag_ring,
+    ideal_lattice,
     ideal_quotient_degreewise,
-    principal_ideal_lattice,
-    schubert_ideal_rank,
     verify_piqp_fln,
 )
 from flagcw.poly import PolyRing
@@ -406,7 +406,14 @@ def test_poincare_duality_pairing_unimodular():
 # -- ideals and annihilators ----------------------------------------------
 
 
+def schubert_ideal_rank(N, i):
+    fl = full_flag_ring(N)
+    g = fl.x_interval_product(i)
+    return sum(len(ideal_lattice(fl, [g], d)) for d in range(fl.dim + 1))
+
+
 def test_schubert_ideal_rank_formula():
+    # the paper: (x_[i]) has rank (N - i)(N - 1)!
     assert schubert_ideal_rank(2, 1) == 1
     assert schubert_ideal_rank(3, 1) == 4
     assert schubert_ideal_rank(3, 2) == 2
@@ -433,20 +440,20 @@ def test_kernel_image_ranks_sum_to_order():
 def test_ideal_quotient_by_unit():
     fl = full_flag_ring(3)
     a = fl.x_interval_product(2)
-    quotient = ideal_quotient_degreewise(3, [a], [fl.ring.one()], fl.dim)
+    quotient = ideal_quotient_degreewise(fl, [a], [fl.ring.one()])
     for d, rows in quotient.items():
-        assert rows == principal_ideal_lattice(3, a, d)
+        assert rows == ideal_lattice(fl, [a], d)
 
 
 def test_ideal_quotient_piqp_example():
     # (x_[2] : x_[1]) = (x_2) in Fl(3)
     fl = full_flag_ring(3)
     quotient = ideal_quotient_degreewise(
-        3, [fl.x_interval_product(2)], [fl.x_interval_product(1)], fl.dim
+        fl, [fl.x_interval_product(2)], [fl.x_interval_product(1)]
     )
     x2 = fl.ring.var(1)
     for d, rows in quotient.items():
-        assert rows == principal_ideal_lattice(3, x2, d)
+        assert rows == ideal_lattice(fl, [x2], d)
 
 
 def test_ideal_quotient_generator_lists():
@@ -456,15 +463,15 @@ def test_ideal_quotient_generator_lists():
         one = fl.ring.one()
         for i in range(2, N + 1):
             a = fl.x_interval_product(i)
-            unit = ideal_quotient_degreewise(N, [a], [one], fl.dim)
+            unit = ideal_quotient_degreewise(fl, [a], [one])
             for d, rows in unit.items():
-                assert rows == principal_ideal_lattice(N, a, d)
+                assert rows == ideal_lattice(fl, [a], d)
             for j in range(1, i):
                 g = fl.x_interval_product(j)
-                single = ideal_quotient_degreewise(N, [a], [g], fl.dim)
-                assert ideal_quotient_degreewise(N, [a], [g, g], fl.dim) == single
-                assert ideal_quotient_degreewise(N, [a], [one, g], fl.dim) == unit
-                assert ideal_quotient_degreewise(N, [a], [g, one], fl.dim) == unit
+                single = ideal_quotient_degreewise(fl, [a], [g])
+                assert ideal_quotient_degreewise(fl, [a], [g, g]) == single
+                assert ideal_quotient_degreewise(fl, [a], [one, g]) == unit
+                assert ideal_quotient_degreewise(fl, [a], [g, one]) == unit
                 # g constrains nothing where d + deg g exceeds the top degree
                 for d in range(fl.dim - j + 1, fl.dim + 1):
                     n = len(fl.standard_monomials(d))
@@ -477,11 +484,58 @@ def test_annihilator_is_complementary_interval():
         fl = full_flag_ring(N)
         for i in range(1, N):
             quotient = ideal_quotient_degreewise(
-                N, [fl.ring.zero()], [fl.x_interval_product(i)], fl.dim
+                fl, [fl.ring.zero()], [fl.x_interval_product(i)]
             )
             gen = fl.ring.monomial([0] * i + [1] * (N - i))
             for d, rows in quotient.items():
-                assert rows == principal_ideal_lattice(N, gen, d)
+                assert rows == ideal_lattice(fl, [gen], d)
+
+
+def test_annihilator_of_each_generator_is_its_kernel():
+    # (0 : g) read independently as the kernel of multiplication by g
+    for N in range(1, 6):
+        for parts in compositions(N):
+            pres = ChowRingPresentation(FlagShape(parts))
+            for i, size in enumerate(parts, start=1):
+                for j in range(1, size + 1):
+                    g = pres.generator(i, j)
+                    ann = ideal_quotient_degreewise(pres, [], [g])
+                    assert sorted(ann) == list(range(pres.dim + 1))
+                    for d, rows in ann.items():
+                        kern = intlinalg.kernel_basis(
+                            pres.multiplication_matrix(g, d), pres.rank(d)
+                        )
+                        assert rows == intlinalg.hnf(kern), (parts, i, j, d)
+
+
+def test_quotient_by_the_unit_ideal_on_every_shape():
+    # (I : 1) = I for I = (c_top(D_1))
+    for N in range(1, 6):
+        for parts in compositions(N):
+            pres = ChowRingPresentation(FlagShape(parts))
+            c = pres.top_chern(1)
+            quotient = ideal_quotient_degreewise(pres, [c], [pres.ring.one()])
+            for d, rows in quotient.items():
+                assert rows == ideal_lattice(pres, [c], d), (parts, d)
+
+
+def test_wrong_generator_fails_at_the_first_differing_degree():
+    # (x_[2] : x_[1]) = (x_2) on Fl(3), not (x_1)
+    fl = full_flag_ring(3)
+    a, g = fl.x_interval_product(2), fl.x_interval_product(1)
+    wrong = fl.ring.var(0)
+    quotient = ideal_quotient_degreewise(fl, [a], [g])
+    first = next(d for d, rows in quotient.items()
+                 if rows != ideal_lattice(fl, [wrong], d))
+    rep = _check_quotient(fl, [a], [g], wrong, "(x_[2] : x_[1]) = (x_1)")
+    assert rep == {
+        "shape": "1,1,1",
+        "statement": "(x_[2] : x_[1]) = (x_1)",
+        "degrees_checked": list(range(first)),
+        "status": "fail",
+        "failed_degree": first,
+    }
+    assert first == 1
 
 
 def test_piqp_full_suite_small():
@@ -501,8 +555,12 @@ def test_ann_top_chern_examples():
     x, rep = ann_top_chern(FlagShape([2, 2]))
     assert rep["status"] == "pass"
     assert str(x) == "c1_2"
-    _, rep = ann_top_chern(FlagShape([2]))
-    assert rep["status"] == "pass"  # degenerate: ring is ZZ
+    # one block: the ring is ZZ in degree 0, c_top(D_1) = 0 and x = 1
+    for parts in ([2], [3]):
+        x, rep = ann_top_chern(FlagShape(parts))
+        assert x == x.ring.one()
+        assert rep["status"] == "pass"
+        assert rep["degrees_checked"] == [0]
 
 
 def test_ann_top_chern_sweep_up_to_n5():
@@ -511,10 +569,11 @@ def test_ann_top_chern_sweep_up_to_n5():
         for parts in compositions(N, min_parts=2):
             _, rep = ann_top_chern(FlagShape(parts))
             assert rep["status"] == "pass", (parts, rep)
+            assert rep["degrees_checked"] == list(range(FlagShape(parts).dim + 1))
             shapes += 1
     assert shapes == 26
 
 
 def test_report_shape():
     _, rep = ann_top_chern(FlagShape([1, 2]))
-    assert set(rep) >= {"shape", "statement", "degrees_checked", "status"}
+    assert set(rep) == {"shape", "statement", "degrees_checked", "status"}
