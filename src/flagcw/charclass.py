@@ -13,13 +13,15 @@ The calculus:
 
 Overall signs follow the printed factor order; consumers compare up to a
 single overall sign where orientations are left unchosen.
+
+The bundle-expression nodes (Taut, Trivial, Dual, Sum, Tensor, Sym) are
+immutable value objects.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .poly import GradedPolynomial, PolyRing
@@ -197,38 +199,70 @@ def euler_sym_sum_rk2(k: int) -> GradedPolynomial:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Taut:
-    kind: str  # "S" or "D"
-    index: int
+class _Node:
+    """Base of the bundle-expression nodes: two nodes are equal exactly
+    when they have the same class and equal fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__} takes fields {self.__slots__}, "
+                f"got {len(values)} values"
+            )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._values()))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Trivial:
-    rank: int
+class Taut(_Node):
+    __slots__ = ("kind", "index")  # kind "S" or "D"
 
 
-@dataclass(frozen=True)
-class Dual:
-    inner: object
+class Trivial(_Node):
+    __slots__ = ("rank",)
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: object
-    right: object
+class Dual(_Node):
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: object
-    right: object
+class Sum(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sym:
-    power: int
-    inner: object
+class Tensor(_Node):
+    __slots__ = ("left", "right")
+
+
+class Sym(_Node):
+    __slots__ = ("power", "inner")
 
 
 def bundle_rank(expr, nblocks: int) -> int:

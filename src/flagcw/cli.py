@@ -3,6 +3,11 @@
 Output is deterministic; ``--format json`` emits one object with the
 schema {"command", "input", "result", "checks": [{"name", "status"}]}.
 Exit codes: 0 success, 1 validation error, 2 verification failure.
+
+Every run is a fresh interpreter, so each command pays for its imports.
+This module imports only argparse, json, math, sys and the flagcw
+modules; tests/test_import_footprint.py checks that neither it nor the
+package loads dataclasses, inspect, ast, dis, tokenize or typing.
 """
 
 from __future__ import annotations

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import warnings
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, mul, sub
 
 from . import intlinalg, series
@@ -174,9 +175,10 @@ class ChowRingPresentation:
         has more than s_{i-1} factors.  On a line block k + 1 (s_k = k)
         it is x_{k+1}^{k+1}.
         """
+        total = (0, *accumulate(mon))  # total[v]: factors with index < v
         for start, stop in self._spans:
             left = start + 1
-            if sum(mon[start:stop]) >= left:
+            if total[stop] - total[start] >= left:
                 lead = [0] * len(mon)
                 for v in range(stop - 1, start - 1, -1):
                     lead[v] = min(left, mon[v])

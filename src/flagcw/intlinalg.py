@@ -122,39 +122,43 @@ def smith_normal_form(mat):
     m = len(S)
     n = len(S[0]) if m else 0
     U = identity(m)
-    Uinv = identity(m)
+    # Uinv is kept transposed, so its column operations are row operations
+    UinvT = identity(m)
 
     def row_op(i, k, q):
-        # row_i -= q * row_k  (on S and U); Uinv gets the inverse column op
-        for j in range(n):
-            S[i][j] -= q * S[k][j]
-        for j in range(m):
-            U[i][j] -= q * U[k][j]
-        for r in range(m):
-            Uinv[r][k] += q * Uinv[r][i]
+        # row_i -= q * row_k on S and U; Uinv's inverse column op is a row op
+        S[i] = [a - q * b for a, b in zip(S[i], S[k])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+        UinvT[k] = [a + q * b for a, b in zip(UinvT[k], UinvT[i])]
 
     def row_swap(i, k):
         S[i], S[k] = S[k], S[i]
         U[i], U[k] = U[k], U[i]
-        for r in range(m):
-            Uinv[r][i], Uinv[r][k] = Uinv[r][k], Uinv[r][i]
+        UinvT[i], UinvT[k] = UinvT[k], UinvT[i]
 
     def col_op(j, k, q):
-        for i in range(m):
-            S[i][j] -= q * S[i][k]
+        for row in S:
+            if row[k]:
+                row[j] -= q * row[k]
 
     def col_swap(j, k):
-        for i in range(m):
-            S[i][j], S[i][k] = S[i][k], S[i][j]
+        for row in S:
+            row[j], row[k] = row[k], row[j]
 
     t = 0
     while t < min(m, n):
-        # locate a nonzero pivot of minimal absolute value
-        pivot = None
+        # locate a nonzero pivot of minimal absolute value, the first one
+        # in row-major order; a unit entry cannot be beaten
+        pivot, best = None, 0
         for i in range(t, m):
+            row = S[i]
             for j in range(t, n):
-                if S[i][j] and (pivot is None or abs(S[i][j]) < abs(S[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                if row[j] and (pivot is None or abs(row[j]) < best):
+                    pivot, best = (i, j), abs(row[j])
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         row_swap(t, pivot[0])
@@ -181,11 +185,8 @@ def smith_normal_form(mat):
     rank = sum(1 for i in range(min(m, n)) if S[i][i])
     for i in range(rank):
         if S[i][i] < 0:
-            for j in range(n):
-                S[i][j] = -S[i][j]
-            for j in range(m):
-                U[i][j] = -U[i][j]
-            for r in range(m):
-                Uinv[r][i] = -Uinv[r][i]
+            S[i] = [-a for a in S[i]]
+            U[i] = [-a for a in U[i]]
+            UinvT[i] = [-a for a in UinvT[i]]
     diag = [S[i][i] for i in range(rank)]
-    return diag, U, Uinv
+    return diag, U, [list(col) for col in zip(*UinvT)]

@@ -18,7 +18,6 @@ so nothing here may ever truncate).  No floating point is used anywhere.
 from __future__ import annotations
 
 from operator import add, sub
-from typing import Mapping, Union
 
 Monomial = tuple  # exponent tuple with exactly ring.nvars entries
 
@@ -90,7 +89,7 @@ class PolyRing:
         key = self.key(exps)
         return GradedPolynomial(self, {key: int(coeff)} if coeff else {})
 
-    def from_terms(self, terms: Mapping[tuple, int]) -> "GradedPolynomial":
+    def from_terms(self, terms: dict[tuple, int]) -> "GradedPolynomial":
         out = {}
         for exps, c in terms.items():
             if c:
@@ -264,7 +263,7 @@ class GradedPolynomial:
 
     # -- substitution --------------------------------------------------
 
-    def substitute(self, bindings: Mapping[str, Union["GradedPolynomial", int]]):
+    def substitute(self, bindings: dict[str, GradedPolynomial | int]):
         """Exact composition; every variable occurring in self must be bound."""
         used = self.variables_used()
         for i in used:

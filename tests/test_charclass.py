@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from flagcw.charclass import (
@@ -252,6 +255,57 @@ def test_parse_bundle_grammar():
     assert err.value.position is not None
     with pytest.raises(BundleGrammarError):
         parse_bundle("foo")
+
+
+def sample_nodes():
+    a, b = Taut("S", 1), Taut("D", 2)
+    return [a, b, Trivial(3), Dual(a), Sum(a, b), Tensor(a, b), Sym(3, b)]
+
+
+def test_bundle_nodes_are_values():
+    rebuilt = [parse_bundle(t) for t in
+               ("S1", "D2", "triv(3)", "dual(S1)", "S1 + D2", "S1 * D2", "sym^3(D2)")]
+    assert rebuilt == sample_nodes()
+    assert [hash(x) for x in rebuilt] == [hash(x) for x in sample_nodes()]
+    table = {node: i for i, node in enumerate(sample_nodes())}
+    assert len(table) == 7
+    assert [table[x] for x in rebuilt] == list(range(7))
+
+
+def test_bundle_nodes_compare_by_type():
+    a, b = Taut("S", 1), Taut("D", 2)
+    assert Sum(a, b) != Tensor(a, b)
+    assert Dual(3) != Trivial(3)
+    assert Sum(a, b) != (a, b) and (a, b) != Sum(a, b)
+    assert Trivial(3) != 3 and Trivial(3) != (3,)
+    assert Taut("S", 1) != Taut("S", 2)
+    assert len({Sum(a, b), Tensor(a, b), (a, b)}) == 3
+    assert not isinstance(Sum(a, b), tuple)
+
+
+def test_bundle_nodes_are_immutable():
+    for node in sample_nodes():
+        for name in node.__slots__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(node, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(node, node.__slots__[0])
+    assert sample_nodes() == sample_nodes()
+
+
+def test_bundle_node_repr_and_copy():
+    assert repr(Taut("S", 1)) == "Taut(kind='S', index=1)"
+    assert repr(Sym(3, Dual(Trivial(2)))) == (
+        "Sym(power=3, inner=Dual(inner=Trivial(rank=2)))"
+    )
+    assert repr(Sum(Taut("D", 1), Taut("D", 2))) == (
+        "Sum(left=Taut(kind='D', index=1), right=Taut(kind='D', index=2))"
+    )
+    for node in sample_nodes():
+        assert pickle.loads(pickle.dumps(node)) == node
+        assert copy.deepcopy(node) == node
+    with pytest.raises(TypeError):
+        Sum(Taut("S", 1))
 
 
 def test_bundle_ranks():

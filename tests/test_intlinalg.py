@@ -29,6 +29,108 @@ def random_unimodular(rng, n):
     return u
 
 
+def reference_smith_normal_form(mat):
+    """The straightforward Smith form, as smith_normal_form returns it:
+    full-row loops, Uinv updated column by column, full pivot scan."""
+    S = [list(r) for r in mat]
+    m = len(S)
+    n = len(S[0]) if m else 0
+    U = identity(m)
+    Uinv = identity(m)
+
+    def row_op(i, k, q):
+        for j in range(n):
+            S[i][j] -= q * S[k][j]
+        for j in range(m):
+            U[i][j] -= q * U[k][j]
+        for r in range(m):
+            Uinv[r][k] += q * Uinv[r][i]
+
+    def row_swap(i, k):
+        S[i], S[k] = S[k], S[i]
+        U[i], U[k] = U[k], U[i]
+        for r in range(m):
+            Uinv[r][i], Uinv[r][k] = Uinv[r][k], Uinv[r][i]
+
+    def col_op(j, k, q):
+        for i in range(m):
+            S[i][j] -= q * S[i][k]
+
+    def col_swap(j, k):
+        for i in range(m):
+            S[i][j], S[i][k] = S[i][k], S[i][j]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if S[i][j] and (pivot is None or abs(S[i][j]) < abs(S[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        row_swap(t, pivot[0])
+        col_swap(t, pivot[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if S[i][t]:
+                    q = S[i][t] // S[t][t]
+                    row_op(i, t, q)
+                    if S[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if S[t][j]:
+                    q = S[t][j] // S[t][t]
+                    col_op(j, t, q)
+                    if S[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+        t += 1
+    rank = sum(1 for i in range(min(m, n)) if S[i][i])
+    for i in range(rank):
+        if S[i][i] < 0:
+            for j in range(n):
+                S[i][j] = -S[i][j]
+            for j in range(m):
+                U[i][j] = -U[i][j]
+            for r in range(m):
+                Uinv[r][i] = -Uinv[r][i]
+    return [S[i][i] for i in range(rank)], U, Uinv
+
+
+def test_smith_matches_the_reference_implementation():
+    rng = random.Random(4104)
+    cases = [[], [[]], [[0, 0]], [[0], [0]], [[2, 0], [0, 3]], [[4, 6], [6, 9]]]
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        mat = random_matrix(rng, m, n, bound=rng.choice([1, 3, 9]))
+        shape = rng.randrange(4)
+        if shape == 1:  # zero rows
+            for i in rng.sample(range(m), rng.randint(1, m)):
+                mat[i] = [0] * n
+        elif shape == 2:  # rank deficient: a product through a thin middle
+            r = rng.randint(0, min(m, n) - 1)
+            mat = matmul(random_matrix(rng, m, r), random_matrix(rng, r, n))
+            if r == 0:
+                mat = [[0] * n for _ in range(m)]
+        elif shape == 3:  # non-unit invariant factors
+            core = [[rng.choice([2, 3, 4, 6]) * (i == j) for j in range(n)]
+                    for i in range(m)]
+            a, b = random_unimodular(rng, m), random_unimodular(rng, n)
+            mat = matmul(matmul(a, core), b)
+        cases.append(mat)
+    square = non_unit = 0
+    for mat in cases:
+        got = smith_normal_form(mat)
+        assert got == reference_smith_normal_form(mat), mat
+        square += len(mat) == len(mat[0] if mat else [])
+        non_unit += any(s != 1 for s in got[0])
+    assert square > 20 and non_unit > 50
+
+
 def test_smith_transforms_are_inverse_and_kill_the_last_rows():
     rng = random.Random(1729)
     for _ in range(150):
