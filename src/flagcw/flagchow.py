@@ -152,6 +152,8 @@ class ChowRingPresentation:
         self._nf_memo = {}
         self._standard = {}
         self._standard_index = {}
+        self._mult_cache = {}
+        self._ideal_cache = {}
 
     def generator(self, i: int, j: int) -> GradedPolynomial:
         """c_j(D_i) as a ring variable."""
@@ -358,14 +360,29 @@ class ChowRingPresentation:
         """Matrix of multiplication by homogeneous g: degree d -> d + deg g.
 
         Columns indexed by the standard basis in degree d, rows by the
-        standard basis in degree d + deg g.
+        standard basis in degree d + deg g.  Each column is read from the
+        monomial normal forms.  Memoized per (g, d): the returned matrix
+        is shared with the cache, and callers must not mutate it.
         """
-        target = d + g.degree()
-        cols = [
-            self.coords(self.normal_form(self.ring.monomial(mon) * g), target)
-            for mon in self.standard_monomials(d)
-        ]
-        return [[col[i] for col in cols] for i in range(self.rank(target))]
+        key = (g, d)
+        mat = self._mult_cache.get(key)
+        if mat is not None:
+            return mat
+        if g.ring != self.ring:
+            raise ValueError("polynomial not in this Chow ring")
+        mons = self.standard_monomials(d)
+        index = self.standard_index(d + g.degree())
+        mat = [[0] * len(mons) for _ in index]
+        nf = self._monomial_nf
+        try:
+            for j, mon in enumerate(mons):
+                for gm, gc in g.terms.items():
+                    for m, c in nf(tuple(map(add, mon, gm))).items():
+                        mat[index[m]][j] += gc * c
+        except KeyError:
+            raise ValueError("multiplier is not homogeneous") from None
+        self._mult_cache[key] = mat
+        return mat
 
     # -- integration -----------------------------------------------------------
 
@@ -430,13 +447,21 @@ class FullFlagRing(ChowRingPresentation):
 
 def ideal_lattice(pres: ChowRingPresentation, gens, d: int):
     """HNF of the degree-d part of the ideal generated by gens, over the
-    standard basis of pres.  A zero generator (degree -1) adds nothing."""
-    vectors = []
-    for g in gens:
-        e = g.degree()
-        if 0 <= e <= d:
-            vectors.extend(zip(*pres.multiplication_matrix(g, d - e)))
-    return intlinalg.hnf(vectors)
+    standard basis of pres.  A zero generator (degree -1) adds nothing.
+
+    Memoized on pres per (gens, d): the returned rows are shared with the
+    cache, and callers must not mutate them.
+    """
+    key = (tuple(gens), d)
+    rows = pres._ideal_cache.get(key)
+    if rows is None:
+        vectors = []
+        for g in key[0]:
+            e = g.degree()
+            if 0 <= e <= d:
+                vectors.extend(zip(*pres.multiplication_matrix(g, d - e)))
+        rows = pres._ideal_cache[key] = intlinalg.hnf(vectors)
+    return rows
 
 
 def ideal_quotient_degreewise(pres: ChowRingPresentation, gens_I, gens_J):

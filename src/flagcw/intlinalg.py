@@ -92,7 +92,11 @@ def kernel_basis(mat, ncols: int):
 
     ncols is the number of columns, which an empty mat does not show.
     The kernel of an integer matrix is a saturated sublattice, and the
-    result is a basis of it (computed by row-reducing [A^T | I]).
+    result is a basis of it (computed by row-reducing [A^T | I]).  It is
+    the canonical HNF of the kernel, so hnf(result) == result: the
+    kernel rows of hnf([A^T | I]) are its last rows, in echelon form with
+    positive pivots, and the entries above each pivot were reduced among
+    them as among all rows.
     """
     m = len(mat)
     if ncols == 0:

@@ -19,7 +19,16 @@ are handled degreewise through a diagonal form U . M . V = diag
 that is, every invariant factor is 1 (the quotients are free).
 The last rows U[rank:] vanish on the ideal and are the only route through
 a quotient: they give the coordinates of any representative, and the
-reduced form is rebuilt from them on the cached basis polynomials.
+reduced form is rebuilt from them on the cached basis polynomials.  This
+projection is stored as sparse columns, standard monomial -> [(row,
+entry)], and a component without a quotient stores the identity.
+
+Two generator components multiply by one rule, e_I R_S * e_J R_T =
++-p_{I & J} e_{I ^ J} R_{S | T}, shared by WDElement products and by
+``ann_euler``.  The annihilator check never builds a product element:
+each matrix column is the normal form of b * a_y * p_{I & J}, summed
+from the monomial normal forms of A and placed through the sparse
+projection of its one target slot.
 
 For an all-even shape the integral int_W reads the trivial-twist part in
 the top degree dim Fl(D) = 4 dim Fl(h), h = D/2.  That part is A itself,
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import add
 
 from . import intlinalg
 from .flagchow import ChowRingPresentation, FlagShape
@@ -161,13 +171,18 @@ class WDPresentation:
         Cached per instance: the returned polynomial is shared, and
         callers must not mutate it.
         """
-        if i in self._p_top_cache:
-            return self._p_top_cache[i]
-        if i not in self._half_block:
+        return self.p_top_product(frozenset([i]))
+
+    def p_top_product(self, K: frozenset) -> GradedPolynomial:
+        """prod_{i in K} p_top(D_i) in normal form, cached per frozenset K;
+        the returned polynomial is shared, so do not mutate it."""
+        img = self._p_top_cache.get(K)
+        if img is None:
             img = self.A.ring.one()
-        else:
-            img = self.A.normal_form(self.A.top_chern(self._half_block[i]))
-        self._p_top_cache[i] = img
+            for i in K:
+                if i in self._half_block:
+                    img = img * self.A.top_chern(self._half_block[i])
+            img = self._p_top_cache[K] = self.A.normal_form(img)
         return img
 
     def p_top_chow_degree(self, i: int) -> int:
@@ -200,10 +215,12 @@ class WDPresentation:
         """(P, basis) for A^chow_deg modulo (p_{I^c}), cached per instance.
 
         P = U[rank:] maps coordinates over the standard monomials of A to
-        quotient coordinates; the A-part basis[j], column rank + j of U^-1,
-        has coordinates e_j.  Only all-even shapes take the quotient, and
-        not for I = {}, whose generator prod_i p_top(D_i) is 0 in A; in
-        the other cases P is None and the basis is the standard monomials.
+        quotient coordinates, stored as sparse columns: standard monomial
+        -> [(row, entry), ...] over the nonzero entries.  The A-part
+        basis[j], column rank + j of U^-1, has coordinates e_j.  Only
+        all-even shapes take the quotient, and not for I = {}, whose
+        generator prod_i p_top(D_i) is 0 in A; in the other cases P is
+        the identity and the basis is the standard monomials.
         """
         key = (I, chow_deg)
         if key in self._quotient_cache:
@@ -212,7 +229,10 @@ class WDPresentation:
         comp = [i for i in range(1, self.shape.m + 1) if i not in I]
         k = sum(self.p_top_chow_degree(i) for i in comp)
         if self.parity != "all-even" or not I or chow_deg < k or not mons:
-            data = (None, [self.A.ring.monomial(mon) for mon in mons])
+            data = (
+                {mon: [(j, 1)] for j, mon in enumerate(mons)},
+                [self.A.ring.monomial(mon) for mon in mons],
+            )
         else:
             gen = self.A.ring.one()
             for i in comp:
@@ -225,35 +245,45 @@ class WDPresentation:
                     f"quotient A/(p_I^c) not free for shape {self.shape}, "
                     f"I={sorted(I)}, degree {chow_deg}: diagonal entries {diag}"
                 )
-            cols = list(zip(*Uinv))[len(diag):]
-            data = (U[len(diag):], [self.A.from_coords(c, chow_deg) for c in cols])
+            rank = len(diag)
+            P = U[rank:]
+            proj = {
+                mon: [(r, row[j]) for r, row in enumerate(P) if row[j]]
+                for j, mon in enumerate(mons)
+            }
+            cols = list(zip(*Uinv))[rank:]
+            data = (proj, [self.A.from_coords(c, chow_deg) for c in cols])
         self._quotient_cache[key] = data
         return data
 
     def reduce_component(self, I: frozenset, a: GradedPolynomial) -> GradedPolynomial:
         """Normal form of the A-part of the e_I component: in each Chow
-        degree with a quotient, sum_j c_j * basis[j] over its coordinates c."""
+        degree, sum_j c_j * basis[j] over its coordinates c."""
         a = self.A.normal_form(a)
-        out = self.A.ring.zero()
+        out: dict = {}
         for dchow in a.homogeneous_degrees():
-            part = a.homogeneous_part(dchow)
-            proj, polys = self._quotient_data(I, dchow)
-            if proj is None:
-                out = out + part
-                continue
-            coords = self.component_coords(I, part, dchow)
-            out = sum((c * poly for c, poly in zip(coords, polys) if c), out)
-        return out
+            coords = self.component_coords(I, a.homogeneous_part(dchow), dchow)
+            for c, poly in zip(coords, self.component_basis_polys(I, dchow)):
+                if c:
+                    for m, u in poly.terms.items():
+                        out[m] = out.get(m, 0) + c * u
+        return GradedPolynomial(self.A.ring, {m: c for m, c in out.items() if c})
 
     def component_coords(self, I: frozenset, a: GradedPolynomial, chow_deg: int):
         """Coordinates over the component's free-module basis of a
         normal-form A-part a of Chow degree chow_deg; every representative
         of a class gives the same coordinates."""
         proj, polys = self._quotient_data(I, chow_deg)
-        if a.is_zero():
-            return [0] * len(polys)
-        v = self.A.coords(a, chow_deg)
-        return v if proj is None else intlinalg.mat_vec(proj, v)
+        v = [0] * len(polys)
+        for mon, c in a.terms.items():
+            col = proj.get(mon)
+            if col is None:
+                raise ValueError(
+                    "A-part is not a normal form homogeneous of the degree"
+                )
+            for r, u in col:
+                v[r] += c * u
+        return v
 
     def component_rank(self, I: frozenset, chow_deg: int) -> int:
         return len(self._quotient_data(I, chow_deg)[1])
@@ -379,6 +409,57 @@ class WDPresentation:
 
         return series.normalize(coeffs)
 
+    def product_columns(self, keys, y: "WDElement", degree: int, twist: TwistClass):
+        """Coordinates over basis(degree, twist) of basis_element(key) * y
+        for each key, where y has the single component a_y * e_J * R_T.
+
+        The product of key = (I, S, chow_deg, idx) with y lies in the one
+        slot (I ^ J, S | T); its A-part is the normal form of
+        b * a_y * p_{I & J}, b the basis polynomial of key, summed from
+        the monomial normal forms of A and read through the sparse
+        projection of that slot.  No element is built and no other slot
+        is visited.
+        """
+        if not keys:
+            return []
+        ((J, T), a_y), = y.components.items()
+        slots, size = {}, 0
+        for I, S, chow_deg in self._slots(degree, twist):
+            slots[(I, S)] = (size, chow_deg)
+            size += self.component_rank(I, chow_deg)
+        nf = self.A._monomial_nf
+        degree_of = self.A.ring.monomial_degree
+        factors = {}  # I & J -> (terms of nf(a_y * p_{I & J}), Chow degree)
+        cols = []
+        for I, S, chow_deg, idx in keys:
+            col = [0] * size
+            cols.append(col)
+            product = _component_product(I, S, J, T)
+            if product is None:
+                continue
+            target, sign, K = product
+            factor = factors.get(K)
+            if factor is None:
+                f = self.A.normal_form(a_y * self.p_top_product(K)).terms
+                factor = factors[K] = (f, degree_of(next(iter(f))) if f else -1)
+            f, f_deg = factor
+            place = slots.get(target)
+            if not f or place is None or chow_deg + f_deg != place[1]:
+                continue
+            offset, target_deg = place
+            acc: dict = {}
+            for m1, c1 in self.component_basis_polys(I, chow_deg)[idx].terms.items():
+                for m2, c2 in f.items():
+                    c12 = sign * c1 * c2
+                    for m, c in nf(tuple(map(add, m1, m2))).items():
+                        acc[m] = acc.get(m, 0) + c12 * c
+            proj = self._quotient_data(target[0], target_deg)[0]
+            for m, c in acc.items():
+                if c:
+                    for r, u in proj[m]:
+                        col[offset + r] += c * u
+        return cols
+
     def coords(self, x: "WDElement", degree: int, twist: TwistClass):
         """Coordinates over basis() of the (degree, twist) part of x, which
         may be any representative: each part read is normal-formed here."""
@@ -391,9 +472,15 @@ class WDPresentation:
         return out
 
 
-def _exterior_sign(S: frozenset, T: frozenset) -> int:
+def _component_product(I, S, J, T):
+    """The product rule of two components, e_I R_S * e_J R_T =
+    sign * p_{I & J} * e_{I ^ J} R_{S | T}: returns ((I ^ J, S | T),
+    sign, I & J), or None when S and T share a label (R_l^2 = 0).  The
+    sign is that of the shuffle of S past T."""
+    if S & T:
+        return None
     inv = sum(1 for s in S for t in T if s > t)
-    return -1 if inv & 1 else 1
+    return (I ^ J, S | T), -1 if inv & 1 else 1, I & J
 
 
 class WDElement:
@@ -450,15 +537,13 @@ class WDElement:
         out: dict = {}
         for (I, S), a in self.components.items():
             for (J, T), b in other.components.items():
-                if S & T:
+                product = _component_product(I, S, J, T)
+                if product is None:
                     continue
-                sign = _exterior_sign(S, T)
-                part = a * b
-                for i in I & J:
-                    part = part * pres.p_top_image(i)
+                key, sign, K = product
+                part = a * b * pres.p_top_product(K)
                 if sign < 0:
                     part = -part
-                key = (I ^ J, S | T)
                 if key in out:
                     out[key] = out[key] + part
                 else:
@@ -563,11 +648,6 @@ def ann_euler(shape: FlagShape, i: int):
     twist_e = pres.euler_twist(i)
     twists = all_twist_classes(shape.m)
 
-    def product_coords(key, y, degree, twist):
-        # coords reads any representative, so the product is not reduced
-        prod = pres.basis_element(key)._unreduced_product(y)
-        return pres.coords(WDElement(pres, prod, reduce=False), degree, twist)
-
     degrees_checked = []
     status = "pass"
     failure = None
@@ -576,19 +656,13 @@ def ann_euler(shape: FlagShape, i: int):
             src = pres.basis(d, twist)
             if not src:
                 continue
-            tgt_twist = twist + twist_e
-            tgt = pres.basis(d + deg_e, tgt_twist)
-            mat_rows = len(tgt)
-            cols = [product_coords(key, e_elt, d + deg_e, tgt_twist) for key in src]
-            mat = [
-                [cols[j][r] for j in range(len(cols))] for r in range(mat_rows)
-            ]
-            kern = intlinalg.kernel_basis(mat, len(src))
-            ideal_rows = []
-            if d >= deg_x:
-                for key in pres.basis(d - deg_x, twist + twist_x):
-                    ideal_rows.append(product_coords(key, x, d, twist))
-            if intlinalg.hnf(kern) != intlinalg.hnf(ideal_rows):
+            cols = pres.product_columns(src, e_elt, d + deg_e, twist + twist_e)
+            # kernel_basis returns the canonical HNF of the kernel
+            kern = intlinalg.kernel_basis(list(zip(*cols)), len(src))
+            ideal_rows = pres.product_columns(
+                pres.basis(d - deg_x, twist + twist_x), x, d, twist
+            )
+            if kern != intlinalg.hnf(ideal_rows):
                 status = "fail"
                 failure = (d, str(twist))
                 break

@@ -437,6 +437,61 @@ def test_kernel_image_ranks_sum_to_order():
             assert ker + im == math.factorial(N)
 
 
+def polynomial_multiplication_matrix(pres, g, d):
+    """Multiplication by g on degree d through ring products and normal_form."""
+    target = d + g.degree()
+    cols = [
+        pres.coords(pres.normal_form(pres.ring.monomial(mon) * g), target)
+        for mon in pres.standard_monomials(d)
+    ]
+    return [[col[i] for col in cols] for i in range(pres.rank(target))]
+
+
+def test_multiplication_matrix_matches_the_polynomial_route():
+    # every composition with N <= 5; the multipliers include 0, 1, every
+    # generator and a non-normal-form polynomial, and the degrees run
+    # past the top so that some targets lie above it
+    rng = random.Random(2718)
+    for N in range(1, 6):
+        for parts in compositions(N):
+            pres = ChowRingPresentation(FlagShape(parts))
+            gens = [pres.ring.zero(), pres.ring.one()]
+            for i, size in enumerate(parts, start=1):
+                gens.extend(pres.generator(i, j) for j in range(1, size + 1))
+            top = pres.top_chern(len(parts))
+            gens.append(rng.randint(1, 3) * top ** 2 - pres.generator(1, 1) ** (2 * parts[-1]))
+            for g in gens:
+                for d in range(pres.dim + 2):
+                    expected = polynomial_multiplication_matrix(pres, g, d)
+                    assert pres.multiplication_matrix(g, d) == expected, (parts, g, d)
+
+
+def test_multiplication_matrix_rejects_foreign_and_inhomogeneous_multipliers():
+    pres = ChowRingPresentation(FlagShape([2, 1]))
+    other = ChowRingPresentation(FlagShape([1, 2]))
+    with pytest.raises(ValueError, match="not in this Chow ring"):
+        pres.multiplication_matrix(other.generator(1, 1), 0)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        pres.multiplication_matrix(pres.ring.one() + pres.generator(1, 1), 0)
+
+
+def test_multiplication_matrix_and_ideal_lattice_are_shared_and_left_intact():
+    fl = FullFlagRing(4)
+    g, a = fl.x_interval_product(1), fl.x_interval_product(2)
+    mats = {d: fl.multiplication_matrix(g, d) for d in range(fl.dim + 1)}
+    lats = {d: ideal_lattice(fl, [a], d) for d in range(fl.dim + 1)}
+    snapshot = [[list(r) for r in m] for m in mats.values()]
+    lat_snapshot = [[list(r) for r in m] for m in lats.values()]
+    for d, mat in mats.items():
+        assert fl.multiplication_matrix(g, d) is mat
+        assert ideal_lattice(fl, [a], d) is lats[d]
+        intlinalg.smith_normal_form(mat)
+    ideal_quotient_degreewise(fl, [a], [g])
+    _check_quotient(fl, [a], [g], fl.ring.var(1), "(x_[2] : x_[1]) = (x_2)")
+    assert [fl.multiplication_matrix(g, d) for d in mats] == snapshot
+    assert [ideal_lattice(fl, [a], d) for d in lats] == lat_snapshot
+
+
 def test_ideal_quotient_by_unit():
     fl = full_flag_ring(3)
     a = fl.x_interval_product(2)

@@ -189,6 +189,19 @@ def test_kernel_basis_is_a_saturated_kernel():
             assert diag == [1] * len(kern)
 
 
+def test_kernel_basis_is_already_its_hnf():
+    # ann_euler compares the kernel with an HNF without re-normalizing it
+    rng = random.Random(9191)
+    for _ in range(300):
+        m, n, r = rng.randint(0, 5), rng.randint(1, 6), rng.randint(1, 3)
+        # every other matrix has rank at most r, so kernels of rank >= 2 occur
+        mat = random_matrix(rng, m, n)
+        if rng.random() < 0.5:
+            mat = matmul(random_matrix(rng, m, r), random_matrix(rng, r, n))
+        kern = kernel_basis(mat, n)
+        assert hnf(kern) == kern, mat
+
+
 def test_lattice_coords_round_trip_and_reject():
     rng = random.Random(577)
     for _ in range(150):

@@ -381,9 +381,47 @@ def compositions(N):
             yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def test_ann_euler_sweep_up_to_n7():
+def element_route_columns(pres, keys, y, degree, twist):
+    """Each column as the old route built it: the product as an unreduced
+    element, read through coords."""
+    return [
+        pres.coords(
+            WDElement(pres, pres.basis_element(key)._unreduced_product(y), reduce=False),
+            degree,
+            twist,
+        )
+        for key in keys
+    ]
+
+
+def test_product_columns_match_the_element_route():
+    # every composition with N <= 6, by e_i and x for every even block i,
+    # and by every exterior generator R_l: all-even, mixed and all-odd
+    # shapes, with the exterior sign exercised
+    for N in range(2, 7):
+        for parts in compositions(N):
+            shape = FlagShape(parts)
+            pres = build_sigma(shape)
+            ys = [pres.exterior(l) for l in pres.r_labels]
+            for i, d in enumerate(parts, start=1):
+                if d % 2 == 0:
+                    ys += [pres.euler(i), annihilator_generator(shape, i)]
+            for y in ys:
+                ((J, _),) = y.components
+                (deg_y,) = y.homogeneous_degrees()
+                twist_y = pres.subset_twist(J)
+                for deg in range(pres.max_degree() + 1):
+                    for twist in all_twist_classes(shape.m):
+                        keys = pres.basis(deg, twist)
+                        target = (deg + deg_y, twist + twist_y)
+                        assert pres.product_columns(keys, y, *target) == (
+                            element_route_columns(pres, keys, y, *target)
+                        ), (parts, y, deg, twist)
+
+
+def test_ann_euler_sweep_up_to_n8():
     cases = 0
-    for N in range(2, 8):
+    for N in range(2, 9):
         for parts in compositions(N):
             shape = FlagShape(parts)
             for i, d in enumerate(parts, start=1):
@@ -391,7 +429,7 @@ def test_ann_euler_sweep_up_to_n7():
                     _, rep = ann_euler(shape, i)
                     assert rep["status"] == "pass", (parts, i, rep)
                     cases += 1
-    assert cases == 132
+    assert cases == 309
 
 
 # -- the integral over the real flag variety ---------------------------------
