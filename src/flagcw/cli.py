@@ -3,6 +3,8 @@
 Output is deterministic; ``--format json`` emits one object with the
 schema {"command", "input", "result", "checks": [{"name", "status"}]}.
 Exit codes: 0 success, 1 validation error, 2 verification failure.
+One function, ``respond``, builds every payload and picks every exit
+code; ``count`` prints its JSON object in either format.
 
 Every run is a fresh interpreter, so each command pays for its imports.
 This module imports only argparse, json, math, sys and the flagcw
@@ -123,12 +125,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def emit(args, payload: dict, text_lines) -> None:
-    if args.fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def respond(args, inputs: dict, result: dict, checks, lines=None) -> int:
+    """Print a command's answer; return 2 if one of its checks fails, else 0.
+
+    checks are (statement, holds) pairs.  The payload is printed as JSON
+    under --format json, and always when no text lines are given (count).
+    """
+    checks = [{"name": n, "status": "pass" if ok else "fail"} for n, ok in checks]
+    payload = {"command": args.command, "input": inputs, "result": result,
+               "checks": checks}
+    if args.fmt == "json" or lines is None:
+        lines = [json.dumps(payload, sort_keys=True)]
+    for line in lines:
+        print(line)
+    return 2 if any(c["status"] == "fail" for c in checks) else 0
 
 
 def cmd_poincare(args) -> int:
@@ -144,30 +154,18 @@ def cmd_poincare(args) -> int:
     if args.theory == "chow" or args.theory == "ch2":
         poly = flagchow.chow_poincare(shape)
         cells = multinomial(shape)
-        checks.append(
-            {
-                "name": f"coefficients sum to the multinomial N!/prod d_i! = {cells}",
-                "status": "pass" if sum(poly) == cells else "fail",
-            }
-        )
+        checks = [(f"coefficients sum to the multinomial N!/prod d_i! = {cells}",
+                   sum(poly) == cells)]
     elif args.theory == "w":
         poly = wdring.wd_poincare(shape, twist)
     elif sq2_route:
         poly = steenrod.torsion_poincare_from_sq2(shape, twist)
     else:
         poly = steenrod.torsion_poincare_closed(shape.N, twist)
-    payload = {
-        "command": "poincare",
-        "input": {
-            "shape": str(shape),
-            "theory": args.theory,
-            "twist": str(twist),
-        },
-        "result": {"coefficients": poly, "polynomial": series.to_string(poly)},
-        "checks": checks,
-    }
-    emit(args, payload, [series.to_string(poly)])
-    return 0 if all(c["status"] == "pass" for c in checks) else 2
+    text = series.to_string(poly)
+    inputs = {"shape": str(shape), "theory": args.theory, "twist": str(twist)}
+    return respond(args, inputs, {"coefficients": poly, "polynomial": text},
+                   checks, [text])
 
 
 def cmd_wring(args) -> int:
@@ -183,18 +181,9 @@ def cmd_wring(args) -> int:
         lines.append(f"degree {d}: rank {len(labels)}" + (
             "  " + ", ".join(labels) if labels else ""
         ))
-    payload = {
-        "command": "wring",
-        "input": {
-            "shape": str(shape),
-            "degree_max": args.degree_max,
-            "twist": str(twist),
-        },
-        "result": {"basis": degrees, "parity": wdring.build_sigma(shape).parity},
-        "checks": [],
-    }
-    emit(args, payload, lines)
-    return 0
+    inputs = {"shape": str(shape), "degree_max": args.degree_max, "twist": str(twist)}
+    result = {"basis": degrees, "parity": wdring.build_sigma(shape).parity}
+    return respond(args, inputs, result, [], lines)
 
 
 def cmd_annihilator(args) -> int:
@@ -209,22 +198,15 @@ def cmd_annihilator(args) -> int:
             "class is zero"
         )
     x, report = wdring.ann_euler(shape, args.block)
-    payload = {
-        "command": "annihilator",
-        "input": {"shape": str(shape), "block": args.block},
-        "result": {"generator": repr(x), "report": report},
-        "checks": [{"name": report["statement"], "status": report["status"]}],
-    }
-    emit(
+    return respond(
         args,
-        payload,
-        [
-            f"Ann(e_{args.block}) = ({x!r})",
-            f"verified degrees: {report['degrees_checked']}",
-            f"status: {report['status']}",
-        ],
+        {"shape": str(shape), "block": args.block},
+        {"generator": repr(x), "report": report},
+        [(report["statement"], report["status"] == "pass")],
+        [f"Ann(e_{args.block}) = ({x!r})",
+         f"verified degrees: {report['degrees_checked']}",
+         f"status: {report['status']}"],
     )
-    return 0 if report["status"] == "pass" else 2
 
 
 def cmd_euler(args) -> int:
@@ -249,18 +231,10 @@ def cmd_euler(args) -> int:
         euler = charclass.euler_of_expression(expr, args.roots)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    checks = [
-        {"name": name, "status": "pass" if holds else "fail"}
-        for name, holds in charclass.euler_checks(expr, args.roots)
-    ]
-    payload = {
-        "command": "euler",
-        "input": {"expr": args.expr, "roots": args.roots},
-        "result": {"rank": rank, "euler": str(euler)},
-        "checks": checks,
-    }
-    emit(args, payload, [f"rank: {rank}", f"euler: {euler}"])
-    return 0 if all(c["status"] == "pass" for c in checks) else 2
+    return respond(args, {"expr": args.expr, "roots": args.roots},
+                   {"rank": rank, "euler": str(euler)},
+                   charclass.euler_checks(expr, args.roots),
+                   [f"rank: {rank}", f"euler: {euler}"])
 
 
 def count_checks(preset: str, result: dict) -> list:
@@ -298,23 +272,21 @@ def count_checks(preset: str, result: dict) -> list:
 
 def cmd_count(args) -> int:
     result = counts.count_preset(args.preset)
-    checks = [
-        {"name": name, "status": "pass" if holds else "fail"}
-        for name, holds in count_checks(args.preset, result)
-    ]
-    payload = {
-        "command": "count",
-        "input": {"preset": args.preset},
-        "result": result,
-        "checks": checks,
+    return respond(args, {"preset": args.preset}, result,
+                   count_checks(args.preset, result))
+
+
+def suite_report(shape, statement: str, degrees: int, holds: bool) -> dict:
+    """A verify report over the degrees 0..degrees-1."""
+    return {
+        "shape": str(shape),
+        "statement": statement,
+        "degrees_checked": list(range(degrees)),
+        "status": "pass" if holds else "fail",
     }
-    # counts always print machine-readable JSON
-    print(json.dumps(payload, sort_keys=True))
-    return 0 if all(c["status"] == "pass" for c in checks) else 2
 
 
 def cmd_verify(args) -> int:
-    checks = []
     reports = []
     if args.suite == "piqp":
         for N in range(2, 6):
@@ -338,19 +310,12 @@ def cmd_verify(args) -> int:
             for twist in wdring.all_twist_classes(N):
                 closed = steenrod.torsion_poincare_closed(N, twist)
                 computed = steenrod.torsion_poincare_from_sq2(shape, twist)
-                ok = closed == computed
                 bock = steenrod.bockstein_cohomology_ranks(shape, twist)
                 wd = wdring.wd_poincare(shape, twist)
-                ok = ok and bock == wd
-                reports.append(
-                    {
-                        "shape": str(shape),
-                        "statement": f"Sq^2 torsion/Bockstein vs closed forms, "
-                        f"twist {twist}",
-                        "degrees_checked": list(range(len(computed))),
-                        "status": "pass" if ok else "fail",
-                    }
-                )
+                reports.append(suite_report(
+                    shape, f"Sq^2 torsion/Bockstein vs closed forms, twist {twist}",
+                    len(computed), closed == computed and bock == wd,
+                ))
     else:  # poincare
         expectations = [
             ((1, 1, 1), "chow", [1, 2, 2, 1]),
@@ -360,32 +325,17 @@ def cmd_verify(args) -> int:
         ]
         for parts, theory, expected in expectations:
             shape = FlagShape(parts)
-            got = (
-                flagchow.chow_poincare(shape)
-                if theory == "chow"
-                else steenrod.torsion_poincare_closed(
-                    shape.N, TwistClass.trivial(shape.m)
-                )
-            )
-            reports.append(
-                {
-                    "shape": str(shape),
-                    "statement": f"{theory} Poincare polynomial regression",
-                    "degrees_checked": list(range(len(expected))),
-                    "status": "pass" if got == expected else "fail",
-                }
-            )
-    for rep in reports:
-        checks.append({"name": f"{rep['shape']}: {rep['statement']}", "status": rep["status"]})
-    payload = {
-        "command": "verify",
-        "input": {"suite": args.suite},
-        "result": {"reports": reports},
-        "checks": checks,
-    }
-    lines = [json.dumps(rep, sort_keys=True) for rep in reports]
-    emit(args, payload, lines)
-    return 0 if all(c["status"] == "pass" for c in checks) else 2
+            twist = TwistClass.trivial(shape.m)
+            got = (flagchow.chow_poincare(shape) if theory == "chow"
+                   else steenrod.torsion_poincare_closed(shape.N, twist))
+            reports.append(suite_report(
+                shape, f"{theory} Poincare polynomial regression",
+                len(expected), got == expected,
+            ))
+    checks = [(f"{rep['shape']}: {rep['statement']}", rep["status"] == "pass")
+              for rep in reports]
+    return respond(args, {"suite": args.suite}, {"reports": reports}, checks,
+                   [json.dumps(rep, sort_keys=True) for rep in reports])
 
 
 def run(argv) -> int:

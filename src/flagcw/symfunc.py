@@ -5,7 +5,10 @@ n-space, a symmetric polynomial in the k Chern roots of the (dual)
 tautological subbundle integrates to the coefficient of the Schur
 polynomial s_{(n-k)^k}, extracted by the bialternant trick -- multiply
 by the Vandermonde determinant and read off the staircase coefficient
-(n-1, n-2, ..., n-k).  Everything is exact over the integers.
+(n-1, n-2, ..., n-k).  The capped product kernel
+``grassmann_integrate_product`` is the only reader of that coefficient;
+a single polynomial is integrated as a one-factor product.  Everything
+is exact over the integers.
 """
 
 from __future__ import annotations
@@ -48,16 +51,9 @@ class Partition:
     def __hash__(self):
         return hash(self.parts)
 
-    def __lt__(self, other):
-        return self.parts < other.parts
-
     @property
     def size(self) -> int:
         return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
 
     def part(self, i: int) -> int:
         """1-indexed part, 0 beyond the length."""
@@ -191,22 +187,6 @@ def q_spec(lam: Partition, M: int) -> int:
     return schur_at(lam, points)
 
 
-def _check_symmetric(p: GradedPolynomial, k: int):
-    if k > p.ring.nvars:
-        raise ValueError(f"{k} roots but only {p.ring.nvars} ring variables")
-    names = p.ring.names[:k]
-    for i in range(k - 1):
-        swapped = {}
-        for mon, c in p.terms.items():
-            m = list(mon)
-            m[i], m[i + 1] = m[i + 1], m[i]
-            swapped[tuple(m)] = c
-        if swapped != p.terms:
-            raise ValueError(
-                f"polynomial is not symmetric under swapping {names[i]},{names[i+1]}"
-            )
-
-
 def vandermonde(ring: PolyRing, k: int) -> GradedPolynomial:
     v = ring.one()
     for i in range(k):
@@ -220,31 +200,9 @@ def root_ring(k: int) -> PolyRing:
 
 
 def grassmann_integrate(k: int, n: int, p: GradedPolynomial) -> int:
-    """Integral over Gr(k, n) of a symmetric polynomial in k Chern roots.
-
-    Only the part of top degree k(n-k) contributes; the result is the
-    coefficient of s_{(n-k)^k}, read off through the bialternant: the
-    coefficient of x^staircase in top * Vandermonde, summed over the
-    Vandermonde's k! terms.
-    """
-    if p.is_zero():
-        return 0
-    dim = k * (n - k)
-    top = {}
-    for mon, c in p.terms.items():
-        if any(mon[k:]):
-            raise ValueError("polynomial uses more than k root variables")
-        if sum(mon) == dim:
-            top[mon] = c
-    if not top:
-        return 0
-    _check_symmetric(GradedPolynomial(p.ring, top), k)
-    staircase = p.ring.key(n - 1 - i for i in range(k))
-    total = 0
-    for v, c in vandermonde(p.ring, k).terms.items():
-        # a complement with a negative exponent matches no key of top
-        total += c * top.get(tuple(map(sub, staircase, v)), 0)
-    return total
+    """Integral over Gr(k, n) of a symmetric polynomial in k Chern roots:
+    the one-factor case of ``grassmann_integrate_product``."""
+    return grassmann_integrate_product(k, n, [p])
 
 
 def product_of_factors(ring: PolyRing, factors) -> GradedPolynomial:
@@ -286,12 +244,15 @@ def _check_factors_symmetric(factors, k: int):
 def grassmann_integrate_product(k: int, n: int, factors) -> int:
     """Integral over Gr(k, n) of the product of factors in k Chern roots.
 
-    Equals ``grassmann_integrate(k, n, product_of_factors(ring, factors))``
-    for a non-empty factor list that every permutation of the k roots
-    maps to itself (checked up front, so the product is symmetric), but
-    never forms the full product.  The bialternant reads only exponents
-    up to n-1 and exponents only grow, so after each factor every
-    monomial with an exponent above n-1 is dropped.
+    The factor list must be non-empty, and every permutation of the k
+    roots must map it to itself (checked up front, so the product is
+    symmetric).  Only the part of top degree k(n-k) contributes; the
+    result is the coefficient of s_{(n-k)^k}, read off through the
+    bialternant: the coefficient of x^staircase in product * Vandermonde,
+    summed over the Vandermonde's k! terms.  The full product is never
+    formed.  The bialternant reads only exponents up to n-1 and exponents
+    only grow, so after each factor every monomial with an exponent above
+    n-1 is dropped.
 
     Monomials are packed into one int with W bits per root, so a product
     of monomials is one add.  Every accumulated key carries 2^(W-1)-1-(n-1)

@@ -23,6 +23,12 @@ reduced form is rebuilt from them on the cached basis polynomials.  This
 projection is stored as sparse columns, standard monomial -> [(row,
 entry)], and a component without a quotient stores the identity.
 
+One table, built with the presentation, maps each (degree, twist) slot
+to the components a * e_I * R_S that reach it, as (I, S, chow_deg) in
+basis order with chow_deg at most dim of the half shape.  Bases,
+coordinates, product columns and Poincare series read it, and
+``ann_euler`` visits only its slots.
+
 Two generator components multiply by one rule, e_I R_S * e_J R_T =
 +-p_{I & J} e_{I ^ J} R_{S | T}, shared by WDElement products and by
 ``ann_euler``.  The annihilator check never builds a product element:
@@ -141,16 +147,18 @@ class WDPresentation:
         self.r_labels = tuple(range(self.q + 1, self.n + 1))
         self._quotient_cache = {}
         self._p_top_cache = {}
-        # twist -> [(I, deg e_I), ...] in _euler_subsets() order; basis
-        # keys and coordinates follow this order
-        self._euler_slots = {}
-        for I in self._euler_subsets():
-            self._euler_slots.setdefault(self.subset_twist(I), []).append(
-                (I, self.subset_degree(I))
-            )
-        self._exterior_slots = [
+        # (degree, twist) -> [(I, S, chow_deg), ...] in basis order: the
+        # order of _euler_subsets, then of _exterior_subsets
+        self.slot_table = {}
+        exterior = [
             (S, sum(self.r_degree(l) for l in S)) for S in self._exterior_subsets()
         ]
+        for I in self._euler_subsets():
+            twist, e_deg = self.subset_twist(I), self.subset_degree(I)
+            for S, r_deg in exterior:
+                for chow_deg in range(self.half_shape.dim + 1):
+                    key = (e_deg + r_deg + 4 * chow_deg, twist)
+                    self.slot_table.setdefault(key, []).append((I, S, chow_deg))
 
     # -- generator data --------------------------------------------------
 
@@ -350,15 +358,6 @@ class WDPresentation:
 
     # -- basis / Poincare ----------------------------------------------------
 
-    def _slots(self, degree: int, twist: TwistClass):
-        """(I, S, chow_deg) of every component a * e_I * R_S that can
-        reach the given degree and twist, in basis order."""
-        for I, e_deg in self._euler_slots.get(twist, ()):
-            for S, r_deg in self._exterior_slots:
-                rem = degree - e_deg - r_deg
-                if rem >= 0 and rem % 4 == 0:
-                    yield I, S, rem // 4
-
     def basis(self, degree: int, twist: TwistClass):
         """Free-module basis in the given degree and twist.
 
@@ -368,7 +367,7 @@ class WDPresentation:
         """
         return [
             (I, S, chow_deg, idx)
-            for I, S, chow_deg in self._slots(degree, twist)
+            for I, S, chow_deg in self.slot_table.get((degree, twist), ())
             for idx in range(self.component_rank(I, chow_deg))
         ]
 
@@ -401,10 +400,10 @@ class WDPresentation:
 
     def poincare(self, twist: TwistClass):
         """Coefficient list of the Poincare series of the twist-graded part."""
-        top = self.max_degree()
-        coeffs = [0] * (top + 1)
-        for d in range(top + 1):
-            coeffs[d] = len(self.basis(d, twist))
+        coeffs = [0] * (self.max_degree() + 1)
+        for (d, t), slots in self.slot_table.items():
+            if t == twist:
+                coeffs[d] += sum(self.component_rank(I, k) for I, S, k in slots)
         from . import series
 
         return series.normalize(coeffs)
@@ -424,7 +423,7 @@ class WDPresentation:
             return []
         ((J, T), a_y), = y.components.items()
         slots, size = {}, 0
-        for I, S, chow_deg in self._slots(degree, twist):
+        for I, S, chow_deg in self.slot_table.get((degree, twist), ()):
             slots[(I, S)] = (size, chow_deg)
             size += self.component_rank(I, chow_deg)
         nf = self.A._monomial_nf
@@ -465,7 +464,7 @@ class WDPresentation:
         may be any representative: each part read is normal-formed here."""
         out = []
         zero = self.A.ring.zero()
-        for I, S, chow_deg in self._slots(degree, twist):
+        for I, S, chow_deg in self.slot_table.get((degree, twist), ()):
             a = x.components.get((I, S), zero).homogeneous_part(chow_deg)
             a = self.A.normal_form(a)
             out.extend(self.component_coords(I, a, chow_deg))
@@ -646,29 +645,26 @@ def ann_euler(shape: FlagShape, i: int):
     e_elt = pres.euler(i)
     deg_e = pres.euler_degree(i)
     twist_e = pres.euler_twist(i)
-    twists = all_twist_classes(shape.m)
+    twist_order = {t: pos for pos, t in enumerate(all_twist_classes(shape.m))}
 
     degrees_checked = []
     status = "pass"
     failure = None
-    for d in range(pres.max_degree() + 1):
-        for twist in twists:
-            src = pres.basis(d, twist)
-            if not src:
-                continue
-            cols = pres.product_columns(src, e_elt, d + deg_e, twist + twist_e)
-            # kernel_basis returns the canonical HNF of the kernel
-            kern = intlinalg.kernel_basis(list(zip(*cols)), len(src))
-            ideal_rows = pres.product_columns(
-                pres.basis(d - deg_x, twist + twist_x), x, d, twist
-            )
-            if kern != intlinalg.hnf(ideal_rows):
-                status = "fail"
-                failure = (d, str(twist))
-                break
-            degrees_checked.append((d, str(twist)))
-        if status == "fail":
+    for d, twist in sorted(pres.slot_table, key=lambda s: (s[0], twist_order[s[1]])):
+        src = pres.basis(d, twist)
+        if not src:
+            continue
+        cols = pres.product_columns(src, e_elt, d + deg_e, twist + twist_e)
+        # kernel_basis returns the canonical HNF of the kernel
+        kern = intlinalg.kernel_basis(list(zip(*cols)), len(src))
+        ideal_rows = pres.product_columns(
+            pres.basis(d - deg_x, twist + twist_x), x, d, twist
+        )
+        if kern != intlinalg.hnf(ideal_rows):
+            status = "fail"
+            failure = (d, str(twist))
             break
+        degrees_checked.append((d, str(twist)))
     report = {
         "shape": str(shape),
         "statement": f"Ann(e_{i}) = (x), x per annihilator theorem "

@@ -264,6 +264,46 @@ def test_golden_answer_hashes(capsys):
         assert answer_hash({"coefficients": coefficients}) == expected, twist
 
 
+# sha256 of the whole stdout of a run, text format then JSON, and the exit
+# code: this pins the text lines, the checks and the exit-code rule, which
+# the answer hashes above leave out.  count prints the same JSON in either
+# format, and a refused command prints nothing on stdout.
+PINNED_OUTPUT = [
+    (("count", "--preset", "cubic-lines"), 0,
+     "1a8a7393c9d1c6024ba4ef86838ffe24926ecb7128c9447e3a94ad3e27b0c8cb",
+     "1a8a7393c9d1c6024ba4ef86838ffe24926ecb7128c9447e3a94ad3e27b0c8cb"),
+    (("verify", "--suite", "poincare"), 0,
+     "e756b4f158ecf80809a226340bb6c8f7aabcabaf41e813ac1c8535e20f868934",
+     "d7eec840f90c91c49d65c7ebccfcd5cdd30e80ab0890f828304fe2f3d06d91f8"),
+    (("annihilator", "--shape", "2,2", "--block", "1"), 0,
+     "fe8c532b2cff5bab044b3a69e60cf60dca420e5266804a836991cdaebc458095",
+     "c2b5db1e781c9765f99ab2f7995d7265e3f2db137bda44b9cad955df698bc586"),
+    (("wring", "--shape", "1,2,2", "--degree-max", "12", "--twist", "1"), 0,
+     "d19a9251e9947cdfbf36d5d17a5f73722658db678b4f6c39a300a169c6eacecc",
+     "3374d4fc689960a9a00147c4a85218c6dd5fc92b3c94cf72f1bf89345e99c785"),
+    (("euler", "--expr", "sym^5(D1 + D2)"), 0,
+     "fff781bba1cd8c815088467484c2f760266b4d5a51785943d8cf78e8f726a4e3",
+     "61d125e344d58ce7a4a82d4e6c2615c3138d7b3e4450ec49e74b6767df78fac1"),
+    (("poincare", "--theory", "chow", "--shape", "2,2,4"), 0,
+     "f33e817e2034060e2caba728c187d2ce989dfe2ca05e2bb600363da1ed7d9d48",
+     "0295b6038b4d328e73d0356d6c006a4cdb60e8485f362391efb3982da62c3088"),
+    (("poincare", "--theory", "torsion", "--shape", "1,1,2"), 0,
+     "404f2a525d02b37c2ffb4f82468b8398a51eb8b75f3ad1ba4cc033d491b08f92",
+     "8762108e46251bc41aa74f9d84e565d91124d52b37256a94b7b6362f2b8ab162"),
+    (("annihilator", "--shape", "1,2", "--block", "1"), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+def test_pinned_output(capsys):
+    for argv, code, *hashes in PINNED_OUTPUT:
+        for fmt, expected in zip(("text", "json"), hashes):
+            assert cli.run(["--format", fmt, *argv]) == code, (fmt, argv)
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == expected, (fmt, argv)
+
+
 def test_torsion_refuses_a_shape_above_the_rank_limit(monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("torsion computed for a refused shape")

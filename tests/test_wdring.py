@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from flag_oracle import compositions
 
-from flagcw import intlinalg
+from flagcw import intlinalg, series
 from flagcw.flagchow import FlagShape, chow_poincare
 from flagcw.poly import PolyRing
 from flagcw.wdring import (
@@ -259,6 +260,26 @@ def test_p_top_image_matches_fresh_pullback(parts):
         assert pres.p_top_image(i) == expected  # second call reads the cache
 
 
+@pytest.mark.parametrize("parts", CACHE_SHAPES)
+def test_slot_table_matches_the_full_degree_twist_sweep(parts):
+    # the routes before the slot table: every degree up to max_degree()
+    # times every twist class, bases enumerated straight from the subsets
+    shape = FlagShape(parts)
+    pres = build_sigma(shape)
+    nonempty = 0
+    for twist in all_twist_classes(shape.m):
+        ranks = [
+            len(reference_basis(pres, d, twist)) for d in range(pres.max_degree() + 1)
+        ]
+        assert pres.poincare(twist) == series.normalize(ranks), twist
+        nonempty += sum(1 for r in ranks if r)
+    for i, d in enumerate(parts, start=1):
+        if d % 2 == 0:
+            _, rep = ann_euler(shape, i)
+            assert rep["status"] == "pass"
+            assert rep["slots_checked"] == nonempty, i
+
+
 # -- quotient coordinates ------------------------------------------------------
 
 QUOTIENT_SHAPES = CACHE_SHAPES + [(2, 4, 4)]
@@ -373,14 +394,6 @@ def test_basis_key_order_within_a_twist():
 # -- annihilator sweeps -------------------------------------------------------
 
 
-def compositions(N):
-    """Every composition of N with at least two parts."""
-    for r in range(1, N):
-        for cuts in itertools.combinations(range(1, N), r):
-            bounds = (0,) + cuts + (N,)
-            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-
 def element_route_columns(pres, keys, y, degree, twist):
     """Each column as the old route built it: the product as an unreduced
     element, read through coords."""
@@ -399,7 +412,7 @@ def test_product_columns_match_the_element_route():
     # and by every exterior generator R_l: all-even, mixed and all-odd
     # shapes, with the exterior sign exercised
     for N in range(2, 7):
-        for parts in compositions(N):
+        for parts in compositions(N, min_parts=2):
             shape = FlagShape(parts)
             pres = build_sigma(shape)
             ys = [pres.exterior(l) for l in pres.r_labels]
@@ -422,7 +435,7 @@ def test_product_columns_match_the_element_route():
 def test_ann_euler_sweep_up_to_n8():
     cases = 0
     for N in range(2, 9):
-        for parts in compositions(N):
+        for parts in compositions(N, min_parts=2):
             shape = FlagShape(parts)
             for i, d in enumerate(parts, start=1):
                 if d % 2 == 0:
