@@ -11,11 +11,13 @@ The calculus:
                       specialization q_lambda(M) = s_lambda(M^2,(M-2)^2,..)
   e(Sym^k(A + B))   = prod_i e(Sym^i A (x) Sym^(k-i) B)
 
-Overall signs follow the printed factor order; consumers compare up to a
-single overall sign where orientations are left unchosen.
+Every builder takes its root variables and works in their ring.  Overall
+signs follow the printed factor order; consumers compare up to a single
+overall sign where orientations are left unchosen.
 
 The bundle-expression nodes (Taut, Trivial, Dual, Sum, Tensor, Sym) are
-immutable value objects.
+immutable value objects.  ``_normalize`` flattens one to validated
+atoms, and both its Euler class and its rank are read from them.
 """
 
 from __future__ import annotations
@@ -117,34 +119,24 @@ def euler_tensor_cauchy(pA, pB, m: int, n: int):
     the n x m box.
     """
 
-    def fetch(seq):
-        def v(j):
-            if j < 0 or j >= len(seq):
-                return 0
-            return seq[j]
-
-        return v
-
-    vA, vB = fetch(list(pA)), fetch(list(pB))
     total = 0
     for lam in partitions_in_box(m, n):
         dual = box_dual(lam, m, n)
         sign = -1 if dual.size % 2 else 1
-        term = jacobi_trudi_delta(lam.transpose(), vA)
+        term = jacobi_trudi_delta(lam.transpose(), pA)
         if isinstance(term, int) and term == 0:
             continue
-        term2 = jacobi_trudi_delta(dual.transpose(), vB)
+        term2 = jacobi_trudi_delta(dual.transpose(), pB)
         total = total + sign * term * term2
     return total
 
 
-def euler_sym_tensor(M: int, N: int, ring: PolyRing = None) -> GradedPolynomial:
+def euler_sym_tensor(M: int, N: int, a: GradedPolynomial,
+                     b: GradedPolynomial) -> GradedPolynomial:
     """e(Sym^M(A) (x) Sym^N(B)) for rank-2 A, B with Euler roots a, b."""
     if M < 0 or N < 0:
         raise ValueError("powers must be non-negative")
-    if ring is None:
-        ring = euler_root_ring(2)
-    a, b = ring.var(0), ring.var(1)
+    ring = a.ring
     m = (M + 1) // 2
     n = (N + 1) // 2
     if M % 2 == 0 and N % 2 == 0:
@@ -165,15 +157,15 @@ def euler_sym_tensor(M: int, N: int, ring: PolyRing = None) -> GradedPolynomial:
     return E * double_factorial(M) * a ** m
 
 
-def _euler_sym_tensor_cauchy(M: int, N: int, ring: PolyRing) -> GradedPolynomial:
-    """euler_sym_tensor(M, N) by an independent route, the Cauchy determinant.
+def _euler_sym_tensor_cauchy(M: int, N: int, a: GradedPolynomial,
+                             b: GradedPolynomial) -> GradedPolynomial:
+    """euler_sym_tensor by an independent route, the Cauchy determinant.
 
     For even M, Sym^M(A) is a rank-M bundle with the same Pontryagin class
     plus a trivial line, which contributes the factor e(Sym^N(B)).
     """
     if M % 2 == 0 and N % 2 == 0:
-        return ring.zero()  # trivial line (x) trivial line
-    a, b = ring.var(0), ring.var(1)
+        return a.ring.zero()  # trivial line (x) trivial line
     m, n = (M + 1) // 2, (N + 1) // 2
     pA = pontryagin_sequence(pontryagin_sym_rk2(M, a), m)
     pB = pontryagin_sequence(pontryagin_sym_rk2(N, b), n)
@@ -187,10 +179,10 @@ def _euler_sym_tensor_cauchy(M: int, N: int, ring: PolyRing) -> GradedPolynomial
 
 def euler_sym_sum_rk2(k: int) -> GradedPolynomial:
     """e(Sym^k(A + B)) = prod_{i=0..k} e(Sym^(k-i) A (x) Sym^i B)."""
-    ring = euler_root_ring(2)
-    out = ring.one()
+    a, b = euler_root_ring(2).gens()
+    out = a.ring.one()
     for i in range(k + 1):
-        out = out * euler_sym_tensor(k - i, i, ring)
+        out = out * euler_sym_tensor(k - i, i, a, b)
     return out
 
 
@@ -263,26 +255,6 @@ class Tensor(_Node):
 
 class Sym(_Node):
     __slots__ = ("power", "inner")
-
-
-def bundle_rank(expr, nblocks: int) -> int:
-    """Rank with every tautological block of rank 2 (the --roots convention)."""
-    if isinstance(expr, Taut):
-        if not 1 <= expr.index <= nblocks:
-            raise ValueError(f"block index {expr.index} exceeds --roots {nblocks}")
-        return 2 * expr.index if expr.kind == "S" else 2
-    if isinstance(expr, Trivial):
-        return expr.rank
-    if isinstance(expr, Dual):
-        return bundle_rank(expr.inner, nblocks)
-    if isinstance(expr, Sum):
-        return bundle_rank(expr.left, nblocks) + bundle_rank(expr.right, nblocks)
-    if isinstance(expr, Tensor):
-        return bundle_rank(expr.left, nblocks) * bundle_rank(expr.right, nblocks)
-    if isinstance(expr, Sym):
-        s = bundle_rank(expr.inner, nblocks)
-        return binomial(expr.power + s - 1, s - 1)
-    raise TypeError(f"not a bundle expression: {expr!r}")
 
 
 class BundleGrammarError(ValueError):
@@ -381,10 +353,10 @@ def _normalize(expr, nblocks: int):
     if isinstance(expr, Dual):
         return _normalize(expr.inner, nblocks)
     if isinstance(expr, Taut):
-        if expr.kind == "D":
-            return [("sym", 1, expr.index)]
         if not 1 <= expr.index <= nblocks:
             raise ValueError(f"block index {expr.index} exceeds --roots {nblocks}")
+        if expr.kind == "D":
+            return [("sym", 1, expr.index)]
         return [("sym", 1, j) for j in range(1, expr.index + 1)]
     if isinstance(expr, Trivial):
         return [("triv", expr.rank)] if expr.rank else []
@@ -433,6 +405,21 @@ def _tensor_atoms(a, b):
     return ("symtensor", a[1], a[2], b[1], b[2])
 
 
+def bundle_rank(expr, nblocks: int) -> int:
+    """Rank with every block of rank 2 (the --roots convention): the sum over
+    the atoms of _normalize, Sym^M of a block of rank M + 1, a tensor of two
+    of rank (M + 1)(N + 1), triv(r) of rank r."""
+    rank = 0
+    for atom in _normalize(expr, nblocks):
+        if atom[0] == "triv":
+            rank += atom[1]
+        elif atom[0] == "sym":
+            rank += atom[1] + 1
+        else:
+            rank += (atom[1] + 1) * (atom[3] + 1)
+    return rank
+
+
 def euler_of_expression(expr, nblocks: int) -> GradedPolynomial:
     """Euler class of a bundle expression in the Euler roots of its blocks."""
     ring = euler_root_ring(nblocks)
@@ -448,13 +435,10 @@ def euler_of_expression(expr, nblocks: int) -> GradedPolynomial:
             out = out * euler_sym_rk2(M, ring.var(i - 1))
         else:
             _, M, i, N, j = atom
-            pair = PolyRing((ring.names[i - 1], ring.names[j - 1]), 2)
-            val = euler_sym_tensor(M, N, pair)
+            val = euler_sym_tensor(M, N, ring.var(i - 1), ring.var(j - 1))
             if val.is_zero():
                 return ring.zero()
-            out = out * val.substitute(
-                {pair.names[0]: ring.var(i - 1), pair.names[1]: ring.var(j - 1)}
-            )
+            out = out * val
     return out
 
 
@@ -475,10 +459,10 @@ def cauchy_box_total(expr, nblocks: int) -> int:
 def euler_checks(expr, nblocks: int) -> list:
     """(statement, holds) per Sym^M(D_i) (x) Sym^N(D_j) factor of expr: the
     Cauchy-determinant route equals euler_sym_tensor(M, N)."""
-    ring = euler_root_ring(2)
+    a, b = euler_root_ring(2).gens()
     return [
         (f"Sym^{M}(D{i}) (x) Sym^{N}(D{j}): Cauchy determinant = "
          f"euler_sym_tensor({M}, {N})",
-         _euler_sym_tensor_cauchy(M, N, ring) == euler_sym_tensor(M, N, ring))
+         _euler_sym_tensor_cauchy(M, N, a, b) == euler_sym_tensor(M, N, a, b))
         for M, i, N, j in _tensor_factors(expr, nblocks)
     ]

@@ -4,7 +4,8 @@ Output is deterministic; ``--format json`` emits one object with the
 schema {"command", "input", "result", "checks": [{"name", "status"}]}.
 Exit codes: 0 success, 1 validation error, 2 verification failure.
 One function, ``respond``, builds every payload and picks every exit
-code; ``count`` prints its JSON object in either format.
+code; ``count`` prints its JSON object in either format, with the checks
+that ``counts.count_preset`` returns beside its result.
 
 Every run is a fresh interpreter, so each command pays for its imports.
 This module imports only argparse, json, math, sys and the flagcw
@@ -237,43 +238,9 @@ def cmd_euler(args) -> int:
                    [f"rank: {rank}", f"euler: {euler}"])
 
 
-def count_checks(preset: str, result: dict) -> list:
-    """(statement, holds) pairs for a count preset's result."""
-    if preset == "cubic-lines":
-        form = result["gw_form"]
-        return [
-            ("complex count = 27", result["complex"] == 27),
-            ("real count = 3", result["real"] == 3),
-            ("GW form has rank 27 and signature 3",
-             (form["ones"] + form["minus_ones"], form["ones"] - form["minus_ones"])
-             == (27, 3)),
-        ]
-    if preset == "quintic-4planes":
-        return [("complex count = QUINTIC_FOURPLANES",
-                 result["complex"] == counts.QUINTIC_FOURPLANES)]
-    cplx = result["complex"]
-    routes = result["complex_routes"]
-    checks = [
-        ("complex routes a and b agree", routes["a"] == routes["b"] == cplx),
-        ("complex count = 27 x QUINTIC_FOURPLANES = FLAGS_COMPLEX",
-         cplx == 27 * counts.QUINTIC_FOURPLANES == counts.FLAGS_COMPLEX),
-    ]
-    for key in ("real_primary", "real_diagnostic"):
-        real = result[key]
-        checks.append((f"{key}: |real| <= complex and real = complex mod 2",
-                       abs(real) <= cplx and (cplx - real) % 2 == 0))
-    # the integral reads every monomial of e(E), the difference only the
-    # two the paper keeps
-    c_plus, c_minus = counts.flag_survivors(counts.flag_euler_class())
-    checks.append(("real_diagnostic = int_W e(E) = c_{8,7} - c_{7,8}",
-                   result["real_diagnostic"] == c_plus - c_minus))
-    return checks
-
-
 def cmd_count(args) -> int:
-    result = counts.count_preset(args.preset)
-    return respond(args, {"preset": args.preset}, result,
-                   count_checks(args.preset, result))
+    result, checks = counts.count_preset(args.preset)
+    return respond(args, {"preset": args.preset}, result, checks)
 
 
 def suite_report(shape, statement: str, degrees: int, holds: bool) -> dict:

@@ -1,5 +1,10 @@
 """Enumerative pipelines: lines on cubics, 4-planes on quintics, two-step flags.
 
+``count_preset`` returns a preset's (result, checks): the checks are
+(statement, holds) pairs, built by the function that computes the
+result, so each answer and its second routes have one owner.  A
+disagreement between two routes is a failed check, not an exception.
+
 The complex counts are Grassmannian integrals of products of Chern roots
 (positive root conventions; dual signs cancel over even-rank bundles).
 The lines on the cubic and the 4-planes on the quintic go through
@@ -22,7 +27,7 @@ over Fl(2,2,14).  ``real_primary`` is instead the paper's displayed
 reading: of the monomials p_top(D_1)^i p_top(D_2)^(15-i) only i = 8 and
 i = 7 survive, and the paper adds their coefficients c_{8,7} + c_{7,8},
 identifying both with the point class.  The integral reads them with
-opposite signs; ``cli`` checks real_diagnostic = c_{8,7} - c_{7,8}.
+opposite signs; ``count_flags`` checks real_diagnostic = c_{8,7} - c_{7,8}.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ def hypersurface_root_factors(ring: PolyRing, k: int, degree: int):
     return factors
 
 
-def count_lines_cubic() -> dict:
+def count_lines_cubic() -> tuple:
     """27 complex lines on a cubic surface; signed real count 3."""
     ring = root_ring(2)
     complex_count = grassmann_integrate_product(
@@ -82,15 +87,23 @@ def count_lines_cubic() -> dict:
     real_count = pres.integrate(
         euler_root_image(pres, euler_sym_rk2(3, euler_root_ring(1).var(0)))
     )
-    return {
+    form = gw_form(complex_count, real_count)
+    result = {
         "complex": complex_count,
         "real": real_count,
-        "gw_form": gw_form(complex_count, real_count),
+        "gw_form": form,
         "notes": {
             "complex": "integral over Gr(2,4) of prod (i t1 + j t2), i+j=3",
             "real": "coefficient of p_top(D_1) in e(Sym^3 S*) on W(Gr(2,4))",
         },
     }
+    return result, [
+        ("complex count = 27", complex_count == 27),
+        ("real count = 3", real_count == 3),
+        ("GW form has rank 27 and signature 3",
+         (form["ones"] + form["minus_ones"], form["ones"] - form["minus_ones"])
+         == (27, 3)),
+    ]
 
 
 def euler_root_image(pres, p: GradedPolynomial):
@@ -115,40 +128,6 @@ def count_quintic_fourplanes() -> int:
     return grassmann_integrate_product(4, 18, hypersurface_root_factors(ring, 4, 5))
 
 
-def count_flags_complex() -> dict:
-    """Complex two-step flag count by two routes over one quintic integral.
-
-    Both routes share g = c_top(Sym^3 S1*) and the quintic 4-plane count
-    (the integral of c_top(Sym^5 S2*) over Gr(4,18)):
-    (a) the bialternant integral of g over Gr(2,4) x the quintic integral;
-    (b) the pushforward constant of g along the Gr(2, .)-fiber of
-        Fl(2,2,14) -> Gr(4,18) x the quintic integral.  By linearity this
-        is the integral over Gr(4,18) of the constant times c_top(Sym^5 S2*).
-    The routes agree exactly iff the two computations of 27 agree.
-    """
-    ring = root_ring(4)
-    g = product_of_factors(ring, hypersurface_root_factors(ring, 2, 3))
-    lines = grassmann_integrate(2, 4, g)
-    pushed = grassmann_bundle_pushforward([0, 1], [0, 1, 2, 3], g)
-    if not pushed.is_homogeneous() or pushed.degree() > 0:
-        raise ArithmeticError("relative pushforward is not a constant")
-    fiber_count = pushed.constant_term()
-    quintic = count_quintic_fourplanes()
-    route_a = lines * quintic
-    route_b = fiber_count * quintic
-
-    if route_a != route_b:
-        raise ArithmeticError(
-            f"flag-count routes disagree: {route_a} != {route_b}"
-        )
-    return {
-        "count": route_a,
-        "route_a": route_a,
-        "route_b": route_b,
-        "pushforward_constant": fiber_count,
-    }
-
-
 def flag_euler_class() -> GradedPolynomial:
     """e(E) = 3a^2 e(Sym^5(D1* + D2*)) on Fl(2,2,14), in the Euler roots
     a, b of D1, D2: the Euler class of Sym^3 S1* + Sym^5 S2*."""
@@ -161,22 +140,43 @@ def flag_survivors(e: GradedPolynomial) -> tuple:
     return e.coefficient_of((16, 14)), e.coefficient_of((14, 16))
 
 
-def count_flags_real() -> dict:
-    """Real two-step flag count on Fl(2,2,14;R), by two readings.
+def count_flags() -> tuple:
+    """Two-step flags on Fl(2,2,14): the complex count by two routes over
+    one quintic integral, the real signed count by two readings of e(E).
 
-    The diagnostic value is int_W e(E), which reads every monomial of
+    Both complex routes share g = c_top(Sym^3 S1*) and the quintic 4-plane
+    count (the integral of c_top(Sym^5 S2*) over Gr(4,18)):
+    (a) the bialternant integral of g over Gr(2,4) x the quintic integral;
+    (b) the pushforward constant of g along the Gr(2, .)-fiber of
+        Fl(2,2,14) -> Gr(4,18) x the quintic integral.  By linearity this
+        is the integral over Gr(4,18) of the constant times c_top(Sym^5 S2*).
+    The routes agree exactly iff the two computations of 27 agree.
+
+    The real diagnostic value is int_W e(E), which reads every monomial of
     e(E) through the normal form on the half shape (1,1,7); all but the
-    two survivors integrate to 0 there.  The primary
-    value is the paper's displayed reading c_{8,7} + c_{7,8}
-    (24681637575).  The integral gives c_{8,7} - c_{7,8} (112967182575).
-    Both are reported.
+    two survivors integrate to 0 there.  The primary value is the paper's
+    displayed reading c_{8,7} + c_{7,8} (24681637575).  The integral gives
+    c_{8,7} - c_{7,8} (112967182575).  Both are reported.
     """
+    ring = root_ring(4)
+    g = product_of_factors(ring, hypersurface_root_factors(ring, 2, 3))
+    lines = grassmann_integrate(2, 4, g)
+    pushed = grassmann_bundle_pushforward([0, 1], [0, 1, 2, 3], g)
+    if not pushed.is_homogeneous() or pushed.degree() > 0:
+        raise ArithmeticError("relative pushforward is not a constant")
+    fiber_count = pushed.constant_term()
+    quintic = count_quintic_fourplanes()
+    route_a, route_b = lines * quintic, fiber_count * quintic
+
     e = flag_euler_class()
     c_plus, c_minus = flag_survivors(e)
     pres = build_sigma(FlagShape([2, 2, 14]))
-    return {
-        "primary": c_plus + c_minus,
-        "diagnostic": pres.integrate(euler_root_image(pres, e)),
+    result = {
+        "complex": route_a,
+        "complex_routes": {"a": route_a, "b": route_b},
+        "pushforward_constant": fiber_count,
+        "real_primary": c_plus + c_minus,
+        "real_diagnostic": pres.integrate(euler_root_image(pres, e)),
         "notes": {
             "primary": "c_{8,7} + c_{7,8}: the paper's displayed identification "
             "of both surviving monomials with the same point class",
@@ -184,22 +184,30 @@ def count_flags_real() -> dict:
             "[pt] = -x1^(n+1) x2^n = x1^n x2^(n+1)",
         },
     }
+    checks = [
+        ("complex routes a and b agree", route_a == route_b),
+        ("complex count = 27 x QUINTIC_FOURPLANES = FLAGS_COMPLEX",
+         route_a == 27 * QUINTIC_FOURPLANES == FLAGS_COMPLEX),
+    ]
+    for key in ("real_primary", "real_diagnostic"):
+        real = result[key]
+        checks.append((f"{key}: |real| <= complex and real = complex mod 2",
+                       abs(real) <= route_a and (route_a - real) % 2 == 0))
+    # the integral reads every monomial of e(E), the difference only the
+    # two the paper keeps
+    checks.append(("real_diagnostic = int_W e(E) = c_{8,7} - c_{7,8}",
+                   result["real_diagnostic"] == c_plus - c_minus))
+    return result, checks
 
 
-def count_preset(name: str) -> dict:
+def count_preset(name: str) -> tuple:
+    """(result, checks) of a preset; checks are (statement, holds) pairs."""
     if name == "cubic-lines":
         return count_lines_cubic()
     if name == "quintic-4planes":
-        return {"complex": count_quintic_fourplanes()}
+        count = count_quintic_fourplanes()
+        return {"complex": count}, [("complex count = QUINTIC_FOURPLANES",
+                                     count == QUINTIC_FOURPLANES)]
     if name == "flag-3-5":
-        cplx = count_flags_complex()
-        real = count_flags_real()
-        return {
-            "complex": cplx["count"],
-            "complex_routes": {"a": cplx["route_a"], "b": cplx["route_b"]},
-            "pushforward_constant": cplx["pushforward_constant"],
-            "real_primary": real["primary"],
-            "real_diagnostic": real["diagnostic"],
-            "notes": real["notes"],
-        }
+        return count_flags()
     raise ValueError(f"unknown preset {name!r}")

@@ -110,25 +110,18 @@ def partitions_in_box(m: int, n: int):
 def jacobi_trudi_delta(lam: Partition, v):
     """det(v_{lam_i + j - i}) over i, j = 1..len(lam); v_j = 0 for j < 0.
 
-    ``v`` is indexed by integers: a sequence (entries beyond the end are
-    zero) or a callable.  Entries may be integers or polynomials, so no
-    division happens: the determinant is expanded by minors along the
-    rows, bottom up, with each minor on the last rows kept by its set of
-    columns (2^ell * ell products in place of ell! * ell).
+    ``v`` is a sequence v_0, v_1, ...; entries beyond its end are zero.
+    Entries may be integers or polynomials, so no division happens: the
+    determinant is expanded by minors along the rows, bottom up, with each
+    minor on the last rows kept by its set of columns (2^ell * ell
+    products in place of ell! * ell).
     """
     ell = len(lam)
     if ell == 0:
         return 1
-
-    if callable(v):
-        fetch = v
-    else:
-        seq = list(v)
-
-        def fetch(j):
-            return seq[j] if 0 <= j < len(seq) else 0
-
-    entries = [[fetch(lam[i] + j - i) for j in range(ell)] for i in range(ell)]
+    n = len(v)
+    entries = [[v[k] if 0 <= k < n else 0 for k in range(lam[i] - i, lam[i] - i + ell)]
+               for i in range(ell)]
     # minors[cols]: determinant of the last popcount(cols) rows on the
     # columns in the bitmask cols; a smaller mask is always filled first
     minors = [1] + [0] * ((1 << ell) - 1)
@@ -162,17 +155,9 @@ def schur_at(lam: Partition, points) -> int:
     Uses s_lam = Delta_{lam^T}(e_1, ..., e_n), which stays exact for
     repeated or zero points where the bialternant ratio degenerates.
     """
-    n = len(points)
-    if len(lam) > n:
+    if len(lam) > len(points):
         return 0
-    es = elementary_values(points)
-
-    def e(j):
-        if j == 0:
-            return 1
-        return es[j] if 0 <= j <= n else 0
-
-    return jacobi_trudi_delta(lam.transpose(), e)
+    return jacobi_trudi_delta(lam.transpose(), elementary_values(points))
 
 
 def q_spec(lam: Partition, M: int) -> int:

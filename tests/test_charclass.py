@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -25,7 +26,7 @@ from flagcw.charclass import (
     pontryagin_sym_rk2,
 )
 from flagcw.poly import PolyRing
-from flagcw.symfunc import Partition, jacobi_trudi_delta, q_spec
+from flagcw.symfunc import Partition, binomial, jacobi_trudi_delta, q_spec
 
 
 def roots_ab():
@@ -137,20 +138,20 @@ def test_cauchy_equal_bundles_vanish():
 
 def test_euler_sym_tensor_paper_examples():
     ring, a, b = roots_ab()
-    assert euler_sym_tensor(3, 2) == (
+    assert euler_sym_tensor(3, 2, *euler_root_ring(2).gens()) == (
         9 * a**4 - 40 * a**2 * b**2 + 16 * b**4
     ) * (3 * a**2)
-    assert euler_sym_tensor(4, 1) == (
+    assert euler_sym_tensor(4, 1, *euler_root_ring(2).gens()) == (
         64 * a**4 - 20 * a**2 * b**2 + b**4
     ) * b
-    assert euler_sym_tensor(2, 2).is_zero()
+    assert euler_sym_tensor(2, 2, *euler_root_ring(2).gens()).is_zero()
 
 
 def test_euler_sym_tensor_root_oracle_all_parities():
     ring = euler_root_ring(2)
     for M in range(0, 6):
         for N in range(0, 6):
-            got = euler_sym_tensor(M, N)
+            got = euler_sym_tensor(M, N, *euler_root_ring(2).gens())
             oracle = tensor_root_oracle(M, N, ring)
             assert got == oracle, (M, N)
 
@@ -159,7 +160,8 @@ def test_euler_sym_tensor_root_oracle_odd_up_to_seven():
     ring = euler_root_ring(2)
     for M in (1, 3, 5, 7):
         for N in (1, 3, 5, 7):
-            assert euler_sym_tensor(M, N) == tensor_root_oracle(M, N, ring)
+            assert euler_sym_tensor(M, N, *euler_root_ring(2).gens()) == (
+                tensor_root_oracle(M, N, ring))
 
 
 def test_euler_checks_cauchy_route_on_every_parity():
@@ -313,6 +315,45 @@ def test_bundle_ranks():
     assert bundle_rank(parse_bundle("sym^5(dual(S2))"), 2) == 56
     assert bundle_rank(parse_bundle("sym^3(S1) + triv(2)"), 2) == 6
     assert bundle_rank(parse_bundle("D1 * D2"), 2) == 4
+
+
+def tree_rank(expr):
+    """The rank by the expression tree: a block of rank 2, ranks add under
+    + and multiply under *, and Sym^k of rank s has rank C(k+s-1, s-1)."""
+    if isinstance(expr, Taut):
+        return 2 * expr.index if expr.kind == "S" else 2
+    if isinstance(expr, Trivial):
+        return expr.rank
+    if isinstance(expr, Dual):
+        return tree_rank(expr.inner)
+    if isinstance(expr, Sum):
+        return tree_rank(expr.left) + tree_rank(expr.right)
+    if isinstance(expr, Tensor):
+        return tree_rank(expr.left) * tree_rank(expr.right)
+    s = tree_rank(expr.inner)
+    return binomial(expr.power + s - 1, s - 1)
+
+
+def test_bundle_rank_matches_the_tree_formula():
+    rng = random.Random(16)
+    texts = []
+    # sym^0 is a trivial line, and _normalize refuses tensors with one
+    for k in range(9):
+        texts += [f"sym^{k}(D1 + D2)", f"sym^{k}(dual(S2))", f"sym^{k}(S1)"]
+    texts += [f"sym^{M}(D1) * sym^{N}(D2)" for M in range(1, 9) for N in range(1, 9)]
+    for text in list(texts):
+        r = rng.randrange(9)
+        texts += [f"{text} + triv({r})", f"triv({r}) + {text} + D2"]
+    for text in texts:
+        expr = parse_bundle(text)
+        assert bundle_rank(expr, 2) == tree_rank(expr), text
+
+
+def test_euler_rejects_a_d_block_past_the_roots():
+    with pytest.raises(ValueError, match="block index 3 exceeds --roots 2"):
+        euler_of_expression(parse_bundle("D3"), 2)
+    with pytest.raises(ValueError, match="block index 0 exceeds --roots 2"):
+        bundle_rank(parse_bundle("D0"), 2)
 
 
 def test_euler_of_expression_whitney():

@@ -128,11 +128,23 @@ def test_count_fills_checks(capsys):
 
 
 def test_failed_count_check_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(counts, "count_preset", lambda name: {"complex": 1})
+    monkeypatch.setattr(counts, "count_quintic_fourplanes", lambda: 1)
     assert cli.run(["count", "--preset", "quintic-4planes"]) == 2
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks == [{"name": "complex count = QUINTIC_FOURPLANES",
                        "status": "fail"}]
+
+
+def test_count_route_disagreement_exits_2(monkeypatch, capsys):
+    # route b reads the pushforward constant; 26 in place of 27 must show
+    # as the one failed check, not as an exception
+    monkeypatch.setattr(counts, "grassmann_bundle_pushforward",
+                        lambda sub, full, g: 26 * g.ring.one())
+    assert cli.run(["count", "--preset", "flag-3-5"]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if c["status"] == "fail"] == [
+        "complex routes a and b agree"
+    ]
 
 
 def test_count_output_is_deterministic():

@@ -16,18 +16,19 @@ from flagcw.wdring import build_sigma
 
 
 def test_cubic_lines():
-    res = count_preset("cubic-lines")
+    res, _ = count_preset("cubic-lines")
     assert res["complex"] == 27
     assert res["real"] == 3
     assert res["gw_form"] == {"ones": 15, "minus_ones": 12}
 
 
 def test_quintic_fourplanes():
-    assert count_preset("quintic-4planes") == {"complex": QUINTIC_FOURPLANES}
+    res, _ = count_preset("quintic-4planes")
+    assert res == {"complex": QUINTIC_FOURPLANES}
 
 
 def test_flag_count():
-    res = count_preset("flag-3-5")
+    res, _ = count_preset("flag-3-5")
     assert res["complex"] == FLAGS_COMPLEX == 27 * QUINTIC_FOURPLANES
     assert res["complex_routes"] == {"a": FLAGS_COMPLEX, "b": FLAGS_COMPLEX}
     assert res["pushforward_constant"] == 27
