@@ -4,6 +4,12 @@ Everything here is pure integer row reduction; no rational arithmetic.
 Matrices are lists of row lists.  Lattices are handled through their
 canonical row Hermite normal form, so two generating sets span the same
 lattice iff their HNFs are equal as nested lists.
+
+The Smith form serves free cokernels Z^m / (column span of mat): it
+returns the diagonal, the rows U[rank:] of the left transform U, which
+read cokernel coordinates, and the columns of U^-1 from rank on, which
+lift the cokernel basis.  Rows of U above rank and the first rank
+columns of U^-1 are never read, so they are not kept up to date.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ def hnf(rows):
         return []
     ncols = len(work[0])
     result = []
+    pivots = []
     col = 0
     while work and col < ncols:
         sel = [r for r in work if r[col]]
@@ -56,13 +63,12 @@ def hnf(rows):
                 for j in range(col, ncols):
                     pivot_row[j] = -pivot_row[j]
             result.append(pivot_row)
+            pivots.append(col)
         work = rest
         col += 1
     # reduce entries above each pivot into [0, pivot), top row first: row i
     # is zero left of its pivot, so it leaves the earlier pivot columns alone
-    pivots = [next(j for j, c in enumerate(r) if c) for r in result]
-    for i in range(len(result)):
-        p = pivots[i]
+    for i, p in enumerate(pivots):
         pv = result[i][p]
         for k in range(i):
             q = result[k][p] // pv
@@ -112,85 +118,105 @@ def kernel_basis(mat, ncols: int):
 
 
 def smith_normal_form(mat):
-    """Diagonal form with left transforms: returns (diag, U, Uinv).
+    """Diagonal form, reduced to what a free quotient reads: (diag, P, B).
 
-    U is unimodular with U . mat . V diagonal for a suitable unimodular V
-    (not returned), and Uinv is the inverse of U, maintained alongside.
-    diag lists the nonzero diagonal entries, made positive; with rank =
-    len(diag), the rows of U . mat at index rank and above are 0.  The
-    entries are not folded into a divisibility chain: their product is
-    the product of the invariant factors, so they are all 1 exactly when
-    every invariant factor is 1, which is the only case callers accept.
+    Row and column operations bring mat to U . mat . V = diagonal, with
+    U unimodular and V unimodular (not kept).  diag lists the absolute
+    values of the nonzero diagonal entries, rank = len(diag) of them.
+    P = U[rank:] is the rows of U that vanish on the column span of mat,
+    and B[j] is column rank + j of U^-1, so P . B^T is the identity: P
+    reads coordinates in the cokernel and B holds a lift of each basis
+    vector.  The entries are not folded into a divisibility chain: their
+    product is the product of the invariant factors, so they are all 1
+    exactly when every invariant factor is 1, the free case.
+
+    Only what P and B depend on is computed.  Round t pivots on the
+    entry of least absolute value (the first in row-major order) and
+    clears row and column t.  Rows above t are zero from column t on, so
+    the round works on the block below and right of (t, t), and drops
+    row and column t when it ends.  Rows of U and of U^-1 (kept
+    transposed) are sparse, so a row stays a unit vector until an update
+    touches it, and none is sign-normalized, since rows above rank are
+    never returned.
     """
-    S = [list(r) for r in mat]
-    m = len(S)
-    n = len(S[0]) if m else 0
-    U = identity(m)
-    # Uinv is kept transposed, so its column operations are row operations
-    UinvT = identity(m)
+    work = [list(r) for r in mat]
+    m = len(work)
+    n = len(work[0]) if m else 0
+    U = [{i: 1} for i in range(m)]
+    UinvT = [{i: 1} for i in range(m)]
+    diag = []
 
-    def row_op(i, k, q):
-        # row_i -= q * row_k on S and U; Uinv's inverse column op is a row op
-        S[i] = [a - q * b for a, b in zip(S[i], S[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-        UinvT[k] = [a + q * b for a, b in zip(UinvT[k], UinvT[i])]
-
-    def row_swap(i, k):
-        S[i], S[k] = S[k], S[i]
+    def swap_rows(i, k):
+        # U and UinvT are indexed from row 0, the working block from row t
         U[i], U[k] = U[k], U[i]
         UinvT[i], UinvT[k] = UinvT[k], UinvT[i]
 
-    def col_op(j, k, q):
-        for row in S:
-            if row[k]:
-                row[j] -= q * row[k]
-
-    def col_swap(j, k):
-        for row in S:
-            row[j], row[k] = row[k], row[j]
-
-    t = 0
-    while t < min(m, n):
-        # locate a nonzero pivot of minimal absolute value, the first one
-        # in row-major order; a unit entry cannot be beaten
+    for t in range(min(m, n)):
         pivot, best = None, 0
-        for i in range(t, m):
-            row = S[i]
-            for j in range(t, n):
-                if row[j] and (pivot is None or abs(row[j]) < best):
-                    pivot, best = (i, j), abs(row[j])
+        for i, row in enumerate(work):
+            for j, x in enumerate(row):
+                if x and (pivot is None or abs(x) < best):
+                    pivot, best = (i, j), abs(x)
                     if best == 1:
                         break
             if best == 1:
                 break
         if pivot is None:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        i, j = pivot
+        work[0], work[i] = work[i], work[0]
+        swap_rows(t, t + i)
+        for row in work:
+            row[0], row[j] = row[j], row[0]
         dirty = True
         while dirty:
             dirty = False
-            for i in range(t + 1, m):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    row_op(i, t, q)
-                    if S[i][t]:
-                        row_swap(t, i)
+            top = work[0]
+            for i in range(1, len(work)):
+                row = work[i]
+                if row[0]:
+                    q = row[0] // top[0]
+                    if q:
+                        row = work[i] = [a - q * b for a, b in zip(row, top)]
+                        _add_multiple(U[t + i], U[t], -q)
+                        _add_multiple(UinvT[t], UinvT[t + i], q)
+                    if row[0]:
+                        work[0], work[i] = row, top
+                        swap_rows(t, t + i)
+                        top = row
                         dirty = True
-            for j in range(t + 1, n):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    col_op(j, t, q)
-                    if S[t][j]:
-                        col_swap(t, j)
+            live = [row for row in work if row[0]]
+            for j in range(1, n - t):
+                if top[j]:
+                    q = top[j] // top[0]
+                    for row in live:
+                        row[j] -= q * row[0]
+                    if top[j]:
+                        for row in work:
+                            row[0], row[j] = row[j], row[0]
+                        live = [row for row in work if row[0]]
                         dirty = True
-        t += 1
-    # sign normalization
-    rank = sum(1 for i in range(min(m, n)) if S[i][i])
-    for i in range(rank):
-        if S[i][i] < 0:
-            S[i] = [-a for a in S[i]]
-            U[i] = [-a for a in U[i]]
-            UinvT[i] = [-a for a in UinvT[i]]
-    diag = [S[i][i] for i in range(rank)]
-    return diag, U, [list(col) for col in zip(*UinvT)]
+        diag.append(abs(top[0]))
+        work = [row[1:] for row in work[1:]]
+    rank = len(diag)
+    return diag, _dense(U[rank:], m), _dense(UinvT[rank:], m)
+
+
+def _add_multiple(target, source, q):
+    """target += q * source on sparse rows {column: nonzero entry}."""
+    for k, c in source.items():
+        c = target.get(k, 0) + q * c
+        if c:
+            target[k] = c
+        else:
+            del target[k]
+
+
+def _dense(rows, m: int):
+    out = []
+    for r in rows:
+        v = [0] * m
+        for k, c in r.items():
+            v[k] = c
+        out.append(v)
+    return out

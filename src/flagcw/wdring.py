@@ -16,12 +16,16 @@ a * e_I * R_S  with a in A.  In the all-even case the
 component for e_I carries A modulo the ideal (p_{I^c}); those quotients
 are handled degreewise through a diagonal form U . M . V = diag
 (intlinalg.smith_normal_form), asserting that every diagonal entry is 1,
-that is, every invariant factor is 1 (the quotients are free).
+that is, every invariant factor is 1 (the quotients are free).  The
+Smith form returns only what a free quotient reads: the rows U[rank:],
+and the last columns of U^-1, which are the basis polynomials.
 The last rows U[rank:] vanish on the ideal and are the only route through
 a quotient: they give the coordinates of any representative, and the
 reduced form is rebuilt from them on the cached basis polynomials.  This
 projection is stored as sparse columns, standard monomial -> [(row,
-entry)], and a component without a quotient stores the identity.
+entry)], and a component without a quotient stores the identity.  Each
+(I, Chow degree) record is built once, from the generator p_{I^c}
+cached per I by ``p_top_product``.
 
 One table, built with the presentation, maps each (degree, twist) slot
 to the components a * e_I * R_S that reach it, as (I, S, chow_deg) in
@@ -34,7 +38,9 @@ Two generator components multiply by one rule, e_I R_S * e_J R_T =
 ``ann_euler``.  The annihilator check never builds a product element:
 each matrix column is the normal form of b * a_y * p_{I & J}, summed
 from the monomial normal forms of A and placed through the sparse
-projection of its one target slot.
+projection of its one target slot.  The basis keys of one source slot
+share that target slot, sign, factor and projection, so these are
+looked up once per slot.
 
 For an all-even shape the integral int_W reads the trivial-twist part in
 the top degree dim Fl(D) = 4 dim Fl(h), h = D/2.  That part is A itself,
@@ -53,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import add
+from operator import add, itemgetter
 
 from . import intlinalg
 from .flagchow import ChowRingPresentation, FlagShape
@@ -222,19 +228,24 @@ class WDPresentation:
     def _quotient_data(self, I: frozenset, chow_deg: int):
         """(P, basis) for A^chow_deg modulo (p_{I^c}), cached per instance.
 
-        P = U[rank:] maps coordinates over the standard monomials of A to
-        quotient coordinates, stored as sparse columns: standard monomial
-        -> [(row, entry), ...] over the nonzero entries.  The A-part
-        basis[j], column rank + j of U^-1, has coordinates e_j.  Only
-        all-even shapes take the quotient, and not for I = {}, whose
+        The Smith form of multiplication by p_{I^c} into degree chow_deg
+        gives P = U[rank:], which maps coordinates over the standard
+        monomials of A to quotient coordinates, stored as sparse columns:
+        standard monomial -> [(row, entry), ...] over the nonzero entries.
+        The A-part basis[j] is column rank + j of U^-1, with coordinates
+        e_j; nothing else of the Smith form is computed.  Raises
+        ArithmeticError, naming the shape, I and the degree, when a
+        diagonal entry is not 1, that is, when the quotient is not free.
+        Only all-even shapes take the quotient, and not for I = {}, whose
         generator prod_i p_top(D_i) is 0 in A; in the other cases P is
         the identity and the basis is the standard monomials.
         """
         key = (I, chow_deg)
-        if key in self._quotient_cache:
-            return self._quotient_cache[key]
+        data = self._quotient_cache.get(key)
+        if data is not None:
+            return data
         mons = self.A.standard_monomials(chow_deg)
-        comp = [i for i in range(1, self.shape.m + 1) if i not in I]
+        comp = frozenset(range(1, self.shape.m + 1)) - I
         k = sum(self.p_top_chow_degree(i) for i in comp)
         if self.parity != "all-even" or not I or chow_deg < k or not mons:
             data = (
@@ -242,10 +253,8 @@ class WDPresentation:
                 [self.A.ring.monomial(mon) for mon in mons],
             )
         else:
-            gen = self.A.ring.one()
-            for i in comp:
-                gen = gen * self.A.top_chern(self._half_block[i])
-            diag, U, Uinv = intlinalg.smith_normal_form(
+            gen = self.p_top_product(comp)
+            diag, P, B = intlinalg.smith_normal_form(
                 self.A.multiplication_matrix(gen, chow_deg - k)
             )
             if any(s != 1 for s in diag):
@@ -253,14 +262,11 @@ class WDPresentation:
                     f"quotient A/(p_I^c) not free for shape {self.shape}, "
                     f"I={sorted(I)}, degree {chow_deg}: diagonal entries {diag}"
                 )
-            rank = len(diag)
-            P = U[rank:]
             proj = {
                 mon: [(r, row[j]) for r, row in enumerate(P) if row[j]]
                 for j, mon in enumerate(mons)
             }
-            cols = list(zip(*Uinv))[rank:]
-            data = (proj, [self.A.from_coords(c, chow_deg) for c in cols])
+            data = (proj, [self.A.from_coords(b, chow_deg) for b in B])
         self._quotient_cache[key] = data
         return data
 
@@ -417,7 +423,9 @@ class WDPresentation:
         b * a_y * p_{I & J}, b the basis polynomial of key, summed from
         the monomial normal forms of A and read through the sparse
         projection of that slot.  No element is built and no other slot
-        is visited.
+        is visited.  Each run of keys that share (I, S, chow_deg) looks
+        up the target slot, sign, factor, projection and basis
+        polynomials once.
         """
         if not keys:
             return []
@@ -430,9 +438,10 @@ class WDPresentation:
         degree_of = self.A.ring.monomial_degree
         factors = {}  # I & J -> (terms of nf(a_y * p_{I & J}), Chow degree)
         cols = []
-        for I, S, chow_deg, idx in keys:
-            col = [0] * size
-            cols.append(col)
+        for (I, S, chow_deg), run in itertools.groupby(keys, itemgetter(0, 1, 2)):
+            idxs = [key[3] for key in run]
+            run_cols = [[0] * size for _ in idxs]
+            cols.extend(run_cols)
             product = _component_product(I, S, J, T)
             if product is None:
                 continue
@@ -446,17 +455,20 @@ class WDPresentation:
             if not f or place is None or chow_deg + f_deg != place[1]:
                 continue
             offset, target_deg = place
-            acc: dict = {}
-            for m1, c1 in self.component_basis_polys(I, chow_deg)[idx].terms.items():
-                for m2, c2 in f.items():
-                    c12 = sign * c1 * c2
-                    for m, c in nf(tuple(map(add, m1, m2))).items():
-                        acc[m] = acc.get(m, 0) + c12 * c
             proj = self._quotient_data(target[0], target_deg)[0]
-            for m, c in acc.items():
-                if c:
-                    for r, u in proj[m]:
-                        col[offset + r] += c * u
+            signed = [(m2, sign * c2) for m2, c2 in f.items()]
+            polys = self.component_basis_polys(I, chow_deg)
+            for idx, col in zip(idxs, run_cols):
+                acc: dict = {}
+                for m1, c1 in polys[idx].terms.items():
+                    for m2, c2 in signed:
+                        c12 = c1 * c2
+                        for m, c in nf(tuple(map(add, m1, m2))).items():
+                            acc[m] = acc.get(m, 0) + c12 * c
+                for m, c in acc.items():
+                    if c:
+                        for r, u in proj[m]:
+                            col[offset + r] += c * u
         return cols
 
     def coords(self, x: "WDElement", degree: int, twist: TwistClass):

@@ -1,11 +1,15 @@
-"""The splitting-principle embedding CH^*(Fl(D)) -> CH^*(Fl(N)), for tests.
+"""Independent oracles for the tests.
 
-c_j(D_i) maps to the j-th elementary symmetric polynomial of the
-variables of block i.  The map is injective, so a partial-flag
+The splitting-principle embedding CH^*(Fl(D)) -> CH^*(Fl(N)): c_j(D_i)
+maps to the j-th elementary symmetric polynomial of the variables of
+block i.  The map is injective, so a partial-flag
 computation can be checked against the complete flag ring, which has
 its own reduction rules.  The same embedding gives the reference
 integral: the class of a point is built inside Fl(N), and a top-degree
 class integrates to its ratio to it there.
+
+The straightforward Smith form, with full transforms U and U^-1, against
+which the lean one in intlinalg is checked.
 """
 
 import itertools
@@ -84,3 +88,84 @@ def compositions(N, min_parts=1):
         for cuts in itertools.combinations(range(1, N), r):
             bounds = (0,) + cuts + (N,)
             yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def reference_smith_normal_form(mat, pivots=None):
+    """The straightforward Smith form: (diag, U, Uinv) with U . mat . V
+    diagonal, diag its nonzero entries made positive, and U and its
+    inverse Uinv updated in full, by full-row loops and column by column.
+
+    Each round pivots on the first entry of least absolute value in
+    row-major order, as intlinalg.smith_normal_form does; if a list is
+    given as pivots, the absolute value of each round's pivot is
+    appended to it.
+    """
+    S = [list(r) for r in mat]
+    m = len(S)
+    n = len(S[0]) if m else 0
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    Uinv = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def row_op(i, k, q):
+        for j in range(n):
+            S[i][j] -= q * S[k][j]
+        for j in range(m):
+            U[i][j] -= q * U[k][j]
+        for r in range(m):
+            Uinv[r][k] += q * Uinv[r][i]
+
+    def row_swap(i, k):
+        S[i], S[k] = S[k], S[i]
+        U[i], U[k] = U[k], U[i]
+        for r in range(m):
+            Uinv[r][i], Uinv[r][k] = Uinv[r][k], Uinv[r][i]
+
+    def col_op(j, k, q):
+        for i in range(m):
+            S[i][j] -= q * S[i][k]
+
+    def col_swap(j, k):
+        for i in range(m):
+            S[i][j], S[i][k] = S[i][k], S[i][j]
+
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if S[i][j] and (pivot is None or abs(S[i][j]) < abs(S[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivots is not None:
+            pivots.append(abs(S[pivot[0]][pivot[1]]))
+        row_swap(t, pivot[0])
+        col_swap(t, pivot[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if S[i][t]:
+                    q = S[i][t] // S[t][t]
+                    row_op(i, t, q)
+                    if S[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if S[t][j]:
+                    q = S[t][j] // S[t][t]
+                    col_op(j, t, q)
+                    if S[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+        t += 1
+    rank = sum(1 for i in range(min(m, n)) if S[i][i])
+    for i in range(rank):
+        if S[i][i] < 0:
+            for j in range(n):
+                S[i][j] = -S[i][j]
+            for j in range(m):
+                U[i][j] = -U[i][j]
+            for r in range(m):
+                Uinv[r][i] = -Uinv[r][i]
+    return [S[i][i] for i in range(rank)], U, Uinv

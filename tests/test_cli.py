@@ -293,6 +293,11 @@ PINNED_OUTPUT = [
     (("wring", "--shape", "1,2,2", "--degree-max", "12", "--twist", "1"), 0,
      "d19a9251e9947cdfbf36d5d17a5f73722658db678b4f6c39a300a169c6eacecc",
      "3374d4fc689960a9a00147c4a85218c6dd5fc92b3c94cf72f1bf89345e99c785"),
+    # degree 44 reads the record (I = {1, 4}, Chow degree 9), whose Smith
+    # form needs a pivot of absolute value 2
+    (("wring", "--shape", "4,2,2,4", "--degree-max", "44", "--twist", "2,3"), 0,
+     "a269ef74a4404e51566d6905fa1a9d9b131a7e494068b1960aad5874c326f717",
+     "1ef6731cef810b5c93e97dbb8b34b947ae1085f3dc9d02f7e194f107db68fc9c"),
     (("euler", "--expr", "sym^5(D1 + D2)"), 0,
      "fff781bba1cd8c815088467484c2f760266b4d5a51785943d8cf78e8f726a4e3",
      "61d125e344d58ce7a4a82d4e6c2615c3138d7b3e4450ec49e74b6767df78fac1"),

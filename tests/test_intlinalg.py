@@ -1,5 +1,7 @@
 import random
 
+from flag_oracle import reference_smith_normal_form
+
 from flagcw.intlinalg import (
     hnf,
     identity,
@@ -29,81 +31,11 @@ def random_unimodular(rng, n):
     return u
 
 
-def reference_smith_normal_form(mat):
-    """The straightforward Smith form, as smith_normal_form returns it:
-    full-row loops, Uinv updated column by column, full pivot scan."""
-    S = [list(r) for r in mat]
-    m = len(S)
-    n = len(S[0]) if m else 0
-    U = identity(m)
-    Uinv = identity(m)
-
-    def row_op(i, k, q):
-        for j in range(n):
-            S[i][j] -= q * S[k][j]
-        for j in range(m):
-            U[i][j] -= q * U[k][j]
-        for r in range(m):
-            Uinv[r][k] += q * Uinv[r][i]
-
-    def row_swap(i, k):
-        S[i], S[k] = S[k], S[i]
-        U[i], U[k] = U[k], U[i]
-        for r in range(m):
-            Uinv[r][i], Uinv[r][k] = Uinv[r][k], Uinv[r][i]
-
-    def col_op(j, k, q):
-        for i in range(m):
-            S[i][j] -= q * S[i][k]
-
-    def col_swap(j, k):
-        for i in range(m):
-            S[i][j], S[i][k] = S[i][k], S[i][j]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j] and (pivot is None or abs(S[i][j]) < abs(S[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    row_op(i, t, q)
-                    if S[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    col_op(j, t, q)
-                    if S[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-        t += 1
-    rank = sum(1 for i in range(min(m, n)) if S[i][i])
-    for i in range(rank):
-        if S[i][i] < 0:
-            for j in range(n):
-                S[i][j] = -S[i][j]
-            for j in range(m):
-                U[i][j] = -U[i][j]
-            for r in range(m):
-                Uinv[r][i] = -Uinv[r][i]
-    return [S[i][i] for i in range(rank)], U, Uinv
-
-
 def test_smith_matches_the_reference_implementation():
     rng = random.Random(4104)
     cases = [[], [[]], [[0, 0]], [[0], [0]], [[2, 0], [0, 3]], [[4, 6], [6, 9]]]
+    # row 1 is reduced by q = 1 and then by q = -1 within one round
+    cases.append([[3, 5], [3, 3], [0, 3]])
     for _ in range(300):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         mat = random_matrix(rng, m, n, bound=rng.choice([1, 3, 9]))
@@ -124,10 +56,14 @@ def test_smith_matches_the_reference_implementation():
         cases.append(mat)
     square = non_unit = 0
     for mat in cases:
-        got = smith_normal_form(mat)
-        assert got == reference_smith_normal_form(mat), mat
+        diag, U, Uinv = reference_smith_normal_form(mat)
+        assert matmul(U, Uinv) == identity(len(mat))
+        # only U[rank:] and the last columns of U^-1 are returned
+        rank = len(diag)
+        last_cols = [list(col) for col in zip(*Uinv)][rank:]
+        assert smith_normal_form(mat) == (diag, U[rank:], last_cols), mat
         square += len(mat) == len(mat[0] if mat else [])
-        non_unit += any(s != 1 for s in got[0])
+        non_unit += any(s != 1 for s in diag)
     assert square > 20 and non_unit > 50
 
 
@@ -136,12 +72,12 @@ def test_smith_transforms_are_inverse_and_kill_the_last_rows():
     for _ in range(150):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         mat = random_matrix(rng, m, n)
-        diag, U, Uinv = smith_normal_form(mat)
-        assert matmul(U, Uinv) == identity(m)
+        diag, P, B = smith_normal_form(mat)
         assert len(diag) == len(hnf(mat))
         assert all(s > 0 for s in diag)
-        um = matmul(U, mat)
-        assert all(not any(row) for row in um[len(diag) :])
+        assert len(P) == len(B) == m - len(diag)
+        assert all(not any(row) for row in matmul(P, mat))
+        assert matmul(P, [list(col) for col in zip(*B)]) == identity(len(P))
 
 
 def test_smith_entries_are_one_exactly_on_unimodular_quotients():

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from flag_oracle import compositions
+from flag_oracle import compositions, reference_smith_normal_form
 
 from flagcw import intlinalg, series
 from flagcw.flagchow import FlagShape, chow_poincare
@@ -10,6 +10,7 @@ from flagcw.poly import PolyRing
 from flagcw.wdring import (
     TwistClass,
     WDElement,
+    WDPresentation,
     all_twist_classes,
     ann_euler,
     annihilator_generator,
@@ -335,8 +336,9 @@ def test_component_coords_do_not_depend_on_the_representative(parts):
 
 @pytest.mark.parametrize("parts", QUOTIENT_SHAPES)
 def test_reduced_components_lie_in_the_last_columns_of_u_inverse(parts):
-    # U . v of a reduced part vanishes in its first rank entries, and its
-    # remaining entries are the component coordinates
+    # a reduced part v is sum_j c_j * B_j over the last columns B_j of
+    # U^-1, where c = P . v, P = U[rank:], are its component coordinates;
+    # as U is invertible, this says U . v = (0, c)
     pres = build_sigma(FlagShape(parts))
     rng = random.Random(str(parts))
     for I in pres._euler_subsets():
@@ -345,13 +347,71 @@ def test_reduced_components_lie_in_the_last_columns_of_u_inverse(parts):
             if pres.parity != "all-even" or not pres.A.rank(k):
                 continue
             mat = pres.A.multiplication_matrix(gen, k - gen_deg)
-            diag, U, _ = intlinalg.smith_normal_form(mat)
-            rank = len(diag)
+            diag, P, B = intlinalg.smith_normal_form(mat)
             for _ in range(3):
                 red = pres.reduce_component(I, random_a_part(pres, k, rng))
-                w = intlinalg.mat_vec(U, pres.A.coords(red, k))
-                assert not any(w[:rank])
-                assert w[rank:] == pres.component_coords(I, red, k)
+                v = pres.A.coords(red, k)
+                coords = pres.component_coords(I, red, k)
+                assert intlinalg.mat_vec(P, v) == coords
+                assert v == [sum(c * b[r] for c, b in zip(coords, B))
+                             for r in range(len(v))]
+
+
+def check_record_against_reference(pres, I, k, pivots=None):
+    """The quotient record of (I, k) against the reference Smith form of
+    multiplication by p_{I^c}: P = U[rank:] and the basis = the last
+    columns of U^-1, entry for entry."""
+    gen, gen_deg = ideal_generator(pres, I)
+    mat = pres.A.multiplication_matrix(gen, k - gen_deg)
+    diag, U, Uinv = reference_smith_normal_form(mat, pivots)
+    rank = len(diag)
+    assert diag == [1] * rank
+    proj, basis = pres._quotient_data(I, k)
+    mons = pres.A.standard_monomials(k)
+    assert proj == {
+        mon: [(r, row[j]) for r, row in enumerate(U[rank:]) if row[j]]
+        for j, mon in enumerate(mons)
+    }
+    assert [pres.A.coords(b, k) for b in basis] == [
+        list(col) for col in zip(*Uinv)
+    ][rank:]
+
+
+def test_every_quotient_record_up_to_n10_matches_the_reference_smith_form():
+    records = 0
+    for N in range(2, 11, 2):
+        for half in compositions(N // 2):
+            pres = WDPresentation(FlagShape([2 * h for h in half]))
+            for I in pres._euler_subsets():
+                gen_deg = ideal_generator(pres, I)[1]
+                for k in range(gen_deg, pres.half_shape.dim + 1):
+                    if I and pres.A.rank(k):
+                        check_record_against_reference(pres, I, k)
+                        records += 1
+    assert records == 1279
+
+
+@pytest.mark.parametrize(
+    "parts, I, k", [((4, 2, 2, 4), {1, 4}, 9), ((2, 2, 2, 2, 4), {1, 2, 5}, 10)]
+)
+def test_quotient_records_that_need_a_non_unit_pivot(parts, I, k):
+    # in one round no entry of the remaining block is +-1, yet the
+    # quotient is free: the record still matches the reference
+    pres = WDPresentation(FlagShape(parts))
+    pivots = []
+    check_record_against_reference(pres, frozenset(I), k, pivots)
+    assert max(pivots) == 2
+
+
+def test_a_quotient_that_is_not_free_is_refused(monkeypatch):
+    pres = WDPresentation(FlagShape([2, 2, 2]))
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda mat: ([2], [], []))
+    with pytest.raises(ArithmeticError) as err:
+        pres._quotient_data(frozenset([1]), 2)
+    message = str(err.value)
+    assert "not free" in message
+    assert f"shape {pres.shape}," in message
+    assert "I=[1]," in message and "degree 2:" in message
 
 
 @pytest.mark.parametrize("parts", QUOTIENT_SHAPES)
