@@ -18,11 +18,11 @@ monomial is standard when it has at most s_{i-1} factors from every
 block i.  By Leray-Hirsch along the tower of Grassmann bundles
 Fl(D) -> Fl(d_1 + d_2, d_3, ..., d_m) -> ..., the standard monomials are a
 ZZ-basis, multinomial(N; D) of them.  ``ChowRingPresentation`` holds the
-only rewrite: the normal form is linear, so it is computed monomial by
-monomial through a per-ring memo that also keeps every monomial a
-rewrite passes through.  The mod-2 normal form used by ``steenrod`` is
-the integer one with its coefficients taken mod 2, read from the same
-memo.
+only rewrite, monomial by monomial through a per-ring memo that also
+keeps every monomial a rewrite passes through.  Only two readers sum its
+entries: ``reduce_sums`` gives integer normal forms of sums of terms (for
+``normal_form``, ``multiplication_matrix`` and W_D product columns), and
+``reduce_mod2`` the odd support of a sum of monomials (for ``steenrod``).
 
 The top degree dim Fl(D) has exactly one standard monomial t, and
 ``integrate`` reads the degree of a class from it.  The class of a point
@@ -266,7 +266,8 @@ class ChowRingPresentation:
         its factors, or the same number with a more dominant partition)
         and leaves the blocks before it alone, so the recursion ends.
         """
-        nf = self._nf_memo.get(mon)
+        memo = self._nf_memo
+        nf = memo.get(mon)
         if nf is not None:
             return nf
         if sum(map(mul, mon, self.ring.weights)) > self.dim:
@@ -278,20 +279,52 @@ class ChowRingPresentation:
             base = tuple(map(sub, mon, lead))
             acc = {}
             for tail, k in self._rule(lead):
-                for m, c in self._monomial_nf(tuple(map(add, base, tail))).items():
+                term = tuple(map(add, base, tail))
+                reduced = memo.get(term)
+                if reduced is None:
+                    reduced = self._monomial_nf(term)
+                for m, c in reduced.items():
                     acc[m] = acc.get(m, 0) + k * c
             nf = {m: c for m, c in acc.items() if c}
-        self._nf_memo[mon] = nf
+        memo[mon] = nf
         return nf
+
+    def reduce_sums(self, sums) -> list:
+        """Normal forms {standard monomial: coefficient} of the given sums
+        of (monomial, coefficient) pairs; a coefficient may be 0 where
+        terms cancelled."""
+        memo, nf = self._nf_memo, self._monomial_nf
+        out = []
+        for terms in sums:
+            acc: dict = {}
+            for mon, k in terms:
+                reduced = memo.get(mon)
+                if reduced is None:
+                    reduced = nf(mon)
+                for m, c in reduced.items():
+                    acc[m] = acc.get(m, 0) + k * c
+            out.append(acc)
+        return out
+
+    def reduce_mod2(self, monomials) -> set:
+        """The standard monomials with odd coefficient in the normal form
+        of the sum of the given monomials (a repeated monomial cancels);
+        an exponent tuple may be short, as for ``ring.key``."""
+        memo, nf, key = self._nf_memo, self._monomial_nf, self.ring.key
+        n = self.ring.nvars
+        out = set()
+        for mon in monomials:
+            reduced = memo.get(mon)
+            if reduced is None:
+                reduced = nf(mon if len(mon) == n else key(mon))
+            out.symmetric_difference_update([m for m, c in reduced.items() if c & 1])
+        return out
 
     def normal_form(self, p: GradedPolynomial) -> GradedPolynomial:
         """Unique representative supported on standard monomials."""
         if p.ring != self.ring:
             raise ValueError("polynomial not in this Chow ring")
-        out: dict = {}
-        for mon, c in p.terms.items():
-            for m, d in self._monomial_nf(mon).items():
-                out[m] = out.get(m, 0) + c * d
+        (out,) = self.reduce_sums([p.terms.items()])
         return GradedPolynomial(self.ring, {m: c for m, c in out.items() if c})
 
     # -- the standard basis ----------------------------------------------------
@@ -360,9 +393,10 @@ class ChowRingPresentation:
         """Matrix of multiplication by homogeneous g: degree d -> d + deg g.
 
         Columns indexed by the standard basis in degree d, rows by the
-        standard basis in degree d + deg g.  Each column is read from the
-        monomial normal forms.  Memoized per (g, d): the returned matrix
-        is shared with the cache, and callers must not mutate it.
+        standard basis in degree d + deg g.  Column j is the normal form
+        of the j-th standard monomial times g.  Memoized per (g, d): the
+        returned matrix is shared with the cache, and callers must not
+        mutate it.
         """
         key = (g, d)
         mat = self._mult_cache.get(key)
@@ -373,12 +407,12 @@ class ChowRingPresentation:
         mons = self.standard_monomials(d)
         index = self.standard_index(d + g.degree())
         mat = [[0] * len(mons) for _ in index]
-        nf = self._monomial_nf
+        sums = zip(*[[(tuple(map(add, mon, gm)), gc) for mon in mons]
+                     for gm, gc in g.terms.items()])
         try:
-            for j, mon in enumerate(mons):
-                for gm, gc in g.terms.items():
-                    for m, c in nf(tuple(map(add, mon, gm))).items():
-                        mat[index[m]][j] += gc * c
+            for j, col in enumerate(self.reduce_sums(sums)):
+                for m, c in col.items():
+                    mat[index[m]][j] = c
         except KeyError:
             raise ValueError("multiplier is not homogeneous") from None
         self._mult_cache[key] = mat

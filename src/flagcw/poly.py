@@ -101,24 +101,6 @@ class PolyRing:
         w = self.weights
         return sum(e * w[i] for i, e in enumerate(mon))
 
-    def monomials_of_degree(self, d: int):
-        """All exponent tuples of weighted degree exactly d (graded-lex desc)."""
-        w = self.weights
-        out = []
-
-        def rec(i, rem, acc):
-            if i == len(w) - 1:
-                if rem % w[i] == 0:
-                    out.append(tuple(acc + [rem // w[i]]))
-                return
-            for e in range(rem // w[i], -1, -1):
-                rec(i + 1, rem - e * w[i], acc + [e])
-
-        if self.nvars == 0:
-            return [()] if d == 0 else []
-        rec(0, d, [])
-        return out
-
 
 class GradedPolynomial:
     """Immutable-by-convention exact polynomial; terms map monomial -> int."""
@@ -163,14 +145,6 @@ class GradedPolynomial:
     def homogeneous_degrees(self):
         md = self.ring.monomial_degree
         return sorted({md(m) for m in self.terms})
-
-    def variables_used(self):
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return sorted(used)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -260,40 +234,6 @@ class GradedPolynomial:
         if isinstance(other, int):
             return self.ring.constant(other)
         raise TypeError(f"cannot coerce {type(other)!r} into {self.ring!r}")
-
-    # -- substitution --------------------------------------------------
-
-    def substitute(self, bindings: dict[str, GradedPolynomial | int]):
-        """Exact composition; every variable occurring in self must be bound."""
-        used = self.variables_used()
-        for i in used:
-            if self.ring.names[i] not in bindings:
-                raise ValueError(f"unbound variable {self.ring.names[i]!r}")
-        target = None
-        for v in bindings.values():
-            if isinstance(v, GradedPolynomial):
-                target = v.ring
-                break
-        if target is None:
-            target = self.ring
-        images = {}
-        for i in used:
-            v = bindings[self.ring.names[i]]
-            images[i] = (
-                v if isinstance(v, GradedPolynomial) else target.constant(v)
-            )
-        result = target.zero()
-        pow_cache: dict = {}
-        for m, c in self.terms.items():
-            term = target.constant(c)
-            for i, e in enumerate(m):
-                if e:
-                    key = (i, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = images[i] ** e
-                    term = term * pow_cache[key]
-            result = result + term
-        return result
 
     # -- printing ------------------------------------------------------
 

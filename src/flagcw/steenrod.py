@@ -14,8 +14,9 @@ block i this reads
                   + sum_{i, j even, j < d_i} a_{i,j} c^a c_{i,j+1} / c_{i,j}
                                                                 (mod 2),
 
-so an element costs one mod-2 normal form.  On complete flags (line
-blocks) only the first sum is left: Sq^2(x_i) = x_i^2.
+so an element costs one mod-2 normal form, ``nf2`` of its bumped
+monomials.  On complete flags (line blocks) only the first sum is left:
+Sq^2(x_i) = x_i^2.
 
 The standard monomials of ``ChowRingPresentation`` are a ZZ-basis, so
 their reductions are an F_2-basis of Ch^*(Fl(D)); elements are sets of
@@ -27,8 +28,6 @@ Poincare polynomials for complete flags divide exactly by (1+t).
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Mapping
 from functools import lru_cache
 
 from . import gf2, series
@@ -52,6 +51,8 @@ class Mod2Chow:
     def __init__(self, shape: FlagShape):
         self.shape = shape
         self.pres = ChowRingPresentation(shape)
+        spans = map(shape.block_span, range(1, shape.m + 1))
+        self._blocks = [(span.start, span.stop) for span in spans]
 
     def rank(self, d: int) -> int:
         return self.pres.rank(d)
@@ -65,48 +66,42 @@ class Mod2Chow:
         ``monomials`` may be
           * an iterable of monomials, summed mod 2 (a repeated monomial
             cancels);
-          * a mapping from monomial to integer coefficient, each coefficient
+          * a dict from monomial to integer coefficient, each coefficient
             taken mod 2 (so -1 counts and -2 does not);
           * a GradedPolynomial, read through its ``terms`` mapping.
 
-        The input is reduced over the integers by the memoized reducer,
-        and the monomials with odd coefficient are kept; reduction is a
-        ring map, so this is the reduction over F_2.
+        The monomials with odd coefficient are summed by the mod-2 reader
+        of the presentation; reduction is a ring map, so this is the
+        reduction over F_2.
         """
         if isinstance(monomials, GradedPolynomial):
             monomials = monomials.terms
-        if not isinstance(monomials, Mapping):
-            monomials = Counter(monomials)
-        nf = self.pres.normal_form(self.pres.ring.from_terms(monomials))
-        return frozenset(mon for mon, c in nf.terms.items() if c % 2)
+        if isinstance(monomials, dict):
+            monomials = [mon for mon, c in monomials.items() if c % 2]
+        return frozenset(self.pres.reduce_mod2(monomials))
 
-    def _bumped(self, mon, bits):
-        """The monomials of Sq^2_L(mon) before reduction, repeats kept.
+    def _bumped(self, elt, bits):
+        """The monomials of Sq^2_L(elt) before reduction, repeats kept.
 
         A monomial c^a with n_i factors from block i gains c_{i,1} when
         n_i + L_i is odd, and c_{i,j+1} / c_{i,j} for every even j < d_i
         with a_{i,j} odd.
         """
         out = []
-        for (start, stop), bit in zip(self.pres._spans, bits):
-            if (sum(mon[start:stop]) + bit) & 1:
-                out.append(mon[:start] + (mon[start] + 1,) + mon[start + 1:])
-            for v in range(start + 1, stop - 1, 2):
-                if mon[v] & 1:
-                    out.append(mon[:v] + (mon[v] - 1, mon[v + 1] + 1) + mon[v + 2:])
+        for mon in elt:
+            for (start, stop), bit in zip(self._blocks, bits):
+                if (sum(mon[start:stop]) + bit) & 1:
+                    out.append(mon[:start] + (mon[start] + 1,) + mon[start + 1:])
+                for v in range(start + 1, stop - 1, 2):
+                    if mon[v] & 1:
+                        out.append(mon[:v] + (mon[v] - 1, mon[v + 1] + 1) + mon[v + 2:])
         return out
 
     def sq2(self, elt: frozenset, twist: TwistClass = None) -> frozenset:
         """Sq^2_L of a mod-2 normal-form element, as one multiplication:
-        the odd parts of the memoized normal forms of the bumped monomials,
-        summed mod 2."""
+        the mod-2 normal form of all its bumped monomials."""
         bits = twist.bits if twist is not None else (0,) * self.shape.m
-        nf = self.pres._monomial_nf
-        out = set()
-        for mon in elt:
-            for b in self._bumped(mon, bits):
-                out.symmetric_difference_update(m for m, c in nf(b).items() if c & 1)
-        return frozenset(out)
+        return self.nf2(self._bumped(elt, bits))
 
     def sq2_matrix_rows(self, d: int, twist: TwistClass):
         """Images of the degree-d standard monomials under Sq^2_twist, as

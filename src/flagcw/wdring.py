@@ -36,11 +36,11 @@ coordinates, product columns and Poincare series read it, and
 Two generator components multiply by one rule, e_I R_S * e_J R_T =
 +-p_{I & J} e_{I ^ J} R_{S | T}, shared by WDElement products and by
 ``ann_euler``.  The annihilator check never builds a product element:
-each matrix column is the normal form of b * a_y * p_{I & J}, summed
-from the monomial normal forms of A and placed through the sparse
-projection of its one target slot.  The basis keys of one source slot
-share that target slot, sign, factor and projection, so these are
-looked up once per slot.
+``product_columns`` maps a source slot into a target slot.  Each column
+is the normal form of b * a_y * p_{I & J}, read by the integer reader of
+A and placed through the sparse projection of its target component; the
+basis polynomials of one source component share that target, sign,
+factor and projection, so these are looked up once per component.
 
 For an all-even shape the integral int_W reads the trivial-twist part in
 the top degree dim Fl(D) = 4 dim Fl(h), h = D/2.  That part is A itself,
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import add, itemgetter
+from operator import add
 
 from . import intlinalg
 from .flagchow import ChowRingPresentation, FlagShape
@@ -202,15 +202,6 @@ class WDPresentation:
     def p_top_chow_degree(self, i: int) -> int:
         return self.shape.d[i - 1] // 2
 
-    def pontryagin_image(self, i: int, j: int) -> GradedPolynomial:
-        """p_{2j}(D_i), i.e. c_j of the half block, as a normal-form element."""
-        if i not in self._half_block:
-            raise ValueError(f"block {i} carries no Pontryagin classes")
-        hb = self._half_block[i]
-        if not 1 <= j <= self.half_shape.d[hb - 1]:
-            raise ValueError(f"p_{2*j}(D_{i}) is not a generator")
-        return self.A.normal_form(self.A.generator(hb, j))
-
     def subset_twist(self, I) -> TwistClass:
         return TwistClass.from_blocks(self.shape.m, list(I))
 
@@ -349,12 +340,6 @@ class WDPresentation:
             self, {(frozenset([i]), frozenset()): self.A.ring.one()}
         )
 
-    def pontryagin(self, i: int, j: int) -> "WDElement":
-        return WDElement(
-            self,
-            {(frozenset(), frozenset()): self.pontryagin_image(i, j)},
-        )
-
     def exterior(self, l: int) -> "WDElement":
         if l not in self.r_labels:
             raise ValueError(f"no exterior generator R_{l} for this shape")
@@ -414,61 +399,52 @@ class WDPresentation:
 
         return series.normalize(coeffs)
 
-    def product_columns(self, keys, y: "WDElement", degree: int, twist: TwistClass):
-        """Coordinates over basis(degree, twist) of basis_element(key) * y
-        for each key, where y has the single component a_y * e_J * R_T.
+    def product_columns(self, source, y: "WDElement", target):
+        """Coordinates over basis(*target) of b * y for each b in
+        basis(*source), for (degree, twist) slots whose difference is that
+        of the homogeneous y; a zero y gives zero columns.
 
-        The product of key = (I, S, chow_deg, idx) with y lies in the one
-        slot (I ^ J, S | T); its A-part is the normal form of
-        b * a_y * p_{I & J}, b the basis polynomial of key, summed from
-        the monomial normal forms of A and read through the sparse
-        projection of that slot.  No element is built and no other slot
-        is visited.  Each run of keys that share (I, S, chow_deg) looks
-        up the target slot, sign, factor, projection and basis
-        polynomials once.
+        A source component e_I R_S times a component a_y * e_J * R_T of
+        y lies in the target component (I ^ J, S | T), with A-part the
+        normal form of b * a_y * p_{I & J}.  No element is built.
         """
-        if not keys:
-            return []
-        ((J, T), a_y), = y.components.items()
-        slots, size = {}, 0
-        for I, S, chow_deg in self.slot_table.get((degree, twist), ()):
-            slots[(I, S)] = (size, chow_deg)
+        places, size = {}, 0
+        for I, S, chow_deg in self.slot_table.get(target, ()):
+            places[(I, S)] = (size, chow_deg)
             size += self.component_rank(I, chow_deg)
-        nf = self.A._monomial_nf
-        degree_of = self.A.ring.monomial_degree
-        factors = {}  # I & J -> (terms of nf(a_y * p_{I & J}), Chow degree)
+        factors = {}  # (J, T, I & J) -> terms of a_y * p_{I & J}
         cols = []
-        for (I, S, chow_deg), run in itertools.groupby(keys, itemgetter(0, 1, 2)):
-            idxs = [key[3] for key in run]
-            run_cols = [[0] * size for _ in idxs]
-            cols.extend(run_cols)
-            product = _component_product(I, S, J, T)
-            if product is None:
-                continue
-            target, sign, K = product
-            factor = factors.get(K)
-            if factor is None:
-                f = self.A.normal_form(a_y * self.p_top_product(K)).terms
-                factor = factors[K] = (f, degree_of(next(iter(f))) if f else -1)
-            f, f_deg = factor
-            place = slots.get(target)
-            if not f or place is None or chow_deg + f_deg != place[1]:
-                continue
-            offset, target_deg = place
-            proj = self._quotient_data(target[0], target_deg)[0]
-            signed = [(m2, sign * c2) for m2, c2 in f.items()]
+        for I, S, chow_deg in self.slot_table.get(source, ()):
             polys = self.component_basis_polys(I, chow_deg)
-            for idx, col in zip(idxs, run_cols):
-                acc: dict = {}
-                for m1, c1 in polys[idx].terms.items():
-                    for m2, c2 in signed:
-                        c12 = c1 * c2
-                        for m, c in nf(tuple(map(add, m1, m2))).items():
-                            acc[m] = acc.get(m, 0) + c12 * c
-                for m, c in acc.items():
-                    if c:
-                        for r, u in proj[m]:
-                            col[offset + r] += c * u
+            component_cols = [[0] * size for _ in polys]
+            cols.extend(component_cols)
+            for (J, T), a_y in y.components.items():
+                product = _component_product(I, S, J, T)
+                if product is None:
+                    continue
+                component, sign, K = product
+                place = places.get(component)
+                if place is None:
+                    continue
+                f = factors.get((J, T, K))
+                if f is None:
+                    f = factors[(J, T, K)] = (a_y * self.p_top_product(K)).terms
+                if not f:
+                    continue
+                # y is homogeneous, so the product has the Chow degree of place
+                offset, target_deg = place
+                proj = self._quotient_data(component[0], target_deg)[0]
+                signed = [(m, sign * c) for m, c in f.items()]
+                products = [
+                    [(tuple(map(add, m1, m2)), c1 * c2)
+                     for m1, c1 in poly.terms.items() for m2, c2 in signed]
+                    for poly in polys
+                ]
+                for col, reduced in zip(component_cols, self.A.reduce_sums(products)):
+                    for m, c in reduced.items():
+                        if c:
+                            for r, u in proj[m]:
+                                col[offset + r] += c * u
         return cols
 
     def coords(self, x: "WDElement", degree: int, twist: TwistClass):
@@ -649,11 +625,9 @@ def ann_euler(shape: FlagShape, i: int):
     if shape.d[i - 1] % 2:
         raise ValueError(f"block {i} has odd rank; e_{i} = 0")
     x = annihilator_generator(shape, i)
-    x_degs = x.homogeneous_degrees()
-    if len(x_degs) != 1:
-        raise AssertionError("annihilator generator should be homogeneous")
-    deg_x = x_degs[0]
-    twist_x = _element_twist(pres, x)
+    # the generator is one homogeneous component a_x * e_J
+    (deg_x,), ((J, _),) = x.homogeneous_degrees(), x.components
+    twist_x = pres.subset_twist(J)
     e_elt = pres.euler(i)
     deg_e = pres.euler_degree(i)
     twist_e = pres.euler_twist(i)
@@ -663,15 +637,12 @@ def ann_euler(shape: FlagShape, i: int):
     status = "pass"
     failure = None
     for d, twist in sorted(pres.slot_table, key=lambda s: (s[0], twist_order[s[1]])):
-        src = pres.basis(d, twist)
-        if not src:
+        cols = pres.product_columns((d, twist), e_elt, (d + deg_e, twist + twist_e))
+        if not cols:
             continue
-        cols = pres.product_columns(src, e_elt, d + deg_e, twist + twist_e)
         # kernel_basis returns the canonical HNF of the kernel
-        kern = intlinalg.kernel_basis(list(zip(*cols)), len(src))
-        ideal_rows = pres.product_columns(
-            pres.basis(d - deg_x, twist + twist_x), x, d, twist
-        )
+        kern = intlinalg.kernel_basis(list(zip(*cols)), len(cols))
+        ideal_rows = pres.product_columns((d - deg_x, twist + twist_x), x, (d, twist))
         if kern != intlinalg.hnf(ideal_rows):
             status = "fail"
             failure = (d, str(twist))
@@ -688,10 +659,3 @@ def ann_euler(shape: FlagShape, i: int):
     if failure:
         report["failed_at"] = failure
     return x, report
-
-
-def _element_twist(pres: WDPresentation, x: WDElement) -> TwistClass:
-    twists = {pres.subset_twist(I) for (I, S) in x.components}
-    if len(twists) != 1:
-        raise AssertionError("element mixes twist classes")
-    return twists.pop()

@@ -10,11 +10,75 @@ class integrates to its ratio to it there.
 
 The straightforward Smith form, with full transforms U and U^-1, against
 which the lean one in intlinalg is checked.
+
+Polynomial helpers that only the tests use: every monomial of a degree,
+the variables a polynomial uses, and substitution of polynomials for
+variables.
 """
 
 import itertools
 
 from flagcw.flagchow import full_flag_ring
+from flagcw.poly import GradedPolynomial
+
+
+def monomials_of_degree(ring, d: int):
+    """All exponent tuples of weighted degree exactly d (graded-lex desc)."""
+    w = ring.weights
+    out = []
+
+    def rec(i, rem, acc):
+        if i == len(w) - 1:
+            if rem % w[i] == 0:
+                out.append(tuple(acc + [rem // w[i]]))
+            return
+        for e in range(rem // w[i], -1, -1):
+            rec(i + 1, rem - e * w[i], acc + [e])
+
+    if ring.nvars == 0:
+        return [()] if d == 0 else []
+    rec(0, d, [])
+    return out
+
+
+def variables_used(p):
+    used = set()
+    for m in p.terms:
+        for i, e in enumerate(m):
+            if e:
+                used.add(i)
+    return sorted(used)
+
+
+def substitute(p, bindings: dict):
+    """Exact composition; every variable occurring in p must be bound."""
+    used = variables_used(p)
+    for i in used:
+        if p.ring.names[i] not in bindings:
+            raise ValueError(f"unbound variable {p.ring.names[i]!r}")
+    target = None
+    for v in bindings.values():
+        if isinstance(v, GradedPolynomial):
+            target = v.ring
+            break
+    if target is None:
+        target = p.ring
+    images = {}
+    for i in used:
+        v = bindings[p.ring.names[i]]
+        images[i] = v if isinstance(v, GradedPolynomial) else target.constant(v)
+    result = target.zero()
+    pow_cache: dict = {}
+    for m, c in p.terms.items():
+        term = target.constant(c)
+        for i, e in enumerate(m):
+            if e:
+                key = (i, e)
+                if key not in pow_cache:
+                    pow_cache[key] = images[i] ** e
+                term = term * pow_cache[key]
+        result = result + term
+    return result
 
 
 def block_elementary(fl, span, j):
@@ -38,7 +102,7 @@ def pullback(pres, p):
         for j in range(1, shape.d[i - 1] + 1):
             name = pres.ring.names[span.start + j - 1]
             bindings[name] = block_elementary(fl, span, j)
-    return p.substitute(bindings)
+    return substitute(p, bindings)
 
 
 def pullback_nf(pres, p):

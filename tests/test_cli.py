@@ -85,6 +85,13 @@ def test_failed_verification_exits_2(monkeypatch, capsys):
     assert "status: fail" in capsys.readouterr().out
 
 
+def test_single_block_annihilator_passes(capsys):
+    # Fl(D) is a point: e_1 = 0, and Ann(0) = (1) = (x), x the empty product
+    for shape in ("2", "4"):
+        assert cli.run(["annihilator", "--shape", shape, "--block", "1"]) == 0
+        assert "status: pass" in capsys.readouterr().out
+
+
 SCHEMA_COMMANDS = [
     ["poincare", "--shape", "1,2", "--theory", "chow"],
     ["poincare", "--shape", "1,1,1", "--theory", "torsion"],

@@ -101,6 +101,27 @@ def test_twisted_sq2_of_unit_is_ell():
     assert ring.sq2(unit, TwistClass.trivial(3)) == frozenset()
 
 
+def test_sq2_is_one_nf2_call_on_a_list(monkeypatch):
+    # every element, of one monomial or several, costs exactly one mod-2
+    # normal form, and its bumped monomials arrive as a list
+    ring = Mod2Chow(FlagShape([1, 2, 2]))
+    nf2, calls = ring.nf2, []
+
+    def spy(monomials):
+        calls.append(monomials)
+        return nf2(monomials)
+
+    monkeypatch.setattr(ring, "nf2", spy)
+    for twist in all_twist_classes(3):
+        for d in range(ring.top_degree() + 1):
+            mons = ring.pres.standard_monomials(d)
+            for elt in [frozenset([m]) for m in mons] + [frozenset(mons)]:
+                calls.clear()
+                got = ring.sq2(elt, twist)
+                assert len(calls) == 1 and type(calls[0]) is list
+                assert got == nf2(calls[0])
+
+
 def sq2_reference(ring, elt, twist):
     """Sq^2_L on a complete flag ring, term by term: the derivation
     Sq^2(x_i) = x_i^2 on each monomial, plus the product with l = the sum
