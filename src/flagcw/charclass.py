@@ -9,7 +9,8 @@ The calculus:
   e(A (x) B)        = Cauchy determinant sum over partitions in a box
   e(Sym^M A (x) Sym^N B) = four parity cases through the quadratic
                       specialization q_lambda(M) = s_lambda(M^2,(M-2)^2,..)
-  e(Sym^k(A + B))   = prod_i e(Sym^i A (x) Sym^(k-i) B)
+  e(Sym^k(A + B))   = prod_i e(Sym^i A (x) Sym^(k-i) B), the one rule
+                      ``_sym_of_sum`` applies for ``euler_of_expression``
 
 Every builder takes its root variables and works in their ring.  Overall
 signs follow the printed factor order; consumers compare up to a single
@@ -174,15 +175,6 @@ def _euler_sym_tensor_cauchy(M: int, N: int, a: GradedPolynomial,
         out = out * euler_sym_rk2(N, b)
     if N % 2 == 0:
         out = out * euler_sym_rk2(M, a)
-    return out
-
-
-def euler_sym_sum_rk2(k: int) -> GradedPolynomial:
-    """e(Sym^k(A + B)) = prod_{i=0..k} e(Sym^(k-i) A (x) Sym^i B)."""
-    a, b = euler_root_ring(2).gens()
-    out = a.ring.one()
-    for i in range(k + 1):
-        out = out * euler_sym_tensor(k - i, i, a, b)
     return out
 
 

@@ -53,17 +53,10 @@ def multinomial(shape: FlagShape) -> int:
 
 
 def parse_shape(text: str) -> FlagShape:
+    # int() refuses a non-integer part and FlagShape a zero or negative
+    # one ("block 2 has size 0"); their message is quoted after the input
     try:
-        parts = [int(p) for p in text.strip().split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"malformed shape {text!r}: {exc}") from exc
-    if 0 in parts:
-        # the library would drop it and renumber the blocks after it
-        raise ValidationError(
-            f"malformed shape {text!r}: block {parts.index(0) + 1} has size 0"
-        )
-    try:
-        return FlagShape(parts)
+        return FlagShape(int(p) for p in text.strip().split(","))
     except ValueError as exc:
         raise ValidationError(f"malformed shape {text!r}: {exc}") from exc
 
@@ -75,7 +68,7 @@ def parse_twist(text: str, m: int) -> TwistClass:
     try:
         blocks = [int(tok) for tok in text.split(",")]
         return TwistClass.from_blocks(m, blocks)
-    except Exception as exc:
+    except ValueError as exc:
         raise ValidationError(f"malformed twist {text!r}: {exc}") from exc
 
 
@@ -189,15 +182,10 @@ def cmd_wring(args) -> int:
 
 def cmd_annihilator(args) -> int:
     shape = parse_shape(args.shape)
-    if not 1 <= args.block <= shape.m:
-        raise ValidationError(
-            f"block {args.block} out of range 1..{shape.m} for shape {shape}"
-        )
-    if shape.d[args.block - 1] % 2:
-        raise ValidationError(
-            f"block {args.block} of shape {shape} has odd rank; its Euler "
-            "class is zero"
-        )
+    try:
+        wdring.check_even_block(shape, args.block)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     x, report = wdring.ann_euler(shape, args.block)
     return respond(
         args,
@@ -265,8 +253,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "annihilator":
         for parts in [(2, 2), (1, 2), (2, 4), (1, 2, 2), (2, 2, 2), (1, 4)]:
             shape = FlagShape(parts)
-            blocks = [i for i in range(1, shape.m + 1) if shape.d[i - 1] % 2 == 0]
-            _, rep = wdring.ann_euler(shape, blocks[-1])
+            _, rep = wdring.ann_euler(shape, wdring.build_sigma(shape).E[-1])
             reports.append(rep)
         for parts in [(1, 1), (1, 2), (2, 2), (1, 1, 2)]:
             _, rep = flagchow.ann_top_chern(FlagShape(parts))

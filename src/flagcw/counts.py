@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 
-from .charclass import euler_root_ring, euler_sym_rk2, euler_sym_sum_rk2
+from .charclass import euler_of_expression, parse_bundle
 from .flagchow import FlagShape
 from .poly import GradedPolynomial, PolyRing
 from .symfunc import (
@@ -84,9 +84,8 @@ def count_lines_cubic() -> tuple:
     )
 
     pres = build_sigma(FlagShape([2, 2]))
-    real_count = pres.integrate(
-        euler_root_image(pres, euler_sym_rk2(3, euler_root_ring(1).var(0)))
-    )
+    e = euler_of_expression(parse_bundle("sym^3(dual(S1))"), 1)
+    real_count = pres.integrate(euler_root_image(pres, e))
     form = gw_form(complex_count, real_count)
     result = {
         "complex": complex_count,
@@ -131,7 +130,7 @@ def count_quintic_fourplanes() -> int:
 def flag_euler_class() -> GradedPolynomial:
     """e(E) = 3a^2 e(Sym^5(D1* + D2*)) on Fl(2,2,14), in the Euler roots
     a, b of D1, D2: the Euler class of Sym^3 S1* + Sym^5 S2*."""
-    return euler_sym_rk2(3, euler_root_ring(2).var(0)) * euler_sym_sum_rk2(5)
+    return euler_of_expression(parse_bundle("sym^3(dual(S1)) + sym^5(dual(S2))"), 2)
 
 
 def flag_survivors(e: GradedPolynomial) -> tuple:

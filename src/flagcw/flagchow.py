@@ -1,5 +1,11 @@
 """Chow rings of type-A partial flag varieties.
 
+``FlagShape`` owns the block layout of D: N, m, dim Fl(D) and the
+generator span (s_{i-1}, s_i) of each block, computed once.  Every
+module reads block sizes and spans from it, and every public method that
+takes a block number reads it through ``FlagShape.size``, which refuses
+numbers outside 1..m.
+
 CH^*(Fl(D)), D = (d_1, ..., d_m), is generated by the Chern classes
 c_{i,j} = c_j(D_i) of the subquotient blocks subject to prod_i c(D_i) = 1,
 and it is computed on these generators.  Put s_{i-1} = d_1 + ... + d_{i-1},
@@ -46,7 +52,6 @@ c_top(D_m) on Fl(D) are both that check.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul, sub
@@ -57,38 +62,34 @@ from .symfunc import jacobi_trudi_delta
 
 
 class FlagShape:
-    """A composition D = (d_1, ..., d_m) of N; zero parts are dropped."""
+    """A composition D = (d_1, ..., d_m) of N into positive parts, and the
+    one owner of its block layout.
+
+    N, m, dim Fl(D) = (N^2 - sum d_i^2) / 2 and ``spans`` are computed
+    once: spans[i - 1] = (s_{i-1}, s_i), the 0-based indices start..stop
+    of the generators c_{i,1}..c_{i,d_i} of block i.  ``size(i)`` is the
+    one checked reader of a 1-based block number; a zero part is refused,
+    not dropped, so block numbers mean what the caller wrote.
+    """
 
     def __init__(self, parts):
         parts = tuple(int(d) for d in parts)
+        if 0 in parts:
+            raise ValueError(f"block {parts.index(0) + 1} has size 0")
         if any(d < 0 for d in parts):
             raise ValueError("block sizes must be non-negative")
-        if 0 in parts:
-            warnings.warn(f"dropping zero parts from shape {parts}")
-            parts = tuple(d for d in parts if d)
         self.d = parts
+        ends = tuple(accumulate(parts, initial=0))
+        self.N = ends[-1]
+        self.m = len(parts)
+        self.dim = (self.N ** 2 - sum(d * d for d in parts)) // 2
+        self.spans = tuple(zip(ends, ends[1:]))
 
-    @property
-    def N(self) -> int:
-        return sum(self.d)
-
-    @property
-    def m(self) -> int:
-        return len(self.d)
-
-    @property
-    def dim(self) -> int:
-        return sum(
-            self.d[i] * self.d[j]
-            for i in range(self.m)
-            for j in range(i + 1, self.m)
-        )
-
-    def block_span(self, i: int):
-        """0-based indices of the generators c_{i,1}..c_{i,d_i} of block i
-        (1-based): s_{i-1}..s_i - 1."""
-        start = sum(self.d[: i - 1])
-        return range(start, start + self.d[i - 1])
+    def size(self, i: int) -> int:
+        """d_i for the 1-based block number i; ValueError outside 1..m."""
+        if not 1 <= i <= self.m:
+            raise ValueError(f"block {i} out of range 1..{self.m} for shape {self}")
+        return self.d[i - 1]
 
     def is_full_flag(self) -> bool:
         return all(d == 1 for d in self.d)
@@ -141,10 +142,7 @@ class ChowRingPresentation:
         self.ring = PolyRing(names, weights)
         self.dim = shape.dim
         # block i holds the variables start..stop-1, and start = s_{i-1}
-        self._spans = []
-        for i in range(1, shape.m + 1):
-            span = shape.block_span(i)
-            self._spans.append((span.start, span.stop))
+        self._spans = shape.spans
         self._poincare = chow_poincare(shape)
         self._sigmas = None
         self._rules = {}
@@ -157,12 +155,12 @@ class ChowRingPresentation:
 
     def generator(self, i: int, j: int) -> GradedPolynomial:
         """c_j(D_i) as a ring variable."""
-        if not 1 <= j <= self.shape.d[i - 1]:
+        if not 1 <= j <= self.shape.size(i):
             raise ValueError(f"c_{j}(D_{i}) is not a generator")
         return self.ring.var(self._spans[i - 1][0] + j - 1)
 
     def top_chern(self, i: int) -> GradedPolynomial:
-        return self.generator(i, self.shape.d[i - 1])
+        return self.generator(i, self.shape.size(i))
 
     def rank(self, d: int) -> int:
         p = self._poincare
@@ -424,12 +422,10 @@ class ChowRingPresentation:
         """prod_{i<m} c_top(Hom(D_i, A^N/F_i)), with A^N/F_i taken trivial:
         prod_{i<m} (-1)^{d_i r_i} c_{i,d_i}^{r_i}, r_i = N - s_i."""
         pt = self.ring.one()
-        s = 0
-        for i, d in enumerate(self.shape.d[:-1], start=1):
-            s += d
-            r = self.shape.N - s
+        for i, (start, stop) in enumerate(self._spans[:-1], start=1):
+            r = self.shape.N - stop
             pt = pt * self.top_chern(i) ** r
-            if d * r % 2:
+            if (stop - start) * r % 2:
                 pt = -pt
         return pt
 

@@ -51,8 +51,6 @@ class Mod2Chow:
     def __init__(self, shape: FlagShape):
         self.shape = shape
         self.pres = ChowRingPresentation(shape)
-        spans = map(shape.block_span, range(1, shape.m + 1))
-        self._blocks = [(span.start, span.stop) for span in spans]
 
     def rank(self, d: int) -> int:
         return self.pres.rank(d)
@@ -87,9 +85,9 @@ class Mod2Chow:
         n_i + L_i is odd, and c_{i,j+1} / c_{i,j} for every even j < d_i
         with a_{i,j} odd.
         """
-        out = []
+        out, spans = [], self.shape.spans
         for mon in elt:
-            for (start, stop), bit in zip(self._blocks, bits):
+            for (start, stop), bit in zip(spans, bits):
                 if (sum(mon[start:stop]) + bit) & 1:
                     out.append(mon[:start] + (mon[start] + 1,) + mon[start + 1:])
                 for v in range(start + 1, stop - 1, 2):
@@ -116,13 +114,15 @@ class Mod2Chow:
         ]
 
 
-def _sq2_ranks(shape: FlagShape, twist: TwistClass):
-    """rank of Sq^2_twist: Ch^d -> Ch^(d+1) for d = 0..dim Fl(D)."""
+@lru_cache(maxsize=None)
+def _sq2_ranks(shape: FlagShape, twist: TwistClass) -> tuple:
+    """rank of Sq^2_twist: Ch^d -> Ch^(d+1) for d = 0..dim Fl(D), computed
+    once per (shape, twist) for both the torsion and the Bockstein ranks."""
     ring = mod2_chow(shape.d)
-    return [
+    return tuple(
         gf2.rank(ring.sq2_matrix_rows(d, twist))
         for d in range(ring.top_degree() + 1)
-    ]
+    )
 
 
 def bockstein_cohomology_ranks(shape: FlagShape, twist: TwistClass):
@@ -136,7 +136,7 @@ def bockstein_cohomology_ranks(shape: FlagShape, twist: TwistClass):
 
 def torsion_poincare_from_sq2(shape: FlagShape, twist: TwistClass):
     """P_Tor = t * sum_q rank(Sq^2_twist on Ch^q) t^q, from the Sq^2 images."""
-    return series.normalize([0] + _sq2_ranks(shape, twist))
+    return series.normalize([0, *_sq2_ranks(shape, twist)])
 
 
 def w_poincare_closed(N: int):

@@ -61,7 +61,7 @@ import itertools
 from functools import lru_cache
 from operator import add
 
-from . import intlinalg
+from . import intlinalg, series
 from .flagchow import ChowRingPresentation, FlagShape
 from .poly import GradedPolynomial
 
@@ -130,25 +130,19 @@ class WDPresentation:
 
     def __init__(self, shape: FlagShape):
         self.shape = shape
-        d = shape.d
-        self.E = tuple(i for i in range(1, shape.m + 1) if d[i - 1] % 2 == 0)
-        odd = [i for i in range(1, shape.m + 1) if d[i - 1] % 2]
-        if not odd:
+        self.E = tuple(i for i, d in enumerate(shape.d, start=1) if d % 2 == 0)
+        if len(self.E) == shape.m:
             self.parity = "all-even"
-        elif len(odd) == shape.m:
+        elif not self.E:
             self.parity = "all-odd"
         else:
             self.parity = "mixed"
-        half = [x // 2 for x in d]
-        self._half_block = {}
-        kept = []
-        for i, h in enumerate(half, start=1):
-            if h > 0:
-                kept.append(h)
-                self._half_block[i] = len(kept)
-        self.half_shape = FlagShape(kept)
+        # a block i of D of size > 1 is block _half_block[i] of the half shape
+        kept = [i for i, d in enumerate(shape.d, start=1) if d > 1]
+        self._half_block = {i: k for k, i in enumerate(kept, start=1)}
+        self.half_shape = FlagShape(shape.size(i) // 2 for i in kept)
         self.A = ChowRingPresentation(self.half_shape)
-        self.q = sum(half)
+        self.q = self.half_shape.N
         self.n = shape.N // 2
         self.r_labels = tuple(range(self.q + 1, self.n + 1))
         self._quotient_cache = {}
@@ -173,9 +167,6 @@ class WDPresentation:
             return self.shape.N - 1
         return 4 * l - 1
 
-    def euler_degree(self, i: int) -> int:
-        return self.shape.d[i - 1]
-
     def euler_twist(self, i: int) -> TwistClass:
         return TwistClass.from_blocks(self.shape.m, [i])
 
@@ -194,25 +185,23 @@ class WDPresentation:
         if img is None:
             img = self.A.ring.one()
             for i in K:
-                if i in self._half_block:
+                if self.shape.size(i) > 1:
                     img = img * self.A.top_chern(self._half_block[i])
             img = self._p_top_cache[K] = self.A.normal_form(img)
         return img
 
     def p_top_chow_degree(self, i: int) -> int:
-        return self.shape.d[i - 1] // 2
+        return self.shape.size(i) // 2
 
     def subset_twist(self, I) -> TwistClass:
         return TwistClass.from_blocks(self.shape.m, list(I))
 
     def subset_degree(self, I) -> int:
-        return sum(self.shape.d[i - 1] for i in I)
+        return sum(map(self.shape.size, I))
 
     def max_degree(self) -> int:
-        top = 4 * self.half_shape.dim
-        top += sum(self.shape.d[i - 1] for i in self.E)
-        top += sum(self.r_degree(l) for l in self.r_labels)
-        return top
+        top = 4 * self.half_shape.dim + self.subset_degree(self.E)
+        return top + sum(self.r_degree(l) for l in self.r_labels)
 
     # -- quotient machinery ------------------------------------------------
 
@@ -316,12 +305,8 @@ class WDPresentation:
         a = x.components.get((frozenset(), frozenset()))
         if a is None:
             return 0
-        eps, t = 1, 0
-        for h in self.half_shape.d[:-1]:
-            t += h
-            if h * (self.n - t) % 2:
-                eps = -eps
-        return eps * self.A.integrate(a)
+        flips = sum((t - s) * (self.n - t) for s, t in self.half_shape.spans[:-1])
+        return (-1 if flips % 2 else 1) * self.A.integrate(a)
 
     # -- elements ----------------------------------------------------------
 
@@ -334,7 +319,7 @@ class WDPresentation:
         )
 
     def euler(self, i: int) -> "WDElement":
-        if self.shape.d[i - 1] % 2:
+        if self.shape.size(i) % 2:
             return self.zero()
         return WDElement(
             self, {(frozenset([i]), frozenset()): self.A.ring.one()}
@@ -395,8 +380,6 @@ class WDPresentation:
         for (d, t), slots in self.slot_table.items():
             if t == twist:
                 coeffs[d] += sum(self.component_rank(I, k) for I, S, k in slots)
-        from . import series
-
         return series.normalize(coeffs)
 
     def product_columns(self, source, y: "WDElement", target):
@@ -593,12 +576,20 @@ def wd_poincare(shape: FlagShape, twist: TwistClass):
     return build_sigma(shape).poincare(twist)
 
 
+def check_even_block(shape: FlagShape, i: int) -> None:
+    """Refuse a block number outside 1..m, or of an odd block, whose Euler
+    class is zero."""
+    if shape.size(i) % 2:
+        raise ValueError(
+            f"block {i} of shape {shape} has odd rank; its Euler class is zero"
+        )
+
+
 def annihilator_generator(shape: FlagShape, i: int) -> WDElement:
     """The theorem's generator of Ann(e_i): prod_{j != i} e_j when every
     block is even, else e_i * prod_{j != i} p_top(D_j)."""
+    check_even_block(shape, i)
     pres = build_sigma(shape)
-    if shape.d[i - 1] % 2:
-        raise ValueError("annihilator generator is stated for even blocks")
     if pres.parity == "all-even":
         x = pres.one()
         for j in range(1, shape.m + 1):
@@ -621,15 +612,13 @@ def ann_euler(shape: FlagShape, i: int):
     checked and fails on the first mismatch between ker(.e_i) and the
     span of x * basis.
     """
+    x = annihilator_generator(shape, i)  # refuses an odd or absent block
     pres = build_sigma(shape)
-    if shape.d[i - 1] % 2:
-        raise ValueError(f"block {i} has odd rank; e_{i} = 0")
-    x = annihilator_generator(shape, i)
     # the generator is one homogeneous component a_x * e_J
     (deg_x,), ((J, _),) = x.homogeneous_degrees(), x.components
     twist_x = pres.subset_twist(J)
     e_elt = pres.euler(i)
-    deg_e = pres.euler_degree(i)
+    deg_e = shape.size(i)
     twist_e = pres.euler_twist(i)
     twist_order = {t: pos for pos, t in enumerate(all_twist_classes(shape.m))}
 

@@ -98,7 +98,7 @@ def pullback(pres, p):
     fl = full_flag_ring(shape.N)
     bindings = {}
     for i in range(1, shape.m + 1):
-        span = shape.block_span(i)
+        span = range(*shape.spans[i - 1])
         for j in range(1, shape.d[i - 1] + 1):
             name = pres.ring.names[span.start + j - 1]
             bindings[name] = block_elementary(fl, span, j)
@@ -122,7 +122,7 @@ def class_of_point(shape):
         s += shape.d[i - 1]
         r = shape.N - s
         exps = [0] * shape.N
-        for j in shape.block_span(i):
+        for j in range(*shape.spans[i - 1]):
             exps[j] = r
         sign = -1 if (shape.d[i - 1] * r) % 2 else 1
         result = result * fl.ring.monomial(exps, sign)

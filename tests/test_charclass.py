@@ -17,7 +17,6 @@ from flagcw.charclass import (
     euler_of_expression,
     euler_root_ring,
     euler_sym_rk2,
-    euler_sym_sum_rk2,
     euler_sym_tensor,
     euler_tensor_cauchy,
     orientability_conditions,
@@ -212,14 +211,19 @@ SYM5_COEFFS = {
 }
 
 
+def euler_sym_sum(k):
+    """e(Sym^k(D1 + D2)) through the bundle-expression route."""
+    return euler_of_expression(parse_bundle(f"sym^{k}(D1 + D2)"), 2)
+
+
 def test_euler_sym_sum_rk2_five():
-    s5 = euler_sym_sum_rk2(5)
+    s5 = euler_sym_sum(5)
     assert dict(s5.terms) == SYM5_COEFFS
 
 
 def test_euler_sym_sum_rk2_one():
     ring, a, b = roots_ab()
-    assert euler_sym_sum_rk2(1) == a * b
+    assert euler_sym_sum(1) == a * b
 
 
 def test_euler_sym_sum_rk2_three_against_oracle():
@@ -227,12 +231,12 @@ def test_euler_sym_sum_rk2_three_against_oracle():
     oracle = ring.one()
     for i in range(4):
         oracle = oracle * tensor_root_oracle(3 - i, i, ring)
-    assert euler_sym_sum_rk2(3) == oracle
+    assert euler_sym_sum(3) == oracle
 
 
 def test_euler_sym_sum_symmetric_up_to_sign():
     for k in (1, 3, 5):
-        s = euler_sym_sum_rk2(k)
+        s = euler_sym_sum(k)
         swapped_terms = {}
         for (ea, eb), c in [
             ((m + (0, 0))[:2], c) for m, c in s.terms.items()

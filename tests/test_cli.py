@@ -6,6 +6,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
 from flagcw import charclass, cli, counts, steenrod, wdring
 from flagcw.flagchow import FlagShape
 from flagcw.wdring import TwistClass
@@ -61,6 +63,39 @@ def test_zero_block_is_rejected_before_twist_and_block(capsys):
         # block 3 is in range for the original shape, not for a renumbered one
         assert cli.run(["annihilator", "--shape", "2,0,2", "--block", "3"]) == 1
         assert "block 2 has size 0" in capsys.readouterr().err
+
+
+# inputs refused before any work, with the message printed after "error: "
+REFUSED = [
+    (["annihilator", "--shape", "2,2", "--block", "3"],
+     "block 3 out of range 1..2 for shape 2,2"),
+    (["annihilator", "--shape", "2,2", "--block", "0"],
+     "block 0 out of range 1..2 for shape 2,2"),
+    (["annihilator", "--shape", "1,2", "--block", "1"],
+     "block 1 of shape 1,2 has odd rank; its Euler class is zero"),
+    (["annihilator", "--shape", "2,0,2", "--block", "3"],
+     "malformed shape '2,0,2': block 2 has size 0"),
+    (["poincare", "--theory", "chow", "--shape", "1,0,2"],
+     "malformed shape '1,0,2': block 2 has size 0"),
+    (["poincare", "--theory", "chow", "--shape", "1,-2"],
+     "malformed shape '1,-2': block sizes must be non-negative"),
+]
+
+
+def test_refused_inputs_pin_stderr_and_exit_code(capsys):
+    for fmt in ("text", "json"):
+        for argv, message in REFUSED:
+            assert cli.run(["--format", fmt, *argv]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_parse_twist_lets_an_internal_error_through(monkeypatch):
+    def broken(m, blocks):
+        raise RuntimeError("internal")
+
+    monkeypatch.setattr(TwistClass, "from_blocks", staticmethod(broken))
+    with pytest.raises(RuntimeError, match="internal"):
+        cli.run(["poincare", "--theory", "w", "--shape", "2,2", "--twist", "1"])
 
 
 def test_chow_poincare_checks_the_multinomial(capsys):

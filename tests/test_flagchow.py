@@ -71,10 +71,9 @@ def test_shape_basics():
     assert str(sh) == "2,2,14"
 
 
-def test_shape_drops_zero_parts_with_notice():
-    with pytest.warns(UserWarning):
-        sh = FlagShape([2, 0, 1])
-    assert sh.d == (2, 1)
+def test_shape_refuses_zero_parts():
+    with pytest.raises(ValueError, match="block 2 has size 0"):
+        FlagShape([2, 0, 1])
 
 
 # -- Poincare polynomials -------------------------------------------------

@@ -136,7 +136,7 @@ def sq2_reference(ring, elt, twist):
         tuple(int(k == j) for k in range(N))
         for block, bit in enumerate(twist.bits, start=1)
         if bit
-        for j in ring.shape.block_span(block)
+        for j in range(*ring.shape.spans[block - 1])
     ]
     ell = ring.nf2(lines)
     out ^= ring.nf2([tuple(map(add, m1, m2)) for m1 in elt for m2 in ell])
