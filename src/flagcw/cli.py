@@ -27,9 +27,10 @@ from .wdring import TwistClass
 
 # Sq^2 torsion of a partial flag variety works on all multinomial(N; D)
 # standard monomials of its Chow ring.  Single runs on a 2-core VM: rank
-# 16800 (3,3,3,1) in 32 s, 34650 (4,4,4) in 1.4 s, 113400 (2,2,2,2,2) in
-# 2.9 s; 92400 (3,3,3,2) had not ended after 240 s.  The rank is a coarse
-# guide to the cost, and the limit admits (4,4,4) but not (3,3,3,2).
+# 16800 (3,3,3,1) in 26 s, 34650 (4,4,4) in 0.5 s, 113400 (2,2,2,2,2) in
+# 1.5-1.8 s in-process; 92400 (3,3,3,2) had not ended after 240 s.  The
+# rank is a coarse guide to the cost, and the limit admits (4,4,4) but
+# not (3,3,3,2).
 TORSION_RANK_LIMIT = 40000
 
 

@@ -188,10 +188,12 @@ def count_flags() -> tuple:
         ("complex count = 27 x QUINTIC_FOURPLANES = FLAGS_COMPLEX",
          route_a == 27 * QUINTIC_FOURPLANES == FLAGS_COMPLEX),
     ]
-    for key in ("real_primary", "real_diagnostic"):
+    for key, want in (("real_primary", FLAGS_REAL_PRIMARY),
+                      ("real_diagnostic", FLAGS_REAL_DIAGNOSTIC)):
         real = result[key]
         checks.append((f"{key}: |real| <= complex and real = complex mod 2",
                        abs(real) <= route_a and (route_a - real) % 2 == 0))
+        checks.append((f"{key} = FLAGS_{key.upper()}", real == want))
     # the integral reads every monomial of e(E), the difference only the
     # two the paper keeps
     checks.append(("real_diagnostic = int_W e(E) = c_{8,7} - c_{7,8}",

@@ -23,7 +23,9 @@ the complete homogeneous classes of F_{i-1}.  A
 monomial is standard when it has at most s_{i-1} factors from every
 block i.  By Leray-Hirsch along the tower of Grassmann bundles
 Fl(D) -> Fl(d_1 + d_2, d_3, ..., d_m) -> ..., the standard monomials are a
-ZZ-basis, multinomial(N; D) of them.  ``ChowRingPresentation`` holds the
+ZZ-basis, multinomial(N; D) of them: the product of the fibre bases, in
+which block i contributes its C(s_i, d_i) monomials with at most s_{i-1}
+factors, a basis of CH^*(Gr(d_i, s_i)).  ``ChowRingPresentation`` holds the
 only rewrite, monomial by monomial through a per-ring memo that also
 keeps every monomial a rewrite passes through.  Only two readers sum its
 entries: ``reduce_sums`` gives integer normal forms of sums of terms (for
@@ -53,7 +55,7 @@ c_top(D_m) on Fl(D) are both that check.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from operator import add, mul, sub
 
 from . import intlinalg, series
@@ -148,7 +150,7 @@ class ChowRingPresentation:
         self._rules = {}
         # normal form of every monomial reduced so far, standard ones included
         self._nf_memo = {}
-        self._standard = {}
+        self._standard = None  # degree -> standard monomials, built once
         self._standard_index = {}
         self._mult_cache = {}
         self._ideal_cache = {}
@@ -328,37 +330,33 @@ class ChowRingPresentation:
     # -- the standard basis ----------------------------------------------------
 
     def standard_monomials(self, d: int):
-        """Standard monomials of degree d, descending: at most s_{i-1}
-        factors from each block i.  Raises ArithmeticError unless their
-        number is the Poincare coefficient."""
-        mons = self._standard.get(d)
-        if mons is not None:
-            return mons
-        w = self.ring.weights
-        starts = {start for start, _ in self._spans}
-        mons = []
-
-        def rec(v, rem, left, acc):
-            if v == len(w):
-                if rem == 0:
-                    mons.append(tuple(acc))
-                return
-            if v in starts:
-                left = v
-            for e in range(min(left, rem // w[v]), -1, -1):
-                acc.append(e)
-                rec(v + 1, rem - e * w[v], left - e, acc)
-                acc.pop()
-
-        if d >= 0:
-            rec(0, d, 0, [])
-        mons.sort(reverse=True)
+        """Standard monomials of degree d, descending, read from one table
+        built for every degree as the product of the fibre bases.  Raises
+        ArithmeticError unless their number is the Poincare coefficient."""
+        if self._standard is None:
+            table = {0: [()]}
+            for start, stop in self._spans:
+                # c_{i,j}^{e_j} is weight j picked e_j times among `start`
+                # picks from 0..d_i, so at most s_{i-1} factors
+                weights, fibre = range(stop - start + 1), {}
+                for pick in combinations_with_replacement(weights, start):
+                    exps = tuple(map(pick.count, weights[1:]))
+                    fibre.setdefault(sum(pick), []).append(exps)
+                product = {}
+                for deg, heads in table.items():
+                    for w, tails in fibre.items():
+                        product.setdefault(deg + w, []).extend(
+                            h + t for h in heads for t in tails)
+                table = product
+            for mons in table.values():
+                mons.sort(reverse=True)
+            self._standard = table
+        mons = self._standard.get(d, [])
         if len(mons) != self.rank(d):
             raise ArithmeticError(
                 f"{len(mons)} standard monomials in degree {d} for shape "
                 f"{self.shape}, Poincare coefficient {self.rank(d)}"
             )
-        self._standard[d] = mons
         return mons
 
     # bench/tracer.py wraps this name

@@ -172,10 +172,11 @@ def q_spec(lam: Partition, M: int) -> int:
     return schur_at(lam, points)
 
 
-def vandermonde(ring: PolyRing, k: int) -> GradedPolynomial:
+def vandermonde(ring: PolyRing, indices) -> GradedPolynomial:
+    """prod_{a < b} (x_{indices[a]} - x_{indices[b]})."""
     v = ring.one()
-    for i in range(k):
-        for j in range(i + 1, k):
+    for a, i in enumerate(indices):
+        for j in indices[a + 1:]:
             v = v * (ring.var(i) - ring.var(j))
     return v
 
@@ -274,7 +275,7 @@ def grassmann_integrate_product(k: int, n: int, factors) -> int:
         acc = out
     staircase = tuple(n - 1 - i for i in range(k))
     total = 0
-    for v, c in vandermonde(factors[0].ring, k).terms.items():
+    for v, c in vandermonde(factors[0].ring, range(k)).terms.items():
         rest = tuple(map(sub, staircase, v))
         if min(rest, default=0) >= 0:
             total += c * acc.get(pack(rest) + off, 0)
@@ -325,15 +326,8 @@ def grassmann_bundle_pushforward(
             for j in c_positions:
                 if i > j:
                     sign = -sign
-        v_s = ring.one()
-        for a in range(len(s_positions)):
-            for b in range(a + 1, len(s_positions)):
-                v_s = v_s * (ring.var(s_positions[a]) - ring.var(s_positions[b]))
-        v_c = ring.one()
-        for a in range(len(c_positions)):
-            for b in range(a + 1, len(c_positions)):
-                v_c = v_c * (ring.var(c_positions[a]) - ring.var(c_positions[b]))
-        numerator = numerator + sign * g_s * v_s * v_c
+        numerator = numerator + (sign * g_s * vandermonde(ring, s_positions)
+                                 * vandermonde(ring, c_positions))
     result = numerator
     for a in range(r):
         for b in range(a + 1, r):

@@ -287,6 +287,11 @@ class WDPresentation:
         quotient-reduced; shared with the cache, so do not mutate them."""
         return self._quotient_data(I, chow_deg)[1]
 
+    def check_shape(self, x: "WDElement") -> None:
+        """ValueError unless x is an element of W_D for this shape."""
+        if x.pres.shape != self.shape:
+            raise ValueError(f"W_D element of shape {x.pres.shape}, not {self.shape}")
+
     # -- integration -------------------------------------------------------
 
     def integrate(self, x: "WDElement") -> int:
@@ -295,8 +300,9 @@ class WDPresentation:
 
         eps = prod_{i<m} (-1)^{h_i (n - t_i)}, t_i = h_1 + ... + h_i,
         normalizes int_W prod_{i<m} p_top(D_i)^{(N - s_i)/2} to 1.
-        Raises ValueError for any other parity.
+        Raises ValueError for any other parity or another shape.
         """
+        self.check_shape(x)
         if self.parity != "all-even":
             raise ValueError(
                 f"int_W is defined here for all-even shapes only; "
@@ -391,6 +397,7 @@ class WDPresentation:
         y lies in the target component (I ^ J, S | T), with A-part the
         normal form of b * a_y * p_{I & J}.  No element is built.
         """
+        self.check_shape(y)
         places, size = {}, 0
         for I, S, chow_deg in self.slot_table.get(target, ()):
             places[(I, S)] = (size, chow_deg)
@@ -433,6 +440,7 @@ class WDPresentation:
     def coords(self, x: "WDElement", degree: int, twist: TwistClass):
         """Coordinates over basis() of the (degree, twist) part of x, which
         may be any representative: each part read is normal-formed here."""
+        self.check_shape(x)
         out = []
         zero = self.A.ring.zero()
         for I, S, chow_deg in self.slot_table.get((degree, twist), ()):
@@ -474,6 +482,7 @@ class WDElement:
         return not self.components
 
     def __add__(self, other: "WDElement") -> "WDElement":
+        self.pres.check_shape(other)
         out = dict(self.components)
         for key, a in other.components.items():
             out[key] = out[key] + a if key in out else a
@@ -504,6 +513,7 @@ class WDElement:
     def _unreduced_product(self, other: "WDElement") -> dict:
         """Components of self * other before the quotient reduction."""
         pres = self.pres
+        pres.check_shape(other)
         out: dict = {}
         for (I, S), a in self.components.items():
             for (J, T), b in other.components.items():

@@ -162,7 +162,7 @@ def test_json_payload_schema(capsys):
 
 def test_count_fills_checks(capsys):
     for preset, n_checks in [("cubic-lines", 3), ("quintic-4planes", 1),
-                             ("flag-3-5", 5)]:
+                             ("flag-3-5", 7)]:
         assert cli.run(["count", "--preset", preset]) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert len(checks) == n_checks, preset
@@ -187,6 +187,15 @@ def test_count_route_disagreement_exits_2(monkeypatch, capsys):
     assert [c["name"] for c in checks if c["status"] == "fail"] == [
         "complex routes a and b agree"
     ]
+
+
+@pytest.mark.parametrize("name", ["FLAGS_REAL_PRIMARY", "FLAGS_REAL_DIAGNOSTIC"])
+def test_wrong_real_flag_constant_exits_2(monkeypatch, capsys, name):
+    monkeypatch.setattr(counts, name, 1)
+    assert cli.run(["count", "--preset", "flag-3-5"]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    key = name[len("FLAGS_"):].lower()
+    assert [c["name"] for c in checks if c["status"] == "fail"] == [f"{key} = {name}"]
 
 
 def test_count_output_is_deterministic():

@@ -195,6 +195,31 @@ def test_graded_ranks_match_poincare():
     assert shapes == 127
 
 
+def test_standard_monomials_are_the_bounded_monomials_in_descending_order():
+    # the exact list: every monomial of degree d with at most s_{i-1}
+    # factors from block i, descending, on every composition of N <= 6
+    for N in range(1, 7):
+        for parts in compositions(N):
+            shape = FlagShape(parts)
+            pres = ChowRingPresentation(shape)
+            for d in range(shape.dim + 2):
+                want = sorted(
+                    (mon for mon in monomials_of_degree(pres.ring, d)
+                     if all(sum(mon[start:stop]) <= start
+                            for start, stop in shape.spans)),
+                    reverse=True,
+                )
+                assert pres.standard_monomials(d) == want, (parts, d)
+
+
+@pytest.mark.parametrize("parts", [(4, 4, 4), (2, 2, 2, 2, 2), (5, 5, 2), (2, 2, 14)])
+def test_standard_basis_size_is_the_multinomial(parts):
+    shape = FlagShape(parts)
+    pres = ChowRingPresentation(shape)
+    total = sum(len(pres.standard_monomials(d)) for d in range(shape.dim + 1))
+    assert total == math.factorial(shape.N) // math.prod(map(math.factorial, parts))
+
+
 def test_standard_monomial_count_mismatch_raises(monkeypatch):
     pres = ChowRingPresentation(FlagShape([2, 2]))
     monkeypatch.setattr(pres, "_poincare", [1, 1, 2, 1, 2])

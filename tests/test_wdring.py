@@ -129,6 +129,22 @@ def test_products_add_twists():
     assert twists == {pres.euler_twist(1) + pres.euler_twist(2)}
 
 
+def test_elements_of_another_shape_are_refused():
+    # (2,2) and (2,3) share the A-ring of (1,1), and (2,4) has an e_2
+    a, b = build_sigma(FlagShape([2, 2])), build_sigma(FlagShape([2, 3]))
+    with pytest.raises(ValueError, match="shape 2,3, not 2,2"):
+        a.euler(1) * b.euler(1)
+    with pytest.raises(ValueError, match="shape 2,3, not 2,2"):
+        a.integrate(b.euler(1) * b.euler(1))
+    with pytest.raises(ValueError, match="shape 2,4, not 2,2"):
+        a.euler(1) + build_sigma(FlagShape([2, 4])).euler(2)
+    slot = (0, TwistClass.trivial(2))
+    with pytest.raises(ValueError, match="shape 2,3, not 2,2"):
+        a.coords(b.one(), *slot)
+    with pytest.raises(ValueError, match="shape 2,3, not 2,2"):
+        a.product_columns(slot, b.one(), slot)
+
+
 def test_maximal_rank_matches_half_chow():
     # untwisted rank in degree 4k of Fl(2D') equals rank CH^k(Fl(D'))
     for half in [(1, 1), (1, 2), (1, 1, 1)]:
