@@ -9,6 +9,7 @@ arithmetic is exact over arbitrary-precision integers.
 from .flagchow import (
     ChowRingPresentation,
     FlagShape,
+    TwistClass,
     ann_top_chern,
     chow_poincare,
     full_flag_ring,
@@ -28,7 +29,6 @@ from .symfunc import (
     q_spec,
 )
 from .wdring import (
-    TwistClass,
     WDElement,
     WDPresentation,
     ann_euler,

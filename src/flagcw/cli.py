@@ -21,8 +21,7 @@ import math
 import sys
 
 from . import charclass, counts, flagchow, series, steenrod, wdring
-from .flagchow import FlagShape
-from .wdring import TwistClass
+from .flagchow import FlagShape, TwistClass, all_twist_classes
 
 
 # Sq^2 torsion of a partial flag variety works on all multinomial(N; D)
@@ -262,7 +261,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "sq2":
         for N in range(3, 6):
             shape = FlagShape([1] * N)
-            for twist in wdring.all_twist_classes(N):
+            for twist in all_twist_classes(N):
                 closed = steenrod.torsion_poincare_closed(N, twist)
                 computed = steenrod.torsion_poincare_from_sq2(shape, twist)
                 bock = steenrod.bockstein_cohomology_ranks(shape, twist)

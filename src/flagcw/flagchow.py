@@ -4,7 +4,8 @@
 generator span (s_{i-1}, s_i) of each block, computed once.  Every
 module reads block sizes and spans from it, and every public method that
 takes a block number reads it through ``FlagShape.size``, which refuses
-numbers outside 1..m.
+numbers outside 1..m.  ``TwistClass`` is Pic(Fl(D))/2, the twists that
+Sq^2 and W_D are graded by.
 
 CH^*(Fl(D)), D = (d_1, ..., d_m), is generated by the Chern classes
 c_{i,j} = c_j(D_i) of the subquotient blocks subject to prod_i c(D_i) = 1,
@@ -55,7 +56,7 @@ c_top(D_m) on Fl(D) are both that check.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, product
 from operator import add, mul, sub
 
 from . import intlinalg, series
@@ -107,6 +108,58 @@ class FlagShape:
 
     def __repr__(self):
         return f"FlagShape({self.d})"
+
+
+class TwistClass:
+    """Element of F_2<l_1..l_m> / (l_1 + ... + l_m), i.e. Pic(Fl(D))/2.
+
+    Stored as the lexicographically smaller of the two coset bit vectors.
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits):
+        bits = tuple(int(b) & 1 for b in bits)
+        comp = tuple(1 - b for b in bits)
+        self.bits = min(bits, comp)
+
+    @staticmethod
+    def trivial(m: int) -> "TwistClass":
+        return TwistClass((0,) * m)
+
+    @staticmethod
+    def from_blocks(m: int, blocks) -> "TwistClass":
+        bits = [0] * m
+        for i in blocks:
+            if not 1 <= i <= m:
+                raise ValueError(f"block index {i} out of range 1..{m}")
+            bits[i - 1] ^= 1
+        return TwistClass(bits)
+
+    def __add__(self, other: "TwistClass") -> "TwistClass":
+        return TwistClass(a ^ b for a, b in zip(self.bits, other.bits))
+
+    def is_trivial(self) -> bool:
+        return not any(self.bits)
+
+    def __eq__(self, other):
+        return isinstance(other, TwistClass) and self.bits == other.bits
+
+    def __hash__(self):
+        return hash(self.bits)
+
+    def __str__(self):
+        if self.is_trivial():
+            return "0"
+        return ",".join(str(i + 1) for i, b in enumerate(self.bits) if b)
+
+    def __repr__(self):
+        return f"TwistClass({self.bits})"
+
+
+def all_twist_classes(m: int):
+    classes = {TwistClass(bits) for bits in product((0, 1), repeat=m)}
+    return sorted(classes, key=lambda t: (sum(t.bits), t.bits))
 
 
 def chow_poincare(shape: FlagShape):

@@ -31,9 +31,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import gf2, series
-from .flagchow import ChowRingPresentation, FlagShape, chow_poincare
+from .flagchow import ChowRingPresentation, FlagShape, TwistClass, chow_poincare
 from .poly import GradedPolynomial
-from .wdring import TwistClass
 
 
 @lru_cache(maxsize=None)

@@ -20,36 +20,38 @@ that is, every invariant factor is 1 (the quotients are free).  The
 Smith form returns only what a free quotient reads: the rows U[rank:],
 and the last columns of U^-1, which are the basis polynomials.
 The last rows U[rank:] vanish on the ideal and are the only route through
-a quotient: they give the coordinates of any representative, and the
-reduced form is rebuilt from them on the cached basis polynomials.  This
-projection is stored as sparse columns, standard monomial -> [(row,
-entry)], and a component without a quotient stores the identity.  Each
-(I, Chow degree) record is built once, from the generator p_{I^c}
-cached per I by ``p_top_product``.
+a quotient, stored as sparse columns, standard monomial -> [(row,
+entry)]; a component without a quotient stores the identity.  Each
+(I, Chow degree) record is built once, from p_{I^c} cached per I by
+``p_top_product``.  ``project`` is the one reader of U[rank:]: it gives
+the coordinates of any representative to ``coords``, ``product_columns``
+and ``reduce_component``, which rebuilds the reduced form from them on
+the cached basis polynomials.
 
-One table, built with the presentation, maps each (degree, twist) slot
-to the components a * e_I * R_S that reach it, as (I, S, chow_deg) in
-basis order with chow_deg at most dim of the half shape.  Bases,
-coordinates, product columns and Poincare series read it, and
-``ann_euler`` visits only its slots.
+One rule, ``slot(I, S, chow_deg)``, gives the (degree, twist) of a
+component a * e_I * R_S.  One table, built with the presentation, maps
+each (degree, twist) slot to the components that reach it, as
+(I, S, chow_deg) in basis order with chow_deg at most dim of the half
+shape.  Bases, coordinates, product columns and Poincare series read
+it, and ``ann_euler`` visits only its slots.
 
 Two generator components multiply by one rule, e_I R_S * e_J R_T =
 +-p_{I & J} e_{I ^ J} R_{S | T}, shared by WDElement products and by
 ``ann_euler``.  The annihilator check never builds a product element:
-``product_columns`` maps a source slot into a target slot.  Each column
-is the normal form of b * a_y * p_{I & J}, read by the integer reader of
-A and placed through the sparse projection of its target component; the
-basis polynomials of one source component share that target, sign,
-factor and projection, so these are looked up once per component.
+its generator is the one monomial the theorem names, and
+``product_columns`` maps a source slot into a target slot, each column
+the projection of b * a_y * p_{I & J}; the basis polynomials of one
+source component share that target, sign and factor, so these are
+looked up once per component.
 
 For an all-even shape the integral int_W reads the trivial-twist part in
 the top degree dim Fl(D) = 4 dim Fl(h), h = D/2.  That part is A itself,
 since the ideal (p_{I^c}) of the component I = {} is generated by
 prod_i p_top(D_i) = 0, and there are no exterior generators.  So
-int_W x = eps * A.integrate(A-part of x), with the sign eps chosen so
-that prod_{i<m} p_top(D_i)^{(N - s_i)/2} integrates to 1: the Chow
-point class of the half shape, up to the sign eps.  Other parities
-are refused rather than given a second, untested rule.
+int_W x = eps * A.integrate(A-part of x), with eps the sign of the
+half shape's point class, so that prod_{i<m} p_top(D_i)^{(N - s_i)/2}
+integrates to 1.  Other parities are refused rather than given a
+second, untested rule.
 
 Coefficients are plain integers standing in for an arbitrary coefficient
 ring; no Witt-ring arithmetic of a specific field is modelled.
@@ -62,67 +64,8 @@ from functools import lru_cache
 from operator import add
 
 from . import intlinalg, series
-from .flagchow import ChowRingPresentation, FlagShape
+from .flagchow import ChowRingPresentation, FlagShape, TwistClass, all_twist_classes
 from .poly import GradedPolynomial
-
-
-class TwistClass:
-    """Element of F_2<l_1..l_m> / (l_1 + ... + l_m), i.e. Pic(Fl(D))/2.
-
-    Stored as the lexicographically smaller of the two coset bit vectors.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        bits = tuple(int(b) & 1 for b in bits)
-        comp = tuple(1 - b for b in bits)
-        self.bits = min(bits, comp)
-
-    @staticmethod
-    def trivial(m: int) -> "TwistClass":
-        return TwistClass((0,) * m)
-
-    @staticmethod
-    def from_blocks(m: int, blocks) -> "TwistClass":
-        bits = [0] * m
-        for i in blocks:
-            if not 1 <= i <= m:
-                raise ValueError(f"block index {i} out of range 1..{m}")
-            bits[i - 1] ^= 1
-        return TwistClass(bits)
-
-    def __add__(self, other: "TwistClass") -> "TwistClass":
-        return TwistClass(a ^ b for a, b in zip(self.bits, other.bits))
-
-    def is_trivial(self) -> bool:
-        return not any(self.bits)
-
-    def __eq__(self, other):
-        return isinstance(other, TwistClass) and self.bits == other.bits
-
-    def __hash__(self):
-        return hash(self.bits)
-
-    def __str__(self):
-        if self.is_trivial():
-            return "0"
-        return ",".join(str(i + 1) for i, b in enumerate(self.bits) if b)
-
-    def __repr__(self):
-        return f"TwistClass({self.bits})"
-
-
-def all_twist_classes(m: int):
-    seen = set()
-    out = []
-    for bits in itertools.product((0, 1), repeat=m):
-        t = TwistClass(bits)
-        if t.bits not in seen:
-            seen.add(t.bits)
-            out.append(t)
-    out.sort(key=lambda t: (sum(t.bits), t.bits))
-    return out
 
 
 class WDPresentation:
@@ -150,14 +93,11 @@ class WDPresentation:
         # (degree, twist) -> [(I, S, chow_deg), ...] in basis order: the
         # order of _euler_subsets, then of _exterior_subsets
         self.slot_table = {}
-        exterior = [
-            (S, sum(self.r_degree(l) for l in S)) for S in self._exterior_subsets()
-        ]
         for I in self._euler_subsets():
-            twist, e_deg = self.subset_twist(I), self.subset_degree(I)
-            for S, r_deg in exterior:
+            for S in self._exterior_subsets():
+                degree, twist = self.slot(I, S, 0)
                 for chow_deg in range(self.half_shape.dim + 1):
-                    key = (e_deg + r_deg + 4 * chow_deg, twist)
+                    key = (degree + 4 * chow_deg, twist)
                     self.slot_table.setdefault(key, []).append((I, S, chow_deg))
 
     # -- generator data --------------------------------------------------
@@ -167,16 +107,12 @@ class WDPresentation:
             return self.shape.N - 1
         return 4 * l - 1
 
-    def euler_twist(self, i: int) -> TwistClass:
-        return TwistClass.from_blocks(self.shape.m, [i])
-
-    def p_top_image(self, i: int) -> GradedPolynomial:
-        """p_top(D_i) as a normal-form element of the Pontryagin subalgebra.
-
-        Cached per instance: the returned polynomial is shared, and
-        callers must not mutate it.
-        """
-        return self.p_top_product(frozenset([i]))
+    def slot(self, I, S, chow_deg: int):
+        """(degree, twist) of a * e_I * R_S with a of Chow degree chow_deg:
+        sum_{i in I} d_i + sum_{l in S} deg R_l + 4 chow_deg, and the
+        twist of the blocks in I."""
+        degree = sum(map(self.shape.size, I)) + sum(map(self.r_degree, S))
+        return degree + 4 * chow_deg, TwistClass.from_blocks(self.shape.m, I)
 
     def p_top_product(self, K: frozenset) -> GradedPolynomial:
         """prod_{i in K} p_top(D_i) in normal form, cached per frozenset K;
@@ -190,18 +126,8 @@ class WDPresentation:
             img = self._p_top_cache[K] = self.A.normal_form(img)
         return img
 
-    def p_top_chow_degree(self, i: int) -> int:
-        return self.shape.size(i) // 2
-
-    def subset_twist(self, I) -> TwistClass:
-        return TwistClass.from_blocks(self.shape.m, list(I))
-
-    def subset_degree(self, I) -> int:
-        return sum(map(self.shape.size, I))
-
     def max_degree(self) -> int:
-        top = 4 * self.half_shape.dim + self.subset_degree(self.E)
-        return top + sum(self.r_degree(l) for l in self.r_labels)
+        return self.slot(self.E, self.r_labels, self.half_shape.dim)[0]
 
     # -- quotient machinery ------------------------------------------------
 
@@ -226,7 +152,7 @@ class WDPresentation:
             return data
         mons = self.A.standard_monomials(chow_deg)
         comp = frozenset(range(1, self.shape.m + 1)) - I
-        k = sum(self.p_top_chow_degree(i) for i in comp)
+        k = self.slot(comp, (), 0)[0] // 2  # read on all-even shapes only
         if self.parity != "all-even" or not I or chow_deg < k or not mons:
             data = (
                 {mon: [(j, 1)] for j, mon in enumerate(mons)},
@@ -250,34 +176,43 @@ class WDPresentation:
         self._quotient_cache[key] = data
         return data
 
+    def project(self, I: frozenset, chow_deg: int, sums):
+        """Coordinates over the e_I component basis of each sum of
+        (A-monomial, coefficient) pairs, any representative of Chow degree
+        chow_deg; ValueError when a term reduces to another degree."""
+        proj, polys = self._quotient_data(I, chow_deg)
+        out = []
+        for reduced in self.A.reduce_sums(sums):
+            v = [0] * len(polys)
+            for mon, c in reduced.items():
+                if c:
+                    col = proj.get(mon)
+                    if col is None:
+                        raise ValueError(
+                            f"A-part of the component I={sorted(I)} is not "
+                            f"homogeneous of Chow degree {chow_deg}"
+                        )
+                    for r, u in col:
+                        v[r] += c * u
+            out.append(v)
+        return out
+
     def reduce_component(self, I: frozenset, a: GradedPolynomial) -> GradedPolynomial:
         """Normal form of the A-part of the e_I component: in each Chow
         degree, sum_j c_j * basis[j] over its coordinates c."""
-        a = self.A.normal_form(a)
+        if a.ring != self.A.ring:
+            raise ValueError("polynomial not in this Chow ring")
+        by_degree: dict = {}
+        for mon, c in a.terms.items():
+            by_degree.setdefault(self.A.ring.monomial_degree(mon), []).append((mon, c))
         out: dict = {}
-        for dchow in a.homogeneous_degrees():
-            coords = self.component_coords(I, a.homogeneous_part(dchow), dchow)
+        for dchow, terms in by_degree.items():
+            (coords,) = self.project(I, dchow, [terms])
             for c, poly in zip(coords, self.component_basis_polys(I, dchow)):
                 if c:
                     for m, u in poly.terms.items():
                         out[m] = out.get(m, 0) + c * u
         return GradedPolynomial(self.A.ring, {m: c for m, c in out.items() if c})
-
-    def component_coords(self, I: frozenset, a: GradedPolynomial, chow_deg: int):
-        """Coordinates over the component's free-module basis of a
-        normal-form A-part a of Chow degree chow_deg; every representative
-        of a class gives the same coordinates."""
-        proj, polys = self._quotient_data(I, chow_deg)
-        v = [0] * len(polys)
-        for mon, c in a.terms.items():
-            col = proj.get(mon)
-            if col is None:
-                raise ValueError(
-                    "A-part is not a normal form homogeneous of the degree"
-                )
-            for r, u in col:
-                v[r] += c * u
-        return v
 
     def component_rank(self, I: frozenset, chow_deg: int) -> int:
         return len(self._quotient_data(I, chow_deg)[1])
@@ -298,9 +233,8 @@ class WDPresentation:
         """int_W x on an all-even shape: eps times the Chow integral over
         the half shape of the trivial-twist A-part of x.
 
-        eps = prod_{i<m} (-1)^{h_i (n - t_i)}, t_i = h_1 + ... + h_i,
-        normalizes int_W prod_{i<m} p_top(D_i)^{(N - s_i)/2} to 1.
-        Raises ValueError for any other parity or another shape.
+        eps is the sign of the half shape's point class.  Raises
+        ValueError for any other parity or another shape.
         """
         self.check_shape(x)
         if self.parity != "all-even":
@@ -311,8 +245,8 @@ class WDPresentation:
         a = x.components.get((frozenset(), frozenset()))
         if a is None:
             return 0
-        flips = sum((t - s) * (self.n - t) for s, t in self.half_shape.spans[:-1])
-        return (-1 if flips % 2 else 1) * self.A.integrate(a)
+        (eps,) = self.A.point_class().terms.values()
+        return eps * self.A.integrate(a)
 
     # -- elements ----------------------------------------------------------
 
@@ -423,18 +357,16 @@ class WDPresentation:
                     continue
                 # y is homogeneous, so the product has the Chow degree of place
                 offset, target_deg = place
-                proj = self._quotient_data(component[0], target_deg)[0]
                 signed = [(m, sign * c) for m, c in f.items()]
                 products = [
                     [(tuple(map(add, m1, m2)), c1 * c2)
                      for m1, c1 in poly.terms.items() for m2, c2 in signed]
                     for poly in polys
                 ]
-                for col, reduced in zip(component_cols, self.A.reduce_sums(products)):
-                    for m, c in reduced.items():
-                        if c:
-                            for r, u in proj[m]:
-                                col[offset + r] += c * u
+                # distinct components of y reach distinct target components
+                for col, v in zip(component_cols,
+                                  self.project(component[0], target_deg, products)):
+                    col[offset:offset + len(v)] = v
         return cols
 
     def coords(self, x: "WDElement", degree: int, twist: TwistClass):
@@ -445,8 +377,7 @@ class WDPresentation:
         zero = self.A.ring.zero()
         for I, S, chow_deg in self.slot_table.get((degree, twist), ()):
             a = x.components.get((I, S), zero).homogeneous_part(chow_deg)
-            a = self.A.normal_form(a)
-            out.extend(self.component_coords(I, a, chow_deg))
+            out.extend(self.project(I, chow_deg, [a.terms.items()])[0])
         return out
 
 
@@ -539,18 +470,15 @@ class WDElement:
     def __eq__(self, other):
         return (
             isinstance(other, WDElement)
-            and self.pres is other.pres
+            and self.pres.shape == other.pres.shape
             and self.components == other.components
         )
 
     def homogeneous_degrees(self):
         degs = set()
         for (I, S), a in self.components.items():
-            base = self.pres.subset_degree(I) + sum(
-                self.pres.r_degree(l) for l in S
-            )
-            for dc in a.homogeneous_degrees():
-                degs.add(base + 4 * dc)
+            base = self.pres.slot(I, S, 0)[0]
+            degs.update(base + 4 * dc for dc in a.homogeneous_degrees())
         return sorted(degs)
 
     def __repr__(self):
@@ -596,23 +524,15 @@ def check_even_block(shape: FlagShape, i: int) -> None:
 
 
 def annihilator_generator(shape: FlagShape, i: int) -> WDElement:
-    """The theorem's generator of Ann(e_i): prod_{j != i} e_j when every
-    block is even, else e_i * prod_{j != i} p_top(D_j)."""
+    """The theorem's generator of Ann(e_i), as its one monomial:
+    prod_{j != i} e_j when every block is even, else
+    e_i * prod_{j != i} p_top(D_j)."""
     check_even_block(shape, i)
     pres = build_sigma(shape)
+    others = frozenset(range(1, shape.m + 1)) - {i}
     if pres.parity == "all-even":
-        x = pres.one()
-        for j in range(1, shape.m + 1):
-            if j != i:
-                x = x * pres.euler(j)
-        return x
-    x = pres.euler(i)
-    for j in range(1, shape.m + 1):
-        if j != i:
-            x = x * WDElement(
-                pres, {(frozenset(), frozenset()): pres.p_top_image(j)}
-            )
-    return x
+        return WDElement(pres, {(others, frozenset()): pres.A.ring.one()})
+    return WDElement(pres, {(frozenset([i]), frozenset()): pres.p_top_product(others)})
 
 
 def ann_euler(shape: FlagShape, i: int):
@@ -625,11 +545,10 @@ def ann_euler(shape: FlagShape, i: int):
     x = annihilator_generator(shape, i)  # refuses an odd or absent block
     pres = build_sigma(shape)
     # the generator is one homogeneous component a_x * e_J
-    (deg_x,), ((J, _),) = x.homogeneous_degrees(), x.components
-    twist_x = pres.subset_twist(J)
+    (((J, S), a_x),) = x.components.items()
+    deg_x, twist_x = pres.slot(J, S, a_x.degree())
     e_elt = pres.euler(i)
-    deg_e = shape.size(i)
-    twist_e = pres.euler_twist(i)
+    deg_e, twist_e = pres.slot({i}, (), 0)
     twist_order = {t: pos for pos, t in enumerate(all_twist_classes(shape.m))}
 
     degrees_checked = []

@@ -23,12 +23,10 @@ BLOCK_METHODS = {
     "generator": ((1, 2, 3), lambda sh, i: ChowRingPresentation(sh).generator(i, 1)),
     "top_chern": ((1, 2, 3), lambda sh, i: ChowRingPresentation(sh).top_chern(i)),
     "euler": ((2, 2, 2), lambda sh, i: WDPresentation(sh).euler(i)),
-    "euler_twist": ((2, 2, 2), lambda sh, i: WDPresentation(sh).euler_twist(i)),
-    "p_top_image": ((2, 4, 2), lambda sh, i: WDPresentation(sh).p_top_image(i)),
-    "p_top_chow_degree": (
-        (2, 4, 2), lambda sh, i: WDPresentation(sh).p_top_chow_degree(i)
+    "slot": ((2, 4, 2), lambda sh, i: WDPresentation(sh).slot({i}, (), 0)),
+    "p_top_product": (
+        (2, 4, 2), lambda sh, i: WDPresentation(sh).p_top_product(frozenset([i]))
     ),
-    "subset_degree": ((2, 4, 2), lambda sh, i: WDPresentation(sh).subset_degree({i})),
     "annihilator_generator": ((2, 2, 2), annihilator_generator),
     "ann_euler": ((2, 2, 2), ann_euler),
 }

@@ -1,10 +1,11 @@
 import random
 from operator import add
+from pathlib import Path
 
 from flag_oracle import compositions, pullback
 
-from flagcw import gf2, series
-from flagcw.flagchow import FlagShape, chow_poincare
+from flagcw import gf2, series, steenrod
+from flagcw.flagchow import FlagShape, TwistClass, all_twist_classes, chow_poincare
 from flagcw.steenrod import (
     Mod2Chow,
     bockstein_cohomology_ranks,
@@ -13,7 +14,7 @@ from flagcw.steenrod import (
     torsion_poincare_from_sq2,
     w_poincare_closed,
 )
-from flagcw.wdring import TwistClass, all_twist_classes, wd_poincare
+from flagcw.wdring import wd_poincare
 
 
 def test_sq2_on_line_classes():
@@ -268,3 +269,12 @@ def test_partial_shape_torsion_from_sq2():
         assert series.add(
             h, series.exact_div(series.mul([1, 1], tor), [0, 1])
         ) == p2
+
+
+def test_steenrod_imports_nothing_from_the_witt_layer():
+    # TwistClass lives beside FlagShape, so Sq^2 needs no W_D code
+    source = Path(steenrod.__file__).read_text()
+    imports = [line for line in source.splitlines()
+               if line.startswith(("from ", "import "))]
+    assert any("flagchow" in line for line in imports)
+    assert [line for line in imports if "wdring" in line] == []

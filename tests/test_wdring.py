@@ -125,8 +125,8 @@ def test_products_add_twists():
     pres = build_sigma(FlagShape([2, 2, 2]))
     e1, e2 = pres.euler(1), pres.euler(2)
     prod = e1 * e2
-    twists = {pres.subset_twist(I) for (I, S) in prod.components}
-    assert twists == {pres.euler_twist(1) + pres.euler_twist(2)}
+    twists = {pres.slot(I, S, 0)[1] for (I, S) in prod.components}
+    assert twists == {TwistClass.from_blocks(3, [1]) + TwistClass.from_blocks(3, [2])}
 
 
 def test_elements_of_another_shape_are_refused():
@@ -143,6 +143,16 @@ def test_elements_of_another_shape_are_refused():
         a.coords(b.one(), *slot)
     with pytest.raises(ValueError, match="shape 2,3, not 2,2"):
         a.product_columns(slot, b.one(), slot)
+
+
+def test_elements_compare_by_shape():
+    # (2,2) and (2,3) share the A-ring of (1,1), so only the shape tells
+    # their units apart; a fresh presentation of (2,2) has the same ones
+    fresh, cached = WDPresentation(FlagShape([2, 2])), build_sigma(FlagShape([2, 2]))
+    assert fresh.one() == cached.one()
+    assert fresh.euler(2) == cached.euler(2)
+    assert fresh.one() != cached.euler(2)
+    assert build_sigma(FlagShape([2, 3])).one() != cached.one()
 
 
 def test_maximal_rank_matches_half_chow():
@@ -234,10 +244,11 @@ def reference_basis(pres, degree, twist):
     """basis() enumerated straight from the subsets, with no grouping."""
     out = []
     for I in pres._euler_subsets():
-        if pres.subset_twist(I) != twist:
+        if TwistClass.from_blocks(pres.shape.m, I) != twist:
             continue
         for S in pres._exterior_subsets():
-            rem = degree - pres.subset_degree(I) - sum(pres.r_degree(l) for l in S)
+            rem = degree - sum(pres.shape.size(i) for i in I)
+            rem -= sum(pres.r_degree(l) for l in S)
             if rem < 0 or rem % 4:
                 continue
             for idx in range(pres.component_rank(I, rem // 4)):
@@ -279,8 +290,9 @@ def test_p_top_image_matches_fresh_pullback(parts):
             expected = A.ring.one()
         else:
             expected = A.normal_form(A.top_chern(pres._half_block[i]))
-        assert pres.p_top_image(i) == expected
-        assert pres.p_top_image(i) == expected  # second call reads the cache
+        assert pres.p_top_product(frozenset([i])) == expected
+        # the second call reads the cache
+        assert pres.p_top_product(frozenset([i])) == expected
 
 
 @pytest.mark.parametrize("parts", CACHE_SHAPES)
@@ -289,6 +301,9 @@ def test_slot_table_matches_the_full_degree_twist_sweep(parts):
     # times every twist class, bases enumerated straight from the subsets
     shape = FlagShape(parts)
     pres = build_sigma(shape)
+    for key, components in pres.slot_table.items():
+        for I, S, k in components:
+            assert pres.slot(I, S, k) == key
     nonempty = 0
     for twist in all_twist_classes(shape.m):
         ranks = [
@@ -332,8 +347,14 @@ def ideal_generator(pres, I):
     comp = [i for i in range(1, pres.shape.m + 1) if i not in I]
     gen = pres.A.ring.one()
     for i in comp:
-        gen = gen * pres.p_top_image(i)
-    return gen, sum(pres.p_top_chow_degree(i) for i in comp)
+        gen = gen * pres.p_top_product(frozenset([i]))
+    return gen, sum(pres.shape.size(i) // 2 for i in comp)
+
+
+def project_one(pres, I, k, a):
+    """Component coordinates of the one A-part a."""
+    (coords,) = pres.project(I, k, [a.terms.items()])
+    return coords
 
 
 @pytest.mark.parametrize("parts", QUOTIENT_SHAPES)
@@ -346,14 +367,25 @@ def test_component_coords_do_not_depend_on_the_representative(parts):
             for _ in range(3):
                 a = random_a_part(pres, k, rng)
                 red = pres.reduce_component(I, a)
-                coords = pres.component_coords(I, a, k)
+                coords = project_one(pres, I, k, a)
                 assert len(coords) == pres.component_rank(I, k)
-                assert pres.component_coords(I, red, k) == coords
+                assert project_one(pres, I, k, red) == coords
+                assert project_one(pres, I, k, pres.A.normal_form(a)) == coords
                 if pres.parity == "all-even" and k >= gen_deg:
                     b = random_a_part(pres, k - gen_deg, rng)
-                    other = pres.A.normal_form(a + gen * b)
-                    assert pres.component_coords(I, other, k) == coords
+                    other = a + gen * b  # not normal-formed
+                    assert project_one(pres, I, k, other) == coords
                     assert pres.reduce_component(I, other) == red
+
+
+def test_project_refuses_a_part_of_another_degree():
+    # on (2,4), A is CH(Fl(1,2)), and c = c_1(D_1) = -c_1(D_2) has Chow degree 1
+    pres = build_sigma(FlagShape([2, 4]))
+    c = pres.A.generator(1, 1)
+    assert project_one(pres, frozenset([1]), 1, c) == [-1]
+    message = r"I=\[1\] is not homogeneous of Chow degree 2"
+    with pytest.raises(ValueError, match=message):
+        pres.project(frozenset([1]), 2, [c.terms.items()])
 
 
 @pytest.mark.parametrize("parts", QUOTIENT_SHAPES)
@@ -373,7 +405,7 @@ def test_reduced_components_lie_in_the_last_columns_of_u_inverse(parts):
             for _ in range(3):
                 red = pres.reduce_component(I, random_a_part(pres, k, rng))
                 v = pres.A.coords(red, k)
-                coords = pres.component_coords(I, red, k)
+                coords = project_one(pres, I, k, red)
                 assert intlinalg.mat_vec(P, v) == coords
                 assert v == [sum(c * b[r] for c, b in zip(coords, B))
                              for r in range(len(v))]
@@ -504,7 +536,7 @@ def test_product_columns_match_the_element_route():
             for y in ys:
                 ((J, _),) = y.components
                 (deg_y,) = y.homogeneous_degrees()
-                twist_y = pres.subset_twist(J)
+                twist_y = pres.slot(J, (), 0)[1]
                 for deg in range(pres.max_degree() + 1):
                     for twist in all_twist_classes(shape.m):
                         keys = pres.basis(deg, twist)
@@ -529,6 +561,48 @@ def test_ann_euler_sweep_up_to_n8():
     assert cases == 313
 
 
+def product_route_generator(shape, i):
+    """The annihilator generator built as a chain of W_D products."""
+    pres = build_sigma(shape)
+    others = [j for j in range(1, shape.m + 1) if j != i]
+    if pres.parity == "all-even":
+        x, factors = pres.one(), [pres.euler(j) for j in others]
+    else:
+        x = pres.euler(i)
+        unit = (frozenset(), frozenset())
+        factors = [
+            WDElement(pres, {unit: pres.p_top_product(frozenset([j]))}) for j in others
+        ]
+    for y in factors:
+        x = x * y
+    return x
+
+
+def test_annihilator_generator_matches_the_product_route():
+    cases = 0
+    for N in range(2, 9):
+        for parts in compositions(N, min_parts=1):
+            shape = FlagShape(parts)
+            for i, d in enumerate(parts, start=1):
+                if d % 2 == 0:
+                    x = annihilator_generator(shape, i)
+                    assert x == product_route_generator(shape, i), (parts, i)
+                    cases += 1
+    assert cases == 313
+
+
+@pytest.mark.parametrize(
+    "parts, i", [((2, 2, 2, 2, 2), 1), ((2, 6, 4), 2), ((1, 4, 2), 3)]
+)
+def test_ann_euler_builds_no_product_element(monkeypatch, parts, i):
+    def refuse(self, other):
+        raise AssertionError("a W_D product was built")
+
+    monkeypatch.setattr(WDElement, "__mul__", refuse)
+    _, rep = ann_euler(FlagShape(parts), i)
+    assert rep["status"] == "pass"
+
+
 # -- the integral over the real flag variety ---------------------------------
 
 
@@ -548,6 +622,21 @@ def test_w_integral_of_the_point_class_is_one():
         assert pres.integrate(-3 * w_point_class(pres)) == -3, parts
 
 
+def test_w_integral_sign_is_the_flip_formula():
+    # eps = (-1)^{sum_{i<m} h_i (n - t_i)}, t_i = h_1 + ... + h_i, read
+    # here as int_W of the half shape's point class, which A integrates to 1
+    shapes = 0
+    for n in range(1, 7):
+        for half in compositions(n, min_parts=1):
+            pres = WDPresentation(FlagShape([2 * h for h in half]))
+            t = itertools.accumulate(half)
+            flips = sum(h * (n - ti) for h, ti in zip(half[:-1], t))
+            pt = WDElement(pres, {(frozenset(), frozenset()): pres.A.point_class()})
+            assert pres.integrate(pt) == (-1) ** flips, half
+            shapes += 1
+    assert shapes == 63
+
+
 def test_trivial_component_of_an_all_even_shape_is_all_of_a():
     # prod_i p_top(D_i) = 0 in A, so the component e_{} takes no quotient
     for parts in [(2, 2), (2, 4), (2, 2, 2), (4, 2), (2, 2, 14)]:
@@ -555,7 +644,7 @@ def test_trivial_component_of_an_all_even_shape_is_all_of_a():
         A = pres.A
         top = A.ring.one()
         for i in range(1, len(parts) + 1):
-            top = top * pres.p_top_image(i)
+            top = top * pres.p_top_product(frozenset([i]))
         assert A.normal_form(top).is_zero()
         for d in range(A.dim + 1):
             mons = A.standard_monomials(d)
