@@ -8,8 +8,10 @@ disagreement between two routes is a failed check, not an exception.
 The complex counts are Grassmannian integrals of products of Chern roots
 (positive root conventions; dual signs cancel over even-rank bundles).
 The lines on the cubic and the 4-planes on the quintic go through
-``grassmann_integrate_product``, which keeps only the monomials the
-bialternant can read and never forms the full root product.  The
+``grassmann_integrate_product``, which multiplies only half of the root
+factors, one of each pair swapped by reversing the roots (plus the
+reversal-fixed ones), keeps only the monomials the bialternant can read,
+and pairs that half product with its own reversal.  The
 two-step flag count computes the quintic integral once and multiplies it
 by 27, computed twice from one cubic root product g that is formed in
 full, because the pushforward needs all of g: route a by the bialternant

@@ -5,9 +5,14 @@ n-space, a symmetric polynomial in the k Chern roots of the (dual)
 tautological subbundle integrates to the coefficient of the Schur
 polynomial s_{(n-k)^k}, extracted by the bialternant trick -- multiply
 by the Vandermonde determinant and read off the staircase coefficient
-(n-1, n-2, ..., n-k).  The capped product kernel
-``grassmann_integrate_product`` is the only reader of that coefficient;
-a single polynomial is integrated as a one-factor product.  Everything
+(n-1, n-2, ..., n-k).  The kernel ``grassmann_integrate_product`` is the
+only reader of that coefficient; a single polynomial is integrated as a
+one-factor product.  It integrates a permutation-stable list of factors
+without forming their full product: it pairs each factor with its image
+under the reversal of the roots, multiplies one factor of each pair (and
+the reversal-fixed factors left over), and reads each coefficient the
+bialternant needs, once per sorted exponent, as a sum of products of
+coefficients of that half product and of its own reversal.  Everything
 is exact over the integers.
 """
 
@@ -199,9 +204,15 @@ def product_of_factors(ring: PolyRing, factors) -> GradedPolynomial:
     return acc
 
 
-def _check_factors_symmetric(factors, k: int):
+def _check_factors_symmetric(factors, k: int) -> Counter:
     """Raise unless the multiset of factors is stable under every swap of
-    adjacent roots among the first k, which makes their product symmetric."""
+    adjacent roots among the first k, which makes their product symmetric.
+
+    Returns that multiset: a ``Counter`` of factors, each factor given as
+    the frozenset of its (monomial, coefficient) terms.
+    """
+    if not factors:
+        raise ValueError("the factor list must be non-empty")
     ring = factors[0].ring
     if k > ring.nvars:
         raise ValueError(f"{k} roots but only {ring.nvars} ring variables")
@@ -225,60 +236,132 @@ def _check_factors_symmetric(factors, k: int):
             raise ValueError(
                 f"factor list is not stable under swapping {names[i]},{names[i+1]}"
             )
+    return multiset
+
+
+def _split_by_reversal(multiset, k: int):
+    """Split a reversal-stable multiset of factors as H + rho(H) + F.
+
+    rho reverses the first k roots, t_i -> t_{k+1-i}; ``multiset`` maps
+    each factor (the frozenset of its terms) to its multiplicity and must
+    be stable under rho.  Each factor is paired with its rho-image: H
+    (``half``) holds one of each pair, F (``fixed``) the rho-fixed factors
+    left over, at most one copy of each.  Both are lists of frozensets,
+    with repeats.
+    """
+    half, fixed = [], []
+    paired = set()
+    for f, count in multiset.items():
+        if f in paired:
+            continue
+        image = frozenset((mon[:k][::-1] + mon[k:], c) for mon, c in f)
+        if image == f:
+            half += [f] * (count // 2)
+            fixed += [f] * (count % 2)
+        else:
+            half += [f] * count
+            paired.add(image)
+    return half, fixed
 
 
 def grassmann_integrate_product(k: int, n: int, factors) -> int:
     """Integral over Gr(k, n) of the product of factors in k Chern roots.
 
     The factor list must be non-empty, and every permutation of the k
-    roots must map it to itself (checked up front, so the product is
-    symmetric).  Only the part of top degree k(n-k) contributes; the
-    result is the coefficient of s_{(n-k)^k}, read off through the
-    bialternant: the coefficient of x^staircase in product * Vandermonde,
-    summed over the Vandermonde's k! terms.  The full product is never
-    formed.  The bialternant reads only exponents up to n-1 and exponents
-    only grow, so after each factor every monomial with an exponent above
-    n-1 is dropped.
+    roots must map it to itself (checked up front, so the product P is
+    symmetric); Gr(k, n) is empty for n < k, where the integral is 0.
+    Only the part of top degree k(n-k) contributes; the result is the
+    coefficient of s_{(n-k)^k}, read off through the bialternant: the
+    coefficient of t^staircase in P * Vandermonde, that is the sum of
+    c * [t^a]P over the Vandermonde's k! terms c * t^v, a = staircase - v.
 
-    Monomials are packed into one int with W bits per root, so a product
-    of monomials is one add.  Every accumulated key carries 2^(W-1)-1-(n-1)
-    in each field, so a field's top bit is set exactly when its exponent
-    exceeds n-1.  With 2^(W-1) > n-1, a field of a kept key plus a factor
-    exponent of at most n-1 stays below 2^W and never carries into the
-    next field.
+    Only half of P is formed.  The list is stable under rho, the reversal
+    of the first k roots, so it splits as H + rho(H) + F with F fixed by
+    rho (``_split_by_reversal``), and P(t) = L(t) * A(rho t) for A = prod H
+    and L = A * prod F.  P is symmetric, so [t^a]P = [t^sort(a)]P, and
+    each distinct sorted target is summed once as
+    sum_b L[b] * A[rho(a - b)], over the smaller of L and A(rho t).  With
+    H empty, A = 1 and the sum is the one lookup L[a].
+
+    The bialternant reads only exponents up to n-1 and exponents only
+    grow, so after each factor every monomial with an exponent above n-1
+    is dropped.  Monomials are packed into one int with W bits per root,
+    so a product of monomials is one add.  Every accumulated key carries
+    2^(W-1)-1-(n-1) in each field, so a field's top bit is set exactly
+    when its exponent exceeds n-1.  With 2^(W-1) > n-1, a field of a kept
+    key plus a factor exponent of at most n-1 stays below 2^W and never
+    carries into the next field.  For the same reason, subtracting the
+    kept key of b from the key of a with 2^(W-1) added to every field
+    borrows across no field, and leaves a field's top bit set exactly
+    when b <= a there.
     """
+    if k < 0 or n < 0:
+        raise ValueError(f"Gr({k}, {n}) needs k, n >= 0")
     factors = list(factors)
-    _check_factors_symmetric(factors, k)
+    multiset = _check_factors_symmetric(factors, k)
+    if n < k:
+        return 0
+    half, fixed = _split_by_reversal(multiset, k)
     cap = n - 1
     width = cap.bit_length() + 1
+    mask = (1 << width) - 1
     off = high = 0
     for i in range(k):
         off |= ((1 << (width - 1)) - 1 - cap) << (width * i)
         high |= 1 << (width * i + width - 1)
 
-    def pack(mon):
-        return sum(e << (width * i) for i, e in enumerate(mon))
+    def pack(exps):
+        return sum(e << (width * i) for i, e in enumerate(exps))
 
-    acc = {off: 1}
-    for f in factors:
-        # a factor term above the cap only makes products above the cap
-        terms = [
-            (pack(mon), c) for mon, c in f.terms.items() if max(mon, default=0) <= cap
-        ]
-        out = {}
-        get = out.get
-        for key2, c2 in terms:
-            for key1, c1 in acc.items():
-                key = key1 + key2
-                if not key & high:
-                    out[key] = get(key, 0) + c1 * c2
-        acc = out
+    def times(acc, fs):
+        for f in fs:
+            # a factor term above the cap only makes products above the cap
+            terms = [
+                (pack(mon[:k]), c) for mon, c in f if all(e <= cap for e in mon[:k])
+            ]
+            out = {}
+            get = out.get
+            for key2, c2 in terms:
+                for key1, c1 in acc.items():
+                    key = key1 + key2
+                    if not key & high:
+                        out[key] = get(key, 0) + c1 * c2
+            acc = out
+        return acc
+
+    half_product = times({off: 1}, half)
+    low = times(half_product, fixed)
+    # A(rho t): reverse the fields of each key; off is the same in every field
+    reflected = {}
+    for key, c in half_product.items():
+        image = 0
+        for _ in range(k):
+            image = image << width | key & mask
+            key >>= width
+        reflected[image] = c
+    small, big = sorted((low, reflected), key=len)
+    get = big.get
+    lift = off - high
     staircase = tuple(n - 1 - i for i in range(k))
+    coefficient = {}
     total = 0
     for v, c in vandermonde(factors[0].ring, range(k)).terms.items():
-        rest = tuple(map(sub, staircase, v))
-        if min(rest, default=0) >= 0:
-            total += c * acc.get(pack(rest) + off, 0)
+        target = tuple(sorted(map(sub, staircase, v)))
+        if min(target, default=0) < 0:
+            continue
+        if target not in coefficient:
+            top = pack(target) + high + off
+            s = 0
+            for key, c1 in small.items():
+                d = top - key
+                # b <= a in every field; a key failing this would match
+                # no key of big, so the test only saves the lookup
+                if d & high == high:
+                    c2 = get(d + lift)
+                    if c2:
+                        s += c1 * c2
+            coefficient[target] = s
+        total += c * coefficient[target]
     return total
 
 

@@ -11,15 +11,20 @@ class integrates to its ratio to it there.
 The straightforward Smith form, with full transforms U and U^-1, against
 which the lean one in intlinalg is checked.
 
+The straight capped root product, against which the half-product
+Grassmann integral in symfunc is checked.
+
 Polynomial helpers that only the tests use: every monomial of a degree,
 the variables a polynomial uses, and substitution of polynomials for
 variables.
 """
 
 import itertools
+from operator import sub
 
 from flagcw.flagchow import full_flag_ring
 from flagcw.poly import GradedPolynomial
+from flagcw.symfunc import vandermonde
 
 
 def monomials_of_degree(ring, d: int):
@@ -233,3 +238,47 @@ def reference_smith_normal_form(mat, pivots=None):
             for r in range(m):
                 Uinv[r][i] = -Uinv[r][i]
     return [S[i][i] for i in range(rank)], U, Uinv
+
+
+def reference_integrate_product(k: int, n: int, factors) -> int:
+    """Integral over Gr(k, n) of a product of factors in k Chern roots, by
+    the straight capped product: multiply every factor in turn, drop each
+    monomial with an exponent above n-1 (the bialternant never reads it),
+    and sum c * product[staircase - v] over the Vandermonde's terms c t^v.
+
+    Monomials are packed W bits per root, each field offset so that its
+    top bit is set exactly when the exponent exceeds n-1.  The factors
+    are not checked; n >= k >= 0 and at least one factor are assumed.
+    """
+    factors = list(factors)
+    cap = n - 1
+    width = cap.bit_length() + 1
+    off = high = 0
+    for i in range(k):
+        off |= ((1 << (width - 1)) - 1 - cap) << (width * i)
+        high |= 1 << (width * i + width - 1)
+
+    def pack(mon):
+        return sum(e << (width * i) for i, e in enumerate(mon[:k]))
+
+    acc = {off: 1}
+    for f in factors:
+        terms = [
+            (pack(mon), c)
+            for mon, c in f.terms.items()
+            if all(e <= cap for e in mon[:k])
+        ]
+        out = {}
+        for key2, c2 in terms:
+            for key1, c1 in acc.items():
+                key = key1 + key2
+                if not key & high:
+                    out[key] = out.get(key, 0) + c1 * c2
+        acc = out
+    staircase = tuple(n - 1 - i for i in range(k))
+    total = 0
+    for v, c in vandermonde(factors[0].ring, range(k)).terms.items():
+        rest = tuple(map(sub, staircase, v))
+        if min(rest, default=0) >= 0:
+            total += c * acc.get(pack(rest) + off, 0)
+    return total

@@ -1,12 +1,15 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from flagcw.counts import hypersurface_root_factors
+from flag_oracle import reference_integrate_product
+from flagcw.counts import QUINTIC_FOURPLANES, hypersurface_root_factors
 from flagcw.poly import PolyRing
 from flagcw.symfunc import (
     Partition,
+    _split_by_reversal,
     binomial,
     box_complement,
     box_dual,
@@ -323,9 +326,86 @@ def test_integrate_product_of_wrong_degree_is_zero():
 def test_integrate_product_lines_on_hypersurfaces():
     # lines on a degree-(2N-3) hypersurface in P^N: Gr(2, N+1)
     ring = root_ring(2)
-    for n, lines in [(4, 27), (5, 2875), (6, 698005)]:
+    # (OEIS A027363)
+    for n, lines in [
+        (4, 27),
+        (5, 2875),
+        (6, 698005),
+        (7, 305093061),
+        (8, 210480374951),
+        (9, 210776836330775),
+    ]:
         factors = hypersurface_root_factors(ring, 2, 2 * n - 5)
         assert grassmann_integrate_product(2, n, factors) == lines
+
+
+def reversed_roots(f, k):
+    """The frozenset of the terms f with the first k exponents reversed."""
+    return frozenset((mon[:k][::-1] + mon[k:], c) for mon, c in f)
+
+
+def factor_multiset(factors):
+    return Counter(frozenset(f.terms.items()) for f in factors)
+
+
+def test_split_by_reversal_pairs_every_factor():
+    rng = random.Random(1618)
+    cases = []
+    for k in range(1, 6):
+        ring = root_ring(k + 1)
+        cases += [(k, random_stable_factors(rng, ring, k, rng.randint(1, 3)))
+                  for _ in range(6)]
+    t = root_ring(2).gens()
+    odd_fixed = [t[0] + t[1]] * 3 + [t[0], t[1]]
+    quintic = hypersurface_root_factors(root_ring(4), 4, 5)
+    cases += [(2, odd_fixed), (4, quintic)]
+    for k, factors in cases:
+        half, fixed = _split_by_reversal(factor_multiset(factors), k)
+        # H + rho(H) + F is the input multiset
+        rebuilt = Counter(half) + Counter(reversed_roots(f, k) for f in half)
+        assert rebuilt + Counter(fixed) == factor_multiset(factors)
+        # F holds rho-fixed factors only, one copy of each
+        assert all(reversed_roots(f, k) == f for f in fixed)
+        assert len(set(fixed)) == len(fixed)
+    # t1 + t2 three times: one copy in H, one in F; t1 pairs with t2
+    half, fixed = _split_by_reversal(factor_multiset(odd_fixed), 2)
+    assert (len(half), fixed) == (2, [frozenset((t[0] + t[1]).terms.items())])
+    # no composition of 5 into 4 parts is a palindrome: the quintic
+    # splits 28/28/0
+    half, fixed = _split_by_reversal(factor_multiset(quintic), 4)
+    assert (len(half), len(fixed)) == (28, 0)
+
+
+def test_integrate_product_matches_reference():
+    rng = random.Random(31415)
+    nonzero = 0
+    for k in range(1, 6):
+        # one spare variable: factors may live in a larger ring
+        ring = root_ring(k + 1)
+        for _ in range(8 if k < 5 else 3):
+            factors = random_stable_factors(rng, ring, k, rng.randint(1, 3))
+            rng.shuffle(factors)
+            for n in range(k, k + (6 if k < 5 else 3)):
+                want = reference_integrate_product(k, n, factors)
+                assert grassmann_integrate_product(k, n, factors) == want
+                nonzero += want != 0
+    assert nonzero >= 20
+    t = root_ring(2).gens()
+    # an odd number of copies of a reversal-fixed factor, and one that is
+    # not homogeneous, beside a pair swapped by the reversal
+    for factors in ([t[0] + t[1]] * 3 + [t[0], t[1]],
+                    [t[0] + t[1] + 1] * 5 + [t[0] ** 2 - 3, t[1] ** 2 - 3]):
+        for n in range(2, 8):
+            assert grassmann_integrate_product(2, n, factors) == (
+                reference_integrate_product(2, n, factors))
+    for k, n, degree, want in [
+        (3, 8, 4, 3297280),
+        (4, 18, 5, QUINTIC_FOURPLANES),
+        (5, 12, 3, 1812646836),
+    ]:
+        factors = hypersurface_root_factors(root_ring(k), k, degree)
+        assert grassmann_integrate_product(k, n, factors) == want
+        assert reference_integrate_product(k, n, factors) == want
 
 
 def test_integrate_product_rejects_bad_factor_lists():
@@ -342,6 +422,20 @@ def test_integrate_product_rejects_bad_factor_lists():
         grassmann_integrate_product(4, 6, [t[0]])
     with pytest.raises(ValueError, match="different rings"):
         grassmann_integrate_product(1, 3, [t[0], root_ring(1).var(0)])
+    with pytest.raises(ValueError, match="non-empty"):
+        grassmann_integrate_product(2, 4, [])
+    for k, n in [(-1, 3), (2, -1)]:
+        with pytest.raises(ValueError, match="k, n >= 0"):
+            grassmann_integrate_product(k, n, [ring.one()])
+    # Gr(k, n) is empty for n < k
+    e1 = t[0] + t[1] + t[2]
+    assert grassmann_integrate_product(3, 2, [e1]) == 0
+    assert grassmann_integrate_product(3, 0, [ring.one()]) == 0
+    # Gr(0, n) is a point: the integral is the product of the constants
+    for n in range(4):
+        assert grassmann_integrate(0, n, root_ring(0).one()) == 1
+        constants = [ring.constant(2), ring.constant(3)]
+        assert grassmann_integrate_product(0, n, constants) == 6
 
 
 # -- relative pushforward -----------------------------------------------
