@@ -26,10 +26,10 @@ from .flagchow import FlagShape, TwistClass, all_twist_classes
 
 # Sq^2 torsion of a partial flag variety works on all multinomial(N; D)
 # standard monomials of its Chow ring.  Single runs on a 2-core VM: rank
-# 16800 (3,3,3,1) in 26 s, 34650 (4,4,4) in 0.5 s, 113400 (2,2,2,2,2) in
-# 1.5-1.8 s in-process; 92400 (3,3,3,2) had not ended after 240 s.  The
-# rank is a coarse guide to the cost, and the limit admits (4,4,4) but
-# not (3,3,3,2).
+# 16632 (5,5,2) in 15 s and (2,5,5) in 2.3 s, 16800 (3,3,3,1) in 4.3-4.8 s,
+# 34650 (4,4,4) in 0.3-0.4 s; in-process, 113400 (2,2,2,2,2) in 0.9 s and
+# 92400 (3,3,3,2) in 116 s at 388 MB.  The rank is a coarse guide to the
+# cost, and the limit admits (4,4,4) but not (3,3,3,2).
 TORSION_RANK_LIMIT = 40000
 
 
@@ -154,6 +154,10 @@ def cmd_poincare(args) -> int:
         poly = wdring.wd_poincare(shape, twist)
     elif sq2_route:
         poly = steenrod.torsion_poincare_from_sq2(shape, twist)
+        # the Bockstein ranks reuse the cached Sq^2 ranks; W is cheap
+        checks = [("Bockstein = W Poincare (P_d - T_{d+1} - T_d = W_d)",
+                   steenrod.bockstein_cohomology_ranks(shape, twist)
+                   == wdring.wd_poincare(shape, twist))]
     else:
         poly = steenrod.torsion_poincare_closed(shape.N, twist)
     text = series.to_string(poly)

@@ -27,11 +27,15 @@ Fl(D) -> Fl(d_1 + d_2, d_3, ..., d_m) -> ..., the standard monomials are a
 ZZ-basis, multinomial(N; D) of them: the product of the fibre bases, in
 which block i contributes its C(s_i, d_i) monomials with at most s_{i-1}
 factors, a basis of CH^*(Gr(d_i, s_i)).  ``ChowRingPresentation`` holds the
-only rewrite, monomial by monomial through a per-ring memo that also
-keeps every monomial a rewrite passes through.  Only two readers sum its
-entries: ``reduce_sums`` gives integer normal forms of sums of terms (for
-``normal_form``, ``multiplication_matrix`` and W_D product columns), and
-``reduce_mod2`` the odd support of a sum of monomials (for ``steenrod``).
+only rewrite rules and leading terms, applied monomial by monomial
+through per-ring memos that also keep every monomial a rewrite passes
+through.  The integer memo maps a monomial to {standard monomial: coeff};
+``reduce_sums`` sums its entries into normal forms of sums of terms (for
+``normal_form``, ``multiplication_matrix`` and W_D product columns).  The
+mod-2 memo maps a monomial of degree d to a bitmask over
+``standard_index(d)``, built from the odd rule tails alone, one XOR each;
+``reduce_mod2_mask`` XORs its entries (for the Sq^2 rows of ``steenrod``)
+and ``reduce_mod2`` decodes the masks into sets of standard monomials.
 
 The top degree dim Fl(D) has exactly one standard monomial t, and
 ``integrate`` reads the degree of a class from it.  The class of a point
@@ -203,6 +207,8 @@ class ChowRingPresentation:
         self._rules = {}
         # normal form of every monomial reduced so far, standard ones included
         self._nf_memo = {}
+        # the same mod 2, as a bitmask over standard_index(degree of mon)
+        self._nf2_memo = {}
         self._standard = None  # degree -> standard monomials, built once
         self._standard_index = {}
         self._mult_cache = {}
@@ -359,18 +365,67 @@ class ChowRingPresentation:
             out.append(acc)
         return out
 
-    def reduce_mod2(self, monomials) -> set:
-        """The standard monomials with odd coefficient in the normal form
-        of the sum of the given monomials (a repeated monomial cancels);
-        an exponent tuple may be short, as for ``ring.key``."""
-        memo, nf, key = self._nf_memo, self._monomial_nf, self.ring.key
-        n = self.ring.nvars
-        out = set()
+    def _monomial_nf2(self, mon, index) -> int:
+        """Mod-2 normal form of one monomial of degree at most dim, as a
+        bitmask over index = standard_index(degree of mon).
+
+        Memoized apart from the integer memo.  It follows the integer
+        recursion through the same leading terms and rules, but a tail
+        with even coefficient is skipped and a rewrite is one XOR per odd
+        tail; every tail has the degree of mon, so one index serves.
+        """
+        memo = self._nf2_memo
+        lead = self._leading(mon)
+        if lead is None:
+            mask = 1 << index[mon]
+        else:
+            base = tuple(map(sub, mon, lead))
+            mask = 0
+            for tail, k in self._rule(lead):
+                if k & 1:
+                    term = tuple(map(add, base, tail))
+                    reduced = memo.get(term)
+                    if reduced is None:
+                        reduced = self._monomial_nf2(term, index)
+                    mask ^= reduced
+        memo[mon] = mask
+        return mask
+
+    def reduce_mod2_mask(self, monomials, d: int) -> int:
+        """Mod-2 normal form of the sum of the given monomials, all of
+        degree d and of full length, as a bitmask over standard_index(d):
+        bit i is set when the i-th standard monomial has odd coefficient
+        (a repeated monomial cancels).  Above the top degree it is 0."""
+        if d > self.dim:
+            return 0
+        memo, nf, index = self._nf2_memo, self._monomial_nf2, self.standard_index(d)
+        mask = 0
         for mon in monomials:
             reduced = memo.get(mon)
             if reduced is None:
-                reduced = nf(mon if len(mon) == n else key(mon))
-            out.symmetric_difference_update([m for m, c in reduced.items() if c & 1])
+                reduced = nf(mon, index)
+            mask ^= reduced
+        return mask
+
+    def reduce_mod2(self, monomials) -> set:
+        """The standard monomials with odd coefficient in the normal form
+        of the sum of the given monomials (a repeated monomial cancels);
+        an exponent tuple may be short, as for ``ring.key``.  The
+        monomials are grouped by degree and each group is read through
+        ``reduce_mod2_mask``."""
+        key, weights = self.ring.key, self.ring.weights
+        by_degree = {}
+        for mon in monomials:
+            mon = key(mon)
+            by_degree.setdefault(sum(map(mul, mon, weights)), []).append(mon)
+        out = set()
+        for d, group in by_degree.items():
+            mask = self.reduce_mod2_mask(group, d)
+            mons = self.standard_monomials(d) if mask else ()
+            while mask:
+                low = mask & -mask
+                out.add(mons[low.bit_length() - 1])
+                mask ^= low
         return out
 
     def normal_form(self, p: GradedPolynomial) -> GradedPolynomial:

@@ -14,13 +14,15 @@ block i this reads
                   + sum_{i, j even, j < d_i} a_{i,j} c^a c_{i,j+1} / c_{i,j}
                                                                 (mod 2),
 
-so an element costs one mod-2 normal form, ``nf2`` of its bumped
-monomials.  On complete flags (line blocks) only the first sum is left:
+so an element costs one mod-2 normal form of its bumped monomials.  On
+complete flags (line blocks) only the first sum is left:
 Sq^2(x_i) = x_i^2.
 
 The standard monomials of ``ChowRingPresentation`` are a ZZ-basis, so
-their reductions are an F_2-basis of Ch^*(Fl(D)); elements are sets of
-them, and the Sq^2 images are bitmasks over them.  Bockstein cohomology
+their reductions are an F_2-basis of Ch^*(Fl(D)).  Elements are sets of
+them, read through ``nf2``; a row of the Sq^2 matrix is the bitmask that
+``reduce_mod2_mask`` returns for the bumped monomials of one standard
+monomial, with no set in between.  Bockstein cohomology
 ker Sq^2 / im Sq^2 computes the free part of the real cohomology, and
 im Sq^2 its 2-torsion, degree-shifted by one; the closed-form torsion
 Poincare polynomials for complete flags divide exactly by (1+t).
@@ -102,15 +104,11 @@ class Mod2Chow:
 
     def sq2_matrix_rows(self, d: int, twist: TwistClass):
         """Images of the degree-d standard monomials under Sq^2_twist, as
-        bitmasks over the degree-(d+1) standard monomials."""
-        mons = self.pres.standard_monomials(d)
-        if d + 1 > self.top_degree():
-            return [0] * len(mons)
-        index = self.pres.standard_index(d + 1)
-        return [
-            sum(1 << index[m] for m in self.sq2(frozenset([mon]), twist))
-            for mon in mons
-        ]
+        bitmasks over the degree-(d+1) standard monomials: each is the
+        mod-2 mask of its bumped monomials, 0 in the top degree."""
+        bits, reduce = twist.bits, self.pres.reduce_mod2_mask
+        return [reduce(self._bumped([mon], bits), d + 1)
+                for mon in self.pres.standard_monomials(d)]
 
 
 @lru_cache(maxsize=None)

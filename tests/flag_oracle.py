@@ -14,6 +14,9 @@ which the lean one in intlinalg is checked.
 The straight capped root product, against which the half-product
 Grassmann integral in symfunc is checked.
 
+The Sq^2 rows read off the integer normal form, against which the mod-2
+bitmask rows of steenrod are checked.
+
 Polynomial helpers that only the tests use: every monomial of a degree,
 the variables a polynomial uses, and substitution of polynomials for
 variables.
@@ -282,3 +285,21 @@ def reference_integrate_product(k: int, n: int, factors) -> int:
         if min(rest, default=0) >= 0:
             total += c * acc.get(pack(rest) + off, 0)
     return total
+
+
+def reference_sq2_rows(ring, d: int, twist):
+    """Sq^2_twist on the degree-d standard monomials of a Mod2Chow ring,
+    through the integer reducer: bit i of a row is set when the i-th
+    standard monomial of degree d + 1 has an odd coefficient in the
+    integer normal form of the bumped monomials, summed with multiplicity.
+    """
+    pres = ring.pres
+    index = {m: i for i, m in enumerate(pres.standard_monomials(d + 1))}
+    rows = []
+    for mon in pres.standard_monomials(d):
+        terms = {}
+        for bumped in ring._bumped([mon], twist.bits):
+            terms[bumped] = terms.get(bumped, 0) + 1
+        nf = pres.normal_form(pres.ring.from_terms(terms))
+        rows.append(sum(1 << index[m] for m, c in nf.terms.items() if c % 2))
+    return rows

@@ -357,7 +357,7 @@ PINNED_OUTPUT = [
      "0295b6038b4d328e73d0356d6c006a4cdb60e8485f362391efb3982da62c3088"),
     (("poincare", "--theory", "torsion", "--shape", "1,1,2"), 0,
      "404f2a525d02b37c2ffb4f82468b8398a51eb8b75f3ad1ba4cc033d491b08f92",
-     "8762108e46251bc41aa74f9d84e565d91124d52b37256a94b7b6362f2b8ab162"),
+     "7bd32a961e6218ef6dea865bba2c91eb3f34431d5a48391047868d10d00f3abd"),
     (("annihilator", "--shape", "1,2", "--block", "1"), 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -384,3 +384,18 @@ def test_torsion_refuses_a_shape_above_the_rank_limit(monkeypatch, capsys):
     # complete flags print the closed form and need no limit
     assert cli.run(["poincare", "--shape", "1,1,1,1,1,1,1,1,1",
                     "--theory", "torsion"]) == 0
+
+
+def test_partial_torsion_checks_bockstein_against_w(monkeypatch, capsys):
+    # the text output is the polynomial alone; the check is in the JSON,
+    # and a W Poincare polynomial that disagrees fails it with exit code 2
+    argv = ["--format", "json", "poincare", "--shape", "1,2,2", "--twist", "2",
+            "--theory", "torsion"]
+    assert cli.run(argv) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check == {"name": "Bockstein = W Poincare (P_d - T_{d+1} - T_d = W_d)",
+                     "status": "pass"}
+    monkeypatch.setattr(wdring, "wd_poincare", lambda shape, twist: [1])
+    assert cli.run(argv) == 2
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["status"] == "fail"

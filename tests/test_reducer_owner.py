@@ -1,8 +1,9 @@
 """Ownership of the Chow reducer: only ``flagchow.py`` knows its memo.
 
-Every other module reads normal forms through the two readers of
-``ChowRingPresentation`` (``reduce_sums`` and ``reduce_mod2``), so a
-change to the memo or the rules touches one file.
+Every other module reads normal forms through the readers of
+``ChowRingPresentation``: ``reduce_sums`` (integer), ``reduce_mod2`` (a
+set of standard monomials) and ``reduce_mod2_mask`` (a bitmask over
+them).  So a change to either memo or to the rules touches one file.
 """
 
 import re
@@ -10,9 +11,11 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flagcw"
 
-# the memo, the rules and the block table by name, or any private
-# attribute of a presentation (pres._..., self.A._...)
-PRIVATE = re.compile(r"_monomial_nf|_nf_memo|_rules|_spans|\b(?:pres|A)\._[A-Za-z]")
+# the integer and mod-2 memos and their recursions (_monomial_nf also
+# matches _monomial_nf2), the rules and the block table by name, or any
+# private attribute of a presentation (pres._..., self.A._...)
+PRIVATE = re.compile(
+    r"_monomial_nf|_nf_memo|_nf2_memo|_rules|_spans|\b(?:pres|A)\._[A-Za-z]")
 
 
 def private_reads(text):
@@ -24,7 +27,10 @@ def test_the_scan_sees_a_private_read():
         "nf = self.A._monomial_nf"
     ]
     assert private_reads("for span in self.pres._blocks:") != []
+    assert private_reads("memo = ring._nf2_memo") != []
+    assert private_reads("mask = ring._monomial_nf2(mon, index)") != []
     assert private_reads("self._blocks = []\nA.reduce_mod2(ms)") == []
+    assert private_reads("mask = pres.reduce_mod2_mask(ms, d)") == []
 
 
 def test_only_flagchow_reads_the_reducer_memo():

@@ -2,7 +2,7 @@ import random
 from operator import add
 from pathlib import Path
 
-from flag_oracle import compositions, pullback
+from flag_oracle import compositions, pullback, reference_sq2_rows
 
 from flagcw import gf2, series, steenrod
 from flagcw.flagchow import FlagShape, TwistClass, all_twist_classes, chow_poincare
@@ -167,6 +167,42 @@ def test_sq2_matches_termwise_reference():
                     assert pull2(full, ring, ring.sq2(elt, twist)) == sq2_reference(
                         full, pull2(full, ring, elt), lines
                     ), (parts, twist, d)
+
+
+def test_sq2_rows_match_the_integer_normal_form():
+    # the mod-2 bitmask rows against the odd support of the integer normal
+    # forms, on every composition of N <= 5 and every twist, and on Fl(6);
+    # the degrees are read top down on a fresh ring, so each degree's memo
+    # entries are made after those of the degrees above it
+    cases = [(parts, twist) for N in range(1, 6) for parts in compositions(N)
+             for twist in all_twist_classes(len(parts))]
+    cases.append(((1,) * 6, TwistClass.trivial(6)))
+    for parts, twist in cases:
+        ring = Mod2Chow(FlagShape(parts))
+        top = ring.top_degree()
+        rows = {d: ring.sq2_matrix_rows(d, twist) for d in range(top, -1, -1)}
+        assert rows[top] == [0]
+        for d, got in rows.items():
+            assert got == reference_sq2_rows(ring, d, twist), (parts, twist, d)
+    assert len(cases) == 122
+
+
+def test_trivial_sq2_on_all_even_shapes_builds_no_rule():
+    # with every block even and no twist, a standard monomial with n_i
+    # factors from block i gains c_{i,1} only when n_i is odd, so
+    # n_i < s_{i-1} and it stays standard; the other bumps keep n_i
+    shapes = [parts for N in range(2, 9, 2) for parts in compositions(N)
+              if not any(d % 2 for d in parts)]
+    assert len(shapes) == 15
+    cases = [(parts, []) for parts in shapes]
+    # a twist or an odd block does need rules
+    cases += [((2, 2), [1]), ((1, 3), [])]
+    for parts, blocks in cases:
+        ring = Mod2Chow(FlagShape(parts))
+        twist = TwistClass.from_blocks(len(parts), blocks)
+        for d in range(ring.top_degree() + 1):
+            ring.sq2_matrix_rows(d, twist)
+        assert (ring.pres._rules == {}) == (parts in shapes and not blocks), parts
 
 
 def test_rank_nullity_per_degree():
