@@ -224,6 +224,14 @@ def cmd_euler(args) -> int:
         euler = charclass.euler_of_expression(expr, args.roots)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    # str() of an int longer than the interpreter's digit limit raises;
+    # interpreters before 3.10.7 have no limit, read as 0
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and any(abs(c) >= 10 ** digits for c in euler.terms.values()):
+        raise ValidationError(
+            f"the Euler class has a coefficient of more than {digits} "
+            "digits, above the interpreter's limit for printing an integer"
+        )
     return respond(args, {"expr": args.expr, "roots": args.roots},
                    {"rank": rank, "euler": str(euler)},
                    charclass.euler_checks(expr, args.roots),

@@ -34,8 +34,8 @@ through.  The integer memo maps a monomial to {standard monomial: coeff};
 ``normal_form``, ``multiplication_matrix`` and W_D product columns).  The
 mod-2 memo maps a monomial of degree d to a bitmask over
 ``standard_index(d)``, built from the odd rule tails alone, one XOR each;
-``reduce_mod2_mask`` XORs its entries (for the Sq^2 rows of ``steenrod``)
-and ``reduce_mod2`` decodes the masks into sets of standard monomials.
+``reduce_mod2_mask`` XORs its entries into the one mod-2 value type, a
+bitmask (for ``Mod2Chow.nf2`` and every Sq^2 row of ``steenrod``).
 
 The top degree dim Fl(D) has exactly one standard monomial t, and
 ``integrate`` reads the degree of a class from it.  The class of a point
@@ -406,27 +406,6 @@ class ChowRingPresentation:
                 reduced = nf(mon, index)
             mask ^= reduced
         return mask
-
-    def reduce_mod2(self, monomials) -> set:
-        """The standard monomials with odd coefficient in the normal form
-        of the sum of the given monomials (a repeated monomial cancels);
-        an exponent tuple may be short, as for ``ring.key``.  The
-        monomials are grouped by degree and each group is read through
-        ``reduce_mod2_mask``."""
-        key, weights = self.ring.key, self.ring.weights
-        by_degree = {}
-        for mon in monomials:
-            mon = key(mon)
-            by_degree.setdefault(sum(map(mul, mon, weights)), []).append(mon)
-        out = set()
-        for d, group in by_degree.items():
-            mask = self.reduce_mod2_mask(group, d)
-            mons = self.standard_monomials(d) if mask else ()
-            while mask:
-                low = mask & -mask
-                out.add(mons[low.bit_length() - 1])
-                mask ^= low
-        return out
 
     def normal_form(self, p: GradedPolynomial) -> GradedPolynomial:
         """Unique representative supported on standard monomials."""

@@ -19,10 +19,11 @@ complete flags (line blocks) only the first sum is left:
 Sq^2(x_i) = x_i^2.
 
 The standard monomials of ``ChowRingPresentation`` are a ZZ-basis, so
-their reductions are an F_2-basis of Ch^*(Fl(D)).  Elements are sets of
-them, read through ``nf2``; a row of the Sq^2 matrix is the bitmask that
-``reduce_mod2_mask`` returns for the bumped monomials of one standard
-monomial, with no set in between.  Bockstein cohomology
+their reductions are an F_2-basis of Ch^*(Fl(D)).  An element of Ch^d is
+a bitmask over the degree-d standard monomials, and ``nf2`` reduces a sum
+of monomials to one through ``reduce_mod2_mask``.  A row of the Sq^2
+matrix is ``sq2`` on one standard monomial: one ``nf2`` call on its
+bumped monomials.  Bockstein cohomology
 ker Sq^2 / im Sq^2 computes the free part of the real cohomology, and
 im Sq^2 its 2-torsion, degree-shifted by one; the closed-form torsion
 Poincare polynomials for complete flags divide exactly by (1+t).
@@ -34,7 +35,6 @@ from functools import lru_cache
 
 from . import gf2, series
 from .flagchow import ChowRingPresentation, FlagShape, TwistClass, chow_poincare
-from .poly import GradedPolynomial
 
 
 @lru_cache(maxsize=None)
@@ -45,49 +45,31 @@ def mod2_chow(parts: tuple) -> "Mod2Chow":
 class Mod2Chow:
     """Ch^*(Fl(D)) = CH^*(Fl(D)) mod 2.
 
-    Elements are frozensets of standard monomials of the integral ring
-    (the monomials with odd normal-form coefficient).
+    An element of Ch^d is a bitmask over ``standard_index(d)``: bit i is
+    set when the i-th standard monomial of degree d has odd coefficient.
+    Every Sq^2 row is one ``sq2`` call, which is one ``nf2`` call.
     """
 
     def __init__(self, shape: FlagShape):
         self.shape = shape
         self.pres = ChowRingPresentation(shape)
 
-    def rank(self, d: int) -> int:
-        return self.pres.rank(d)
+    def nf2(self, monomials, d: int) -> int:
+        """Mod-2 normal form of a sum of full-length degree-d monomials,
+        as a bitmask over standard_index(d); a repeated monomial cancels.
+        Reduction is a ring map, so this is the reduction over F_2."""
+        return self.pres.reduce_mod2_mask(monomials, d)
 
-    def top_degree(self) -> int:
-        return self.shape.dim
-
-    def nf2(self, monomials) -> frozenset:
-        """Mod-2 normal form of a sum of monomials.
-
-        ``monomials`` may be
-          * an iterable of monomials, summed mod 2 (a repeated monomial
-            cancels);
-          * a dict from monomial to integer coefficient, each coefficient
-            taken mod 2 (so -1 counts and -2 does not);
-          * a GradedPolynomial, read through its ``terms`` mapping.
-
-        The monomials with odd coefficient are summed by the mod-2 reader
-        of the presentation; reduction is a ring map, so this is the
-        reduction over F_2.
-        """
-        if isinstance(monomials, GradedPolynomial):
-            monomials = monomials.terms
-        if isinstance(monomials, dict):
-            monomials = [mon for mon, c in monomials.items() if c % 2]
-        return frozenset(self.pres.reduce_mod2(monomials))
-
-    def _bumped(self, elt, bits):
-        """The monomials of Sq^2_L(elt) before reduction, repeats kept.
+    def _bumped(self, monomials, bits):
+        """The monomials of Sq^2_L(sum of monomials) before reduction,
+        repeats kept.
 
         A monomial c^a with n_i factors from block i gains c_{i,1} when
         n_i + L_i is odd, and c_{i,j+1} / c_{i,j} for every even j < d_i
         with a_{i,j} odd.
         """
         out, spans = [], self.shape.spans
-        for mon in elt:
+        for mon in monomials:
             for (start, stop), bit in zip(spans, bits):
                 if (sum(mon[start:stop]) + bit) & 1:
                     out.append(mon[:start] + (mon[start] + 1,) + mon[start + 1:])
@@ -96,18 +78,17 @@ class Mod2Chow:
                         out.append(mon[:v] + (mon[v] - 1, mon[v + 1] + 1) + mon[v + 2:])
         return out
 
-    def sq2(self, elt: frozenset, twist: TwistClass = None) -> frozenset:
-        """Sq^2_L of a mod-2 normal-form element, as one multiplication:
-        the mod-2 normal form of all its bumped monomials."""
-        bits = twist.bits if twist is not None else (0,) * self.shape.m
-        return self.nf2(self._bumped(elt, bits))
+    def sq2(self, monomials, d: int, twist: TwistClass) -> int:
+        """Sq^2_L of a sum of degree-d monomials, as one multiplication:
+        the mod-2 normal form of all its bumped monomials, a bitmask over
+        standard_index(d + 1) (0 above the top degree)."""
+        return self.nf2(self._bumped(monomials, twist.bits), d + 1)
 
     def sq2_matrix_rows(self, d: int, twist: TwistClass):
         """Images of the degree-d standard monomials under Sq^2_twist, as
-        bitmasks over the degree-(d+1) standard monomials: each is the
-        mod-2 mask of its bumped monomials, 0 in the top degree."""
-        bits, reduce = twist.bits, self.pres.reduce_mod2_mask
-        return [reduce(self._bumped([mon], bits), d + 1)
+        bitmasks over the degree-(d+1) standard monomials, one ``sq2``
+        call each; 0 in the top degree."""
+        return [self.sq2([mon], d, twist)
                 for mon in self.pres.standard_monomials(d)]
 
 
@@ -118,16 +99,16 @@ def _sq2_ranks(shape: FlagShape, twist: TwistClass) -> tuple:
     ring = mod2_chow(shape.d)
     return tuple(
         gf2.rank(ring.sq2_matrix_rows(d, twist))
-        for d in range(ring.top_degree() + 1)
+        for d in range(shape.dim + 1)
     )
 
 
 def bockstein_cohomology_ranks(shape: FlagShape, twist: TwistClass):
     """Per-degree ranks of ker Sq^2_twist / im Sq^2_twist on Ch^*(Fl(D))."""
-    ring = mod2_chow(shape.d)
+    pres = mod2_chow(shape.d).pres
     out = _sq2_ranks(shape, twist)
     return series.normalize(
-        [ring.rank(d) - r - (out[d - 1] if d else 0) for d, r in enumerate(out)]
+        [pres.rank(d) - r - (out[d - 1] if d else 0) for d, r in enumerate(out)]
     )
 
 

@@ -15,7 +15,8 @@ The straight capped root product, against which the half-product
 Grassmann integral in symfunc is checked.
 
 The Sq^2 rows read off the integer normal form, against which the mod-2
-bitmask rows of steenrod are checked.
+bitmask rows of steenrod are checked, and the decoder of a mod-2 bitmask
+back into its standard monomials.
 
 Polynomial helpers that only the tests use: every monomial of a degree,
 the variables a polynomial uses, and substitution of polynomials for
@@ -303,3 +304,10 @@ def reference_sq2_rows(ring, d: int, twist):
         nf = pres.normal_form(pres.ring.from_terms(terms))
         rows.append(sum(1 << index[m] for m, c in nf.terms.items() if c % 2))
     return rows
+
+
+def mask_monomials(pres, mask: int, d: int):
+    """The degree-d standard monomials whose bits are set in a mod-2
+    bitmask over pres.standard_index(d), in basis order."""
+    mons = pres.standard_monomials(d)
+    return [mon for i, mon in enumerate(mons) if mask >> i & 1]

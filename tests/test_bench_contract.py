@@ -3,15 +3,20 @@
 ``bench/tracer.py`` wraps the functions in its ``BOUNDARIES`` table and
 ``bench/child.py`` calls a few library entry points directly.  A rename
 or deletion under ``src/`` would otherwise surface only as failed
-benchmark jobs.
+benchmark jobs, and a layer that no longer goes through its wrapped name
+only as a traced count of 0.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def load_tracer(monkeypatch):
@@ -46,3 +51,20 @@ def test_child_entry_points_resolve():
         ("cli", "build_parser"),
     ]:
         assert callable(resolve(module, qualname)), (module, qualname)
+
+
+def test_the_trace_sees_every_sq2_row_through_nf2(tmp_path):
+    # the tracer rebinds class attributes, so it runs in its own process
+    out = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, "-B", str(BENCH / "child.py"), "--trace", str(out),
+         "sq2-torsion-fl6", "0"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    totals = json.loads(out.read_text())["totals"]
+    nf2, sq2, rows = (totals[f"steenrod.Mod2Chow.{name}"] for name in (
+        "nf2.calls", "sq2.calls", "sq2_matrix_rows.rows_out"))
+    assert nf2 == sq2 == rows > 0
+    assert totals["steenrod.Mod2Chow.nf2.monomials_in"] >= nf2

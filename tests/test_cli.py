@@ -232,6 +232,24 @@ def test_euler_refuses_large_cauchy_boxes(monkeypatch, capsys):
     assert cli.run(["euler", "--expr", "sym^5(D1 + D2)"]) == 0
 
 
+def test_euler_refuses_a_coefficient_too_long_to_print(monkeypatch, capsys):
+    # 3001!! has more digits than the interpreter prints; 2801!! does not
+    limit = str(sys.get_int_max_str_digits())
+    for fmt in ("text", "json"):
+        assert cli.run(["--format", fmt, "euler", "--expr", "sym^3001(D1)"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and limit in err
+        assert cli.run(["--format", fmt, "euler", "--expr", "sym^2801(D1)"]) == 0
+        capsys.readouterr()
+    # e(Sym^5(D1)) = 15 a^3: refused under a 1-digit limit, printed under
+    # a 2-digit limit and under 0, which means no limit
+    for digits, code in [(1, 1), (2, 0), (0, 0)]:
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits)
+        assert cli.run(["euler", "--expr", "sym^5(D1)"]) == code, digits
+        out, err = capsys.readouterr()
+        assert ("15" in out) == (code == 0)
+
+
 def test_failed_euler_check_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(charclass, "euler_tensor_cauchy", lambda *args: 0)
     assert cli.run(["--format", "json", "euler", "--expr", "D1 * D2"]) == 2

@@ -1,9 +1,9 @@
 """Ownership of the Chow reducer: only ``flagchow.py`` knows its memo.
 
 Every other module reads normal forms through the readers of
-``ChowRingPresentation``: ``reduce_sums`` (integer), ``reduce_mod2`` (a
-set of standard monomials) and ``reduce_mod2_mask`` (a bitmask over
-them).  So a change to either memo or to the rules touches one file.
+``ChowRingPresentation``: ``reduce_sums`` (integer normal forms) and
+``reduce_mod2_mask`` (a bitmask over the standard monomials).  So a
+change to either memo or to the rules touches one file.
 """
 
 import re
@@ -29,7 +29,7 @@ def test_the_scan_sees_a_private_read():
     assert private_reads("for span in self.pres._blocks:") != []
     assert private_reads("memo = ring._nf2_memo") != []
     assert private_reads("mask = ring._monomial_nf2(mon, index)") != []
-    assert private_reads("self._blocks = []\nA.reduce_mod2(ms)") == []
+    assert private_reads("self._blocks = []\nA.reduce_sums(ms)") == []
     assert private_reads("mask = pres.reduce_mod2_mask(ms, d)") == []
 
 

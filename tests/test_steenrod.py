@@ -2,7 +2,13 @@ import random
 from operator import add
 from pathlib import Path
 
-from flag_oracle import compositions, pullback, reference_sq2_rows
+from flag_oracle import (
+    compositions,
+    mask_monomials,
+    monomials_of_degree,
+    pullback,
+    reference_sq2_rows,
+)
 
 from flagcw import gf2, series, steenrod
 from flagcw.flagchow import FlagShape, TwistClass, all_twist_classes, chow_poincare
@@ -17,19 +23,29 @@ from flagcw.steenrod import (
 from flagcw.wdring import wd_poincare
 
 
+def odd(poly):
+    """The monomials of a polynomial with odd coefficient: its mod-2
+    reduction as an nf2 input."""
+    return [mon for mon, c in poly.terms.items() if c % 2]
+
+
 def test_sq2_on_line_classes():
     ring = mod2_chow((1, 1, 1))
     # Sq^2(x_i) = x_i^2, reduced mod the relations
-    got = ring.sq2(ring.nf2([(1,)]))
-    assert got == ring.nf2([(2,)])
+    trivial = TwistClass.trivial(3)
+    for i in range(3):
+        x = tuple(int(k == i) for k in range(3))
+        assert ring.sq2([x], 1, trivial) == ring.nf2([tuple(2 * e for e in x)], 2)
+    assert ring.sq2([(1, 0, 0)], 1, trivial) != 0
 
 
 def test_sq2_chern_class_formula_on_blocks():
     # Sq^2(c_2(D_1)) = c_1 c_2 + 3 c_3 = c_1 c_2 + c_3 on a rank-3 block
+    trivial = TwistClass.trivial(2)
     ring = mod2_chow((3, 1))
     pres = ring.pres
     c1, c2, c3 = (pres.generator(1, j) for j in (1, 2, 3))
-    assert ring.sq2(ring.nf2(c2)) == ring.nf2(c1 * c2 + c3)
+    assert ring.sq2(odd(c2), 2, trivial) == ring.nf2(odd(c1 * c2 + c3), 3)
 
     # On Fl(3,1) both sides vanish, so the shape (3,3) is what tells a
     # wrong Sq^2 apart; the odd coefficient 3 must reduce to 1, and the
@@ -37,116 +53,129 @@ def test_sq2_chern_class_formula_on_blocks():
     ring = mod2_chow((3, 3))
     pres = ring.pres
     c1, c2, c3 = (pres.generator(1, j) for j in (1, 2, 3))
-    got = ring.sq2(ring.nf2(c2))
-    assert got == ring.nf2(c1 * c2 + 3 * c3)
-    assert got != ring.nf2(c1 * c2)
-    assert got != ring.nf2(c3)
+    got = ring.sq2(odd(c2), 2, trivial)
+    assert got == ring.nf2(odd(c1 * c2 + 3 * c3), 3)
+    assert got != ring.nf2(odd(c1 * c2), 3)
+    assert got != ring.nf2(odd(c3), 3)
     fl6 = mod2_chow((1,) * 6)
-    assert pull2(fl6, ring, got) == sq2_reference(
-        fl6, pull2(fl6, ring, ring.nf2(c2)), TwistClass.trivial(6)
+    assert pull2(fl6, ring, got, 3) == sq2_reference(
+        fl6, pull2(fl6, ring, ring.nf2(odd(c2), 2), 2), 2, TwistClass.trivial(6)
     )
 
 
 def test_nf2_reduces_coefficients_mod_2():
     ring = mod2_chow((3, 1))
     mon = (0, 0, 0, 3)
-    assert ring.nf2({mon: -2}) == frozenset()
-    assert ring.nf2({mon: -1}) == frozenset({mon})
-    pres = ring.pres
-    poly = pres.normal_form(pres.generator(1, 1) * pres.generator(1, 2))
-    assert ring.nf2(poly) == ring.nf2(poly.terms)
-    # a plain iterable keeps its symmetric-set meaning: repeats cancel
-    assert ring.nf2([mon, mon]) == frozenset()
+    index = ring.pres.standard_index(3)
+    assert ring.nf2([mon], 3) == 1 << index[mon]
+    # repeats cancel: a coefficient counts by its parity
+    assert ring.nf2([mon, mon], 3) == 0
+    assert ring.nf2([mon, mon, mon], 3) == ring.nf2([mon], 3)
 
-    # random integer polynomials: nf2 is the odd part of the integer normal
-    # form, for every accepted input type
+    # random homogeneous integer polynomials, degree by degree: nf2 of the
+    # monomials repeated |c| times is the odd part of the integer normal
+    # form; above the top degree both are 0
     rng = random.Random(1618)
     for parts in [(1, 1, 1, 1), (2, 2)]:
         ring = mod2_chow(parts)
         pres = ring.pres
-        for _ in range(20):
-            poly = pres.ring.from_terms(
-                {
-                    tuple(rng.randint(0, 4) for _ in range(4)): rng.randint(-3, 3)
-                    for _ in range(rng.randint(1, 6))
-                }
-            )
-            nf = pres.normal_form(poly)
-            odd = frozenset(m for m, c in nf.terms.items() if c % 2)
-            assert ring.nf2(poly) == odd
-            assert ring.nf2(poly.terms) == odd
-            repeated = [m for m, c in poly.terms.items() for _ in range(abs(c))]
-            assert ring.nf2(repeated) == odd
+        for d in range(pres.shape.dim + 2):
+            mons = monomials_of_degree(pres.ring, d)
+            index = pres.standard_index(d)
+            for _ in range(5):
+                sample = rng.sample(mons, min(len(mons), rng.randint(1, 6)))
+                poly = pres.ring.from_terms(
+                    {m: rng.randint(-3, 3) for m in sample})
+                nf = pres.normal_form(poly)
+                want = sum(1 << index[m] for m in odd(nf))
+                repeated = [m for m, c in poly.terms.items() for _ in range(abs(c))]
+                assert ring.nf2(repeated, d) == want, (parts, d)
+                assert ring.nf2(odd(poly), d) == want, (parts, d)
 
 
 def test_sq2_squares_to_zero_randomized():
     rng = random.Random(2718)
     ring = mod2_chow((1, 1, 1, 1))
+    pres = ring.pres
     for twist in all_twist_classes(4):
         for _ in range(25):
-            d = rng.randint(0, ring.top_degree() - 2)
-            mons = ring.pres.standard_monomials(d)
-            elt = ring.nf2(
-                [m for m in mons if rng.random() < 0.5] or [mons[0]]
-            )
-            once = ring.sq2(elt, twist)
-            assert ring.sq2(once, twist) == frozenset()
+            d = rng.randint(0, ring.shape.dim - 2)
+            mons = pres.standard_monomials(d)
+            elt = [m for m in mons if rng.random() < 0.5] or [mons[0]]
+            once = ring.sq2(elt, d, twist)
+            twice = ring.sq2(mask_monomials(pres, once, d + 1), d + 1, twist)
+            assert twice == 0
 
 
 def test_twisted_sq2_of_unit_is_ell():
     ring = mod2_chow((1, 1, 1))
     twist = TwistClass.from_blocks(3, [1])
-    unit = ring.nf2([()])
+    unit = [(0, 0, 0)]
+    assert ring.nf2(unit, 0) == 1
     # l = c_1(D_1) = x_1, the line class of the one twisted block
-    assert ring.sq2(unit, twist) == ring.nf2([(1, 0, 0)])
-    assert ring.sq2(unit, TwistClass.trivial(3)) == frozenset()
+    assert ring.sq2(unit, 0, twist) == ring.nf2([(1, 0, 0)], 1)
+    assert ring.sq2(unit, 0, TwistClass.trivial(3)) == 0
 
 
 def test_sq2_is_one_nf2_call_on_a_list(monkeypatch):
-    # every element, of one monomial or several, costs exactly one mod-2
-    # normal form, and its bumped monomials arrive as a list
-    ring = Mod2Chow(FlagShape([1, 2, 2]))
-    nf2, calls = ring.nf2, []
+    # every Sq^2 row is one sq2 call on its standard monomial, and that
+    # is one nf2 call on the list of its bumped monomials, one degree up
+    for N in range(1, 5):
+        for parts in compositions(N):
+            ring = Mod2Chow(FlagShape(parts))
+            sq2, nf2, calls = ring.sq2, ring.nf2, []
 
-    def spy(monomials):
-        calls.append(monomials)
-        return nf2(monomials)
+            def spy_sq2(monomials, d, twist):
+                calls.append(("sq2", monomials, d))
+                return sq2(monomials, d, twist)
 
-    monkeypatch.setattr(ring, "nf2", spy)
-    for twist in all_twist_classes(3):
-        for d in range(ring.top_degree() + 1):
-            mons = ring.pres.standard_monomials(d)
-            for elt in [frozenset([m]) for m in mons] + [frozenset(mons)]:
-                calls.clear()
-                got = ring.sq2(elt, twist)
-                assert len(calls) == 1 and type(calls[0]) is list
-                assert got == nf2(calls[0])
+            def spy_nf2(monomials, d):
+                calls.append(("nf2", monomials, d))
+                return nf2(monomials, d)
+
+            monkeypatch.setattr(ring, "sq2", spy_sq2)
+            monkeypatch.setattr(ring, "nf2", spy_nf2)
+            for twist in all_twist_classes(len(parts)):
+                for d in range(ring.shape.dim + 1):
+                    calls.clear()
+                    rows = ring.sq2_matrix_rows(d, twist)
+                    mons = ring.pres.standard_monomials(d)
+                    bumped = [ring._bumped([mon], twist.bits) for mon in mons]
+                    assert calls[0::2] == [("sq2", [mon], d) for mon in mons]
+                    assert calls[1::2] == [("nf2", b, d + 1) for b in bumped]
+                    assert all(type(c[1]) is list for c in calls)
+                    assert rows == [nf2(b, d + 1) for b in bumped]
 
 
-def sq2_reference(ring, elt, twist):
-    """Sq^2_L on a complete flag ring, term by term: the derivation
-    Sq^2(x_i) = x_i^2 on each monomial, plus the product with l = the sum
-    of the line classes of the twisted blocks, every piece through nf2."""
+def sq2_reference(ring, elt, d, twist):
+    """Sq^2_L on a degree-d mask of a complete flag ring, term by term:
+    the derivation Sq^2(x_i) = x_i^2 on each monomial, plus the product
+    with l = the sum of the line classes of the twisted blocks, every
+    piece through nf2."""
     N = ring.shape.N
-    out = set()
-    for mon in elt:
+    mons = mask_monomials(ring.pres, elt, d)
+    out = 0
+    for mon in mons:
         for i, e in enumerate(mon):
             if e % 2:
-                out ^= ring.nf2([mon[:i] + (e + 1,) + mon[i + 1 :]])
+                out ^= ring.nf2([mon[:i] + (e + 1,) + mon[i + 1 :]], d + 1)
     lines = [
         tuple(int(k == j) for k in range(N))
         for block, bit in enumerate(twist.bits, start=1)
         if bit
         for j in range(*ring.shape.spans[block - 1])
     ]
-    ell = ring.nf2(lines)
-    out ^= ring.nf2([tuple(map(add, m1, m2)) for m1 in elt for m2 in ell])
-    return frozenset(out)
+    ell = mask_monomials(ring.pres, ring.nf2(lines, 1), 1)
+    out ^= ring.nf2([tuple(map(add, m1, m2)) for m1 in mons for m2 in ell], d + 1)
+    return out
 
 
-def pull2(full, ring, elt):
-    """A mod-2 element of ring, pulled back to the complete flag ring full."""
-    return full.nf2(pullback(ring.pres, ring.pres.ring.from_terms(dict.fromkeys(elt, 1))))
+def pull2(full, ring, elt, d):
+    """A degree-d mod-2 element of ring, pulled back to the complete flag
+    ring full."""
+    mons = mask_monomials(ring.pres, elt, d)
+    poly = pullback(ring.pres, ring.pres.ring.from_terms(dict.fromkeys(mons, 1)))
+    return full.nf2(odd(poly), d)
 
 
 def test_sq2_matches_termwise_reference():
@@ -160,12 +189,13 @@ def test_sq2_matches_termwise_reference():
             lines = TwistClass(
                 [bit for bit, d in zip(twist.bits, parts) for _ in range(d)]
             )
-            for d in range(ring.top_degree() + 1):
+            for d in range(ring.shape.dim + 1):
                 mons = ring.pres.standard_monomials(d)
                 for _ in range(3):
-                    elt = frozenset(m for m in mons if rng.random() < 0.5)
-                    assert pull2(full, ring, ring.sq2(elt, twist)) == sq2_reference(
-                        full, pull2(full, ring, elt), lines
+                    elt = [m for m in mons if rng.random() < 0.5]
+                    got = ring.sq2(elt, d, twist)
+                    assert pull2(full, ring, got, d + 1) == sq2_reference(
+                        full, pull2(full, ring, ring.nf2(elt, d), d), d, lines
                     ), (parts, twist, d)
 
 
@@ -179,7 +209,7 @@ def test_sq2_rows_match_the_integer_normal_form():
     cases.append(((1,) * 6, TwistClass.trivial(6)))
     for parts, twist in cases:
         ring = Mod2Chow(FlagShape(parts))
-        top = ring.top_degree()
+        top = ring.shape.dim
         rows = {d: ring.sq2_matrix_rows(d, twist) for d in range(top, -1, -1)}
         assert rows[top] == [0]
         for d, got in rows.items():
@@ -200,7 +230,7 @@ def test_trivial_sq2_on_all_even_shapes_builds_no_rule():
     for parts, blocks in cases:
         ring = Mod2Chow(FlagShape(parts))
         twist = TwistClass.from_blocks(len(parts), blocks)
-        for d in range(ring.top_degree() + 1):
+        for d in range(ring.shape.dim + 1):
             ring.sq2_matrix_rows(d, twist)
         assert (ring.pres._rules == {}) == (parts in shapes and not blocks), parts
 
@@ -212,11 +242,11 @@ def test_rank_nullity_per_degree():
     twist = TwistClass.trivial(4)
     ranks = [
         gf2.rank(ring.sq2_matrix_rows(d, twist))
-        for d in range(ring.top_degree() + 1)
+        for d in range(ring.shape.dim + 1)
     ]
     expected = w_poincare_closed(4)
     for d, r in enumerate(ranks):
-        kernel_dim = ring.rank(d) - r
+        kernel_dim = ring.pres.rank(d) - r
         image_below = ranks[d - 1] if d else 0
         assert kernel_dim - image_below == (expected[d] if d < len(expected) else 0)
     assert ring.sq2_matrix_rows(0, twist) == [0]
