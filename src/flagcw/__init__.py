@@ -12,7 +12,7 @@ from .flagchow import (
     TwistClass,
     ann_top_chern,
     chow_poincare,
-    full_flag_ring,
+    chow_ring,
     ideal_lattice,
     ideal_quotient_degreewise,
     verify_piqp_fln,
@@ -51,8 +51,8 @@ __all__ = [
     "box_complement",
     "build_sigma",
     "chow_poincare",
+    "chow_ring",
     "exact_div",
-    "full_flag_ring",
     "grassmann_bundle_pushforward",
     "grassmann_integrate",
     "grassmann_integrate_product",

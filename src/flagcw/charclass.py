@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 import warnings
 from functools import lru_cache
+from itertools import chain, islice
 
 from .poly import GradedPolynomial, PolyRing
 from .symfunc import (
@@ -338,55 +339,60 @@ def parse_bundle(text: str):
 
 
 def _normalize(expr, nblocks: int):
-    """Flatten to a sum of atoms: Trivial(r), Sym^M(block), or
-    Sym^M(block) (x) Sym^N(block').  Duals of rank-2 blocks keep their
-    Euler root (even rank), so duals are erased at the leaves.
+    """Flatten to a sum of atoms, yielded one at a time: Trivial(r),
+    Sym^M(block), or Sym^M(block) (x) Sym^N(block').  Duals of rank-2
+    blocks keep their Euler root (even rank), so duals are erased at the
+    leaves.  A reader that stops early never builds the k + 1 atoms of a
+    large Sym^k(A + B).
     """
     if isinstance(expr, Dual):
-        return _normalize(expr.inner, nblocks)
-    if isinstance(expr, Taut):
+        yield from _normalize(expr.inner, nblocks)
+    elif isinstance(expr, Taut):
         if not 1 <= expr.index <= nblocks:
             raise ValueError(f"block index {expr.index} exceeds --roots {nblocks}")
         if expr.kind == "D":
-            return [("sym", 1, expr.index)]
-        return [("sym", 1, j) for j in range(1, expr.index + 1)]
-    if isinstance(expr, Trivial):
-        return [("triv", expr.rank)] if expr.rank else []
-    if isinstance(expr, Sum):
-        return _normalize(expr.left, nblocks) + _normalize(expr.right, nblocks)
-    if isinstance(expr, Sym):
-        inner = _normalize(expr.inner, nblocks)
-        return _sym_of_sum(expr.power, inner)
-    if isinstance(expr, Tensor):
-        left = _normalize(expr.left, nblocks)
-        right = _normalize(expr.right, nblocks)
+            yield ("sym", 1, expr.index)
+        else:
+            yield from (("sym", 1, j) for j in range(1, expr.index + 1))
+    elif isinstance(expr, Trivial):
+        if expr.rank:
+            yield ("triv", expr.rank)
+    elif isinstance(expr, Sum):
+        yield from _normalize(expr.left, nblocks)
+        yield from _normalize(expr.right, nblocks)
+    elif isinstance(expr, Sym):
+        yield from _sym_of_sum(expr.power, _normalize(expr.inner, nblocks))
+    elif isinstance(expr, Tensor):
+        left = list(islice(_normalize(expr.left, nblocks), 2))
+        right = list(islice(_normalize(expr.right, nblocks), 2))
         if len(left) != 1 or len(right) != 1:
             raise ValueError(
                 "tensor products are supported between single Sym factors"
             )
-        return [_tensor_atoms(left[0], right[0])]
-    raise TypeError(f"not a bundle expression: {expr!r}")
+        yield _tensor_atoms(left[0], right[0])
+    else:
+        raise TypeError(f"not a bundle expression: {expr!r}")
 
 
 def _sym_of_sum(k: int, atoms):
+    """The atoms of Sym^k of the atoms given, yielded one at a time:
+    Sym^k(A + B) = sum_i Sym^(k-i) A (x) Sym^i B."""
     if k == 0:
-        return [("triv", 1)]
-    if any(a[0] != "sym" or a[1] != 1 for a in atoms):
+        yield ("triv", 1)
+        return
+    head = list(islice(atoms, 3))
+    if any(a[0] != "sym" or a[1] != 1 for a in chain(head, atoms)):
         raise ValueError("sym^k is supported on rank-2 blocks and their sums")
-    if len(atoms) == 1:
-        return [("sym", k, atoms[0][2])]
-    if len(atoms) == 2:
-        u, v = atoms[0][2], atoms[1][2]
-        out = []
-        for i in range(k + 1):
-            if i == 0:
-                out.append(("sym", k, u))
-            elif i == k:
-                out.append(("sym", k, v))
-            else:
-                out.append(_tensor_atoms(("sym", k - i, u), ("sym", i, v)))
-        return out
-    raise ValueError("sym^k of a sum of more than two blocks is not supported")
+    if len(head) == 1:
+        yield ("sym", k, head[0][2])
+    elif len(head) == 2:
+        u, v = head[0][2], head[1][2]
+        yield ("sym", k, u)
+        for i in range(1, k):
+            yield _tensor_atoms(("sym", k - i, u), ("sym", i, v))
+        yield ("sym", k, v)
+    else:
+        raise ValueError("sym^k of a sum of more than two blocks is not supported")
 
 
 def _tensor_atoms(a, b):
@@ -397,19 +403,20 @@ def _tensor_atoms(a, b):
     return ("symtensor", a[1], a[2], b[1], b[2])
 
 
+def _atom_rank(atom) -> int:
+    """Sym^M of a block has rank M + 1, a tensor of two rank (M + 1)(N + 1),
+    triv(r) rank r."""
+    if atom[0] == "triv":
+        return atom[1]
+    if atom[0] == "sym":
+        return atom[1] + 1
+    return (atom[1] + 1) * (atom[3] + 1)
+
+
 def bundle_rank(expr, nblocks: int) -> int:
-    """Rank with every block of rank 2 (the --roots convention): the sum over
-    the atoms of _normalize, Sym^M of a block of rank M + 1, a tensor of two
-    of rank (M + 1)(N + 1), triv(r) of rank r."""
-    rank = 0
-    for atom in _normalize(expr, nblocks):
-        if atom[0] == "triv":
-            rank += atom[1]
-        elif atom[0] == "sym":
-            rank += atom[1] + 1
-        else:
-            rank += (atom[1] + 1) * (atom[3] + 1)
-    return rank
+    """Rank with every block of rank 2 (the --roots convention): the sum of
+    the ranks of the atoms of _normalize."""
+    return sum(map(_atom_rank, _normalize(expr, nblocks)))
 
 
 def euler_of_expression(expr, nblocks: int) -> GradedPolynomial:
@@ -435,17 +442,50 @@ def euler_of_expression(expr, nblocks: int) -> GradedPolynomial:
 
 
 def _tensor_factors(expr, nblocks: int):
-    """Distinct (M, i, N, j) of the Sym^M(D_i) (x) Sym^N(D_j) factors."""
-    atoms = _normalize(expr, nblocks)
-    return list(dict.fromkeys(a[1:] for a in atoms if a[0] == "symtensor"))
+    """Distinct (M, i, N, j) of the Sym^M(D_i) (x) Sym^N(D_j) factors,
+    yielded one at a time."""
+    seen = set()
+    for atom in _normalize(expr, nblocks):
+        if atom[0] == "symtensor" and atom[1:] not in seen:
+            seen.add(atom[1:])
+            yield atom[1:]
 
 
-def cauchy_box_total(expr, nblocks: int) -> int:
-    """Partitions that the Euler class of expr sums over: C(m + n, m) in
-    the m x n box of each distinct Sym^M (x) Sym^N factor, m = ceil(M/2),
-    n = ceil(N/2)."""
-    return sum(binomial((M + 1) // 2 + (N + 1) // 2, (M + 1) // 2)
-               for M, _, N, _ in _tensor_factors(expr, nblocks))
+def cauchy_box_total(expr, nblocks: int, limit: int):
+    """(count, exact): the partitions that the Euler class of expr sums
+    over, C(m + n, m) in the m x n box of each distinct Sym^M (x) Sym^N
+    factor, m = ceil(M/2), n = ceil(N/2).  The count stops at the first
+    factor that takes it above limit; exact is False when factors are left
+    over, each with at least one partition."""
+    factors = _tensor_factors(expr, nblocks)
+    total = 0
+    for M, _, N, _ in factors:
+        total += binomial((M + 1) // 2 + (N + 1) // 2, (M + 1) // 2)
+        if total > limit:
+            return total, next(factors, None) is None
+    return total, True
+
+
+def euler_coefficient_floor(expr, nblocks: int, cap: int) -> int:
+    """A lower bound on |c| over the coefficients c of the Euler class of
+    expr, read without computing it; 0 when that class is 0.
+
+    The class is 0 exactly when an atom is trivial or of odd rank.
+    Otherwise every Sym^M atom is M!! a^(r+1) and every tensor atom a
+    nonzero integer polynomial, so the product of those M!! divides every
+    coefficient.  It is taken factor by factor and stops once it reaches
+    cap, so a huge M costs a few hundred multiplications, not M/2.
+    """
+    floor = 1
+    for atom in _normalize(expr, nblocks):
+        if atom[0] == "triv" or _atom_rank(atom) % 2:
+            return 0
+        if atom[0] == "sym":
+            for factor in range(atom[1], 1, -2):
+                if floor >= cap:
+                    break
+                floor *= factor
+    return floor
 
 
 def euler_checks(expr, nblocks: int) -> list:

@@ -213,21 +213,27 @@ def cmd_euler(args) -> int:
         raise ValidationError(
             f"--roots {args.roots} out of range 1..{len(charclass.ROOT_NAMES)}"
         )
-    try:
-        rank = charclass.bundle_rank(expr, args.roots)
-        boxes = charclass.cauchy_box_total(expr, args.roots)
-        if boxes > EULER_BOX_LIMIT:
-            raise ValidationError(
-                f"expression sums over {boxes} partitions in its Cauchy "
-                f"boxes, above the limit {EULER_BOX_LIMIT}"
-            )
-        euler = charclass.euler_of_expression(expr, args.roots)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
     # str() of an int longer than the interpreter's digit limit raises;
     # interpreters before 3.10.7 have no limit, read as 0
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits and any(abs(c) >= 10 ** digits for c in euler.terms.values()):
+    bound = 10 ** digits if digits else 0
+    euler = None
+    try:
+        # both budgets are read before the atoms or coefficients they bound
+        # are built
+        boxes, exact = charclass.cauchy_box_total(expr, args.roots, EULER_BOX_LIMIT)
+        if boxes > EULER_BOX_LIMIT:
+            raise ValidationError(
+                f"expression sums over {'' if exact else 'more than '}{boxes} "
+                f"partitions in its Cauchy boxes, above the limit {EULER_BOX_LIMIT}"
+            )
+        rank = charclass.bundle_rank(expr, args.roots)
+        if not bound or charclass.euler_coefficient_floor(
+                expr, args.roots, bound) < bound:
+            euler = charclass.euler_of_expression(expr, args.roots)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+    if euler is None or (bound and any(abs(c) >= bound for c in euler.terms.values())):
         raise ValidationError(
             f"the Euler class has a coefficient of more than {digits} "
             "digits, above the interpreter's limit for printing an integer"

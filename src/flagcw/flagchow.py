@@ -45,9 +45,13 @@ r_i = N - s_i.  Its normal form is +-t, which fixes the orientation:
 the integral of p is the coefficient of t in the normal form of p,
 divided by that sign, so that [pt] integrates to 1.
 
-For complete flags D = (1^N) the generators are x_1..x_N and the rules
-are the classical x_k^k -> -(h_k(x_k..x_N) - x_k^k); ``FullFlagRing``
-is that ring, and only adds the Schubert classes x_{[i]}.
+``chow_ring(shape)`` is the one owner of CH^*(Fl(D)): CH, Ch^* and Sq^2,
+the Pontryagin ring of W_D and the ideal checks read the ring of a shape
+there, built once.  Each memo entry and rule depends only on its monomial
+or leading term, and callers only read the cached matrices, so sharing
+changes no answer.  Every complete flag D = (1^N), the empty shape
+included, gets a ``FullFlagRing``: generators x_1..x_N, the classical
+rules x_k^k -> -(h_k(x_k..x_N) - x_k^k), and the Schubert classes x_{[i]}.
 
 The ideal section works on any presentation: ``ideal_lattice`` spans an
 ideal in one degree, ``ideal_quotient_degreewise`` solves (I : J) degree
@@ -532,11 +536,6 @@ class ChowRingPresentation:
         return pt[t] * top.terms.get(t, 0)
 
 
-@lru_cache(maxsize=None)
-def full_flag_ring(N: int) -> "FullFlagRing":
-    return FullFlagRing(N)
-
-
 class FullFlagRing(ChowRingPresentation):
     """CH^*(Fl(N)) = ZZ[x_1..x_N] / (prod (1 + x_i) = 1), x_i = c_1(D_i).
 
@@ -546,13 +545,18 @@ class FullFlagRing(ChowRingPresentation):
 
     def __init__(self, N: int):
         super().__init__(FlagShape([1] * N))
-        self.N = N
 
     def x_interval_product(self, i: int) -> GradedPolynomial:
         """x_{[i]} = x_1 x_2 ... x_i, the class of the special Schubert variety."""
         return self.ring.monomial([1] * i)
 
 
+@lru_cache(maxsize=None)
+def chow_ring(shape: FlagShape) -> ChowRingPresentation:
+    """CH^*(Fl(D)), built once per shape and shared by every reader."""
+    if shape.is_full_flag():
+        return FullFlagRing(shape.N)
+    return ChowRingPresentation(shape)
 
 
 # ----------------------------------------------------------------------
@@ -631,7 +635,7 @@ def verify_piqp_fln(N: int, i: int, j: int) -> dict:
     """Check (x_[i] : x_[j]) = (x_[i] \\ [j]) in CH^*(Fl(N)), all degrees."""
     if not 1 <= j < i <= N:
         raise ValueError("need 1 <= j < i <= N")
-    fl = full_flag_ring(N)
+    fl = chow_ring(FlagShape([1] * N))
     return _check_quotient(
         fl,
         [fl.x_interval_product(i)],
@@ -648,7 +652,7 @@ def ann_top_chern(shape: FlagShape):
     variables (1 when m = 1), and the check (0 : c_{d_m}(D_m)) = (x) in
     every degree of CH^*(Fl(D)).
     """
-    pres = ChowRingPresentation(shape)
+    pres = chow_ring(shape)
     x = pres.ring.one()
     for j in range(1, shape.m):
         x = x * pres.top_chern(j)

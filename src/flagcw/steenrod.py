@@ -18,7 +18,8 @@ so an element costs one mod-2 normal form of its bumped monomials.  On
 complete flags (line blocks) only the first sum is left:
 Sq^2(x_i) = x_i^2.
 
-The standard monomials of ``ChowRingPresentation`` are a ZZ-basis, so
+``Mod2Chow`` is a view of the shared ``chow_ring(shape)``, not a second
+ring.  The standard monomials of that ring are a ZZ-basis, so
 their reductions are an F_2-basis of Ch^*(Fl(D)).  An element of Ch^d is
 a bitmask over the degree-d standard monomials, and ``nf2`` reduces a sum
 of monomials to one through ``reduce_mod2_mask``.  A row of the Sq^2
@@ -34,25 +35,20 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import gf2, series
-from .flagchow import ChowRingPresentation, FlagShape, TwistClass, chow_poincare
-
-
-@lru_cache(maxsize=None)
-def mod2_chow(parts: tuple) -> "Mod2Chow":
-    return Mod2Chow(FlagShape(parts))
+from .flagchow import FlagShape, TwistClass, chow_poincare, chow_ring
 
 
 class Mod2Chow:
-    """Ch^*(Fl(D)) = CH^*(Fl(D)) mod 2.
+    """Ch^*(Fl(D)) = CH^*(Fl(D)) mod 2, read through the Chow ring pres.
 
     An element of Ch^d is a bitmask over ``standard_index(d)``: bit i is
     set when the i-th standard monomial of degree d has odd coefficient.
     Every Sq^2 row is one ``sq2`` call, which is one ``nf2`` call.
     """
 
-    def __init__(self, shape: FlagShape):
-        self.shape = shape
-        self.pres = ChowRingPresentation(shape)
+    def __init__(self, pres):
+        self.pres = pres
+        self.shape = pres.shape
 
     def nf2(self, monomials, d: int) -> int:
         """Mod-2 normal form of a sum of full-length degree-d monomials,
@@ -96,7 +92,7 @@ class Mod2Chow:
 def _sq2_ranks(shape: FlagShape, twist: TwistClass) -> tuple:
     """rank of Sq^2_twist: Ch^d -> Ch^(d+1) for d = 0..dim Fl(D), computed
     once per (shape, twist) for both the torsion and the Bockstein ranks."""
-    ring = mod2_chow(shape.d)
+    ring = Mod2Chow(chow_ring(shape))
     return tuple(
         gf2.rank(ring.sq2_matrix_rows(d, twist))
         for d in range(shape.dim + 1)
@@ -105,7 +101,7 @@ def _sq2_ranks(shape: FlagShape, twist: TwistClass) -> tuple:
 
 def bockstein_cohomology_ranks(shape: FlagShape, twist: TwistClass):
     """Per-degree ranks of ker Sq^2_twist / im Sq^2_twist on Ch^*(Fl(D))."""
-    pres = mod2_chow(shape.d).pres
+    pres = chow_ring(shape)
     out = _sq2_ranks(shape, twist)
     return series.normalize(
         [pres.rank(d) - r - (out[d - 1] if d else 0) for d, r in enumerate(out)]

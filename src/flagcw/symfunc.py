@@ -427,6 +427,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     out = 1
-    for i in range(k):
+    for i in range(min(k, n - k)):
         out = out * (n - i) // (i + 1)
     return out

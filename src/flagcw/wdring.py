@@ -7,9 +7,9 @@ when N is even).  Relations: prod p(D_i) = 1, e_i = 0 for odd blocks,
 e_i^2 = p_top(D_i) for even blocks, and prod e_i = 0 when every block
 has even rank.
 
-The Pontryagin subalgebra A is the Chow ring of the half shape
-(floor(d_i/2)) with degrees multiplied by 4, computed on its own
-generators: p_{2j}(D_i) is c_j of the half block, and an A-part is a
+The Pontryagin subalgebra A = chow_ring(half_shape), shared, is the Chow
+ring of the half shape (floor(d_i/2)) with degrees multiplied by 4, on its
+own generators: p_{2j}(D_i) is c_j of the half block, and an A-part is a
 normal-form polynomial over the standard monomials of that ring, with
 coordinates read off directly.  Elements are stored as components
 a * e_I * R_S  with a in A.  In the all-even case the
@@ -64,7 +64,7 @@ from functools import lru_cache
 from operator import add
 
 from . import intlinalg, series
-from .flagchow import ChowRingPresentation, FlagShape, TwistClass, all_twist_classes
+from .flagchow import FlagShape, TwistClass, all_twist_classes, chow_ring
 from .poly import GradedPolynomial
 
 
@@ -84,7 +84,7 @@ class WDPresentation:
         kept = [i for i, d in enumerate(shape.d, start=1) if d > 1]
         self._half_block = {i: k for k, i in enumerate(kept, start=1)}
         self.half_shape = FlagShape(shape.size(i) // 2 for i in kept)
-        self.A = ChowRingPresentation(self.half_shape)
+        self.A = chow_ring(self.half_shape)
         self.q = self.half_shape.N
         self.n = shape.N // 2
         self.r_labels = tuple(range(self.q + 1, self.n + 1))

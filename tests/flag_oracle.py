@@ -26,7 +26,7 @@ variables.
 import itertools
 from operator import sub
 
-from flagcw.flagchow import full_flag_ring
+from flagcw.flagchow import FlagShape, chow_ring
 from flagcw.poly import GradedPolynomial
 from flagcw.symfunc import vandermonde
 
@@ -94,7 +94,7 @@ def block_elementary(fl, span, j):
     """e_j of the variables of fl with indices in span."""
     terms = {}
     for comb in itertools.combinations(span, j):
-        exps = [0] * fl.N
+        exps = [0] * fl.shape.N
         for i in comb:
             exps[i] = 1
         terms[tuple(exps)] = 1
@@ -104,7 +104,7 @@ def block_elementary(fl, span, j):
 def pullback(pres, p):
     """Image in Fl(N), not normal-formed, of a polynomial of pres.ring."""
     shape = pres.shape
-    fl = full_flag_ring(shape.N)
+    fl = chow_ring(FlagShape([1] * shape.N))
     bindings = {}
     for i in range(1, shape.m + 1):
         span = range(*shape.spans[i - 1])
@@ -115,7 +115,7 @@ def pullback(pres, p):
 
 
 def pullback_nf(pres, p):
-    return full_flag_ring(pres.shape.N).normal_form(pullback(pres, p))
+    return chow_ring(FlagShape([1] * pres.shape.N)).normal_form(pullback(pres, p))
 
 
 def class_of_point(shape):
@@ -124,7 +124,7 @@ def class_of_point(shape):
     Hom of the block into a trivial bundle of rank N - s_i contributes
     (-1)^{d_i (N - s_i)} (prod of block variables)^(N - s_i).
     """
-    fl = full_flag_ring(shape.N)
+    fl = chow_ring(FlagShape([1] * shape.N))
     result = fl.ring.one()
     s = 0
     for i in range(1, shape.m):
@@ -141,7 +141,7 @@ def class_of_point(shape):
 def integrate_fln(shape, p):
     """Ratio of the Fl(N) normal form of p (a polynomial in the variables
     of Fl(N)) to that of the point class of shape; 0 off the top degree."""
-    fl = full_flag_ring(shape.N)
+    fl = chow_ring(FlagShape([1] * shape.N))
     nf = fl.normal_form(p.homogeneous_part(shape.dim))
     if nf.is_zero():
         return 0

@@ -68,3 +68,20 @@ def test_the_trace_sees_every_sq2_row_through_nf2(tmp_path):
         "nf2.calls", "sq2.calls", "sq2_matrix_rows.rows_out"))
     assert nf2 == sq2 == rows > 0
     assert totals["steenrod.Mod2Chow.nf2.monomials_in"] >= nf2
+
+
+def test_the_trace_sees_a_complete_flag_pontryagin_ring(tmp_path):
+    # W_D of 2,2,2,2,2 is built on chow_ring of its half shape 1,1,1,1,1,
+    # a FullFlagRing, so its normal forms show under that class's spans
+    out = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, "-B", str(BENCH / "child.py"), "--trace", str(out),
+         "cli", "--format", "json", "annihilator", "--shape", "2,2,2,2,2",
+         "--block", "1"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    totals = json.loads(out.read_text())["totals"]
+    assert totals["flagchow.FullFlagRing.normal_form.calls"] > 0
+    assert totals["flagchow.FullFlagRing.multiplication_matrix.calls"] > 0

@@ -13,7 +13,9 @@ from flagcw.charclass import (
     Tensor,
     Trivial,
     bundle_rank,
+    cauchy_box_total,
     euler_checks,
+    euler_coefficient_floor,
     euler_of_expression,
     euler_root_ring,
     euler_sym_rk2,
@@ -351,6 +353,36 @@ def test_bundle_rank_matches_the_tree_formula():
     for text in texts:
         expr = parse_bundle(text)
         assert bundle_rank(expr, 2) == tree_rank(expr), text
+
+
+def test_coefficient_floor_divides_every_coefficient():
+    # 0 exactly when the class is 0; otherwise it divides every coefficient,
+    # and a cap stops the product once reached
+    texts = [f"sym^{k}(D1 + D2)" for k in range(7)]
+    texts += [f"sym^{M}(D1) * sym^{N}(D2)" for M in range(1, 5) for N in range(1, 5)]
+    texts += ["sym^3(D1) + sym^5(D2)", "sym^5(D1) + D1 * sym^2(D2)",
+              "sym^3(D1) + triv(2)", "sym^7(D1) + sym^4(D2)", "S2"]
+    for text in texts:
+        expr = parse_bundle(text)
+        floor = euler_coefficient_floor(expr, 2, 10 ** 100)
+        coefficients = euler_of_expression(expr, 2).terms.values()
+        assert (floor == 0) == (not coefficients), text
+        assert all(c % floor == 0 for c in coefficients if floor), text
+    expr = parse_bundle("sym^5(D1) + sym^3(D2)")
+    assert euler_coefficient_floor(expr, 2, 10) == 15
+    assert euler_coefficient_floor(expr, 2, 10 ** 9) == 45
+
+
+def test_box_count_stops_past_its_limit():
+    # sym^7(D1 + D2) has the six factors Sym^(7-i)(D1) (x) Sym^i(D2),
+    # with boxes C(4, 1), C(4, 1), C(4, 2), C(4, 2), C(4, 3), C(4, 3)
+    expr = parse_bundle("sym^7(D1 + D2)")
+    assert cauchy_box_total(expr, 2, 100) == (4 + 4 + 6 + 6 + 4 + 4, True)
+    assert cauchy_box_total(expr, 2, 10) == (14, False)
+    assert cauchy_box_total(expr, 2, 27) == (28, True)
+    # the factors are read one at a time: Sym^k(D1 + D2) for a huge k
+    assert cauchy_box_total(parse_bundle("sym^99999999(D1 + D2)"), 2, 3432) == (
+        50000000, False)
 
 
 def test_euler_rejects_a_d_block_past_the_roots():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -250,6 +251,46 @@ def test_euler_refuses_a_coefficient_too_long_to_print(monkeypatch, capsys):
         assert ("15" in out) == (code == 0)
 
 
+def run_bounded(*args):
+    """run_module under a 1 GB address-space limit and a 10 s timeout, so
+    an expression that is not refused up front fails fast."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "flagcw", *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=10, preexec_fn=limit,
+    )
+
+
+def test_euler_refuses_a_huge_double_factorial_up_front():
+    # (10^10 - 1)!! is never computed: the product of its first factors
+    # already passes the digit limit
+    proc = run_bounded("euler", "--expr", "sym^9999999999(D1)")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: the Euler class has a coefficient")
+
+
+def test_euler_refuses_a_huge_sym_tensor_by_its_box():
+    # binomial(5000000001, 5000000000) takes one step, not 5 * 10^9
+    proc = run_bounded("euler", "--expr", "sym^9999999999(D1) * D2")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: expression sums over 5000000001 partitions in its Cauchy "
+        f"boxes, above the limit {cli.EULER_BOX_LIMIT}\n")
+
+
+def test_euler_refuses_a_huge_sym_of_a_sum_before_building_its_atoms():
+    # the box count stops at the first tensor factor, Sym^99999998(D1) (x)
+    # Sym^1(D2), and says that more factors are left
+    proc = run_bounded("euler", "--expr", "sym^99999999(D1 + D2)")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: expression sums over more than 50000000 partitions in its "
+        f"Cauchy boxes, above the limit {cli.EULER_BOX_LIMIT}\n")
+
+
 def test_failed_euler_check_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(charclass, "euler_tensor_cauchy", lambda *args: 0)
     assert cli.run(["--format", "json", "euler", "--expr", "D1 * D2"]) == 2
@@ -379,6 +420,14 @@ PINNED_OUTPUT = [
     (("annihilator", "--shape", "1,2", "--block", "1"), 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # every block a line: W_D is built on the empty half shape, Fl(0);
+    # ranks 1,0,0,1,0 with the one label R1, and 1 + t^3
+    (("wring", "--shape", "1,1,1", "--degree-max", "4"), 0,
+     "ffb1041bde7f10c0b79b2f025924423e0df0250ccb2012472b8f464528733423",
+     "110c9f0edc9aa724fbf4ef48eb409f9b1dc23a202f014c9b4413ec31bf69b830"),
+    (("poincare", "--theory", "w", "--shape", "1,1,1"), 0,
+     "5dcb5a3db144a8addde1cc6282abd7d0b6adccfda72d08ce671f5d6c35116c56",
+     "3cc35c221c69d3c02ce3a6cc6af5874d853a92dffe958cc06092d1c5a1f4c4ac"),
 ]
 
 

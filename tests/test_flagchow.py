@@ -20,7 +20,7 @@ from flagcw.flagchow import (
     _check_quotient,
     ann_top_chern,
     chow_poincare,
-    full_flag_ring,
+    chow_ring,
     ideal_lattice,
     ideal_quotient_degreewise,
     verify_piqp_fln,
@@ -32,7 +32,7 @@ from flagcw.symfunc import jacobi_trudi_delta, partitions_in_box
 def relation_ideal_lattice(N, d):
     """Independent oracle: degree-d span of the ideal (e_1, ..., e_N),
     built from raw monomial multiples, no normal form involved."""
-    fl = full_flag_ring(N)
+    fl = chow_ring(FlagShape([1] * N))
     ring = fl.ring
     monomials = monomials_of_degree(ring, d)
     index = {m: i for i, m in enumerate(monomials)}
@@ -90,16 +90,16 @@ def test_chow_poincare_examples():
 
 
 def test_normal_form_small_examples():
-    fl2 = full_flag_ring(2)
+    fl2 = chow_ring(FlagShape([1, 1]))
     assert fl2.normal_form(fl2.ring.var(0)) == -fl2.ring.var(1)
-    fl3 = full_flag_ring(3)
+    fl3 = chow_ring(FlagShape([1, 1, 1]))
     assert fl3.normal_form(fl3.ring.monomial((1, 1, 1))).is_zero()
 
 
 def test_normal_form_point_class_fl3_with_ideal_oracle():
     # -x1^2 x2 reduces to x2 x3^2; the difference must lie in the raw
     # relation ideal (independent lattice membership, no Groebner data)
-    fl3 = full_flag_ring(3)
+    fl3 = chow_ring(FlagShape([1, 1, 1]))
     p = fl3.ring.monomial((2, 1), -1)
     nf = fl3.normal_form(p)
     expected = fl3.ring.monomial((0, 1, 2))
@@ -112,14 +112,14 @@ def test_normal_form_point_class_fl3_with_ideal_oracle():
 
 def test_normal_form_kills_relations():
     for N in range(2, 6):
-        fl = full_flag_ring(N)
+        fl = chow_ring(FlagShape([1] * N))
         for j in range(1, N + 1):
             assert fl.normal_form(block_elementary(fl, range(N), j)).is_zero()
 
 
 def test_normal_form_idempotent_linear_ring_map():
     rng = random.Random(42)
-    fl = full_flag_ring(4)
+    fl = chow_ring(FlagShape([1, 1, 1, 1]))
     ring = fl.ring
 
     def rand_poly():
@@ -144,7 +144,7 @@ def test_normal_form_against_relation_ideal_oracle():
     # memo agrees with the shared, warmed one
     rng = random.Random(314)
     for N in (3, 4, 5):
-        warm = full_flag_ring(N)
+        warm = chow_ring(FlagShape([1] * N))
         fresh = FullFlagRing(N)
         for _ in range(8):
             d = rng.randint(1, N + 1)
@@ -173,7 +173,7 @@ def test_normal_form_above_top_degree_is_zero_and_not_memoized():
 
 def test_standard_monomial_count():
     for N in range(1, 7):
-        fl = full_flag_ring(N)
+        fl = chow_ring(FlagShape([1] * N))
         total = sum(len(fl.standard_monomials(d)) for d in range(fl.dim + 1))
         assert total == math.factorial(N)
 
@@ -303,14 +303,14 @@ def test_rule_leading_coefficient_must_be_a_unit(monkeypatch):
 
 def test_pullback_chern_block_elementaries():
     pres = ChowRingPresentation(FlagShape([2, 1]))
-    x1, x2 = full_flag_ring(3).ring.gens()[:2]
+    x1, x2 = chow_ring(FlagShape([1, 1, 1])).ring.gens()[:2]
     assert pullback(pres, pres.generator(1, 1)) == x1 + x2
     assert pullback(pres, pres.generator(1, 2)) == x1 * x2
 
 
 def test_pullback_chern_full_flag():
     pres = ChowRingPresentation(FlagShape([1, 1, 1]))
-    fl = full_flag_ring(3)
+    fl = chow_ring(FlagShape([1, 1, 1]))
     for i in range(1, 4):
         assert pullback(pres, pres.generator(i, 1)) == fl.ring.var(i - 1)
     prod = pres.ring.one()
@@ -323,16 +323,16 @@ def test_class_of_point_examples():
     # the oracle's point class in Fl(N), and the native one, which pulls
     # back to it
     sh = FlagShape([1, 1])
-    assert class_of_point(sh) == -full_flag_ring(2).ring.var(0)
+    assert class_of_point(sh) == -chow_ring(FlagShape([1, 1])).ring.var(0)
     for n in (1, 2, 3):
         sh = FlagShape([1, 1, n])
-        fl = full_flag_ring(n + 2)
+        fl = chow_ring(FlagShape([1] * (n + 2)))
         expected = fl.ring.monomial((n + 1, n), -1)
         assert class_of_point(sh) == expected
         pres = ChowRingPresentation(sh)
         assert pullback(pres, pres.point_class()) == expected
     sh = FlagShape([1, 1, 1])
-    fl = full_flag_ring(3)
+    fl = chow_ring(FlagShape([1, 1, 1]))
     assert fl.normal_form(class_of_point(sh)) == fl.ring.monomial((0, 1, 2))
 
 
@@ -371,7 +371,7 @@ def test_integrate_low_degree_is_zero():
 
 
 def test_integrate_fl3_standard_point():
-    fl = full_flag_ring(3)
+    fl = chow_ring(FlagShape([1, 1, 1]))
     assert fl.integrate(fl.ring.monomial((0, 1, 2))) == 1
     assert fl.integrate(fl.ring.monomial((2, 1), -1)) == 1
     assert fl.integrate(7 * fl.ring.monomial((1, 1, 1))) == 0
@@ -382,7 +382,7 @@ def test_integrate_rejects_non_multiple():
     # CH^2(Fl(2,1)); natively, a point class that does not normal-form to
     # +-t is refused
     sh = FlagShape([2, 1])
-    fl = full_flag_ring(3)
+    fl = chow_ring(FlagShape([1, 1, 1]))
     with pytest.raises(ArithmeticError):
         integrate_fln(sh, fl.ring.monomial((2,)))
     pres = ChowRingPresentation(sh)
@@ -435,7 +435,7 @@ def test_poincare_duality_pairing_unimodular():
 
 
 def schubert_ideal_rank(N, i):
-    fl = full_flag_ring(N)
+    fl = chow_ring(FlagShape([1] * N))
     g = fl.x_interval_product(i)
     return sum(len(ideal_lattice(fl, [g], d)) for d in range(fl.dim + 1))
 
@@ -454,7 +454,7 @@ def test_schubert_ideal_rank_formula():
 def test_kernel_image_ranks_sum_to_order():
     # rank ker(.x_[i]) + rank im(.x_[i]) = N!
     for N in (3, 4):
-        fl = full_flag_ring(N)
+        fl = chow_ring(FlagShape([1] * N))
         for i in range(1, N + 1):
             g = fl.x_interval_product(i)
             im = schubert_ideal_rank(N, i)
@@ -521,7 +521,7 @@ def test_multiplication_matrix_and_ideal_lattice_are_shared_and_left_intact():
 
 
 def test_ideal_quotient_by_unit():
-    fl = full_flag_ring(3)
+    fl = chow_ring(FlagShape([1, 1, 1]))
     a = fl.x_interval_product(2)
     quotient = ideal_quotient_degreewise(fl, [a], [fl.ring.one()])
     for d, rows in quotient.items():
@@ -530,7 +530,7 @@ def test_ideal_quotient_by_unit():
 
 def test_ideal_quotient_piqp_example():
     # (x_[2] : x_[1]) = (x_2) in Fl(3)
-    fl = full_flag_ring(3)
+    fl = chow_ring(FlagShape([1, 1, 1]))
     quotient = ideal_quotient_degreewise(
         fl, [fl.x_interval_product(2)], [fl.x_interval_product(1)]
     )
@@ -542,7 +542,7 @@ def test_ideal_quotient_piqp_example():
 def test_ideal_quotient_generator_lists():
     # (I : (g, g)) = (I : g); (I : (1, g)) = I, since I lies in (I : g)
     for N in (3, 4):
-        fl = full_flag_ring(N)
+        fl = chow_ring(FlagShape([1] * N))
         one = fl.ring.one()
         for i in range(2, N + 1):
             a = fl.x_interval_product(i)
@@ -564,7 +564,7 @@ def test_ideal_quotient_generator_lists():
 def test_annihilator_is_complementary_interval():
     # (0 : x_[i]) = (x_{[N]\[i]})
     for N in (3, 4):
-        fl = full_flag_ring(N)
+        fl = chow_ring(FlagShape([1] * N))
         for i in range(1, N):
             quotient = ideal_quotient_degreewise(
                 fl, [fl.ring.zero()], [fl.x_interval_product(i)]
@@ -604,7 +604,7 @@ def test_quotient_by_the_unit_ideal_on_every_shape():
 
 def test_wrong_generator_fails_at_the_first_differing_degree():
     # (x_[2] : x_[1]) = (x_2) on Fl(3), not (x_1)
-    fl = full_flag_ring(3)
+    fl = chow_ring(FlagShape([1, 1, 1]))
     a, g = fl.x_interval_product(2), fl.x_interval_product(1)
     wrong = fl.ring.var(0)
     quotient = ideal_quotient_degreewise(fl, [a], [g])

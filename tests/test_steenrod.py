@@ -11,11 +11,17 @@ from flag_oracle import (
 )
 
 from flagcw import gf2, series, steenrod
-from flagcw.flagchow import FlagShape, TwistClass, all_twist_classes, chow_poincare
+from flagcw.flagchow import (
+    ChowRingPresentation,
+    FlagShape,
+    TwistClass,
+    all_twist_classes,
+    chow_poincare,
+    chow_ring,
+)
 from flagcw.steenrod import (
     Mod2Chow,
     bockstein_cohomology_ranks,
-    mod2_chow,
     torsion_poincare_closed,
     torsion_poincare_from_sq2,
     w_poincare_closed,
@@ -30,7 +36,7 @@ def odd(poly):
 
 
 def test_sq2_on_line_classes():
-    ring = mod2_chow((1, 1, 1))
+    ring = Mod2Chow(chow_ring(FlagShape((1, 1, 1))))
     # Sq^2(x_i) = x_i^2, reduced mod the relations
     trivial = TwistClass.trivial(3)
     for i in range(3):
@@ -42,7 +48,7 @@ def test_sq2_on_line_classes():
 def test_sq2_chern_class_formula_on_blocks():
     # Sq^2(c_2(D_1)) = c_1 c_2 + 3 c_3 = c_1 c_2 + c_3 on a rank-3 block
     trivial = TwistClass.trivial(2)
-    ring = mod2_chow((3, 1))
+    ring = Mod2Chow(chow_ring(FlagShape((3, 1))))
     pres = ring.pres
     c1, c2, c3 = (pres.generator(1, j) for j in (1, 2, 3))
     assert ring.sq2(odd(c2), 2, trivial) == ring.nf2(odd(c1 * c2 + c3), 3)
@@ -50,21 +56,21 @@ def test_sq2_chern_class_formula_on_blocks():
     # On Fl(3,1) both sides vanish, so the shape (3,3) is what tells a
     # wrong Sq^2 apart; the odd coefficient 3 must reduce to 1, and the
     # pullback to Fl(6) must agree with Sq^2(x_i) = x_i^2 there.
-    ring = mod2_chow((3, 3))
+    ring = Mod2Chow(chow_ring(FlagShape((3, 3))))
     pres = ring.pres
     c1, c2, c3 = (pres.generator(1, j) for j in (1, 2, 3))
     got = ring.sq2(odd(c2), 2, trivial)
     assert got == ring.nf2(odd(c1 * c2 + 3 * c3), 3)
     assert got != ring.nf2(odd(c1 * c2), 3)
     assert got != ring.nf2(odd(c3), 3)
-    fl6 = mod2_chow((1,) * 6)
+    fl6 = Mod2Chow(chow_ring(FlagShape((1,) * 6)))
     assert pull2(fl6, ring, got, 3) == sq2_reference(
         fl6, pull2(fl6, ring, ring.nf2(odd(c2), 2), 2), 2, TwistClass.trivial(6)
     )
 
 
 def test_nf2_reduces_coefficients_mod_2():
-    ring = mod2_chow((3, 1))
+    ring = Mod2Chow(chow_ring(FlagShape((3, 1))))
     mon = (0, 0, 0, 3)
     index = ring.pres.standard_index(3)
     assert ring.nf2([mon], 3) == 1 << index[mon]
@@ -77,7 +83,7 @@ def test_nf2_reduces_coefficients_mod_2():
     # form; above the top degree both are 0
     rng = random.Random(1618)
     for parts in [(1, 1, 1, 1), (2, 2)]:
-        ring = mod2_chow(parts)
+        ring = Mod2Chow(chow_ring(FlagShape(parts)))
         pres = ring.pres
         for d in range(pres.shape.dim + 2):
             mons = monomials_of_degree(pres.ring, d)
@@ -95,7 +101,7 @@ def test_nf2_reduces_coefficients_mod_2():
 
 def test_sq2_squares_to_zero_randomized():
     rng = random.Random(2718)
-    ring = mod2_chow((1, 1, 1, 1))
+    ring = Mod2Chow(chow_ring(FlagShape((1, 1, 1, 1))))
     pres = ring.pres
     for twist in all_twist_classes(4):
         for _ in range(25):
@@ -108,7 +114,7 @@ def test_sq2_squares_to_zero_randomized():
 
 
 def test_twisted_sq2_of_unit_is_ell():
-    ring = mod2_chow((1, 1, 1))
+    ring = Mod2Chow(chow_ring(FlagShape((1, 1, 1))))
     twist = TwistClass.from_blocks(3, [1])
     unit = [(0, 0, 0)]
     assert ring.nf2(unit, 0) == 1
@@ -122,7 +128,7 @@ def test_sq2_is_one_nf2_call_on_a_list(monkeypatch):
     # is one nf2 call on the list of its bumped monomials, one degree up
     for N in range(1, 5):
         for parts in compositions(N):
-            ring = Mod2Chow(FlagShape(parts))
+            ring = Mod2Chow(ChowRingPresentation(FlagShape(parts)))
             sq2, nf2, calls = ring.sq2, ring.nf2, []
 
             def spy_sq2(monomials, d, twist):
@@ -183,8 +189,8 @@ def test_sq2_matches_termwise_reference():
     # line derivation there; the twist of block i twists its lines
     rng = random.Random(5772)
     for parts in [(1, 1, 1, 1), (2, 2), (3, 1), (1, 2, 2), (3, 3), (2, 3)]:
-        ring = mod2_chow(parts)
-        full = mod2_chow((1,) * ring.shape.N)
+        ring = Mod2Chow(chow_ring(FlagShape(parts)))
+        full = Mod2Chow(chow_ring(FlagShape((1,) * ring.shape.N)))
         for twist in all_twist_classes(len(parts)):
             lines = TwistClass(
                 [bit for bit, d in zip(twist.bits, parts) for _ in range(d)]
@@ -208,7 +214,7 @@ def test_sq2_rows_match_the_integer_normal_form():
              for twist in all_twist_classes(len(parts))]
     cases.append(((1,) * 6, TwistClass.trivial(6)))
     for parts, twist in cases:
-        ring = Mod2Chow(FlagShape(parts))
+        ring = Mod2Chow(ChowRingPresentation(FlagShape(parts)))
         top = ring.shape.dim
         rows = {d: ring.sq2_matrix_rows(d, twist) for d in range(top, -1, -1)}
         assert rows[top] == [0]
@@ -228,7 +234,7 @@ def test_trivial_sq2_on_all_even_shapes_builds_no_rule():
     # a twist or an odd block does need rules
     cases += [((2, 2), [1]), ((1, 3), [])]
     for parts, blocks in cases:
-        ring = Mod2Chow(FlagShape(parts))
+        ring = Mod2Chow(ChowRingPresentation(FlagShape(parts)))
         twist = TwistClass.from_blocks(len(parts), blocks)
         for d in range(ring.shape.dim + 1):
             ring.sq2_matrix_rows(d, twist)
@@ -238,7 +244,7 @@ def test_trivial_sq2_on_all_even_shapes_builds_no_rule():
 def test_rank_nullity_per_degree():
     # on Fl(4), dim ker Sq^2_d - rank Sq^2_(d-1) is the Bockstein
     # cohomology, whose Poincare polynomial is the closed form P_0(Fl(4))
-    ring = mod2_chow((1, 1, 1, 1))
+    ring = Mod2Chow(chow_ring(FlagShape((1, 1, 1, 1))))
     twist = TwistClass.trivial(4)
     ranks = [
         gf2.rank(ring.sq2_matrix_rows(d, twist))
