@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from functools import lru_cache
 from itertools import chain, islice
 
 from .poly import GradedPolynomial, PolyRing
@@ -41,7 +40,6 @@ from .symfunc import (
 ROOT_NAMES = "abcdefgh"
 
 
-@lru_cache(maxsize=None)
 def euler_root_ring(k: int) -> PolyRing:
     """Ring of k Euler-root variables, each of degree 2."""
     return PolyRing(tuple(ROOT_NAMES[:k]), 2)

@@ -48,10 +48,12 @@ divided by that sign, so that [pt] integrates to 1.
 ``chow_ring(shape)`` is the one owner of CH^*(Fl(D)): CH, Ch^* and Sq^2,
 the Pontryagin ring of W_D and the ideal checks read the ring of a shape
 there, built once.  Each memo entry and rule depends only on its monomial
-or leading term, and callers only read the cached matrices, so sharing
-changes no answer.  Every complete flag D = (1^N), the empty shape
-included, gets a ``FullFlagRing``: generators x_1..x_N, the classical
-rules x_k^k -> -(h_k(x_k..x_N) - x_k^k), and the Schubert classes x_{[i]}.
+or leading term, so sharing changes no answer.  The two reducer memos
+are the only per-ring caches: multiplication matrices and ideal lattices
+are computed fresh on each call, and the caller owns what it gets.
+Every complete flag D = (1^N), the empty shape included, gets a
+``FullFlagRing``: generators x_1..x_N, the classical rules
+x_k^k -> -(h_k(x_k..x_N) - x_k^k), and the Schubert classes x_{[i]}.
 
 The ideal section works on any presentation: ``ideal_lattice`` spans an
 ideal in one degree, ``ideal_quotient_degreewise`` solves (I : J) degree
@@ -215,8 +217,6 @@ class ChowRingPresentation:
         self._nf2_memo = {}
         self._standard = None  # degree -> standard monomials, built once
         self._standard_index = {}
-        self._mult_cache = {}
-        self._ideal_cache = {}
 
     def generator(self, i: int, j: int) -> GradedPolynomial:
         """c_j(D_i) as a ring variable."""
@@ -472,23 +472,13 @@ class ChowRingPresentation:
             v[index[mon]] = c
         return v
 
-    def from_coords(self, v, d: int) -> GradedPolynomial:
-        mons = self.standard_monomials(d)
-        return GradedPolynomial(self.ring, {mons[i]: c for i, c in enumerate(v) if c})
-
     def multiplication_matrix(self, g: GradedPolynomial, d: int):
         """Matrix of multiplication by homogeneous g: degree d -> d + deg g.
 
         Columns indexed by the standard basis in degree d, rows by the
         standard basis in degree d + deg g.  Column j is the normal form
-        of the j-th standard monomial times g.  Memoized per (g, d): the
-        returned matrix is shared with the cache, and callers must not
-        mutate it.
+        of the j-th standard monomial times g.
         """
-        key = (g, d)
-        mat = self._mult_cache.get(key)
-        if mat is not None:
-            return mat
         if g.ring != self.ring:
             raise ValueError("polynomial not in this Chow ring")
         mons = self.standard_monomials(d)
@@ -502,7 +492,6 @@ class ChowRingPresentation:
                     mat[index[m]][j] = c
         except KeyError:
             raise ValueError("multiplier is not homogeneous") from None
-        self._mult_cache[key] = mat
         return mat
 
     # -- integration -----------------------------------------------------------
@@ -567,20 +556,13 @@ def chow_ring(shape: FlagShape) -> ChowRingPresentation:
 def ideal_lattice(pres: ChowRingPresentation, gens, d: int):
     """HNF of the degree-d part of the ideal generated by gens, over the
     standard basis of pres.  A zero generator (degree -1) adds nothing.
-
-    Memoized on pres per (gens, d): the returned rows are shared with the
-    cache, and callers must not mutate them.
     """
-    key = (tuple(gens), d)
-    rows = pres._ideal_cache.get(key)
-    if rows is None:
-        vectors = []
-        for g in key[0]:
-            e = g.degree()
-            if 0 <= e <= d:
-                vectors.extend(zip(*pres.multiplication_matrix(g, d - e)))
-        rows = pres._ideal_cache[key] = intlinalg.hnf(vectors)
-    return rows
+    vectors = []
+    for g in gens:
+        e = g.degree()
+        if 0 <= e <= d:
+            vectors.extend(zip(*pres.multiplication_matrix(g, d - e)))
+    return intlinalg.hnf(vectors)
 
 
 def ideal_quotient_degreewise(pres: ChowRingPresentation, gens_I, gens_J):

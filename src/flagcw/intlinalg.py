@@ -8,17 +8,14 @@ lattice iff their HNFs are equal as nested lists.
 The Smith form serves free cokernels Z^m / (column span of mat): it
 returns the diagonal, the rows U[rank:] of the left transform U, which
 read cokernel coordinates, and the columns of U^-1 from rank on, which
-lift the cokernel basis.  Rows of U above rank and the first rank
-columns of U^-1 are never read, so they are not kept up to date.
+lift the cokernel basis, both as the sparse rows {column: entry} it
+works on.  Rows of U above rank and the first rank columns of U^-1 are
+never read, so they are not kept up to date.
 """
 
 from __future__ import annotations
 
 from operator import mul
-
-
-def identity(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_vec(mat, v):
@@ -105,10 +102,6 @@ def kernel_basis(mat, ncols: int):
     them as among all rows.
     """
     m = len(mat)
-    if ncols == 0:
-        return []
-    if m == 0:
-        return identity(ncols)
     aug = [
         [mat[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(ncols)]
         for j in range(ncols)
@@ -126,7 +119,8 @@ def smith_normal_form(mat):
     P = U[rank:] is the rows of U that vanish on the column span of mat,
     and B[j] is column rank + j of U^-1, so P . B^T is the identity: P
     reads coordinates in the cokernel and B holds a lift of each basis
-    vector.  The entries are not folded into a divisibility chain: their
+    vector.  Both are lists of sparse rows {column: nonzero entry}.  The
+    entries of diag are not folded into a divisibility chain: their
     product is the product of the invariant factors, so they are all 1
     exactly when every invariant factor is 1, the free case.
 
@@ -199,7 +193,7 @@ def smith_normal_form(mat):
         diag.append(abs(top[0]))
         work = [row[1:] for row in work[1:]]
     rank = len(diag)
-    return diag, _dense(U[rank:], m), _dense(UinvT[rank:], m)
+    return diag, U[rank:], UinvT[rank:]
 
 
 def _add_multiple(target, source, q):
@@ -210,13 +204,3 @@ def _add_multiple(target, source, q):
             target[k] = c
         else:
             del target[k]
-
-
-def _dense(rows, m: int):
-    out = []
-    for r in rows:
-        v = [0] * m
-        for k, c in r.items():
-            v[k] = c
-        out.append(v)
-    return out

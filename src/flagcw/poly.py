@@ -13,6 +13,8 @@ entrywise sum.  ``PolyRing.key`` is the one place that turns outside
 input (shorter tuples, trailing zeros) into such a key.  Coefficients
 are plain Python ints (several results in this package have 30+ digits,
 so nothing here may ever truncate).  No floating point is used anywhere.
+A polynomial holds a mutable dict of terms, so it compares by value but
+is not hashable.
 """
 
 from __future__ import annotations
@@ -224,9 +226,6 @@ class GradedPolynomial:
             and self.ring == other.ring
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
 
     def _coerce(self, other) -> "GradedPolynomial":
         if isinstance(other, GradedPolynomial):

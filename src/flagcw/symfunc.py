@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache
 from operator import sub
 
 from .poly import GradedPolynomial, PolyRing, exact_div
@@ -422,7 +421,6 @@ def grassmann_bundle_pushforward(
     return result
 
 
-@lru_cache(maxsize=None)
 def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0

@@ -17,16 +17,18 @@ component for e_I carries A modulo the ideal (p_{I^c}); those quotients
 are handled degreewise through a diagonal form U . M . V = diag
 (intlinalg.smith_normal_form), asserting that every diagonal entry is 1,
 that is, every invariant factor is 1 (the quotients are free).  The
-Smith form returns only what a free quotient reads: the rows U[rank:],
-and the last columns of U^-1, which are the basis polynomials.
-The last rows U[rank:] vanish on the ideal and are the only route through
-a quotient, stored as sparse columns, standard monomial -> [(row,
-entry)]; a component without a quotient stores the identity.  Each
-(I, Chow degree) record is built once, from p_{I^c} cached per I by
-``p_top_product``.  ``project`` is the one reader of U[rank:]: it gives
-the coordinates of any representative to ``coords``, ``product_columns``
-and ``reduce_component``, which rebuilds the reduced form from them on
-the cached basis polynomials.
+Smith form returns only what a free quotient reads, as sparse rows
+{column: entry}: the rows U[rank:], and the last columns of U^-1, which
+give the basis polynomials term for term.  The last rows U[rank:]
+vanish on the ideal and are the only route through a quotient; the
+record turns them into sparse columns, standard monomial -> [(row,
+entry)], with an entry for every standard monomial; a component without
+a quotient stores the identity.  Each (I, Chow degree) record is built
+once and kept, from p_{I^c} cached per I by ``p_top_product``; the
+multiplication matrix it reads is computed fresh.  ``project`` is the
+one reader of U[rank:]: it gives the coordinates of any representative
+to ``coords``, ``product_columns`` and ``reduce_component``, which
+rebuilds the reduced form from them on the cached basis polynomials.
 
 One rule, ``slot(I, S, chow_deg)``, gives the (degree, twist) of a
 component a * e_I * R_S.  One table, built with the presentation, maps
@@ -64,7 +66,7 @@ from functools import lru_cache
 from operator import add
 
 from . import intlinalg, series
-from .flagchow import FlagShape, TwistClass, all_twist_classes, chow_ring
+from .flagchow import FlagShape, TwistClass, chow_ring
 from .poly import GradedPolynomial
 
 
@@ -137,14 +139,15 @@ class WDPresentation:
         The Smith form of multiplication by p_{I^c} into degree chow_deg
         gives P = U[rank:], which maps coordinates over the standard
         monomials of A to quotient coordinates, stored as sparse columns:
-        standard monomial -> [(row, entry), ...] over the nonzero entries.
-        The A-part basis[j] is column rank + j of U^-1, with coordinates
-        e_j; nothing else of the Smith form is computed.  Raises
-        ArithmeticError, naming the shape, I and the degree, when a
-        diagonal entry is not 1, that is, when the quotient is not free.
-        Only all-even shapes take the quotient, and not for I = {}, whose
-        generator prod_i p_top(D_i) is 0 in A; in the other cases P is
-        the identity and the basis is the standard monomials.
+        standard monomial -> [(row, entry), ...] over the nonzero entries,
+        rows ascending.  The A-part basis[j] is column rank + j of U^-1,
+        with coordinates e_j; both are read off the Smith form's sparse
+        rows, and nothing else of it is computed.  Raises ArithmeticError,
+        naming the shape, I and the degree, when a diagonal entry is not
+        1, that is, when the quotient is not free.  Only all-even shapes
+        take the quotient, and not for I = {}, whose generator prod_i
+        p_top(D_i) is 0 in A; in the other cases P is the identity and
+        the basis is the standard monomials.
         """
         key = (I, chow_deg)
         data = self._quotient_cache.get(key)
@@ -168,11 +171,15 @@ class WDPresentation:
                     f"quotient A/(p_I^c) not free for shape {self.shape}, "
                     f"I={sorted(I)}, degree {chow_deg}: diagonal entries {diag}"
                 )
-            proj = {
-                mon: [(r, row[j]) for r, row in enumerate(P) if row[j]]
-                for j, mon in enumerate(mons)
-            }
-            data = (proj, [self.A.from_coords(b, chow_deg) for b in B])
+            # every standard monomial keeps an entry, so that project can
+            # tell a monomial of this degree from a term of another one
+            proj = {mon: [] for mon in mons}
+            for r, row in enumerate(P):
+                for j, u in row.items():
+                    proj[mons[j]].append((r, u))
+            ring = self.A.ring
+            data = (proj, [GradedPolynomial(ring, {mons[j]: c for j, c in b.items()})
+                           for b in B])
         self._quotient_cache[key] = data
         return data
 
@@ -549,12 +556,13 @@ def ann_euler(shape: FlagShape, i: int):
     deg_x, twist_x = pres.slot(J, S, a_x.degree())
     e_elt = pres.euler(i)
     deg_e, twist_e = pres.slot({i}, (), 0)
-    twist_order = {t: pos for pos, t in enumerate(all_twist_classes(shape.m))}
 
     degrees_checked = []
     status = "pass"
     failure = None
-    for d, twist in sorted(pres.slot_table, key=lambda s: (s[0], twist_order[s[1]])):
+    # slots in degree order, twists within a degree as all_twist_classes sorts them
+    slots = sorted(pres.slot_table, key=lambda s: (s[0], sum(s[1].bits), s[1].bits))
+    for d, twist in slots:
         cols = pres.product_columns((d, twist), e_elt, (d + deg_e, twist + twist_e))
         if not cols:
             continue

@@ -163,6 +163,10 @@ def compositions(N, min_parts=1):
             yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def reference_smith_normal_form(mat, pivots=None):
     """The straightforward Smith form: (diag, U, Uinv) with U . mat . V
     diagonal, diag its nonzero entries made positive, and U and its

@@ -6,6 +6,7 @@ from flag_oracle import (
     block_elementary,
     class_of_point,
     compositions,
+    identity,
     integrate_fln,
     monomials_of_degree,
     pullback,
@@ -503,21 +504,31 @@ def test_multiplication_matrix_rejects_foreign_and_inhomogeneous_multipliers():
         pres.multiplication_matrix(pres.ring.one() + pres.generator(1, 1), 0)
 
 
-def test_multiplication_matrix_and_ideal_lattice_are_shared_and_left_intact():
+def test_multiplication_matrix_and_ideal_lattice_are_fresh_and_left_intact():
     fl = FullFlagRing(4)
     g, a = fl.x_interval_product(1), fl.x_interval_product(2)
     mats = {d: fl.multiplication_matrix(g, d) for d in range(fl.dim + 1)}
     lats = {d: ideal_lattice(fl, [a], d) for d in range(fl.dim + 1)}
     snapshot = [[list(r) for r in m] for m in mats.values()]
     lat_snapshot = [[list(r) for r in m] for m in lats.values()]
-    for d, mat in mats.items():
-        assert fl.multiplication_matrix(g, d) is mat
-        assert ideal_lattice(fl, [a], d) is lats[d]
+    for mat in mats.values():
         intlinalg.smith_normal_form(mat)
     ideal_quotient_degreewise(fl, [a], [g])
     _check_quotient(fl, [a], [g], fl.ring.var(1), "(x_[2] : x_[1]) = (x_2)")
     assert [fl.multiplication_matrix(g, d) for d in mats] == snapshot
     assert [ideal_lattice(fl, [a], d) for d in lats] == lat_snapshot
+    # a caller owns what it gets: mutating it does not reach the next call
+    for d in mats:
+        for rows in (mats[d], lats[d]):
+            for row in rows:
+                row.append(7)
+                row[0] += 1
+            rows.append([5])
+    assert [fl.multiplication_matrix(g, d) for d in mats] == snapshot
+    assert [ideal_lattice(fl, [a], d) for d in lats] == lat_snapshot
+    # a polynomial holds a mutable dict of terms, so it is not hashable
+    with pytest.raises(TypeError):
+        hash(g)
 
 
 def test_ideal_quotient_by_unit():
@@ -558,7 +569,7 @@ def test_ideal_quotient_generator_lists():
                 # g constrains nothing where d + deg g exceeds the top degree
                 for d in range(fl.dim - j + 1, fl.dim + 1):
                     n = len(fl.standard_monomials(d))
-                    assert single[d] == intlinalg.identity(n)
+                    assert single[d] == identity(n)
 
 
 def test_annihilator_is_complementary_interval():

@@ -1,10 +1,9 @@
 import random
 
-from flag_oracle import reference_smith_normal_form
+from flag_oracle import identity, reference_smith_normal_form
 
 from flagcw.intlinalg import (
     hnf,
-    identity,
     kernel_basis,
     lattice_coords,
     mat_vec,
@@ -14,6 +13,16 @@ from flagcw.intlinalg import (
 
 def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def sparse(rows):
+    """Dense rows as the sparse rows {column: nonzero entry} that
+    smith_normal_form returns."""
+    return [{j: c for j, c in enumerate(r) if c} for r in rows]
+
+
+def dense(rows, n):
+    return [[r.get(j, 0) for j in range(n)] for r in rows]
 
 
 def random_matrix(rng, m, n, bound=3):
@@ -58,10 +67,12 @@ def test_smith_matches_the_reference_implementation():
     for mat in cases:
         diag, U, Uinv = reference_smith_normal_form(mat)
         assert matmul(U, Uinv) == identity(len(mat))
-        # only U[rank:] and the last columns of U^-1 are returned
+        # only U[rank:] and the last columns of U^-1 are returned, as
+        # sparse rows
         rank = len(diag)
         last_cols = [list(col) for col in zip(*Uinv)][rank:]
-        assert smith_normal_form(mat) == (diag, U[rank:], last_cols), mat
+        assert smith_normal_form(mat) == (
+            diag, sparse(U[rank:]), sparse(last_cols)), mat
         square += len(mat) == len(mat[0] if mat else [])
         non_unit += any(s != 1 for s in diag)
     assert square > 20 and non_unit > 50
@@ -76,6 +87,10 @@ def test_smith_transforms_are_inverse_and_kill_the_last_rows():
         assert len(diag) == len(hnf(mat))
         assert all(s > 0 for s in diag)
         assert len(P) == len(B) == m - len(diag)
+        # sparse rows over the m rows of mat, holding no zero entry
+        for row in P + B:
+            assert set(row) <= set(range(m)) and all(row.values())
+        P, B = dense(P, m), dense(B, m)
         assert all(not any(row) for row in matmul(P, mat))
         assert matmul(P, [list(col) for col in zip(*B)]) == identity(len(P))
 

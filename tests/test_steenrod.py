@@ -309,6 +309,29 @@ def test_bockstein_matches_wd_poincare():
     assert (len(shapes), slots) == (63, 364)
 
 
+def test_sq2_ranks_are_reversal_invariant_and_dual():
+    # Fl(D) and Fl(D reversed) are the same variety with the blocks read
+    # backwards, and Poincare duality pairs Sq^2_L on Ch^d with
+    # Sq^2_(L+v) on Ch^(dim-d-1), v_k = (N - d_k) mod 2 the twist of the
+    # canonical bundle; every composition of N <= 6 and every twist
+    pairs = 0
+    for N in range(1, 7):
+        for parts in compositions(N):
+            shape = FlagShape(parts)
+            flipped = FlagShape(parts[::-1])
+            v = TwistClass((N - d) % 2 for d in parts)
+            for twist in all_twist_classes(shape.m):
+                ranks = steenrod._sq2_ranks(shape, twist)
+                assert ranks == steenrod._sq2_ranks(
+                    flipped, TwistClass(twist.bits[::-1])), (parts, twist)
+                dual = steenrod._sq2_ranks(shape, twist + v)
+                assert ranks == tuple(
+                    dual[shape.dim - d - 1] if d < shape.dim else 0
+                    for d in range(shape.dim + 1)), (parts, twist)
+                pairs += 1
+    assert pairs == 364
+
+
 def test_p2_reassembly():
     # P_2 = P_HSq2 + (1+t)/t * P_Tor, for every twist
     for parts in [(1, 1, 1), (1, 1, 1, 1), (2, 2), (2, 1)]:
