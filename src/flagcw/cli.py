@@ -3,14 +3,34 @@
 Output is deterministic; ``--format json`` emits one object with the
 schema {"command", "input", "result", "checks": [{"name", "status"}]}.
 Exit codes: 0 success, 1 validation error, 2 verification failure.
-One function, ``respond``, builds every payload and picks every exit
-code; ``count`` prints its JSON object in either format, with the checks
-that ``counts.count_preset`` returns beside its result.
+One function, ``respond``, builds every payload and picks the exit code
+of every answer; ``count`` prints its JSON object in either format, with
+the checks that ``counts.count_preset`` returns beside its result.
 
 Every run is a fresh interpreter, so each command pays for its imports.
-This module imports only argparse, json, math, sys and the flagcw
+This module imports only argparse, json, math, os, sys and the flagcw
 modules; tests/test_import_footprint.py checks that neither it nor the
 package loads dataclasses, inspect, ast, dis, tokenize or typing.
+
+It also pays for its exit.  Once ``run`` has returned, a normal exit
+tears down every module and the reducer memos, after the answer is
+already printed.  From the flushed answer to the exit seen by the
+parent, medians of 7 runs on a 2-core VM: 11.7 ms for ``count --preset
+flag-3-5``, 12.3 ms for ``verify --suite piqp`` and 19.3 ms for
+``annihilator --shape 2,2,2,2,2 --block 1``, against 1.1-1.7 ms with
+``os._exit``; that is 10-20% of a benchmark job.  So ``main`` flushes
+stdout and stderr and ends the process with ``os._exit``.  A flush that
+fails (a full disk, a closed pipe) is an error: exit code 1 and one
+``error: cannot write output`` line on stderr.  The outputs fit in the
+8 KiB buffer of a redirected stdout, so the final flush is where a write
+fails; with PYTHONUNBUFFERED or -u, ``print`` raises inside ``run``
+instead.
+
+``run`` is the library entry point and never exits the interpreter: it
+returns the exit code, and an exception it raises propagates (from
+``main`` too, with its traceback and a normal exit).  Tests, in-process
+callers and tracing harnesses call ``run``; tests/test_hard_exit.py
+checks that ``os._exit`` is called only in ``main``.
 """
 
 from __future__ import annotations
@@ -18,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import charclass, counts, flagchow, series, steenrod, wdring
@@ -40,6 +61,16 @@ TORSION_RANK_LIMIT = 40000
 EULER_BOX_LIMIT = 3432
 
 
+# ann_euler eliminates a kernel and an HNF per (degree, twist) slot.  Its
+# components are the 2^|E| Euler subsets (E the even blocks) times A^d,
+# A = CH^*(Fl(D/2)), so it is budgeted by 2^|E| * sum_d rank(A^d)^3.
+# Single runs on a 2-core VM:
+# (2,2,2,2,2) 1.1e6 in 0.13 s, (2,2,2,2,4) 1.9e7 in 0.9 s, (6,6,6) 1.6e8
+# in 4.0 s, (2,2,2,2,2,2) 2.9e8 in 4.9 s; (4,4,4,4) 1.45e9 was killed
+# after 120 s and (2,2,2,2,2,2,2) 1.3e11 had not ended after 490 s.
+ANNIHILATOR_COST_LIMIT = 5 * 10**8
+
+
 class ValidationError(Exception):
     pass
 
@@ -50,6 +81,14 @@ def multinomial(shape: FlagShape) -> int:
     for d in shape.d:
         out //= math.factorial(d)
     return out
+
+
+def annihilator_cost(shape: FlagShape) -> int:
+    """2^|E| * sum_d rank(A^d)^3, the cost estimate of ``ann_euler``: E the
+    even blocks, A the Chow ring of the half shape (d_i // 2 for d_i > 1)."""
+    even = sum(1 for d in shape.d if d % 2 == 0)
+    half = FlagShape(d // 2 for d in shape.d if d > 1)
+    return 2**even * sum(r**3 for r in flagchow.chow_poincare(half))
 
 
 def parse_shape(text: str) -> FlagShape:
@@ -152,6 +191,9 @@ def cmd_poincare(args) -> int:
                    sum(poly) == cells)]
     elif args.theory == "w":
         poly = wdring.wd_poincare(shape, twist)
+        if shape.is_full_flag() and twist.is_trivial():
+            checks = [("slot-table series = closed form P_0(Fl(N))",
+                       poly == steenrod.w_poincare_closed(shape.N))]
     elif sq2_route:
         poly = steenrod.torsion_poincare_from_sq2(shape, twist)
         # the Bockstein ranks reuse the cached Sq^2 ranks; W is cheap
@@ -160,6 +202,12 @@ def cmd_poincare(args) -> int:
                    == wdring.wd_poincare(shape, twist))]
     else:
         poly = steenrod.torsion_poincare_closed(shape.N, twist)
+        # T = t * sum_d r_d t^d, r_d the rank of Sq^2 on Ch^d; the twist
+        # v = c_1(T Fl(N)) mod 2 is trivial, so duality reads r_d = r_{dim-d-1}
+        ranks = poly[1:] + [0] * (shape.dim + 1 - len(poly))
+        checks = [("Sq^2 duality r_d = r_{dim-d-1} of the closed form",
+                   all(ranks[d] == ranks[shape.dim - d - 1]
+                       for d in range(shape.dim)))]
     text = series.to_string(poly)
     inputs = {"shape": str(shape), "theory": args.theory, "twist": str(twist)}
     return respond(args, inputs, {"coefficients": poly, "polynomial": text},
@@ -190,6 +238,13 @@ def cmd_annihilator(args) -> int:
         wdring.check_even_block(shape, args.block)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    cost = annihilator_cost(shape)
+    if cost > ANNIHILATOR_COST_LIMIT:
+        raise ValidationError(
+            f"annihilator of shape {shape} has cost estimate {cost} "
+            f"(2^|E| * sum_d rank(A^d)^3), above the limit "
+            f"{ANNIHILATOR_COST_LIMIT}"
+        )
     x, report = wdring.ann_euler(shape, args.block)
     return respond(
         args,
@@ -332,7 +387,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the command line, flush, and end the process without teardown."""
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = 1
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import resource
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flagcw import charclass, cli, counts, steenrod, wdring
+from flagcw import charclass, cli, counts, flagchow, steenrod, wdring
 from flagcw.flagchow import FlagShape
 from flagcw.wdring import TwistClass
 
@@ -421,13 +422,14 @@ PINNED_OUTPUT = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # every block a line: W_D is built on the empty half shape, Fl(0);
-    # ranks 1,0,0,1,0 with the one label R1, and 1 + t^3
+    # ranks 1,0,0,1,0 with the one label R1, and 1 + t^3, checked in the
+    # JSON against the closed form P_0(Fl(3))
     (("wring", "--shape", "1,1,1", "--degree-max", "4"), 0,
      "ffb1041bde7f10c0b79b2f025924423e0df0250ccb2012472b8f464528733423",
      "110c9f0edc9aa724fbf4ef48eb409f9b1dc23a202f014c9b4413ec31bf69b830"),
     (("poincare", "--theory", "w", "--shape", "1,1,1"), 0,
      "5dcb5a3db144a8addde1cc6282abd7d0b6adccfda72d08ce671f5d6c35116c56",
-     "3cc35c221c69d3c02ce3a6cc6af5874d853a92dffe958cc06092d1c5a1f4c4ac"),
+     "c5a3a6667c030d28446978797c3c017831c4f4c098614d5450736e59306cb846"),
 ]
 
 
@@ -466,3 +468,69 @@ def test_partial_torsion_checks_bockstein_against_w(monkeypatch, capsys):
     assert cli.run(argv) == 2
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     assert check["status"] == "fail"
+
+
+def test_complete_flag_poincare_checks_its_closed_forms(capsys):
+    # torsion: the closed form obeys Sq^2 duality for every twist; W: the
+    # slot-table series is P_0(Fl(N)) for the trivial twist
+    for N in range(1, 8):
+        shape = ",".join(["1"] * N)
+        for twist in flagchow.all_twist_classes(N):
+            assert cli.run(["--format", "json", "poincare", "--shape", shape,
+                            "--theory", "torsion", "--twist", str(twist)]) == 0
+            (check,) = json.loads(capsys.readouterr().out)["checks"]
+            assert check == {"name": "Sq^2 duality r_d = r_{dim-d-1} of the "
+                                     "closed form", "status": "pass"}, (N, twist)
+        assert cli.run(["--format", "json", "poincare", "--shape", shape,
+                        "--theory", "w"]) == 0
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check == {"name": "slot-table series = closed form P_0(Fl(N))",
+                         "status": "pass"}, N
+
+
+def test_complete_flag_poincare_fails_a_wrong_closed_form(monkeypatch, capsys):
+    # T = t * (r_0, r_1, r_2) on Fl(3): (1, 2, 0) breaks r_0 = r_2
+    monkeypatch.setattr(steenrod, "torsion_poincare_closed",
+                        lambda N, twist: [0, 1, 2])
+    assert cli.run(["--format", "json", "poincare", "--shape", "1,1,1",
+                    "--theory", "torsion"]) == 2
+    assert json.loads(capsys.readouterr().out)["checks"][0]["status"] == "fail"
+    monkeypatch.setattr(steenrod, "w_poincare_closed", lambda N: [1])
+    assert cli.run(["--format", "json", "poincare", "--shape", "1,1,1",
+                    "--theory", "w"]) == 2
+    assert json.loads(capsys.readouterr().out)["checks"][0]["status"] == "fail"
+
+
+def test_annihilator_refuses_a_shape_above_the_cost_limit(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("annihilator computed for a refused shape")
+
+    monkeypatch.setattr(wdring, "ann_euler", no_work)
+    for shape, cost in [("4,4,4,4", 1453467840), ("2,2,2,2,2,2,2", 128406094848)]:
+        assert cli.run(["annihilator", "--shape", shape, "--block", "1"]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: annihilator of shape {shape} has cost estimate {cost} "
+            "(2^|E| * sum_d rank(A^d)^3), above the limit "
+            f"{cli.ANNIHILATOR_COST_LIMIT}\n"))
+
+
+def test_annihilator_cost_admits_the_measured_and_used_shapes():
+    def cost(parts):
+        return cli.annihilator_cost(FlagShape(parts))
+
+    assert cost((2, 2, 2, 2, 2)) == 32 * 34986
+    assert cost((2, 2)) == 4 * (1 + 1)
+    # the last admitted rows of the timing table, then the refused ones
+    assert cost((6, 6, 6)) < cost((2, 2, 2, 2, 2, 2)) <= cli.ANNIHILATOR_COST_LIMIT
+    assert cli.ANNIHILATOR_COST_LIMIT < cost((4, 4, 4, 4)) < cost((2,) * 7)
+    # the shapes of the benchmark and of verify, and every composition of
+    # N <= 8, which the annihilator sweep of test_wdring.py covers
+    compositions = [
+        tuple(b - a for a, b in zip((0, *cuts), (*cuts, N)))
+        for N in range(1, 9)
+        for k in range(N)
+        for cuts in itertools.combinations(range(1, N), k)
+    ]
+    assert len(compositions) == 255
+    for parts in [(4, 4, 4), (2, 6, 4), (2, 2, 2, 2, 2), *compositions]:
+        assert cost(parts) <= cli.ANNIHILATOR_COST_LIMIT, parts
