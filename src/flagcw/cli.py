@@ -23,8 +23,9 @@ stdout and stderr and ends the process with ``os._exit``.  A flush that
 fails (a full disk, a closed pipe) is an error: exit code 1 and one
 ``error: cannot write output`` line on stderr.  The outputs fit in the
 8 KiB buffer of a redirected stdout, so the final flush is where a write
-fails; with PYTHONUNBUFFERED or -u, ``print`` raises inside ``run``
-instead.
+fails; with PYTHONUNBUFFERED or -u, or an answer larger than the
+buffer, ``print`` fails inside ``respond`` instead, which raises
+``OutputError``, and ``main`` ends that the same way.
 
 ``run`` is the library entry point and never exits the interpreter: it
 returns the exit code, and an exception it raises propagates (from
@@ -46,11 +47,12 @@ from .flagchow import FlagShape, TwistClass, all_twist_classes
 
 
 # Sq^2 torsion of a partial flag variety works on all multinomial(N; D)
-# standard monomials of its Chow ring.  Single runs on a 2-core VM: rank
-# 16632 (5,5,2) in 15 s and (2,5,5) in 2.3 s, 16800 (3,3,3,1) in 4.3-4.8 s,
-# 34650 (4,4,4) in 0.3-0.4 s; in-process, 113400 (2,2,2,2,2) in 0.9 s and
-# 92400 (3,3,3,2) in 116 s at 388 MB.  The rank is a coarse guide to the
-# cost, and the limit admits (4,4,4) but not (3,3,3,2).
+# standard monomials of its Chow ring.  CLI runs on a 2-core VM, 2-3
+# each: rank 16632 (5,5,2) in 8.8-12.6 s and (2,5,5) in 2.2-2.7 s, most
+# of it spent building their 138 and 330 rules; 16800 (3,3,3,1) in
+# 1.2-1.9 s; 34650 (4,4,4) in 0.3-0.4 s.  In-process, 113400 (2,2,2,2,2)
+# in 0.9 s and 92400 (3,3,3,2) in 28.5 s at 295 MB.  The rank is a coarse
+# guide to the cost, and the limit admits (4,4,4) but not (3,3,3,2).
 TORSION_RANK_LIMIT = 40000
 
 
@@ -73,6 +75,10 @@ ANNIHILATOR_COST_LIMIT = 5 * 10**8
 
 class ValidationError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """The answer could not be written: stdout is full or closed."""
 
 
 def multinomial(shape: FlagShape) -> int:
@@ -169,8 +175,11 @@ def respond(args, inputs: dict, result: dict, checks, lines=None) -> int:
                "checks": checks}
     if args.fmt == "json" or lines is None:
         lines = [json.dumps(payload, sort_keys=True)]
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+    except OSError as exc:
+        raise OutputError(exc) from exc
     return 2 if any(c["status"] == "fail" for c in checks) else 0
 
 
@@ -388,10 +397,13 @@ def run(argv) -> int:
 
 def main() -> None:
     """Run the command line, flush, and end the process without teardown."""
-    code = run(sys.argv[1:])
     try:
-        sys.stdout.flush()
-    except OSError as exc:
+        code = run(sys.argv[1:])
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            raise OutputError(exc) from exc
+    except OutputError as exc:
         code = 1
         print(f"error: cannot write output: {exc}", file=sys.stderr)
     sys.stderr.flush()

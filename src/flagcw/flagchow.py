@@ -29,10 +29,31 @@ which block i contributes its C(s_i, d_i) monomials with at most s_{i-1}
 factors, a basis of CH^*(Gr(d_i, s_i)).  ``ChowRingPresentation`` holds the
 only rewrite rules and leading terms, applied monomial by monomial
 through per-ring memos that also keep every monomial a rewrite passes
-through.  The integer memo maps a monomial to {standard monomial: coeff};
-``reduce_sums`` sums its entries into normal forms of sums of terms (for
-``normal_form``, ``multiplication_matrix`` and W_D product columns).  The
-mod-2 memo maps a monomial of degree d to a bitmask over
+through.
+
+Inside the reducer a monomial is one int, its key: the exponent of
+variable v sits in the W-bit field at bit W*v, W the least of 8, 16, 32
+and 64 with dim < 2^(W-1), so that a tuple packs through ``bytes`` (W-bit
+pieces when W > 8) and ``int.from_bytes``.  No field carries: every
+exponent and every block count of a monomial of degree at most dim is at
+most dim.  So a key is trusted only once degree > dim is ruled out, and
+the readers rule it out before a key is used: an exponent that fits no
+field fails to pack, and any other key that misses the memo is let
+through only by the degree of its tuple.  A rewrite keeps the degree, so
+the keys made inside the recursion need no test.  The first block i with
+more than s_{i-1} factors is read off the key with one multiplication:
+key * gather places each block count in a field of its own, adding
+2^(W-1) - 1 - s_{i-1} there sets the field's top bit exactly when the
+count exceeds s_{i-1}, and the lowest flag names the block, whose fields
+alone give the leading term.  Each rule is stored once per leading term
+as (delta, coefficient) pairs, delta = key(tail) - key(lead), so a
+rewrite is key + delta: one int add and one int-keyed lookup.
+
+The integer memo maps a key to {standard monomial: coeff}; ``reduce_sums``
+sums its entries into normal forms of sums of (monomial, coefficient)
+terms (for ``normal_form`` and W_D product columns), and
+``multiplication_matrix`` adds the keys of the standard monomials and of
+the multiplier.  The mod-2 memo maps a key of degree d to a bitmask over
 ``standard_index(d)``, built from the odd rule tails alone, one XOR each;
 ``reduce_mod2_mask`` XORs its entries into the one mod-2 value type, a
 bitmask (for ``Mod2Chow.nf2`` and every Sq^2 row of ``steenrod``).
@@ -67,7 +88,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product
-from operator import add, mul, sub
+from operator import mul
 
 from . import intlinalg, series
 from .poly import GradedPolynomial, PolyRing
@@ -210,10 +231,13 @@ class ChowRingPresentation:
         self._spans = shape.spans
         self._poincare = chow_poincare(shape)
         self._sigmas = None
-        self._rules = {}
-        # normal form of every monomial reduced so far, standard ones included
+        self._init_keys()
+        # leading key -> its rule, as key deltas
+        self._rule_memo = {}
+        # key -> normal form of every monomial reduced so far, standard
+        # ones included
         self._nf_memo = {}
-        # the same mod 2, as a bitmask over standard_index(degree of mon)
+        # the same mod 2, as a bitmask over standard_index(degree of key)
         self._nf2_memo = {}
         self._standard = None  # degree -> standard monomials, built once
         self._standard_index = {}
@@ -231,25 +255,81 @@ class ChowRingPresentation:
         p = self._poincare
         return p[d] if 0 <= d < len(p) else 0
 
-    # -- the rewrite rules --------------------------------------------------
+    # -- monomial keys ---------------------------------------------------------
 
-    def _leading(self, mon):
-        """Leading monomial of the rule that rewrites mon; None if standard.
+    def _init_keys(self):
+        """Lay out the packed keys (see the module docstring).
+
+        gather holds a 1 at field F_b - v for each variable v of the
+        0-based block b, so field F_b of key * gather is the count of
+        block b.  Block b reaches the fields F_b - (s_b - 1) .. F_b + N - 1
+        - s_{b-1} of that product, and these ranges follow one another, so
+        each field sums distinct exponents and stays at most the degree.
+        """
+        n, dim = self.ring.nvars, self.dim
+        size = next(s for s in (1, 2, 4, 8) if dim < 1 << (8 * s - 1))
+        width = 8 * size
+        self._key_width = width
+
+        def wide_bytes(mon):
+            return b"".join(e.to_bytes(size, "little") for e in mon)
+
+        # the little-endian W-bit fields of a monomial; ValueError or
+        # OverflowError when an exponent does not fit
+        self._key_bytes = bytes if size == 1 else wide_bytes
+        gather = offsets = flags = 0
+        blocks = {}
+        field = 0
+        for start, stop in self._spans:
+            field += stop - 1  # F_b
+            for v in range(start, stop):
+                gather |= 1 << width * (field - v)
+            offsets |= ((1 << width - 1) - 1 - start) << width * field
+            flags |= 1 << width * field + width - 1
+            # by the bit_length of the block's flag: the count s_{b-1} + 1
+            # of the leading term and the shifts of its fields, top down
+            blocks[width * (field + 1)] = (
+                start + 1, range(width * (stop - 1), width * start - 1, -width))
+            field += n - start
+        self._key_gather, self._key_offsets, self._key_flags = gather, offsets, flags
+        self._key_blocks = blocks
+
+    def _pack(self, mon) -> int:
+        """The key of a full-length monomial of degree at most dim."""
+        return int.from_bytes(self._key_bytes(mon), "little")
+
+    def _unpack(self, key: int) -> tuple:
+        """The exponent tuple of a key."""
+        size = self._key_width // 8
+        raw = key.to_bytes(self.ring.nvars * size, "little")
+        if size == 1:
+            return tuple(raw)
+        return tuple(int.from_bytes(raw[i:i + size], "little")
+                     for i in range(0, len(raw), size))
+
+    def _lead(self, key: int):
+        """Key of the leading monomial of the rule that rewrites the
+        monomial key (of degree at most dim); None if it is standard.
 
         It is the s_{i-1} + 1 largest indices of the first block i that
-        has more than s_{i-1} factors.  On a line block k + 1 (s_k = k)
-        it is x_{k+1}^{k+1}.
+        has more than s_{i-1} factors: the lowest flag of the gathered
+        block counts names the block, and only its fields are read.  On
+        a line block k + 1 (s_k = k) it is x_{k+1}^{k+1}.
         """
-        total = (0, *accumulate(mon))  # total[v]: factors with index < v
-        for start, stop in self._spans:
-            left = start + 1
-            if total[stop] - total[start] >= left:
-                lead = [0] * len(mon)
-                for v in range(stop - 1, start - 1, -1):
-                    lead[v] = min(left, mon[v])
-                    left -= lead[v]
-                return tuple(lead)
-        return None
+        flags = (key * self._key_gather + self._key_offsets) & self._key_flags
+        if not flags:
+            return None
+        left, shifts = self._key_blocks[(flags & -flags).bit_length()]
+        mask, lead = (1 << self._key_width) - 1, 0
+        for shift in shifts:
+            e = key >> shift & mask
+            if e >= left:
+                break
+            lead |= e << shift
+            left -= e
+        return lead | left << shift
+
+    # -- the rewrite rules --------------------------------------------------
 
     def _sigma(self, b: int):
         """sigma_0..sigma_K of prod_{t >= b} c(D_t)^{-1} for the 0-based
@@ -287,7 +367,7 @@ class ChowRingPresentation:
         self._sigma(b)
         return self._completes[b]
 
-    def _rule(self, lead):
+    def _tails(self, lead: tuple):
         """[(monomial, coefficient), ...] whose sum equals lead in the ring.
 
         lead = prod_a c_{i,lam_a} with lam of s_{i-1} + 1 parts, and the
@@ -299,30 +379,39 @@ class ChowRingPresentation:
         s_{i-1}+1}.  Every index either determinant reads is at most
         |lam| <= dim, where sigma and h are exact, so the two agree.
         """
-        rule = self._rules.get(lead)
+        b = next(b for b, (start, stop) in enumerate(self._spans)
+                 if any(lead[start:stop]))
+        start, stop = self._spans[b]
+        lam = [v - start + 1 for v in range(stop - 1, start - 1, -1)
+               for _ in range(lead[v])]
+        conj = [sum(1 for p in lam if p > a) for a in range(lam[0])]
+        if len(lam) < len(conj):
+            rel = jacobi_trudi_delta(lam, self._complete(b))
+        else:
+            rel = jacobi_trudi_delta(conj, self._sigma(b))
+        rel = self.ring.zero() + rel
+        c = rel.terms.get(lead, 0)
+        if c not in (1, -1):
+            raise ArithmeticError(
+                f"relation for {lead} has leading coefficient {c}, not +-1"
+            )
+        return [(m, -c * k) for m, k in rel.terms.items() if m != lead]
+
+    def _rule(self, lead: int):
+        """The rule of the leading key lead, built once: ([(delta,
+        coefficient), ...], [delta of each odd coefficient]), delta =
+        key(tail) - lead, so that a rewrite of key is key + delta."""
+        rule = self._rule_memo.get(lead)
         if rule is None:
-            b = next(b for b, (start, stop) in enumerate(self._spans)
-                     if any(lead[start:stop]))
-            start, stop = self._spans[b]
-            lam = [v - start + 1 for v in range(stop - 1, start - 1, -1)
-                   for _ in range(lead[v])]
-            conj = [sum(1 for p in lam if p > a) for a in range(lam[0])]
-            if len(lam) < len(conj):
-                rel = jacobi_trudi_delta(lam, self._complete(b))
-            else:
-                rel = jacobi_trudi_delta(conj, self._sigma(b))
-            rel = self.ring.zero() + rel
-            c = rel.terms.get(lead, 0)
-            if c not in (1, -1):
-                raise ArithmeticError(
-                    f"relation for {lead} has leading coefficient {c}, not +-1"
-                )
-            rule = [(m, -c * k) for m, k in rel.terms.items() if m != lead]
-            self._rules[lead] = rule
+            pairs = [(self._pack(tail) - lead, k)
+                     for tail, k in self._tails(self._unpack(lead))]
+            rule = (pairs, [delta for delta, k in pairs if k & 1])
+            self._rule_memo[lead] = rule
         return rule
 
-    def _monomial_nf(self, mon) -> dict:
-        """Normal form of one monomial, as {standard monomial: coeff}.
+    def _monomial_nf(self, key: int) -> dict:
+        """Normal form of the monomial key (of degree at most dim), as
+        {standard monomial: coeff}.
 
         Memoized; the returned dict is shared and must not be mutated.
         A rewrite lowers the first block with too many factors (fewer of
@@ -330,84 +419,100 @@ class ChowRingPresentation:
         and leaves the blocks before it alone, so the recursion ends.
         """
         memo = self._nf_memo
-        nf = memo.get(mon)
-        if nf is not None:
-            return nf
-        if sum(map(mul, mon, self.ring.weights)) > self.dim:
-            return {}  # zero above the top degree; left out of the memo
-        lead = self._leading(mon)
+        lead = self._lead(key)
         if lead is None:
-            nf = {mon: 1}
+            nf = {self._unpack(key): 1}
         else:
-            base = tuple(map(sub, mon, lead))
             acc = {}
-            for tail, k in self._rule(lead):
-                term = tuple(map(add, base, tail))
+            for delta, k in self._rule(lead)[0]:
+                term = key + delta
                 reduced = memo.get(term)
                 if reduced is None:
                     reduced = self._monomial_nf(term)
                 for m, c in reduced.items():
                     acc[m] = acc.get(m, 0) + k * c
             nf = {m: c for m, c in acc.items() if c}
-        memo[mon] = nf
+        memo[key] = nf
         return nf
 
-    def reduce_sums(self, sums) -> list:
-        """Normal forms {standard monomial: coefficient} of the given sums
-        of (monomial, coefficient) pairs; a coefficient may be 0 where
-        terms cancelled."""
+    def _reduce_keyed(self, sums) -> list:
+        """Normal forms {standard monomial: coefficient} of sums of (key,
+        coefficient) pairs, every key of degree at most dim."""
         memo, nf = self._nf_memo, self._monomial_nf
         out = []
         for terms in sums:
             acc: dict = {}
-            for mon, k in terms:
-                reduced = memo.get(mon)
+            for key, k in terms:
+                reduced = memo.get(key)
                 if reduced is None:
-                    reduced = nf(mon)
+                    reduced = nf(key)
                 for m, c in reduced.items():
                     acc[m] = acc.get(m, 0) + k * c
             out.append(acc)
         return out
 
-    def _monomial_nf2(self, mon, index) -> int:
-        """Mod-2 normal form of one monomial of degree at most dim, as a
-        bitmask over index = standard_index(degree of mon).
+    def _keyed(self, terms):
+        """(key, coefficient) of each (monomial, coefficient) pair of full
+        length, leaving out the monomials above the top degree: an
+        exponent that no field holds fails to pack, and a key that
+        misses the memo is let through only by the degree of its tuple."""
+        memo, to_bytes = self._nf_memo, self._key_bytes
+        from_bytes, weights, dim = int.from_bytes, self.ring.weights, self.dim
+        for mon, k in terms:
+            try:
+                key = from_bytes(to_bytes(mon), "little")
+            except (ValueError, OverflowError):
+                continue
+            if key in memo or sum(map(mul, mon, weights)) <= dim:
+                yield key, k
+
+    def reduce_sums(self, sums) -> list:
+        """Normal forms {standard monomial: coefficient} of the given sums
+        of (monomial, coefficient) pairs, monomials of full length; a
+        coefficient may be 0 where terms cancelled, and a monomial above
+        the top degree adds nothing."""
+        return self._reduce_keyed(map(self._keyed, sums))
+
+    def _monomial_nf2(self, key: int, index) -> int:
+        """Mod-2 normal form of the monomial key (of degree at most dim),
+        as a bitmask over index = standard_index(degree of key).
 
         Memoized apart from the integer memo.  It follows the integer
-        recursion through the same leading terms and rules, but a tail
-        with even coefficient is skipped and a rewrite is one XOR per odd
-        tail; every tail has the degree of mon, so one index serves.
+        recursion through the same leading keys and rules, but only the
+        odd tails are read, one XOR each; every tail has the degree of
+        key, so one index serves.
         """
         memo = self._nf2_memo
-        lead = self._leading(mon)
+        lead = self._lead(key)
         if lead is None:
-            mask = 1 << index[mon]
+            mask = 1 << index[self._unpack(key)]
         else:
-            base = tuple(map(sub, mon, lead))
             mask = 0
-            for tail, k in self._rule(lead):
-                if k & 1:
-                    term = tuple(map(add, base, tail))
-                    reduced = memo.get(term)
-                    if reduced is None:
-                        reduced = self._monomial_nf2(term, index)
-                    mask ^= reduced
-        memo[mon] = mask
+            for delta in self._rule(lead)[1]:
+                term = key + delta
+                reduced = memo.get(term)
+                if reduced is None:
+                    reduced = self._monomial_nf2(term, index)
+                mask ^= reduced
+        memo[key] = mask
         return mask
 
     def reduce_mod2_mask(self, monomials, d: int) -> int:
         """Mod-2 normal form of the sum of the given monomials, all of
         degree d and of full length, as a bitmask over standard_index(d):
         bit i is set when the i-th standard monomial has odd coefficient
-        (a repeated monomial cancels).  Above the top degree it is 0."""
+        (a repeated monomial cancels).  Above the top degree it is 0, and
+        nothing is packed there."""
         if d > self.dim:
             return 0
         memo, nf, index = self._nf2_memo, self._monomial_nf2, self.standard_index(d)
+        from_bytes, to_bytes = int.from_bytes, self._key_bytes
         mask = 0
         for mon in monomials:
-            reduced = memo.get(mon)
+            key = from_bytes(to_bytes(mon), "little")
+            reduced = memo.get(key)
             if reduced is None:
-                reduced = nf(mon, index)
+                reduced = nf(key, index)
             mask ^= reduced
         return mask
 
@@ -481,17 +586,21 @@ class ChowRingPresentation:
         """
         if g.ring != self.ring:
             raise ValueError("polynomial not in this Chow ring")
+        e, degree = g.degree(), self.ring.monomial_degree
+        if any(degree(gm) != e for gm in g.terms):
+            raise ValueError("multiplier is not homogeneous")
         mons = self.standard_monomials(d)
-        index = self.standard_index(d + g.degree())
+        index = self.standard_index(d + e)
         mat = [[0] * len(mons) for _ in index]
-        sums = zip(*[[(tuple(map(add, mon, gm)), gc) for mon in mons]
-                     for gm, gc in g.terms.items()])
-        try:
-            for j, col in enumerate(self.reduce_sums(sums)):
+        if index:
+            # every product lies in degree d + e <= dim, so keys add
+            pack = self._pack
+            keys = list(map(pack, mons))
+            factors = [(pack(gm), gc) for gm, gc in g.terms.items()]
+            sums = zip(*[[(key + gk, gc) for key in keys] for gk, gc in factors])
+            for j, col in enumerate(self._reduce_keyed(sums)):
                 for m, c in col.items():
                     mat[index[m]][j] = c
-        except KeyError:
-            raise ValueError("multiplier is not homogeneous") from None
         return mat
 
     # -- integration -----------------------------------------------------------

@@ -18,13 +18,19 @@ The Sq^2 rows read off the integer normal form, against which the mod-2
 bitmask rows of steenrod are checked, and the decoder of a mod-2 bitmask
 back into its standard monomials.
 
+The tuple-keyed coinvariant reducer that the packed keys of flagchow
+replaced: the same leading terms found by walking the exponent tuple,
+the same rule tails applied by adding tuples, and memos keyed by tuple,
+against which the packed integer and mod-2 normal forms are checked.
+
 Polynomial helpers that only the tests use: every monomial of a degree,
 the variables a polynomial uses, and substitution of polynomials for
 variables.
 """
 
 import itertools
-from operator import sub
+from itertools import accumulate
+from operator import add, mul, sub
 
 from flagcw.flagchow import FlagShape, chow_ring
 from flagcw.poly import GradedPolynomial
@@ -315,3 +321,95 @@ def mask_monomials(pres, mask: int, d: int):
     bitmask over pres.standard_index(d), in basis order."""
     mons = pres.standard_monomials(d)
     return [mon for i, mon in enumerate(mons) if mask >> i & 1]
+
+
+class TupleReducer:
+    """Integer and mod-2 normal forms of a ChowRingPresentation, by the
+    recursion on exponent tuples that the packed keys replaced.
+
+    The rule tails come from the presentation's relation (``_tails``);
+    the leading terms, the rewrites and the memos are the oracle's own.
+    """
+
+    def __init__(self, pres):
+        self.pres = pres
+        self.rules = {}
+        self.memo = {}
+        self.memo2 = {}
+
+    def leading(self, mon):
+        """Leading monomial of the rule that rewrites mon; None if standard:
+        the s_{i-1} + 1 largest indices of the first block i that has more
+        than s_{i-1} factors."""
+        total = (0, *accumulate(mon))  # total[v]: factors with index < v
+        for start, stop in self.pres.shape.spans:
+            left = start + 1
+            if total[stop] - total[start] >= left:
+                lead = [0] * len(mon)
+                for v in range(stop - 1, start - 1, -1):
+                    lead[v] = min(left, mon[v])
+                    left -= lead[v]
+                return tuple(lead)
+        return None
+
+    def rule(self, lead):
+        if lead not in self.rules:
+            self.rules[lead] = self.pres._tails(lead)
+        return self.rules[lead]
+
+    def nf(self, mon) -> dict:
+        """{standard monomial: coefficient} of one monomial, 0 above the
+        top degree."""
+        nf = self.memo.get(mon)
+        if nf is not None:
+            return nf
+        if sum(map(mul, mon, self.pres.ring.weights)) > self.pres.dim:
+            return {}
+        lead = self.leading(mon)
+        if lead is None:
+            nf = {mon: 1}
+        else:
+            base = tuple(map(sub, mon, lead))
+            acc = {}
+            for tail, k in self.rule(lead):
+                for m, c in self.nf(tuple(map(add, base, tail))).items():
+                    acc[m] = acc.get(m, 0) + k * c
+            nf = {m: c for m, c in acc.items() if c}
+        self.memo[mon] = nf
+        return nf
+
+    def normal_form(self, p) -> dict:
+        acc = {}
+        for mon, k in p.terms.items():
+            for m, c in self.nf(mon).items():
+                acc[m] = acc.get(m, 0) + k * c
+        return {m: c for m, c in acc.items() if c}
+
+    def nf2(self, mon, index) -> int:
+        """Bitmask over index of one monomial of the degree of index,
+        through the odd tails alone."""
+        mask = self.memo2.get(mon)
+        if mask is not None:
+            return mask
+        lead = self.leading(mon)
+        if lead is None:
+            mask = 1 << index[mon]
+        else:
+            base = tuple(map(sub, mon, lead))
+            mask = 0
+            for tail, k in self.rule(lead):
+                if k & 1:
+                    mask ^= self.nf2(tuple(map(add, base, tail)), index)
+        self.memo2[mon] = mask
+        return mask
+
+    def mask(self, monomials, d: int) -> int:
+        """Mod-2 normal form of a sum of degree-d monomials, as a bitmask
+        over standard_index(d); 0 above the top degree."""
+        if d > self.pres.dim:
+            return 0
+        index = self.pres.standard_index(d)
+        mask = 0
+        for mon in monomials:
+            mask ^= self.nf2(mon, index)
+        return mask

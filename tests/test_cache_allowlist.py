@@ -28,6 +28,9 @@ ALLOWED = {
     # mod-2 reducer memo: 22833 hits / 3333 misses on the Fl(6) Sq^2
     # torsion, 5540 / 1544 on torsion of (1,1,1,1,2)
     "_nf2_memo",
+    # rule per leading key, as key deltas: 2614 hits / 5 builds on the
+    # Fl(6) Sq^2 torsion, 415 / 5 on annihilator 2,2,2,2,2 --block 1
+    "_rule_memo",
     # W_D quotient record per (I, Chow degree): 1346 hits / 352 builds
     # on annihilator 2,2,2,2,2 --block 1
     "_quotient_cache",

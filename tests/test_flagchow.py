@@ -3,6 +3,7 @@ import random
 
 import pytest
 from flag_oracle import (
+    TupleReducer,
     block_elementary,
     class_of_point,
     compositions,
@@ -170,6 +171,97 @@ def test_normal_form_above_top_degree_is_zero_and_not_memoized():
     # the mod-2 reader likewise gives 0 there and stores nothing
     assert fl.reduce_mod2_mask(list(above.terms), fl.dim + 1) == 0
     assert fl._nf2_memo == {}
+    # no field carries: an exponent that fits a byte field gives a key
+    # that misses the memo and the degree of its tuple refuses it, and a
+    # wider one fails to pack
+    cases = [
+        ((1, 1, 1, 1), [[300, 0, 0, 0], [255, 0, 0, 0], [256, 0, 0, 0],
+                        [0, 0, 0, 7], [1, 1, 1, 1000]]),
+        ((2, 2, 14), [[61] + [0] * 17, [255] * 18, [0, 256] + [0] * 16,
+                      [0] * 17 + [5]]),
+    ]
+    for parts, exps in cases:
+        pres = ChowRingPresentation(FlagShape(parts))
+        assert pres._key_width == 8
+        for e in exps:
+            assert pres.ring.monomial_degree(pres.ring.key(e)) > pres.dim
+            assert pres.normal_form(pres.ring.monomial(e)).is_zero()
+        assert pres.reduce_sums([[(tuple(e), 1) for e in exps]]) == [{}]
+        assert pres.reduce_mod2_mask([tuple(e) for e in exps], pres.dim + 1) == 0
+        assert pres._nf_memo == pres._nf2_memo == pres._rule_memo == {}
+
+
+def test_packed_reducer_matches_the_tuple_oracle():
+    # every composition with N <= 6, on fresh rings: random monomials of
+    # every degree up to dim, their integer normal forms, the mod-2 masks
+    # of random sums (repeats cancel) and the leading term of each
+    rng = random.Random(28)
+    shapes = 0
+    for N in range(1, 7):
+        for parts in compositions(N):
+            pres = ChowRingPresentation(FlagShape(parts))
+            oracle = TupleReducer(pres)
+            for d in range(pres.dim + 1):
+                mons = monomials_of_degree(pres.ring, d)
+                sample = rng.sample(mons, min(6, len(mons)))
+                for mon in sample:
+                    key = pres._pack(mon)
+                    assert pres._unpack(key) == mon
+                    lead = oracle.leading(mon)
+                    assert pres._lead(key) == (lead and pres._pack(lead))
+                p = pres.ring.from_terms({m: rng.randint(-3, 3) for m in sample})
+                assert pres.normal_form(p).terms == oracle.normal_form(p), (parts, d)
+                summed = sample + rng.choices(sample, k=3)
+                assert pres.reduce_mod2_mask(summed, d) == oracle.mask(summed, d)
+            shapes += 1
+    assert shapes == 63
+
+
+@pytest.mark.parametrize("parts, width", [
+    ((4, 3) + (1,) * 10, 8), ((1,) * 10 + (3, 4), 8),
+    ((4, 2, 2) + (1,) * 9, 16), ((1,) * 9 + (2, 2, 4), 16),
+])
+def test_keys_at_a_field_width_boundary(parts, width):
+    # dim < 2^(W-1) picks W: these shapes of N = 17 have dim 127 (byte
+    # fields) and 128 (16-bit ones).  Their standard table and rules are
+    # out of reach, so the keys are checked where neither is read: the
+    # leading term of top-degree monomials whose block counts reach dim,
+    # the top standard monomial, and monomials above the top degree
+    pres = ChowRingPresentation(FlagShape(parts))
+    dim, n, spans = pres.dim, pres.ring.nvars, pres.shape.spans
+    assert dim == 127 + (width == 16) and pres._key_width == width
+    oracle = TupleReducer(pres)
+    rng = random.Random(dim)
+
+    def power(v, e):
+        return tuple(e if u == v else 0 for u in range(n))
+
+    # c_{i,1}^dim for every block, then random top-degree monomials
+    # drawn from one or two blocks
+    tops = [power(start, dim) for start, _ in spans]
+    for _ in range(60):
+        blocks = rng.sample(spans, rng.choice((1, 2)))
+        exps, left = [0] * n, dim
+        while left:
+            start, stop = rng.choice(blocks)
+            v = rng.randrange(start, min(stop, start + left))
+            exps[v] += 1
+            left -= pres.ring.weights[v]
+        tops.append(tuple(exps))
+    for mon in tops:
+        assert pres.ring.monomial_degree(mon) == dim
+        lead = oracle.leading(mon)
+        assert pres._lead(pres._pack(mon)) == (lead and pres._pack(lead)), mon
+    # the top standard monomial prod_i c_{i,d_i}^{s_{i-1}}
+    top = [0] * n
+    for start, stop in spans:
+        top[stop - 1] = start
+    top = tuple(top)
+    assert pres._lead(pres._pack(top)) is None
+    assert pres.normal_form(pres.ring.monomial(top, 3)).terms == {top: 3}
+    above = [power(0, dim + 1), (2 ** width - 1,) * n, power(n - 1, 2 ** width)]
+    assert pres.reduce_sums([[(mon, 1) for mon in above]]) == [{}]
+    assert len(pres._nf_memo) == 1 and pres._rule_memo == {}
 
 
 def test_standard_monomial_count():
@@ -255,7 +347,8 @@ def test_normal_form_matches_the_pullback_oracle():
 
 def test_full_flag_rules_are_complete_homogeneous_tails():
     # on D = (1^N) the rule for x_k^k is -(h_k(x_k..x_N) - x_k^k); rules
-    # are made only for monomials up to the top degree
+    # are made only for monomials up to the top degree, and stored as
+    # key deltas from the leading key, every coefficient odd
     for N in range(2, 8):
         fl = FullFlagRing(N)
         for k in range(1, min(N, fl.dim) + 1):
@@ -265,7 +358,10 @@ def test_full_flag_rules_are_complete_homogeneous_tails():
                 for m in monomials_of_degree(fl.ring, k)
                 if not any(m[: k - 1]) and m != lead
             }
-            assert {m: -c for m, c in fl._rule(lead)} == h
+            key = fl._pack(lead)
+            pairs, odd = fl._rule(key)
+            assert {fl._unpack(key + delta): -c for delta, c in pairs} == h
+            assert len(pairs) == len(h) and odd == [delta for delta, _ in pairs]
 
 
 def test_both_jacobi_trudi_forms_give_the_same_relation():

@@ -26,11 +26,11 @@ PACKAGE = SRC / "flagcw"
 EXITS = {"_exit", "exit", "quit", "abort"}
 
 
-def spawn(args, stdout):
-    """A child interpreter on ./src without PYTHON* settings; stderr is
-    captured as bytes."""
+def spawn(args, stdout, **settings):
+    """A child interpreter on ./src without PYTHON* settings other than
+    the given ones; stderr is captured as bytes."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(SRC)
+    env.update(settings, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, *args], stdin=subprocess.DEVNULL,
                           stdout=stdout, stderr=subprocess.PIPE, env=env,
                           timeout=120)
@@ -105,23 +105,49 @@ def assert_write_error(proc):
     assert line.count("\n") == 1 and line.endswith("\n")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_a_full_device_is_a_write_error():
+# buffered, the answer fails at main's final flush; unbuffered, in print
+# inside respond; both end the same way
+def count_into(stdout, **settings):
+    return spawn(["-m", "flagcw.cli", "count", "--preset", "cubic-lines"],
+                 stdout, **settings)
+
+
+def into_full_device(**settings):
     with open("/dev/full", "wb") as full:
-        proc = spawn(["-m", "flagcw.cli", "count", "--preset", "cubic-lines"], full)
+        proc = count_into(full, **settings)
     assert_write_error(proc)
     assert "No space left on device" in proc.stderr.decode()
 
 
-def test_a_closed_pipe_is_a_write_error():
+def into_closed_pipe(**settings):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = spawn(["-m", "flagcw.cli", "count", "--preset", "cubic-lines"],
-                     write_end)
+        proc = count_into(write_end, **settings)
     finally:
         os.close(write_end)
     assert_write_error(proc)
+
+
+NO_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@NO_FULL
+def test_a_full_device_is_a_write_error():
+    into_full_device()
+
+
+@NO_FULL
+def test_a_full_device_is_a_write_error_unbuffered():
+    into_full_device(PYTHONUNBUFFERED="1")
+
+
+def test_a_closed_pipe_is_a_write_error():
+    into_closed_pipe()
+
+
+def test_a_closed_pipe_is_a_write_error_unbuffered():
+    into_closed_pipe(PYTHONUNBUFFERED="1")
 
 
 def exit_references(text):

@@ -238,7 +238,7 @@ def test_trivial_sq2_on_all_even_shapes_builds_no_rule():
         twist = TwistClass.from_blocks(len(parts), blocks)
         for d in range(ring.shape.dim + 1):
             ring.sq2_matrix_rows(d, twist)
-        assert (ring.pres._rules == {}) == (parts in shapes and not blocks), parts
+        assert (ring.pres._rule_memo == {}) == (parts in shapes and not blocks), parts
 
 
 def test_rank_nullity_per_degree():
@@ -364,6 +364,21 @@ def test_partial_shape_torsion_from_sq2():
         assert series.add(
             h, series.exact_div(series.mul([1, 1], tor), [0, 1])
         ) == p2
+
+
+def test_sq2_ranks_of_3331_are_pinned():
+    # rank of Sq^2 on Ch^d of Fl(3,3,3,1), untwisted, as the tuple-keyed
+    # reducer computed it (16800 standard monomials, 47 rules); the ranks
+    # are symmetric under d -> dim - 1 - d (the tangent twist is trivial)
+    ranks = (0, 3, 5, 13, 20, 42, 61, 98, 133, 192, 243, 315, 374, 446,
+             501, 555, 586, 607, 607, 586, 555, 501, 446, 374, 315, 243,
+             192, 133, 98, 61, 42, 20, 13, 5, 3, 0, 0)
+    shape = FlagShape([3, 3, 3, 1])
+    ring = Mod2Chow(ChowRingPresentation(shape))
+    twist = TwistClass.trivial(4)
+    got = tuple(gf2.rank(ring.sq2_matrix_rows(d, twist))
+                for d in range(shape.dim + 1))
+    assert got == ranks
 
 
 def test_steenrod_imports_nothing_from_the_witt_layer():
