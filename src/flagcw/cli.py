@@ -63,14 +63,24 @@ TORSION_RANK_LIMIT = 40000
 EULER_BOX_LIMIT = 3432
 
 
-# ann_euler eliminates a kernel and an HNF per (degree, twist) slot.  Its
-# components are the 2^|E| Euler subsets (E the even blocks) times A^d,
-# A = CH^*(Fl(D/2)), so it is budgeted by 2^|E| * sum_d rank(A^d)^3.
-# Single runs on a 2-core VM:
+# W_D is budgeted by 2^|E| * sum_d rank(A^d)^3: E the even blocks, A =
+# CH^*(Fl(h)) of the half shape h, whose components e_I * A^d the W_D
+# commands work on.  ann_euler eliminates a kernel and an HNF per (degree,
+# twist) slot.  Single runs on a 2-core VM:
 # (2,2,2,2,2) 1.1e6 in 0.13 s, (2,2,2,2,4) 1.9e7 in 0.9 s, (6,6,6) 1.6e8
 # in 4.0 s, (2,2,2,2,2,2) 2.9e8 in 4.9 s; (4,4,4,4) 1.45e9 was killed
 # after 120 s and (2,2,2,2,2,2,2) 1.3e11 had not ended after 490 s.
 ANNIHILATOR_COST_LIMIT = 5 * 10**8
+
+# wring and poincare --theory w build one quotient record per (I, Chow
+# degree) and no kernel, so they admit more.  Single CLI runs of poincare
+# --theory w on a 2-core VM: (4,4,4,6) 2.8e10 in 3.6 s, (6,6,12) 1.0e11
+# in 32 s, (2,2,2,2,2,6) 1.1e11 in 4.1 s, (2,2,2,2,2,2,2) 1.28e11 in
+# 2.3 s, (2,2,2,6,6) 1.35e11 in 8.7 s; (2,6,6,6) 2.3e11 took 41 s,
+# (2,2,2,2,4,4) 3.6e11 took 16 s, and (4,4,4,8) 3.4e11 and (8,8,8) 6.3e11 had
+# not ended after 60 s.  Mixed and all-odd shapes take no quotient, so the
+# estimate overprices them: (2,2,2,2,2,2,2,1), at 1.28e11, answers in 0.1 s.
+W_COST_LIMIT = 2 * 10**11
 
 
 class ValidationError(Exception):
@@ -89,12 +99,30 @@ def multinomial(shape: FlagShape) -> int:
     return out
 
 
-def annihilator_cost(shape: FlagShape) -> int:
-    """2^|E| * sum_d rank(A^d)^3, the cost estimate of ``ann_euler``: E the
-    even blocks, A the Chow ring of the half shape (d_i // 2 for d_i > 1)."""
+def wd_cost(shape: FlagShape) -> int:
+    """2^|E| * sum_d rank(A^d)^3, the cost estimate of the W_D commands: E
+    the even blocks, A the Chow ring of the half shape."""
     even = sum(1 for d in shape.d if d % 2 == 0)
-    half = FlagShape(d // 2 for d in shape.d if d > 1)
-    return 2**even * sum(r**3 for r in flagchow.chow_poincare(half))
+    ranks = flagchow.chow_poincare(wdring.half_shape(shape))
+    return 2**even * sum(r**3 for r in ranks)
+
+
+def check_wd_cost(shape: FlagShape, command: str, limit: int) -> None:
+    """Refuse a W_D command whose cost estimate is above its limit, before
+    any ring is built."""
+    cost = wd_cost(shape)
+    if cost > limit:
+        raise ValidationError(
+            f"{command} of shape {shape} has cost estimate {cost} "
+            f"(2^|E| * sum_d rank(A^d)^3), above the limit {limit}"
+        )
+
+
+def chi_check(shape: FlagShape, ranks) -> tuple:
+    """sum_d (-1)^d rank W^d against chi of the real flag manifold."""
+    chi = wdring.real_euler_characteristic(shape)
+    return (f"sum_d (-1)^d w_d = chi(Fl_R(D)) = prod_i chi(Gr_R(d_i, s_i)) "
+            f"= {chi}", sum((-1) ** d * r for d, r in enumerate(ranks)) == chi)
 
 
 def parse_shape(text: str) -> FlagShape:
@@ -199,10 +227,12 @@ def cmd_poincare(args) -> int:
         checks = [(f"coefficients sum to the multinomial N!/prod d_i! = {cells}",
                    sum(poly) == cells)]
     elif args.theory == "w":
+        check_wd_cost(shape, "W_D", W_COST_LIMIT)
         poly = wdring.wd_poincare(shape, twist)
         if shape.is_full_flag() and twist.is_trivial():
             checks = [("slot-table series = closed form P_0(Fl(N))",
                        poly == steenrod.w_poincare_closed(shape.N))]
+        checks.append(chi_check(shape, poly))
     elif sq2_route:
         poly = steenrod.torsion_poincare_from_sq2(shape, twist)
         # the Bockstein ranks reuse the cached Sq^2 ranks; W is cheap
@@ -228,6 +258,8 @@ def cmd_wring(args) -> int:
     twist = parse_twist(args.twist, shape.m)
     if args.degree_max < 0:
         raise ValidationError(f"--degree-max {args.degree_max} is negative")
+    check_wd_cost(shape, "W_D", W_COST_LIMIT)
+    pres = wdring.build_sigma(shape)
     degrees = {}
     lines = []
     for d in range(args.degree_max + 1):
@@ -236,9 +268,12 @@ def cmd_wring(args) -> int:
         lines.append(f"degree {d}: rank {len(labels)}" + (
             "  " + ", ".join(labels) if labels else ""
         ))
+    # a partial sum of the ranks is not chi
+    checks = ([chi_check(shape, map(len, degrees.values()))]
+              if args.degree_max >= pres.max_degree() else [])
     inputs = {"shape": str(shape), "degree_max": args.degree_max, "twist": str(twist)}
-    result = {"basis": degrees, "parity": wdring.build_sigma(shape).parity}
-    return respond(args, inputs, result, [], lines)
+    result = {"basis": degrees, "parity": pres.parity}
+    return respond(args, inputs, result, checks, lines)
 
 
 def cmd_annihilator(args) -> int:
@@ -247,13 +282,7 @@ def cmd_annihilator(args) -> int:
         wdring.check_even_block(shape, args.block)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    cost = annihilator_cost(shape)
-    if cost > ANNIHILATOR_COST_LIMIT:
-        raise ValidationError(
-            f"annihilator of shape {shape} has cost estimate {cost} "
-            f"(2^|E| * sum_d rank(A^d)^3), above the limit "
-            f"{ANNIHILATOR_COST_LIMIT}"
-        )
+    check_wd_cost(shape, "annihilator", ANNIHILATOR_COST_LIMIT)
     x, report = wdring.ann_euler(shape, args.block)
     return respond(
         args,

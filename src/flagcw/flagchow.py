@@ -26,7 +26,9 @@ block i.  By Leray-Hirsch along the tower of Grassmann bundles
 Fl(D) -> Fl(d_1 + d_2, d_3, ..., d_m) -> ..., the standard monomials are a
 ZZ-basis, multinomial(N; D) of them: the product of the fibre bases, in
 which block i contributes its C(s_i, d_i) monomials with at most s_{i-1}
-factors, a basis of CH^*(Gr(d_i, s_i)).  ``ChowRingPresentation`` holds the
+factors, a basis of CH^*(Gr(d_i, s_i)).  The Poincare polynomial is the
+same tower product: ``chow_poincare`` multiplies the fibre series
+[s_i choose d_i]_t one block at a time.  ``ChowRingPresentation`` holds the
 only rewrite rules and leading terms, applied monomial by monomial
 through per-ring memos that also keep every monomial a rewrite passes
 through.
@@ -194,12 +196,22 @@ def all_twist_classes(m: int):
 
 
 def chow_poincare(shape: FlagShape):
-    """Poincare polynomial of CH^*(Fl(D)): prod (1-t^j) / prod_i prod (1-t^j)."""
-    num = series.prod(series.one_minus_t_pow(j) for j in range(1, shape.N + 1))
-    den = series.prod(
-        series.one_minus_t_pow(j) for d in shape.d for j in range(1, d + 1)
-    )
-    return series.exact_div(num, den)
+    """Poincare polynomial of CH^*(Fl(D)): the product over the tower of
+    the fibre series [s_i choose d_i]_t of CH^*(Gr(d_i, s_i)).
+
+    Block i multiplies in (1 - t^(s_{i-1}+j)) / (1 - t^j) for j = 1..d_i,
+    one factor at a time, so every intermediate is the Poincare
+    polynomial of a partial tower: each division is exact and no
+    intermediate is longer than the answer.
+    """
+    out = [1]
+    for start, stop in shape.spans:
+        for j in range(1, stop - start + 1):
+            out = series.exact_div(
+                series.mul(out, series.one_minus_t_pow(start + j)),
+                series.one_minus_t_pow(j),
+            )
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -30,13 +30,14 @@ def sub(a: list, b: list) -> list:
 
 
 def mul(a: list, b: list) -> list:
+    """a * b, one pass over a for each nonzero term of b."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+    for j, cb in enumerate(b):
+        if cb:
+            for i, ca in enumerate(a, j):
+                out[i] += ca * cb
     return normalize(out)
 
 
@@ -46,7 +47,11 @@ def shift(a: list, k: int) -> list:
 
 
 def exact_div(a: list, b: list) -> list:
-    """Exact quotient a/b; raises ArithmeticError on nonzero remainder."""
+    """Exact quotient a/b; raises ArithmeticError on nonzero remainder.
+
+    Long division from the top, each step walking the nonzero terms of b
+    below its leading one.
+    """
     a = normalize(a)
     b = normalize(b)
     if not b:
@@ -55,17 +60,20 @@ def exact_div(a: list, b: list) -> list:
         return []
     if len(a) < len(b):
         raise ArithmeticError("non-exact univariate division")
-    quot = [0] * (len(a) - len(b) + 1)
+    top = len(b) - 1
+    lead = b[top]
+    lower = [(j, cb) for j, cb in enumerate(b[:top]) if cb]
+    quot = [0] * (len(a) - top)
     rem = list(a)
     for i in range(len(quot) - 1, -1, -1):
-        c, r = divmod(rem[i + len(b) - 1], b[-1])
+        c, r = divmod(rem[i + top], lead)
         if r:
             raise ArithmeticError("non-exact univariate division")
         quot[i] = c
         if c:
-            for j, cb in enumerate(b):
+            for j, cb in lower:
                 rem[i + j] -= c * cb
-    if any(rem):
+    if any(rem[:top]):
         raise ArithmeticError("non-exact univariate division")
     return normalize(quot)
 
@@ -74,13 +82,6 @@ def one_minus_t_pow(j: int) -> list:
     """1 - t^j."""
     p = [1] + [0] * (j - 1) + [-1] if j > 0 else [0]
     return p
-
-
-def prod(polys) -> list:
-    out = [1]
-    for p in polys:
-        out = mul(out, p)
-    return out
 
 
 def to_string(p: list) -> str:

@@ -62,12 +62,31 @@ ring; no Witt-ring arithmetic of a specific field is modelled.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from operator import add
 
 from . import intlinalg, series
 from .flagchow import FlagShape, TwistClass, chow_ring
 from .poly import GradedPolynomial
+
+
+def half_shape(shape: FlagShape) -> FlagShape:
+    """The half shape: d_i // 2 for each block with d_i > 1.  Its Chow
+    ring is the Pontryagin subalgebra A of W_D."""
+    return FlagShape(d // 2 for d in shape.d if d > 1)
+
+
+def real_euler_characteristic(shape: FlagShape) -> int:
+    """chi(Fl_R(D)) = prod_i chi(Gr_R(d_i, s_i)) along the tower of
+    Grassmann bundles, with chi(Gr_R(k, n)) = C(n // 2, k // 2) when
+    k(n - k) is even and 0 otherwise.  The real cycle class map makes
+    sum_d (-1)^d rank W^d this number, for every twist."""
+    out = 1
+    for start, stop in shape.spans:
+        k = stop - start
+        out *= math.comb(stop // 2, k // 2) if k * start % 2 == 0 else 0
+    return out
 
 
 class WDPresentation:
@@ -82,10 +101,10 @@ class WDPresentation:
             self.parity = "all-odd"
         else:
             self.parity = "mixed"
+        self.half_shape = half_shape(shape)
         # a block i of D of size > 1 is block _half_block[i] of the half shape
-        kept = [i for i, d in enumerate(shape.d, start=1) if d > 1]
+        kept = (i for i, d in enumerate(shape.d, start=1) if d > 1)
         self._half_block = {i: k for k, i in enumerate(kept, start=1)}
-        self.half_shape = FlagShape(shape.size(i) // 2 for i in kept)
         self.A = chow_ring(self.half_shape)
         self.q = self.half_shape.N
         self.n = shape.N // 2

@@ -23,6 +23,10 @@ replaced: the same leading terms found by walking the exponent tuple,
 the same rule tails applied by adding tuples, and memos keyed by tuple,
 against which the packed integer and mod-2 normal forms are checked.
 
+The quotient formula prod_{j <= N} (1 - t^j) / prod_i prod_{j <= d_i}
+(1 - t^j) for the Chow Poincare polynomial, one long division, against
+which the Grassmannian tower product of flagchow is checked.
+
 Polynomial helpers that only the tests use: every monomial of a degree,
 the variables a polynomial uses, and substitution of polynomials for
 variables.
@@ -32,6 +36,7 @@ import itertools
 from itertools import accumulate
 from operator import add, mul, sub
 
+from flagcw import series
 from flagcw.flagchow import FlagShape, chow_ring
 from flagcw.poly import GradedPolynomial
 from flagcw.symfunc import vandermonde
@@ -167,6 +172,17 @@ def compositions(N, min_parts=1):
         for cuts in itertools.combinations(range(1, N), r):
             bounds = (0,) + cuts + (N,)
             yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def quotient_chow_poincare(shape):
+    """prod_{j <= N} (1 - t^j) / prod_i prod_{j <= d_i} (1 - t^j)."""
+    num, den = [1], [1]
+    for j in range(1, shape.N + 1):
+        num = series.mul(num, series.one_minus_t_pow(j))
+    for d in shape.d:
+        for j in range(1, d + 1):
+            den = series.mul(den, series.one_minus_t_pow(j))
+    return series.exact_div(num, den)
 
 
 def identity(n):

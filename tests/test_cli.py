@@ -5,10 +5,12 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
+from flag_oracle import compositions
 
 from flagcw import charclass, cli, counts, flagchow, steenrod, wdring
 from flagcw.flagchow import FlagShape
@@ -403,7 +405,7 @@ PINNED_OUTPUT = [
      "c2b5db1e781c9765f99ab2f7995d7265e3f2db137bda44b9cad955df698bc586"),
     (("wring", "--shape", "1,2,2", "--degree-max", "12", "--twist", "1"), 0,
      "d19a9251e9947cdfbf36d5d17a5f73722658db678b4f6c39a300a169c6eacecc",
-     "3374d4fc689960a9a00147c4a85218c6dd5fc92b3c94cf72f1bf89345e99c785"),
+     "9d6eeb4039bbe9a536feedc3f630408df01d47000bbb0724d87e1aabe58fb748"),
     # degree 44 reads the record (I = {1, 4}, Chow degree 9), whose Smith
     # form needs a pivot of absolute value 2
     (("wring", "--shape", "4,2,2,4", "--degree-max", "44", "--twist", "2,3"), 0,
@@ -426,10 +428,10 @@ PINNED_OUTPUT = [
     # JSON against the closed form P_0(Fl(3))
     (("wring", "--shape", "1,1,1", "--degree-max", "4"), 0,
      "ffb1041bde7f10c0b79b2f025924423e0df0250ccb2012472b8f464528733423",
-     "110c9f0edc9aa724fbf4ef48eb409f9b1dc23a202f014c9b4413ec31bf69b830"),
+     "2189933b9aa2ec19936862e177d23641bbebce3a73ea6366a227a2058fdb46ec"),
     (("poincare", "--theory", "w", "--shape", "1,1,1"), 0,
      "5dcb5a3db144a8addde1cc6282abd7d0b6adccfda72d08ce671f5d6c35116c56",
-     "c5a3a6667c030d28446978797c3c017831c4f4c098614d5450736e59306cb846"),
+     "538e076ab1a7c2173d62d0a1889998f66e98effda484092c64e42278e5773f59"),
 ]
 
 
@@ -483,9 +485,10 @@ def test_complete_flag_poincare_checks_its_closed_forms(capsys):
                                      "closed form", "status": "pass"}, (N, twist)
         assert cli.run(["--format", "json", "poincare", "--shape", shape,
                         "--theory", "w"]) == 0
-        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        check, euler = json.loads(capsys.readouterr().out)["checks"]
         assert check == {"name": "slot-table series = closed form P_0(Fl(N))",
                          "status": "pass"}, N
+        assert euler["status"] == "pass", N
 
 
 def test_complete_flag_poincare_fails_a_wrong_closed_form(monkeypatch, capsys):
@@ -516,7 +519,7 @@ def test_annihilator_refuses_a_shape_above_the_cost_limit(monkeypatch, capsys):
 
 def test_annihilator_cost_admits_the_measured_and_used_shapes():
     def cost(parts):
-        return cli.annihilator_cost(FlagShape(parts))
+        return cli.wd_cost(FlagShape(parts))
 
     assert cost((2, 2, 2, 2, 2)) == 32 * 34986
     assert cost((2, 2)) == 4 * (1 + 1)
@@ -534,3 +537,83 @@ def test_annihilator_cost_admits_the_measured_and_used_shapes():
     assert len(compositions) == 255
     for parts in [(4, 4, 4), (2, 6, 4), (2, 2, 2, 2, 2), *compositions]:
         assert cost(parts) <= cli.ANNIHILATOR_COST_LIMIT, parts
+
+
+# W_D commands refused by their cost estimate, each before any ring is built
+W_REFUSED = [
+    (["poincare", "--theory", "w", "--shape", "2,2,2,2,2,2,2,2"], "2,2,2,2,2,2,2,2"),
+    (["poincare", "--theory", "w", "--shape", "4,4,4,4,4"], "4,4,4,4,4"),
+    (["poincare", "--theory", "w", "--shape", "128,128"], "128,128"),
+    (["wring", "--shape", "2,2,2,2,2,2,2,2,2,2", "--degree-max", "0"],
+     "2,2,2,2,2,2,2,2,2,2"),
+    (["annihilator", "--shape", "128,128", "--block", "1"], "128,128"),
+]
+
+
+@pytest.mark.parametrize("argv, shape", W_REFUSED)
+def test_w_commands_refuse_a_shape_above_the_cost_limit_at_once(argv, shape):
+    command, limit = (("annihilator", cli.ANNIHILATOR_COST_LIMIT)
+                      if argv[0] == "annihilator" else ("W_D", cli.W_COST_LIMIT))
+    start = time.perf_counter()
+    proc = run_bounded(*argv)
+    assert time.perf_counter() - start < 1.0, argv
+    assert proc.returncode == 1 and proc.stdout == ""
+    cost = cli.wd_cost(FlagShape(int(d) for d in shape.split(",")))
+    assert cost > limit
+    assert proc.stderr == (
+        f"error: {command} of shape {shape} has cost estimate {cost} "
+        f"(2^|E| * sum_d rank(A^d)^3), above the limit {limit}\n")
+
+
+def test_w_cost_admits_the_measured_and_used_shapes():
+    def cost(parts):
+        return cli.wd_cost(FlagShape(parts))
+
+    # the largest measured shapes that answer, then the refused ones
+    assert cost((4, 4, 4, 4)) < cost((2,) * 7) <= cli.W_COST_LIMIT
+    assert cli.W_COST_LIMIT < cost((8, 8, 8)) < cost((2,) * 8) < cost((4,) * 5)
+    # the W shapes of the golden and pinned outputs and of the benchmark's
+    # torsion oracle
+    for parts in [(2, 2, 4), (1, 2, 3), (1, 2, 2), (1, 4), (1, 2), (4, 2, 2, 4),
+                  (1, 1, 1), (3, 3, 1), (1, 1, 1, 1, 2), (1, 1, 2, 2)]:
+        assert cost(parts) <= cli.W_COST_LIMIT, parts
+
+
+def test_w_ranks_sum_to_the_real_euler_characteristic():
+    # sum_d (-1)^d w_d = chi(Fl_R(D)) on every composition and twist of N <= 8
+    pairs = 0
+    for N in range(1, 9):
+        for parts in compositions(N):
+            shape = FlagShape(parts)
+            chi = wdring.real_euler_characteristic(shape)
+            for twist in flagchow.all_twist_classes(shape.m):
+                name, holds = cli.chi_check(shape, wdring.wd_poincare(shape, twist))
+                assert holds and name.endswith(f"= {chi}"), (parts, twist)
+                pairs += 1
+    assert pairs == 3280
+
+
+def test_real_euler_characteristic_of_grassmannians_and_flags():
+    chi = wdring.real_euler_characteristic
+    # RP^n: 1 for n even, 0 for n odd; Gr_R(2, 4) has chi 2; Fl_R(N) has
+    # chi 0 for N >= 2; the tower multiplies its fibres
+    assert [chi(FlagShape([1, n])) for n in range(1, 7)] == [0, 1, 0, 1, 0, 1]
+    assert chi(FlagShape([2, 2])) == 2 and chi(FlagShape([1, 1, 1])) == 0
+    assert chi(FlagShape([2, 2, 4])) == 2 * 6 and chi(FlagShape([7])) == 1
+
+
+def test_wring_checks_chi_only_over_every_degree(monkeypatch, capsys):
+    argv = ["--format", "json", "wring", "--shape", "2,2,4", "--twist", "1"]
+    top = wdring.build_sigma(FlagShape([2, 2, 4])).max_degree()
+    assert cli.run([*argv, "--degree-max", str(top - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == []
+    assert cli.run([*argv, "--degree-max", str(top)]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["status"] == "pass" and check["name"].endswith("= 12")
+    # a wrong chi fails the check, with exit code 2, in both commands
+    monkeypatch.setattr(wdring, "real_euler_characteristic", lambda shape: 5)
+    assert cli.run([*argv, "--degree-max", str(top)]) == 2
+    assert json.loads(capsys.readouterr().out)["checks"][0]["status"] == "fail"
+    assert cli.run(["--format", "json", "poincare", "--theory", "w",
+                    "--shape", "2,2,4"]) == 2
+    assert json.loads(capsys.readouterr().out)["checks"][0]["status"] == "fail"

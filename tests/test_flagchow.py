@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from flag_oracle import (
@@ -12,6 +13,7 @@ from flag_oracle import (
     monomials_of_degree,
     pullback,
     pullback_nf,
+    quotient_chow_poincare,
 )
 
 from flagcw import intlinalg
@@ -86,6 +88,23 @@ def test_chow_poincare_examples():
     assert chow_poincare(FlagShape([1, 1, 1, 1])) == [1, 3, 5, 6, 5, 3, 1]
     for n in range(2, 7):
         assert chow_poincare(FlagShape([1, n - 1])) == [1] * n
+
+
+def test_chow_poincare_is_the_quotient_formula():
+    shapes = [FlagShape(c) for N in range(1, 11) for c in compositions(N)]
+    assert len(shapes) == 1023
+    for shape in shapes:
+        assert chow_poincare(shape) == quotient_chow_poincare(shape), shape
+
+
+def test_chow_poincare_of_a_long_tower_is_fast():
+    # the quotient formula took 4-5 s on each of these
+    for parts in [(1, 127), (64, 64), (32, 32, 32, 32)]:
+        shape = FlagShape(parts)
+        start = time.perf_counter()
+        poly = chow_poincare(shape)
+        assert time.perf_counter() - start < 0.5, parts
+        assert len(poly) == shape.dim + 1 and poly[0] == poly[-1] == 1, parts
 
 
 # -- normal form ----------------------------------------------------------
