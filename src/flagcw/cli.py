@@ -82,6 +82,11 @@ ANNIHILATOR_COST_LIMIT = 5 * 10**8
 # estimate overprices them: (2,2,2,2,2,2,2,1), at 1.28e11, answers in 0.1 s.
 W_COST_LIMIT = 2 * 10**11
 
+# wring prints every degree up to --degree-max, about 5 us and 13 bytes
+# each past the top degree.  Single CLI runs on a 2-core VM of wring
+# --shape 2,2: 10^4 degrees in 0.10 s, 10^5 in 0.60 s, 10^6 in 5.2 s.
+WRING_DEGREE_LIMIT = 10**5
+
 
 class ValidationError(Exception):
     pass
@@ -258,6 +263,9 @@ def cmd_wring(args) -> int:
     twist = parse_twist(args.twist, shape.m)
     if args.degree_max < 0:
         raise ValidationError(f"--degree-max {args.degree_max} is negative")
+    if args.degree_max > WRING_DEGREE_LIMIT:
+        raise ValidationError(f"--degree-max {args.degree_max} is above the "
+                              f"limit {WRING_DEGREE_LIMIT}")
     check_wd_cost(shape, "W_D", W_COST_LIMIT)
     pres = wdring.build_sigma(shape)
     degrees = {}

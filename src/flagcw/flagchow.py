@@ -199,16 +199,18 @@ def chow_poincare(shape: FlagShape):
     """Poincare polynomial of CH^*(Fl(D)): the product over the tower of
     the fibre series [s_i choose d_i]_t of CH^*(Gr(d_i, s_i)).
 
-    Block i multiplies in (1 - t^(s_{i-1}+j)) / (1 - t^j) for j = 1..d_i,
-    one factor at a time, so every intermediate is the Poincare
-    polynomial of a partial tower: each division is exact and no
-    intermediate is longer than the answer.
+    Block i multiplies in (1 - t^(b+j)) / (1 - t^j) for j = 1..a, one
+    factor at a time, with {a, b} = {d_i, s_{i-1}} and a the smaller, since
+    [s_i choose d_i]_t = [s_i choose s_{i-1}]_t.  So every intermediate is
+    the Poincare polynomial of a partial tower times a Gaussian binomial:
+    each division is exact and no intermediate is longer than the answer.
     """
     out = [1]
     for start, stop in shape.spans:
-        for j in range(1, stop - start + 1):
+        a, b = sorted((start, stop - start))
+        for j in range(1, a + 1):
             out = series.exact_div(
-                series.mul(out, series.one_minus_t_pow(start + j)),
+                series.mul(out, series.one_minus_t_pow(b + j)),
                 series.one_minus_t_pow(j),
             )
     return out

@@ -8,19 +8,18 @@ by the Vandermonde determinant and read off the staircase coefficient
 (n-1, n-2, ..., n-k).  The kernel ``grassmann_integrate_product`` is the
 only reader of that coefficient; a single polynomial is integrated as a
 one-factor product.  It integrates a permutation-stable list of factors
-without forming their full product: it pairs each factor with its image
-under the reversal of the roots, multiplies one factor of each pair (and
-the reversal-fixed factors left over), and reads each coefficient the
-bialternant needs, once per sorted exponent, as a sum of products of
-coefficients of that half product and of its own reversal.  Everything
-is exact over the integers.
+without forming their full product: it pairs each factor, and each
+difference of roots in the Vandermonde, with its image under the
+reversal of the roots, multiplies one of each pair (and the
+reversal-fixed ones left over), and reads the staircase coefficient as
+one sum of products of coefficients of that half product and of its own
+reversal.  Everything is exact over the integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from operator import sub
 
 from .poly import GradedPolynomial, PolyRing, exact_div
 
@@ -271,16 +270,18 @@ def grassmann_integrate_product(k: int, n: int, factors) -> int:
     symmetric); Gr(k, n) is empty for n < k, where the integral is 0.
     Only the part of top degree k(n-k) contributes; the result is the
     coefficient of s_{(n-k)^k}, read off through the bialternant: the
-    coefficient of t^staircase in P * Vandermonde, that is the sum of
-    c * [t^a]P over the Vandermonde's k! terms c * t^v, a = staircase - v.
+    coefficient of t^staircase in P * Delta, Delta the Vandermonde
+    prod_{i<j} (t_i - t_j).
 
-    Only half of P is formed.  The list is stable under rho, the reversal
-    of the first k roots, so it splits as H + rho(H) + F with F fixed by
-    rho (``_split_by_reversal``), and P(t) = L(t) * A(rho t) for A = prod H
-    and L = A * prod F.  P is symmetric, so [t^a]P = [t^sort(a)]P, and
-    each distinct sorted target is summed once as
-    sum_b L[b] * A[rho(a - b)], over the smaller of L and A(rho t).  With
-    H empty, A = 1 and the sum is the one lookup L[a].
+    Only half of P * Delta is formed.  The list is stable under rho, the
+    reversal t_i -> t_{k-1-i} of the first k roots, so it splits as
+    H + rho(H) + F with F fixed by rho (``_split_by_reversal``).  rho maps
+    t_i - t_j to minus the difference at (k-1-j, k-1-i), so with G the
+    differences with i + j < k-1 and F' those with i + j = k-1,
+    Delta = (-1)^|G| * G(t) * G(rho t) * F'(t).  Hence
+    P * Delta = (-1)^|G| * L(t) * A(rho t) for A = prod H * G and
+    L = A * prod F * F', and the answer is (-1)^|G| times the one sum
+    sum_b L[b] * A[rho(staircase - b)], over the smaller of L and A(rho t).
 
     The bialternant reads only exponents up to n-1 and exponents only
     grow, so after each factor every monomial with an exponent above n-1
@@ -301,6 +302,12 @@ def grassmann_integrate_product(k: int, n: int, factors) -> int:
     if n < k:
         return 0
     half, fixed = _split_by_reversal(multiset, k)
+    # the differences t_i - t_j of Delta, as (monomial, coefficient) pairs
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    pairs = list(itertools.combinations(range(k), 2))
+    g = [((unit[i], 1), (unit[j], -1)) for i, j in pairs if i + j < k - 1]
+    half += g
+    fixed += [((unit[i], 1), (unit[j], -1)) for i, j in pairs if i + j == k - 1]
     cap = n - 1
     width = cap.bit_length() + 1
     mask = (1 << width) - 1
@@ -341,27 +348,17 @@ def grassmann_integrate_product(k: int, n: int, factors) -> int:
     small, big = sorted((low, reflected), key=len)
     get = big.get
     lift = off - high
-    staircase = tuple(n - 1 - i for i in range(k))
-    coefficient = {}
+    top = pack(n - 1 - i for i in range(k)) + high + off
     total = 0
-    for v, c in vandermonde(factors[0].ring, range(k)).terms.items():
-        target = tuple(sorted(map(sub, staircase, v)))
-        if min(target, default=0) < 0:
-            continue
-        if target not in coefficient:
-            top = pack(target) + high + off
-            s = 0
-            for key, c1 in small.items():
-                d = top - key
-                # b <= a in every field; a key failing this would match
-                # no key of big, so the test only saves the lookup
-                if d & high == high:
-                    c2 = get(d + lift)
-                    if c2:
-                        s += c1 * c2
-            coefficient[target] = s
-        total += c * coefficient[target]
-    return total
+    for key, c1 in small.items():
+        d = top - key
+        # b <= staircase in every field; a key failing this would match no
+        # key of big, so the test only saves the lookup
+        if d & high == high:
+            c2 = get(d + lift)
+            if c2:
+                total += c1 * c2
+    return (-1) ** len(g) * total
 
 
 def grassmann_bundle_pushforward(

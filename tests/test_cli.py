@@ -49,6 +49,18 @@ def test_negative_degree_max_is_rejected(capsys):
     assert "--degree-max -3 is negative" in capsys.readouterr().err
 
 
+def test_degree_max_above_the_limit_is_refused_at_once(capsys):
+    limit = cli.WRING_DEGREE_LIMIT
+    assert cli.run(["wring", "--shape", "2,2", "--degree-max", str(limit + 1)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --degree-max {limit + 1} is above the limit {limit}\n")
+    start = time.perf_counter()
+    proc = run_bounded("wring", "--shape", "2,2", "--degree-max", "100000000")
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: --degree-max 100000000 is above the limit {limit}\n"
+
+
 def test_roots_outside_root_names_are_rejected(capsys):
     limit = len(charclass.ROOT_NAMES)
     for roots in (0, limit + 1):
