@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from itertools import chain, islice
+from itertools import chain, islice, takewhile
 
 from .poly import GradedPolynomial, PolyRing
 from .symfunc import (
@@ -40,9 +40,9 @@ from .symfunc import (
 ROOT_NAMES = "abcdefgh"
 
 
-def euler_root_ring(k: int) -> PolyRing:
-    """Ring of k Euler-root variables, each of degree 2."""
-    return PolyRing(tuple(ROOT_NAMES[:k]), 2)
+def euler_root_ring(k: int, rank: int) -> PolyRing:
+    """Ring of k Euler roots of degree 2, for Euler classes of the given rank."""
+    return PolyRing(tuple(ROOT_NAMES[:k]), 2, degree=rank)
 
 
 def double_factorial(m: int) -> int:
@@ -418,8 +418,12 @@ def bundle_rank(expr, nblocks: int) -> int:
 
 
 def euler_of_expression(expr, nblocks: int) -> GradedPolynomial:
-    """Euler class of a bundle expression in the Euler roots of its blocks."""
-    ring = euler_root_ring(nblocks)
+    """Euler class of a bundle expression in the Euler roots of its blocks.
+    Its ring's degree bound is the rank of the atoms before the first
+    trivial or odd-rank one, where the product stops at 0."""
+    nonzero = (lambda atom: atom[0] != "triv" and _atom_rank(atom) % 2 == 0)
+    ring = euler_root_ring(
+        nblocks, sum(map(_atom_rank, takewhile(nonzero, _normalize(expr, nblocks)))))
     atoms = _normalize(expr, nblocks)
     out = ring.one()
     for atom in atoms:
@@ -489,10 +493,10 @@ def euler_coefficient_floor(expr, nblocks: int, cap: int) -> int:
 def euler_checks(expr, nblocks: int) -> list:
     """(statement, holds) per Sym^M(D_i) (x) Sym^N(D_j) factor of expr: the
     Cauchy-determinant route equals euler_sym_tensor(M, N)."""
-    a, b = euler_root_ring(2).gens()
     return [
         (f"Sym^{M}(D{i}) (x) Sym^{N}(D{j}): Cauchy determinant = "
          f"euler_sym_tensor({M}, {N})",
          _euler_sym_tensor_cauchy(M, N, a, b) == euler_sym_tensor(M, N, a, b))
         for M, i, N, j in _tensor_factors(expr, nblocks)
+        for a, b in [euler_root_ring(2, (M + 1) * (N + 1)).gens()]
     ]

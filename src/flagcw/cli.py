@@ -112,11 +112,22 @@ def wd_cost(shape: FlagShape) -> int:
     return 2**even * sum(r**3 for r in ranks)
 
 
+def wd_cost_floor(shape: FlagShape) -> int:
+    """2^|E| * M^3 // (dim h + 1)^2 <= wd_cost, with no Poincare series: the
+    ranks of the half shape h sum to its multinomial M over dim h + 1
+    degrees, and sum_d r_d^3 >= (sum_d r_d)^3 / n^2 over n degrees."""
+    even = sum(1 for d in shape.d if d % 2 == 0)
+    half = wdring.half_shape(shape)
+    return 2**even * multinomial(half) ** 3 // (half.dim + 1) ** 2
+
+
 def check_wd_cost(shape: FlagShape, command: str, limit: int) -> None:
     """Refuse a W_D command whose cost estimate is above its limit, before
-    any ring is built."""
-    cost = wd_cost(shape)
-    if cost > limit:
+    any ring is built: at once when the lower bound is, named by the
+    power of 2 below it, and otherwise on the exact estimate."""
+    floor = wd_cost_floor(shape)
+    cost = f"at least 2^{floor.bit_length() - 1}" if floor > limit else wd_cost(shape)
+    if floor > limit or cost > limit:
         raise ValidationError(
             f"{command} of shape {shape} has cost estimate {cost} "
             f"(2^|E| * sum_d rank(A^d)^3), above the limit {limit}"

@@ -80,7 +80,7 @@ def hypersurface_root_factors(ring: PolyRing, k: int, degree: int):
 
 def count_lines_cubic() -> tuple:
     """27 complex lines on a cubic surface; signed real count 3."""
-    ring = root_ring(2)
+    ring = root_ring(2, 4)  # the 4 Chern roots of Sym^3 S* on Gr(2, 4)
     complex_count = grassmann_integrate_product(
         2, 4, hypersurface_root_factors(ring, 2, 3)
     )
@@ -114,7 +114,7 @@ def euler_root_image(pres, p: GradedPolynomial):
     out = pres.zero()
     for mon, c in p.terms.items():
         x = pres.one()
-        for i, e in enumerate(mon):
+        for i, e in enumerate(p.ring.exponents(mon)):
             while len(powers[i]) <= e:
                 powers[i].append(powers[i][-1] * pres.euler(i + 1))
             x = x * powers[i][e]
@@ -125,7 +125,7 @@ def euler_root_image(pres, p: GradedPolynomial):
 def count_quintic_fourplanes() -> int:
     """4-planes in A^18 on a generic quintic: integral over Gr(4,18) of the
     product of the 56 Chern roots of Sym^5(S*)."""
-    ring = root_ring(4)
+    ring = root_ring(4, 56)
     return grassmann_integrate_product(4, 18, hypersurface_root_factors(ring, 4, 5))
 
 
@@ -159,7 +159,7 @@ def count_flags() -> tuple:
     displayed reading c_{8,7} + c_{7,8} (24681637575).  The integral gives
     c_{8,7} - c_{7,8} (112967182575).  Both are reported.
     """
-    ring = root_ring(4)
+    ring = root_ring(4, 6)  # g times the pushforward's two Vandermondes
     g = product_of_factors(ring, hypersurface_root_factors(ring, 2, 3))
     lines = grassmann_integrate(2, 4, g)
     pushed = grassmann_bundle_pushforward([0, 1], [0, 1, 2, 3], g)

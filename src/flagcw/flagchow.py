@@ -33,27 +33,26 @@ only rewrite rules and leading terms, applied monomial by monomial
 through per-ring memos that also keep every monomial a rewrite passes
 through.
 
-Inside the reducer a monomial is one int, its key: the exponent of
-variable v sits in the W-bit field at bit W*v, W the least of 8, 16, 32
-and 64 with dim < 2^(W-1), so that a tuple packs through ``bytes`` (W-bit
-pieces when W > 8) and ``int.from_bytes``.  No field carries: every
-exponent and every block count of a monomial of degree at most dim is at
-most dim.  So a key is trusted only once degree > dim is ruled out, and
-the readers rule it out before a key is used: an exponent that fits no
-field fails to pack, and any other key that misses the memo is let
-through only by the degree of its tuple.  A rewrite keeps the degree, so
-the keys made inside the recursion need no test.  The first block i with
+A monomial is its key in the ring of the shape (see ``poly``), whose
+degree bound is dim Fl(D), and the reducer reads the keys of polynomial
+terms as they are.  Every exponent and every block count of a monomial
+of degree at most dim is at most dim, so no field reaches its flag.  A
+monomial above the top degree reduces to 0: a key that misses the memo
+is let through only when the ring reads its degree as at most dim, and
+a sum of two keys (a W_D product column) may set a flag but never
+carries, so its degree reads true.  A rewrite keeps the degree, so the
+keys made inside the recursion need no test.  The first block i with
 more than s_{i-1} factors is read off the key with one multiplication:
 key * gather places each block count in a field of its own, adding
 2^(W-1) - 1 - s_{i-1} there sets the field's top bit exactly when the
-count exceeds s_{i-1}, and the lowest flag names the block, whose fields
-alone give the leading term.  Each rule is stored once per leading term
-as (delta, coefficient) pairs, delta = key(tail) - key(lead), so a
-rewrite is key + delta: one int add and one int-keyed lookup.
+count exceeds s_{i-1}, and the lowest flag names the block, whose
+fields alone give the leading term.  Each rule is stored once per
+leading term as (delta, coefficient) pairs, delta = tail - lead read
+off the terms of its relation, so a rewrite is key + delta.
 
-The integer memo maps a key to {standard monomial: coeff}; ``reduce_sums``
-sums its entries into normal forms of sums of (monomial, coefficient)
-terms (for ``normal_form`` and W_D product columns), and
+The integer memo maps a key to {standard key: coeff}; ``reduce_sums``
+sums its entries into normal forms of sums of (key, coefficient) terms
+(for ``normal_form`` and W_D product columns), and
 ``multiplication_matrix`` adds the keys of the standard monomials and of
 the multiplier.  The mod-2 memo maps a key of degree d to a bitmask over
 ``standard_index(d)``, built from the odd rule tails alone, one XOR each;
@@ -90,7 +89,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product
-from operator import mul
 
 from . import intlinalg, series
 from .poly import GradedPolynomial, PolyRing
@@ -239,7 +237,7 @@ class ChowRingPresentation:
             for j in range(1, d + 1):
                 names.append(f"x{i}" if lines else f"c{i}_{j}")
                 weights.append(j)
-        self.ring = PolyRing(names, weights)
+        self.ring = PolyRing(names, weights, degree=shape.dim)
         self.dim = shape.dim
         # block i holds the variables start..stop-1, and start = s_{i-1}
         self._spans = shape.spans
@@ -272,7 +270,7 @@ class ChowRingPresentation:
     # -- monomial keys ---------------------------------------------------------
 
     def _init_keys(self):
-        """Lay out the packed keys (see the module docstring).
+        """Lay out the block counts of the keys (see the module docstring).
 
         gather holds a 1 at field F_b - v for each variable v of the
         0-based block b, so field F_b of key * gather is the count of
@@ -280,17 +278,7 @@ class ChowRingPresentation:
         - s_{b-1} of that product, and these ranges follow one another, so
         each field sums distinct exponents and stays at most the degree.
         """
-        n, dim = self.ring.nvars, self.dim
-        size = next(s for s in (1, 2, 4, 8) if dim < 1 << (8 * s - 1))
-        width = 8 * size
-        self._key_width = width
-
-        def wide_bytes(mon):
-            return b"".join(e.to_bytes(size, "little") for e in mon)
-
-        # the little-endian W-bit fields of a monomial; ValueError or
-        # OverflowError when an exponent does not fit
-        self._key_bytes = bytes if size == 1 else wide_bytes
+        n, width = self.ring.nvars, self.ring.width
         gather = offsets = flags = 0
         blocks = {}
         field = 0
@@ -308,19 +296,6 @@ class ChowRingPresentation:
         self._key_gather, self._key_offsets, self._key_flags = gather, offsets, flags
         self._key_blocks = blocks
 
-    def _pack(self, mon) -> int:
-        """The key of a full-length monomial of degree at most dim."""
-        return int.from_bytes(self._key_bytes(mon), "little")
-
-    def _unpack(self, key: int) -> tuple:
-        """The exponent tuple of a key."""
-        size = self._key_width // 8
-        raw = key.to_bytes(self.ring.nvars * size, "little")
-        if size == 1:
-            return tuple(raw)
-        return tuple(int.from_bytes(raw[i:i + size], "little")
-                     for i in range(0, len(raw), size))
-
     def _lead(self, key: int):
         """Key of the leading monomial of the rule that rewrites the
         monomial key (of degree at most dim); None if it is standard.
@@ -334,7 +309,7 @@ class ChowRingPresentation:
         if not flags:
             return None
         left, shifts = self._key_blocks[(flags & -flags).bit_length()]
-        mask, lead = (1 << self._key_width) - 1, 0
+        mask, lead = (1 << self.ring.width) - 1, 0
         for shift in shifts:
             e = key >> shift & mask
             if e >= left:
@@ -381,8 +356,8 @@ class ChowRingPresentation:
         self._sigma(b)
         return self._completes[b]
 
-    def _tails(self, lead: tuple):
-        """[(monomial, coefficient), ...] whose sum equals lead in the ring.
+    def _tails(self, lead: int):
+        """[(key, coefficient), ...] whose sum equals the key lead in the ring.
 
         lead = prod_a c_{i,lam_a} with lam of s_{i-1} + 1 parts, and the
         relation is G_lam = det(sigma_{lam'_a - a + b})_{a,b <= lam_1}, the
@@ -393,11 +368,12 @@ class ChowRingPresentation:
         s_{i-1}+1}.  Every index either determinant reads is at most
         |lam| <= dim, where sigma and h are exact, so the two agree.
         """
+        exps = self.ring.exponents(lead)
         b = next(b for b, (start, stop) in enumerate(self._spans)
-                 if any(lead[start:stop]))
+                 if any(exps[start:stop]))
         start, stop = self._spans[b]
         lam = [v - start + 1 for v in range(stop - 1, start - 1, -1)
-               for _ in range(lead[v])]
+               for _ in range(exps[v])]
         conj = [sum(1 for p in lam if p > a) for a in range(lam[0])]
         if len(lam) < len(conj):
             rel = jacobi_trudi_delta(lam, self._complete(b))
@@ -407,25 +383,24 @@ class ChowRingPresentation:
         c = rel.terms.get(lead, 0)
         if c not in (1, -1):
             raise ArithmeticError(
-                f"relation for {lead} has leading coefficient {c}, not +-1"
+                f"relation for {exps} has leading coefficient {c}, not +-1"
             )
         return [(m, -c * k) for m, k in rel.terms.items() if m != lead]
 
     def _rule(self, lead: int):
         """The rule of the leading key lead, built once: ([(delta,
         coefficient), ...], [delta of each odd coefficient]), delta =
-        key(tail) - lead, so that a rewrite of key is key + delta."""
+        tail - lead, so that a rewrite of key is key + delta."""
         rule = self._rule_memo.get(lead)
         if rule is None:
-            pairs = [(self._pack(tail) - lead, k)
-                     for tail, k in self._tails(self._unpack(lead))]
+            pairs = [(tail - lead, k) for tail, k in self._tails(lead)]
             rule = (pairs, [delta for delta, k in pairs if k & 1])
             self._rule_memo[lead] = rule
         return rule
 
     def _monomial_nf(self, key: int) -> dict:
         """Normal form of the monomial key (of degree at most dim), as
-        {standard monomial: coeff}.
+        {standard key: coeff}.
 
         Memoized; the returned dict is shared and must not be mutated.
         A rewrite lowers the first block with too many factors (fewer of
@@ -435,7 +410,7 @@ class ChowRingPresentation:
         memo = self._nf_memo
         lead = self._lead(key)
         if lead is None:
-            nf = {self._unpack(key): 1}
+            nf = {key: 1}
         else:
             acc = {}
             for delta, k in self._rule(lead)[0]:
@@ -449,43 +424,27 @@ class ChowRingPresentation:
         memo[key] = nf
         return nf
 
-    def _reduce_keyed(self, sums) -> list:
-        """Normal forms {standard monomial: coefficient} of sums of (key,
-        coefficient) pairs, every key of degree at most dim."""
+    def reduce_sums(self, sums) -> list:
+        """Normal forms {standard key: coefficient} of the given sums of
+        (key, coefficient) pairs; a coefficient may be 0 where terms
+        cancelled.  A key may be the sum of two keys of the ring, flags
+        set or not.  One that misses the memo is reduced only when the
+        ring reads its degree as at most dim; above it adds nothing."""
         memo, nf = self._nf_memo, self._monomial_nf
+        degree, dim = self.ring.monomial_degree, self.dim
         out = []
         for terms in sums:
             acc: dict = {}
             for key, k in terms:
                 reduced = memo.get(key)
                 if reduced is None:
+                    if degree(key) > dim:
+                        continue
                     reduced = nf(key)
                 for m, c in reduced.items():
                     acc[m] = acc.get(m, 0) + k * c
             out.append(acc)
         return out
-
-    def _keyed(self, terms):
-        """(key, coefficient) of each (monomial, coefficient) pair of full
-        length, leaving out the monomials above the top degree: an
-        exponent that no field holds fails to pack, and a key that
-        misses the memo is let through only by the degree of its tuple."""
-        memo, to_bytes = self._nf_memo, self._key_bytes
-        from_bytes, weights, dim = int.from_bytes, self.ring.weights, self.dim
-        for mon, k in terms:
-            try:
-                key = from_bytes(to_bytes(mon), "little")
-            except (ValueError, OverflowError):
-                continue
-            if key in memo or sum(map(mul, mon, weights)) <= dim:
-                yield key, k
-
-    def reduce_sums(self, sums) -> list:
-        """Normal forms {standard monomial: coefficient} of the given sums
-        of (monomial, coefficient) pairs, monomials of full length; a
-        coefficient may be 0 where terms cancelled, and a monomial above
-        the top degree adds nothing."""
-        return self._reduce_keyed(map(self._keyed, sums))
 
     def _monomial_nf2(self, key: int, index) -> int:
         """Mod-2 normal form of the monomial key (of degree at most dim),
@@ -499,7 +458,7 @@ class ChowRingPresentation:
         memo = self._nf2_memo
         lead = self._lead(key)
         if lead is None:
-            mask = 1 << index[self._unpack(key)]
+            mask = 1 << index[key]
         else:
             mask = 0
             for delta in self._rule(lead)[1]:
@@ -512,18 +471,15 @@ class ChowRingPresentation:
         return mask
 
     def reduce_mod2_mask(self, monomials, d: int) -> int:
-        """Mod-2 normal form of the sum of the given monomials, all of
-        degree d and of full length, as a bitmask over standard_index(d):
-        bit i is set when the i-th standard monomial has odd coefficient
-        (a repeated monomial cancels).  Above the top degree it is 0, and
-        nothing is packed there."""
+        """Mod-2 normal form of the sum of the given keys, all of degree
+        d, as a bitmask over standard_index(d): bit i is set when the i-th
+        standard monomial has odd coefficient (a repeated key cancels).
+        Above the top degree it is 0."""
         if d > self.dim:
             return 0
         memo, nf, index = self._nf2_memo, self._monomial_nf2, self.standard_index(d)
-        from_bytes, to_bytes = int.from_bytes, self._key_bytes
         mask = 0
-        for mon in monomials:
-            key = from_bytes(to_bytes(mon), "little")
+        for key in monomials:
             reduced = memo.get(key)
             if reduced is None:
                 reduced = nf(key, index)
@@ -540,18 +496,20 @@ class ChowRingPresentation:
     # -- the standard basis ----------------------------------------------------
 
     def standard_monomials(self, d: int):
-        """Standard monomials of degree d, descending, read from one table
-        built for every degree as the product of the fibre bases.  Raises
-        ArithmeticError unless their number is the Poincare coefficient."""
+        """Keys of the standard monomials of degree d, in descending order
+        of their exponent tuples, read from one table built for every
+        degree as the product of the fibre bases.  Raises ArithmeticError
+        unless their number is the Poincare coefficient."""
         if self._standard is None:
-            table = {0: [()]}
+            key = self.ring.key
+            table = {0: [0]}
             for start, stop in self._spans:
                 # c_{i,j}^{e_j} is weight j picked e_j times among `start`
                 # picks from 0..d_i, so at most s_{i-1} factors
-                weights, fibre = range(stop - start + 1), {}
+                weights, fibre, pad = range(stop - start + 1), {}, (0,) * start
                 for pick in combinations_with_replacement(weights, start):
-                    exps = tuple(map(pick.count, weights[1:]))
-                    fibre.setdefault(sum(pick), []).append(exps)
+                    exps = pad + tuple(map(pick.count, weights[1:]))
+                    fibre.setdefault(sum(pick), []).append(key(exps))
                 product = {}
                 for deg, heads in table.items():
                     for w, tails in fibre.items():
@@ -559,7 +517,7 @@ class ChowRingPresentation:
                             h + t for h in heads for t in tails)
                 table = product
             for mons in table.values():
-                mons.sort(reverse=True)
+                mons.sort(key=self.ring.exponents, reverse=True)
             self._standard = table
         mons = self._standard.get(d, [])
         if len(mons) != self.rank(d):
@@ -607,12 +565,10 @@ class ChowRingPresentation:
         index = self.standard_index(d + e)
         mat = [[0] * len(mons) for _ in index]
         if index:
-            # every product lies in degree d + e <= dim, so keys add
-            pack = self._pack
-            keys = list(map(pack, mons))
-            factors = [(pack(gm), gc) for gm, gc in g.terms.items()]
-            sums = zip(*[[(key + gk, gc) for key in keys] for gk, gc in factors])
-            for j, col in enumerate(self._reduce_keyed(sums)):
+            # every product lies in degree d + e <= dim
+            sums = zip(*[[(key + gk, gc) for key in mons]
+                         for gk, gc in g.terms.items()])
+            for j, col in enumerate(self.reduce_sums(sums)):
                 for m, c in col.items():
                     mat[index[m]][j] = c
         return mat
@@ -642,7 +598,8 @@ class ChowRingPresentation:
         pt = self.normal_form(self.point_class()).terms
         if set(pt) != {t} or pt[t] not in (1, -1):
             raise ArithmeticError(
-                f"point class of {self.shape} normal-forms to {pt}, not +-{t}"
+                f"point class of {self.shape} normal-forms to "
+                f"{GradedPolynomial(self.ring, pt)}, not a unit times its top"
             )
         top = self.normal_form(p.homogeneous_part(self.dim))
         return pt[t] * top.terms.get(t, 0)

@@ -7,27 +7,42 @@ which fixes the variable names and a weight vector: the degree of a
 monomial is the weighted sum of its exponents.  Chern-class variables
 have weight 1, Euler roots weight 2, Pontryagin variables weight 4.
 
-A monomial is an exponent tuple with exactly ``ring.nvars`` entries, so
-equal monomials are equal as tuples and a product of monomials is an
-entrywise sum.  ``PolyRing.key`` is the one place that turns outside
-input (shorter tuples, trailing zeros) into such a key.  Coefficients
-are plain Python ints (several results in this package have 30+ digits,
-so nothing here may ever truncate).  No floating point is used anywhere.
-A polynomial holds a mutable dict of terms, so it compares by value but
-is not hashable.
+A monomial is one int, its key, with the exponent of variable v in the
+W-bit field at bit W*v.  The ring's owner passes a degree bound (the
+dimension of a Chow ring, the rank of a bundle for its Euler roots, the
+integrand degree for Chern roots), and W is the least of 8, 16, 32 and
+64 with bound < 2^(W-1): a field holds 0..2^(W-1) - 1, and its top bit
+is a flag.  ``PolyRing.key`` is the one packer of exponent tuples and
+``PolyRing.exponents`` the one unpacker.  A product of monomials is the
+sum of their keys: two fields below 2^(W-1) add without a carry, and a
+flag is set exactly where an exponent left its field, which
+``__mul__`` and ``key`` refuse with ``ExponentOverflow`` (a ValueError)
+rather than wrap.  Printing orders the monomials by degree, then by
+exponent tuple, as the text always has.
+
+Coefficients are plain Python ints (several results in this package have
+30+ digits, so nothing here may ever truncate).  No floating point is
+used anywhere.  A polynomial holds a mutable dict of terms, so it
+compares by value but is not hashable.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
+import struct
+from functools import reduce
+from operator import mul, or_
 
-Monomial = tuple  # exponent tuple with exactly ring.nvars entries
+
+class ExponentOverflow(ValueError):
+    """An exponent does not fit the field of a monomial key."""
 
 
 class PolyRing:
-    """A polynomial ring ZZ[names] with a per-variable degree weight."""
+    """A polynomial ring ZZ[names] with a per-variable degree weight, and
+    the one owner of its monomial keys, whose field width W is fixed by
+    the largest degree its owner's polynomials reach."""
 
-    def __init__(self, names, weights=1):
+    def __init__(self, names, weights=1, *, degree: int):
         self.names = tuple(names)
         if isinstance(weights, int):
             weights = (weights,) * len(self.names)
@@ -36,8 +51,18 @@ class PolyRing:
             raise ValueError("one weight per variable required")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
-        self._index = {n: i for i, n in enumerate(self.names)}
-        self.unit = (0,) * len(self.names)
+        width = next((w for w in (8, 16, 32, 64) if degree < 1 << (w - 1)), None)
+        if width is None:
+            raise ExponentOverflow(f"degree bound {degree} fits no field of 64 bits")
+        n = len(self.names)
+        self.width = width
+        # little-endian unsigned W-bit fields, one per variable
+        self._fields = struct.Struct(f"<{n}{'BHIQ'[width.bit_length() - 4]}")
+        self._zeros = (0,) * n
+        # the flag of every field, and the key of each variable
+        self.high = sum(1 << (width * v + width - 1) for v in range(n))
+        self.var_keys = tuple(1 << width * v for v in range(n))
+        self.unit = 0
 
     @property
     def nvars(self) -> int:
@@ -48,24 +73,41 @@ class PolyRing:
             isinstance(other, PolyRing)
             and self.names == other.names
             and self.weights == other.weights
+            and self.width == other.width
         )
 
     def __hash__(self):
-        return hash((self.names, self.weights))
+        return hash((self.names, self.weights, self.width))
 
     def __repr__(self):
-        return f"PolyRing({list(self.names)}, weights={list(self.weights)})"
+        return f"PolyRing({list(self.names)}, weights={list(self.weights)}, W={self.width})"
 
-    def key(self, exps) -> Monomial:
-        """Canonical monomial key: exps padded with zeros to nvars entries.
+    def key(self, exps) -> int:
+        """The key of an exponent tuple, padded with zeros to nvars entries.
 
-        Exponents past the last variable are accepted only when they are 0.
+        Exponents past the last variable are accepted only when they are
+        0; an exponent outside 0..2^(W-1) - 1 raises ExponentOverflow.
         """
         t = tuple(exps)
         n = len(self.names)
         if any(t[n:]):
             raise ValueError("monomial has more exponents than ring variables")
-        return t[:n] + self.unit[len(t):]
+        try:
+            key = int.from_bytes(self._fields.pack(*t[:n], *self._zeros[len(t):]), "little")
+        except struct.error:  # negative, or wider than the field
+            key = self.high
+        if key & self.high:
+            raise ExponentOverflow(f"exponents {t} leave the fields of {self!r}")
+        return key
+
+    def exponents(self, key: int) -> tuple:
+        """The exponent tuple of a key, nvars entries."""
+        return self._fields.unpack(key.to_bytes(self._fields.size, "little"))
+
+    def permuted(self, key: int, order) -> int:
+        """The key of exponents[order[j]] for j in range(nvars), order a permutation."""
+        exps = self.exponents(key)
+        return int.from_bytes(self._fields.pack(*[exps[i] for i in order]), "little")
 
     def zero(self) -> "GradedPolynomial":
         return GradedPolynomial(self, {})
@@ -76,12 +118,7 @@ class PolyRing:
     def constant(self, c: int) -> "GradedPolynomial":
         return GradedPolynomial(self, {self.unit: int(c)} if c else {})
 
-    def var(self, name_or_index) -> "GradedPolynomial":
-        i = (
-            name_or_index
-            if isinstance(name_or_index, int)
-            else self._index[name_or_index]
-        )
+    def var(self, i: int) -> "GradedPolynomial":
         return self.monomial([0] * i + [1])
 
     def gens(self):
@@ -92,6 +129,7 @@ class PolyRing:
         return GradedPolynomial(self, {key: int(coeff)} if coeff else {})
 
     def from_terms(self, terms: dict[tuple, int]) -> "GradedPolynomial":
+        """The polynomial of {exponent tuple: coefficient}."""
         out = {}
         for exps, c in terms.items():
             if c:
@@ -99,13 +137,17 @@ class PolyRing:
                 out[key] = out.get(key, 0) + int(c)
         return GradedPolynomial(self, {k: c for k, c in out.items() if c})
 
-    def monomial_degree(self, mon: Monomial) -> int:
-        w = self.weights
-        return sum(e * w[i] for i, e in enumerate(mon))
+    def monomial_degree(self, key: int) -> int:
+        return sum(map(mul, self.exponents(key), self.weights))
+
+    def graded_lex(self, key: int):
+        """Sort key of a monomial: its degree, then its exponent tuple."""
+        exps = self.exponents(key)
+        return sum(map(mul, exps, self.weights)), exps
 
 
 class GradedPolynomial:
-    """Immutable-by-convention exact polynomial; terms map monomial -> int."""
+    """Immutable-by-convention exact polynomial; terms map key -> int."""
 
     __slots__ = ("ring", "terms")
 
@@ -151,8 +193,9 @@ class GradedPolynomial:
     # -- arithmetic ----------------------------------------------------
 
     def _check_ring(self, other: "GradedPolynomial"):
-        if self.ring != other.ring:
-            raise ValueError("polynomials live in different rings (weights/names)")
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise ValueError(
+                "polynomials live in different rings (names, weights or field width)")
 
     def __add__(self, other) -> "GradedPolynomial":
         other = self._coerce(other)
@@ -193,14 +236,17 @@ class GradedPolynomial:
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
+        get = out.get
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                key = tuple(map(add, m1, m2))
-                s = out.get(key, 0) + c1 * c2
+                key = m1 + m2
+                s = get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 elif key in out:
                     del out[key]
+        if reduce(or_, out, 0) & self.ring.high:
+            raise ExponentOverflow(f"a product leaves the fields of {self.ring!r}")
         return GradedPolynomial(self.ring, out)
 
     def __rmul__(self, other):
@@ -236,21 +282,20 @@ class GradedPolynomial:
 
     # -- printing ------------------------------------------------------
 
-    def _sort_key(self, mon: Monomial):
-        return (self.ring.monomial_degree(mon), mon)
-
     def sorted_terms(self):
-        """Terms in graded-lex order, largest first."""
-        return sorted(self.terms.items(), key=lambda t: self._sort_key(t[0]), reverse=True)
+        """Terms in graded-lex order of their exponent tuples, largest first."""
+        order = self.ring.graded_lex
+        return sorted(self.terms.items(), key=lambda t: order(t[0]), reverse=True)
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
+        names, exponents = self.ring.names, self.ring.exponents
         for mon, c in self.sorted_terms():
             factors = [
-                f"{self.ring.names[i]}^{e}" if e > 1 else self.ring.names[i]
-                for i, e in enumerate(mon)
+                f"{names[i]}^{e}" if e > 1 else names[i]
+                for i, e in enumerate(exponents(mon))
                 if e
             ]
             if not factors:
@@ -272,31 +317,36 @@ def exact_div(p: GradedPolynomial, q: GradedPolynomial) -> GradedPolynomial:
 
     Standard graded-lex leading-term elimination: if p = f*q then at every
     step the leading term of the running remainder is divisible by the
-    leading term of q, and the quotient accumulates f.
+    leading term of q, and the quotient accumulates f.  The leading key
+    divides mon exactly when mon + high - lead keeps every flag.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     p._check_ring(q)
     ring = p.ring
+    high, order = ring.high, ring.graded_lex
     qt = q.sorted_terms()
     lead_mon, lead_coeff = qt[0]
     rem = dict(p.terms)
     quot: dict = {}
     while rem:
-        mon = max(rem, key=p._sort_key)
+        mon = max(rem, key=order)
         c = rem[mon]
-        fmon = tuple(map(sub, mon, lead_mon))
-        if any(e < 0 for e in fmon):
+        fmon = mon + high - lead_mon
+        if fmon & high != high:
             raise ArithmeticError("non-exact polynomial division (monomial)")
+        fmon -= high
         fc, r = divmod(c, lead_coeff)
         if r:
             raise ArithmeticError("non-exact polynomial division (coefficient)")
         quot[fmon] = quot.get(fmon, 0) + fc
         for m2, c2 in qt:
-            key = tuple(map(add, fmon, m2))
+            key = fmon + m2
+            if key & high:
+                raise ExponentOverflow(f"a quotient term leaves the fields of {ring!r}")
             s = rem.get(key, 0) - fc * c2
             if s:
                 rem[key] = s
             elif key in rem:
                 del rem[key]
-    return ring.from_terms(quot)
+    return GradedPolynomial(ring, {m: c for m, c in quot.items() if c})

@@ -22,7 +22,7 @@ Sq^2(x_i) = x_i^2.
 ring.  The standard monomials of that ring are a ZZ-basis, so
 their reductions are an F_2-basis of Ch^*(Fl(D)).  An element of Ch^d is
 a bitmask over the degree-d standard monomials, and ``nf2`` reduces a sum
-of monomials to one through ``reduce_mod2_mask``.  A row of the Sq^2
+of monomial keys to one through ``reduce_mod2_mask``.  A row of the Sq^2
 matrix is ``sq2`` on one standard monomial: one ``nf2`` call on its
 bumped monomials.  Bockstein cohomology
 ker Sq^2 / im Sq^2 computes the free part of the real cohomology, and
@@ -51,31 +51,33 @@ class Mod2Chow:
         self.shape = pres.shape
 
     def nf2(self, monomials, d: int) -> int:
-        """Mod-2 normal form of a sum of full-length degree-d monomials,
-        as a bitmask over standard_index(d); a repeated monomial cancels.
+        """Mod-2 normal form of a sum of degree-d monomial keys, as a
+        bitmask over standard_index(d); a repeated key cancels.
         Reduction is a ring map, so this is the reduction over F_2."""
         return self.pres.reduce_mod2_mask(monomials, d)
 
     def _bumped(self, monomials, bits):
-        """The monomials of Sq^2_L(sum of monomials) before reduction,
+        """The keys of Sq^2_L(sum of monomial keys) before reduction,
         repeats kept.
 
         A monomial c^a with n_i factors from block i gains c_{i,1} when
         n_i + L_i is odd, and c_{i,j+1} / c_{i,j} for every even j < d_i
-        with a_{i,j} odd.
+        with a_{i,j} odd, each a sum of variable keys.
         """
         out, spans = [], self.shape.spans
-        for mon in monomials:
+        exponents, units = self.pres.ring.exponents, self.pres.ring.var_keys
+        for key in monomials:
+            mon = exponents(key)
             for (start, stop), bit in zip(spans, bits):
                 if (sum(mon[start:stop]) + bit) & 1:
-                    out.append(mon[:start] + (mon[start] + 1,) + mon[start + 1:])
+                    out.append(key + units[start])
                 for v in range(start + 1, stop - 1, 2):
                     if mon[v] & 1:
-                        out.append(mon[:v] + (mon[v] - 1, mon[v + 1] + 1) + mon[v + 2:])
+                        out.append(key - units[v] + units[v + 1])
         return out
 
     def sq2(self, monomials, d: int, twist: TwistClass) -> int:
-        """Sq^2_L of a sum of degree-d monomials, as one multiplication:
+        """Sq^2_L of a sum of degree-d monomial keys, as one multiplication:
         the mod-2 normal form of all its bumped monomials, a bitmask over
         standard_index(d + 1) (0 above the top degree)."""
         return self.nf2(self._bumped(monomials, twist.bits), d + 1)

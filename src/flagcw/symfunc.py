@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .poly import GradedPolynomial, PolyRing, exact_div
+from .poly import ExponentOverflow, GradedPolynomial, PolyRing, exact_div
 
 
 class Partition:
@@ -184,8 +184,9 @@ def vandermonde(ring: PolyRing, indices) -> GradedPolynomial:
     return v
 
 
-def root_ring(k: int) -> PolyRing:
-    return PolyRing([f"t{i+1}" for i in range(k)])
+def root_ring(k: int, degree: int) -> PolyRing:
+    """Ring of k Chern roots of weight 1, for integrands of degree <= degree."""
+    return PolyRing([f"t{i+1}" for i in range(k)], degree=degree)
 
 
 def grassmann_integrate(k: int, n: int, p: GradedPolynomial) -> int:
@@ -207,7 +208,7 @@ def _check_factors_symmetric(factors, k: int) -> Counter:
     adjacent roots among the first k, which makes their product symmetric.
 
     Returns that multiset: a ``Counter`` of factors, each factor given as
-    the frozenset of its (monomial, coefficient) terms.
+    the frozenset of its (key, coefficient) terms.
     """
     if not factors:
         raise ValueError("the factor list must be non-empty")
@@ -217,19 +218,18 @@ def _check_factors_symmetric(factors, k: int) -> Counter:
     for f in factors:
         if f.ring != ring:
             raise ValueError("factors live in different rings")
-        if any(any(mon[k:]) for mon in f.terms):
+        # a key at least that of t_{k+1} has an exponent past the first k
+        if k < ring.nvars and any(mon >= ring.var_keys[k] for mon in f.terms):
             raise ValueError("factor uses more than k root variables")
     names = ring.names[:k]
     multiset = Counter(frozenset(f.terms.items()) for f in factors)
     for i in range(k - 1):
+        order = list(range(ring.nvars))
+        order[i], order[i + 1] = i + 1, i
         swapped = Counter()
         for f in multiset:
-            moved = []
-            for mon, c in f:
-                m = list(mon)
-                m[i], m[i + 1] = m[i + 1], m[i]
-                moved.append((tuple(m), c))
-            swapped[frozenset(moved)] += multiset[f]
+            moved = frozenset((ring.permuted(mon, order), c) for mon, c in f)
+            swapped[moved] += multiset[f]
         if swapped != multiset:
             raise ValueError(
                 f"factor list is not stable under swapping {names[i]},{names[i+1]}"
@@ -237,22 +237,23 @@ def _check_factors_symmetric(factors, k: int) -> Counter:
     return multiset
 
 
-def _split_by_reversal(multiset, k: int):
+def _split_by_reversal(multiset, ring: PolyRing, k: int):
     """Split a reversal-stable multiset of factors as H + rho(H) + F.
 
-    rho reverses the first k roots, t_i -> t_{k+1-i}; ``multiset`` maps
-    each factor (the frozenset of its terms) to its multiplicity and must
-    be stable under rho.  Each factor is paired with its rho-image: H
+    rho reverses the first k roots of ring, t_i -> t_{k+1-i}; ``multiset``
+    maps each factor (the frozenset of its terms) to its multiplicity and
+    must be stable under rho.  Each factor is paired with its rho-image: H
     (``half``) holds one of each pair, F (``fixed``) the rho-fixed factors
     left over, at most one copy of each.  Both are lists of frozensets,
     with repeats.
     """
+    order = [*range(k - 1, -1, -1), *range(k, ring.nvars)]
     half, fixed = [], []
     paired = set()
     for f, count in multiset.items():
         if f in paired:
             continue
-        image = frozenset((mon[:k][::-1] + mon[k:], c) for mon, c in f)
+        image = frozenset((ring.permuted(mon, order), c) for mon, c in f)
         if image == f:
             half += [f] * (count // 2)
             fixed += [f] * (count % 2)
@@ -285,11 +286,12 @@ def grassmann_integrate_product(k: int, n: int, factors) -> int:
 
     The bialternant reads only exponents up to n-1 and exponents only
     grow, so after each factor every monomial with an exponent above n-1
-    is dropped.  Monomials are packed into one int with W bits per root,
-    so a product of monomials is one add.  Every accumulated key carries
-    2^(W-1)-1-(n-1) in each field, so a field's top bit is set exactly
-    when its exponent exceeds n-1.  With 2^(W-1) > n-1, a field of a kept
-    key plus a factor exponent of at most n-1 stays below 2^W and never
+    is dropped.  Monomials are the keys of the factors' ring, W bits per
+    root, so a product of monomials is one add; n-1 must fit a field, or
+    ExponentOverflow is raised.  Every accumulated key carries
+    2^(W-1)-1-(n-1) in each of the first k fields, so a field's top bit
+    is set exactly when its exponent exceeds n-1.  A field of a kept key
+    plus a factor exponent of at most n-1 stays below 2^W and never
     carries into the next field.  For the same reason, subtracting the
     kept key of b from the key of a with 2^(W-1) added to every field
     borrows across no field, and leaves a field's top bit set exactly
@@ -301,30 +303,23 @@ def grassmann_integrate_product(k: int, n: int, factors) -> int:
     multiset = _check_factors_symmetric(factors, k)
     if n < k:
         return 0
-    half, fixed = _split_by_reversal(multiset, k)
-    # the differences t_i - t_j of Delta, as (monomial, coefficient) pairs
-    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    ring = factors[0].ring
+    half, fixed = _split_by_reversal(multiset, ring, k)
+    # the differences t_i - t_j of Delta, as (key, coefficient) pairs
+    unit = ring.var_keys
     pairs = list(itertools.combinations(range(k), 2))
     g = [((unit[i], 1), (unit[j], -1)) for i, j in pairs if i + j < k - 1]
     half += g
     fixed += [((unit[i], 1), (unit[j], -1)) for i, j in pairs if i + j == k - 1]
-    cap = n - 1
-    width = cap.bit_length() + 1
-    mask = (1 << width) - 1
-    off = high = 0
-    for i in range(k):
-        off |= ((1 << (width - 1)) - 1 - cap) << (width * i)
-        high |= 1 << (width * i + width - 1)
-
-    def pack(exps):
-        return sum(e << (width * i) for i, e in enumerate(exps))
+    cap, room = n - 1, (1 << ring.width - 1) - 1
+    if cap > room:
+        raise ExponentOverflow(f"Gr({k}, {n}) reads exponents past the fields of {ring!r}")
+    off, high = ring.key([room - cap] * k), ring.high
 
     def times(acc, fs):
         for f in fs:
             # a factor term above the cap only makes products above the cap
-            terms = [
-                (pack(mon[:k]), c) for mon, c in f if all(e <= cap for e in mon[:k])
-            ]
+            terms = [(key2, c2) for key2, c2 in f if not (key2 + off) & high]
             out = {}
             get = out.get
             for key2, c2 in terms:
@@ -337,18 +332,13 @@ def grassmann_integrate_product(k: int, n: int, factors) -> int:
 
     half_product = times({off: 1}, half)
     low = times(half_product, fixed)
-    # A(rho t): reverse the fields of each key; off is the same in every field
-    reflected = {}
-    for key, c in half_product.items():
-        image = 0
-        for _ in range(k):
-            image = image << width | key & mask
-            key >>= width
-        reflected[image] = c
+    # A(rho t): reverse the first k fields of each key; off is the same in each
+    order = [*range(k - 1, -1, -1), *range(k, ring.nvars)]
+    reflected = {ring.permuted(key, order): c for key, c in half_product.items()}
     small, big = sorted((low, reflected), key=len)
     get = big.get
     lift = off - high
-    top = pack(n - 1 - i for i in range(k)) + high + off
+    top = ring.key([n - 1 - i for i in range(k)]) + high + off
     total = 0
     for key, c1 in small.items():
         d = top - key
@@ -386,20 +376,11 @@ def grassmann_bundle_pushforward(
         s_positions = [all_indices[i] for i in subset]
         c_positions = [all_indices[i] for i in range(r) if i not in subset]
         # relabel: fiber roots onto the chosen subset, the rest in order
-        perm = {}
-        for old, new in zip(sub, s_positions):
-            perm[old] = new
-        for old, new in zip(rest, c_positions):
-            perm[old] = new
-        moved = {}
-        for mon, c in g.terms.items():
-            new_exps = [0] * ring.nvars
-            for i, e in enumerate(mon):
-                if e:
-                    new_exps[perm.get(i, i)] += e
-            key = tuple(new_exps)
-            moved[key] = moved.get(key, 0) + c
-        g_s = ring.from_terms(moved)
+        order = list(range(ring.nvars))
+        for old, new in zip(sub + rest, s_positions + c_positions):
+            order[new] = old
+        g_s = GradedPolynomial(
+            ring, {ring.permuted(mon, order): c for mon, c in g.terms.items()})
         sign = 1
         for i in s_positions:
             for j in c_positions:

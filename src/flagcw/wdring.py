@@ -64,7 +64,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import add
 
 from . import intlinalg, series
 from .flagchow import FlagShape, TwistClass, chow_ring
@@ -178,7 +177,7 @@ class WDPresentation:
         if self.parity != "all-even" or not I or chow_deg < k or not mons:
             data = (
                 {mon: [(j, 1)] for j, mon in enumerate(mons)},
-                [self.A.ring.monomial(mon) for mon in mons],
+                [GradedPolynomial(self.A.ring, {mon: 1}) for mon in mons],
             )
         else:
             gen = self.p_top_product(comp)
@@ -203,8 +202,8 @@ class WDPresentation:
         return data
 
     def project(self, I: frozenset, chow_deg: int, sums):
-        """Coordinates over the e_I component basis of each sum of
-        (A-monomial, coefficient) pairs, any representative of Chow degree
+        """Coordinates over the e_I component basis of each sum of (key,
+        coefficient) pairs of A's ring, any representative of Chow degree
         chow_deg; ValueError when a term reduces to another degree."""
         proj, polys = self._quotient_data(I, chow_deg)
         out = []
@@ -313,12 +312,6 @@ class WDPresentation:
             for idx in range(self.component_rank(I, chow_deg))
         ]
 
-    def basis_element(self, key) -> "WDElement":
-        I, S, chow_deg, idx = key
-        poly = self.component_basis_polys(I, chow_deg)[idx]
-        # a component basis polynomial is its own quotient normal form
-        return WDElement(self, {(I, S): poly}, reduce=False)
-
     def basis_label(self, key) -> str:
         I, S, chow_deg, idx = key
         poly = self.component_basis_polys(I, chow_deg)[idx]
@@ -385,7 +378,7 @@ class WDPresentation:
                 offset, target_deg = place
                 signed = [(m, sign * c) for m, c in f.items()]
                 products = [
-                    [(tuple(map(add, m1, m2)), c1 * c2)
+                    [(m1 + m2, c1 * c2)
                      for m1, c1 in poly.terms.items() for m2, c2 in signed]
                     for poly in polys
                 ]

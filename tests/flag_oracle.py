@@ -64,7 +64,7 @@ def monomials_of_degree(ring, d: int):
 def variables_used(p):
     used = set()
     for m in p.terms:
-        for i, e in enumerate(m):
+        for i, e in enumerate(p.ring.exponents(m)):
             if e:
                 used.add(i)
     return sorted(used)
@@ -91,7 +91,7 @@ def substitute(p, bindings: dict):
     pow_cache: dict = {}
     for m, c in p.terms.items():
         term = target.constant(c)
-        for i, e in enumerate(m):
+        for i, e in enumerate(p.ring.exponents(m)):
             if e:
                 key = (i, e)
                 if key not in pow_cache:
@@ -158,7 +158,7 @@ def integrate_fln(shape, p):
         return 0
     pt = fl.normal_form(class_of_point(shape))
     mon, c = next(iter(pt.terms.items()))
-    lam, rem = divmod(nf.coefficient_of(mon), c)
+    lam, rem = divmod(nf.terms.get(mon, 0), c)
     if rem or nf != pt * lam:
         raise ArithmeticError(
             "reduced class is not an integer multiple of the point class"
@@ -291,13 +291,14 @@ def reference_integrate_product(k: int, n: int, factors) -> int:
     def pack(mon):
         return sum(e << (width * i) for i, e in enumerate(mon[:k]))
 
+    ring = factors[0].ring
     acc = {off: 1}
     for f in factors:
-        terms = [
-            (pack(mon), c)
-            for mon, c in f.terms.items()
-            if all(e <= cap for e in mon[:k])
-        ]
+        terms = []
+        for key, c in f.terms.items():
+            mon = ring.exponents(key)
+            if all(e <= cap for e in mon[:k]):
+                terms.append((pack(mon), c))
         out = {}
         for key2, c2 in terms:
             for key1, c1 in acc.items():
@@ -307,8 +308,8 @@ def reference_integrate_product(k: int, n: int, factors) -> int:
         acc = out
     staircase = tuple(n - 1 - i for i in range(k))
     total = 0
-    for v, c in vandermonde(factors[0].ring, range(k)).terms.items():
-        rest = tuple(map(sub, staircase, v))
+    for v, c in vandermonde(ring, range(k)).terms.items():
+        rest = tuple(map(sub, staircase, ring.exponents(v)))
         if min(rest, default=0) >= 0:
             total += c * acc.get(pack(rest) + off, 0)
     return total
@@ -327,7 +328,7 @@ def reference_sq2_rows(ring, d: int, twist):
         terms = {}
         for bumped in ring._bumped([mon], twist.bits):
             terms[bumped] = terms.get(bumped, 0) + 1
-        nf = pres.normal_form(pres.ring.from_terms(terms))
+        nf = pres.normal_form(GradedPolynomial(pres.ring, terms))
         rows.append(sum(1 << index[m] for m, c in nf.terms.items() if c % 2))
     return rows
 
@@ -343,8 +344,9 @@ class TupleReducer:
     """Integer and mod-2 normal forms of a ChowRingPresentation, by the
     recursion on exponent tuples that the packed keys replaced.
 
-    The rule tails come from the presentation's relation (``_tails``);
-    the leading terms, the rewrites and the memos are the oracle's own.
+    The rule tails come from the presentation's relation (``_tails``),
+    read back into tuples; the leading terms, the rewrites and the memos
+    are the oracle's own.  Inputs and outputs are exponent tuples.
     """
 
     def __init__(self, pres):
@@ -370,7 +372,9 @@ class TupleReducer:
 
     def rule(self, lead):
         if lead not in self.rules:
-            self.rules[lead] = self.pres._tails(lead)
+            ring = self.pres.ring
+            self.rules[lead] = [(ring.exponents(tail), k)
+                                for tail, k in self.pres._tails(ring.key(lead))]
         return self.rules[lead]
 
     def nf(self, mon) -> dict:
@@ -397,7 +401,7 @@ class TupleReducer:
     def normal_form(self, p) -> dict:
         acc = {}
         for mon, k in p.terms.items():
-            for m, c in self.nf(mon).items():
+            for m, c in self.nf(p.ring.exponents(mon)).items():
                 acc[m] = acc.get(m, 0) + k * c
         return {m: c for m, c in acc.items() if c}
 
@@ -424,7 +428,8 @@ class TupleReducer:
         over standard_index(d); 0 above the top degree."""
         if d > self.pres.dim:
             return 0
-        index = self.pres.standard_index(d)
+        exponents = self.pres.ring.exponents
+        index = {exponents(key): i for key, i in self.pres.standard_index(d).items()}
         mask = 0
         for mon in monomials:
             mask ^= self.nf2(mon, index)

@@ -425,6 +425,10 @@ PINNED_OUTPUT = [
     (("euler", "--expr", "sym^5(D1 + D2)"), 0,
      "fff781bba1cd8c815088467484c2f760266b4d5a51785943d8cf78e8f726a4e3",
      "61d125e344d58ce7a4a82d4e6c2615c3138d7b3e4450ec49e74b6767df78fac1"),
+    # 255!! a^128: a^128 needs the 16-bit fields that rank 256 gives
+    (("euler", "--expr", "sym^255(D1)", "--roots", "1"), 0,
+     "3956dad3151c1dbefa13a5e478c2acfae90fed33d719bbf25df4568d7617b481",
+     "e919ffc9f4c9f3de8b6b7bf5fc927555acda8be2f70b0e4b4958f682c0e7ac9d"),
     (("poincare", "--theory", "chow", "--shape", "2,2,4"), 0,
      "f33e817e2034060e2caba728c187d2ce989dfe2ca05e2bb600363da1ed7d9d48",
      "0295b6038b4d328e73d0356d6c006a4cdb60e8485f362391efb3982da62c3088"),
@@ -520,7 +524,9 @@ def test_annihilator_refuses_a_shape_above_the_cost_limit(monkeypatch, capsys):
         raise AssertionError("annihilator computed for a refused shape")
 
     monkeypatch.setattr(wdring, "ann_euler", no_work)
-    for shape, cost in [("4,4,4,4", 1453467840), ("2,2,2,2,2,2,2", 128406094848)]:
+    # (4,4,4,4) passes the lower bound (4.1e8) and is refused on its exact
+    # estimate; (2^7) is refused on the bound 3.4e10 >= 2^34 at once
+    for shape, cost in [("4,4,4,4", "1453467840"), ("2,2,2,2,2,2,2", "at least 2^34")]:
         assert cli.run(["annihilator", "--shape", shape, "--block", "1"]) == 1
         assert capsys.readouterr() == ("", (
             f"error: annihilator of shape {shape} has cost estimate {cost} "
@@ -545,13 +551,16 @@ def test_annihilator_cost_admits_the_measured_and_used_shapes():
         assert cost(parts) <= cli.ANNIHILATOR_COST_LIMIT, parts
 
 
-# W_D commands refused by their cost estimate, each before any ring is built
+# W_D commands refused on the lower bound of their cost estimate, each
+# before any ring or Poincare series is built, with the power of 2 below
+# that bound: 2^44, 2^44, 2^350, 2^64, 2^350 and 2^1491
 W_REFUSED = [
     ["poincare", "--theory", "w", "--shape", "2,2,2,2,2,2,2,2"],
     ["poincare", "--theory", "w", "--shape", "4,4,4,4,4"],
     ["poincare", "--theory", "w", "--shape", "128,128"],
     ["wring", "--shape", "2,2,2,2,2,2,2,2,2,2", "--degree-max", "0"],
     ["annihilator", "--shape", "128,128", "--block", "1"],
+    ["poincare", "--theory", "w", "--shape", "512,512"],
 ]
 
 
@@ -564,11 +573,23 @@ def test_w_commands_refuse_a_shape_above_the_cost_limit_at_once(argv):
     proc = run_bounded(*argv)
     assert time.perf_counter() - start < 1.0, argv
     assert proc.returncode == 1 and proc.stdout == ""
-    cost = cli.wd_cost(FlagShape(int(d) for d in shape.split(",")))
-    assert cost > limit
+    floor = cli.wd_cost_floor(FlagShape(int(d) for d in shape.split(",")))
+    assert floor > limit
     assert proc.stderr == (
-        f"error: {command} of shape {shape} has cost estimate {cost} "
-        f"(2^|E| * sum_d rank(A^d)^3), above the limit {limit}\n")
+        f"error: {command} of shape {shape} has cost estimate at least "
+        f"2^{floor.bit_length() - 1} (2^|E| * sum_d rank(A^d)^3), above the "
+        f"limit {limit}\n")
+
+
+def test_the_cost_floor_is_a_lower_bound():
+    # on every composition of N <= 8, the shapes of the timing tables and
+    # two-block shapes up to (64, 64), where the series is still short
+    shapes = [parts for N in range(1, 9) for parts in compositions(N)]
+    shapes += [(4, 4, 4, 4), (6, 6, 6), (2, 6, 6, 6), (8, 8, 8), (2,) * 7,
+               (16, 16), (2, 64), (64, 64)]
+    for parts in shapes:
+        shape = FlagShape(parts)
+        assert cli.wd_cost_floor(shape) <= cli.wd_cost(shape), parts
 
 
 def test_w_cost_admits_the_measured_and_used_shapes():

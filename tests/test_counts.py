@@ -12,6 +12,7 @@ from flagcw.counts import (
     gw_form,
 )
 from flagcw.flagchow import FlagShape
+from flagcw.poly import GradedPolynomial
 from flagcw.wdring import build_sigma
 
 
@@ -46,7 +47,8 @@ def test_real_flag_count_by_two_readings():
     assert c_plus - c_minus == FLAGS_REAL_DIAGNOSTIC
     pres = build_sigma(FlagShape([2, 2, 14]))
     readings = {
-        mon: pres.integrate(euler_root_image(pres, e.ring.monomial(mon)))
+        e.ring.exponents(mon): pres.integrate(
+            euler_root_image(pres, GradedPolynomial(e.ring, {mon: 1})))
         for mon in e.terms
     }
     assert len(readings) == 9

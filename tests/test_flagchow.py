@@ -29,7 +29,7 @@ from flagcw.flagchow import (
     ideal_quotient_degreewise,
     verify_piqp_fln,
 )
-from flagcw.poly import PolyRing
+from flagcw.poly import ExponentOverflow, GradedPolynomial
 from flagcw.symfunc import jacobi_trudi_delta, partitions_in_box
 
 
@@ -49,7 +49,7 @@ def relation_ideal_lattice(N, d):
             prod = ring.monomial(mon) * ej
             vec = [0] * len(monomials)
             for m2, c in prod.terms.items():
-                vec[index[m2]] = c
+                vec[index[ring.exponents(m2)]] = c
             vectors.append(vec)
     return intlinalg.hnf(vectors), monomials
 
@@ -60,7 +60,7 @@ def in_relation_ideal(N, p):
     index = {m: i for i, m in enumerate(monomials)}
     v = [0] * len(monomials)
     for mon, c in p.terms.items():
-        v[index[mon]] = c
+        v[index[p.ring.exponents(mon)]] = c
     pivots = [next(j for j, c in enumerate(r) if c) for r in rows]
     return intlinalg.lattice_coords(rows, pivots, v) is not None
 
@@ -130,7 +130,7 @@ def test_normal_form_point_class_fl3_with_ideal_oracle():
     assert in_relation_ideal(3, p - expected)
     # and the result is standard: exponents a_k <= k-1
     for mon in nf.terms:
-        assert all(e <= i for i, e in enumerate(mon))
+        assert all(e <= i for i, e in enumerate(fl3.ring.exponents(mon)))
 
 
 def test_normal_form_kills_relations():
@@ -175,7 +175,8 @@ def test_normal_form_against_relation_ideal_oracle():
             sample = rng.sample(mons, min(4, len(mons)))
             p = warm.ring.from_terms({m: rng.randint(-5, 5) for m in sample})
             nf = warm.normal_form(p)
-            assert all(e <= i for mon in nf.terms for i, e in enumerate(mon))
+            assert all(e <= i for mon in nf.terms
+                       for i, e in enumerate(warm.ring.exponents(mon)))
             assert in_relation_ideal(N, p - nf)
             assert fresh.normal_form(p) == nf
 
@@ -192,24 +193,38 @@ def test_normal_form_above_top_degree_is_zero_and_not_memoized():
     # the mod-2 reader likewise gives 0 there and stores nothing
     assert fl.reduce_mod2_mask(list(above.terms), fl.dim + 1) == 0
     assert fl._nf2_memo == {}
-    # no field carries: an exponent that fits a byte field gives a key
-    # that misses the memo and the degree of its tuple refuses it, and a
-    # wider one fails to pack
+    # a byte field holds the exponents 0..127: above the top degree such a
+    # monomial gives a key that misses the memo, and the degree the ring
+    # reads off it refuses it; a sum of two keys may set a flag but never
+    # carries, so its degree reads true.  An exponent past 127 is refused
+    # by the ring, and so is a product that leaves its field.
     cases = [
-        ((1, 1, 1, 1), [[300, 0, 0, 0], [255, 0, 0, 0], [256, 0, 0, 0],
-                        [0, 0, 0, 7], [1, 1, 1, 1000]]),
-        ((2, 2, 14), [[61] + [0] * 17, [255] * 18, [0, 256] + [0] * 16,
-                      [0] * 17 + [5]]),
+        ((1, 1, 1, 1), [[0, 0, 0, 7], [127, 0, 0, 0], [1, 1, 1, 127]],
+         [[300, 0, 0, 0], [255, 0, 0, 0], [256, 0, 0, 0], [1, 1, 1, 1000]]),
+        ((2, 2, 14), [[61] + [0] * 17, [127] * 18, [0] * 17 + [5]],
+         [[255] * 18, [0, 256] + [0] * 16, [128] + [0] * 17]),
     ]
-    for parts, exps in cases:
+    for parts, fits, refused in cases:
         pres = ChowRingPresentation(FlagShape(parts))
-        assert pres._key_width == 8
-        for e in exps:
-            assert pres.ring.monomial_degree(pres.ring.key(e)) > pres.dim
+        assert pres.ring.width == 8
+        keys = [pres.ring.key(e) for e in fits]
+        for e, key in zip(fits, keys):
+            assert pres.ring.exponents(key) == tuple(e)
+            assert pres.ring.monomial_degree(key) > pres.dim
             assert pres.normal_form(pres.ring.monomial(e)).is_zero()
-        assert pres.reduce_sums([[(tuple(e), 1) for e in exps]]) == [{}]
-        assert pres.reduce_mod2_mask([tuple(e) for e in exps], pres.dim + 1) == 0
+        sums = [a + b for a in keys for b in keys]
+        assert any(key & pres.ring.high for key in sums)
+        assert pres.reduce_sums([[(key, 1) for key in keys + sums]]) == [{}]
+        assert pres.reduce_mod2_mask(keys, pres.dim + 1) == 0
         assert pres._nf_memo == pres._nf2_memo == pres._rule_memo == {}
+        for e in refused:
+            with pytest.raises(ExponentOverflow):
+                pres.ring.key(e)
+            with pytest.raises(ExponentOverflow):
+                pres.ring.monomial(e)
+        big = pres.ring.monomial(fits[1])
+        with pytest.raises(ExponentOverflow):
+            big * big
 
 
 def test_packed_reducer_matches_the_tuple_oracle():
@@ -226,14 +241,16 @@ def test_packed_reducer_matches_the_tuple_oracle():
                 mons = monomials_of_degree(pres.ring, d)
                 sample = rng.sample(mons, min(6, len(mons)))
                 for mon in sample:
-                    key = pres._pack(mon)
-                    assert pres._unpack(key) == mon
+                    key = pres.ring.key(mon)
+                    assert pres.ring.exponents(key) == mon
                     lead = oracle.leading(mon)
-                    assert pres._lead(key) == (lead and pres._pack(lead))
+                    assert pres._lead(key) == (lead and pres.ring.key(lead))
                 p = pres.ring.from_terms({m: rng.randint(-3, 3) for m in sample})
-                assert pres.normal_form(p).terms == oracle.normal_form(p), (parts, d)
+                nf = {pres.ring.exponents(m): c for m, c in pres.normal_form(p).terms.items()}
+                assert nf == oracle.normal_form(p), (parts, d)
                 summed = sample + rng.choices(sample, k=3)
-                assert pres.reduce_mod2_mask(summed, d) == oracle.mask(summed, d)
+                keys = list(map(pres.ring.key, summed))
+                assert pres.reduce_mod2_mask(keys, d) == oracle.mask(summed, d)
             shapes += 1
     assert shapes == 63
 
@@ -250,7 +267,7 @@ def test_keys_at_a_field_width_boundary(parts, width):
     # the top standard monomial, and monomials above the top degree
     pres = ChowRingPresentation(FlagShape(parts))
     dim, n, spans = pres.dim, pres.ring.nvars, pres.shape.spans
-    assert dim == 127 + (width == 16) and pres._key_width == width
+    assert dim == 127 + (width == 16) and pres.ring.width == width
     oracle = TupleReducer(pres)
     rng = random.Random(dim)
 
@@ -270,19 +287,28 @@ def test_keys_at_a_field_width_boundary(parts, width):
             left -= pres.ring.weights[v]
         tops.append(tuple(exps))
     for mon in tops:
-        assert pres.ring.monomial_degree(mon) == dim
+        assert pres.ring.monomial_degree(pres.ring.key(mon)) == dim
         lead = oracle.leading(mon)
-        assert pres._lead(pres._pack(mon)) == (lead and pres._pack(lead)), mon
+        assert pres._lead(pres.ring.key(mon)) == (lead and pres.ring.key(lead)), mon
     # the top standard monomial prod_i c_{i,d_i}^{s_{i-1}}
     top = [0] * n
     for start, stop in spans:
         top[stop - 1] = start
-    top = tuple(top)
-    assert pres._lead(pres._pack(top)) is None
-    assert pres.normal_form(pres.ring.monomial(top, 3)).terms == {top: 3}
-    above = [power(0, dim + 1), (2 ** width - 1,) * n, power(n - 1, 2 ** width)]
-    assert pres.reduce_sums([[(mon, 1) for mon in above]]) == [{}]
+    top = pres.ring.key(top)
+    assert pres._lead(top) is None
+    assert pres.normal_form(GradedPolynomial(pres.ring, {top: 3})).terms == {top: 3}
+    # a field holds 0..room; keys above the top degree reduce to 0, a sum
+    # of two of them included, and an exponent past room is refused
+    room = (1 << width - 1) - 1
+    above = [(room,) * n, tuple(room if v in (0, n - 1) else 0 for v in range(n))]
+    keys = [pres.ring.key(mon) for mon in above]
+    assert pres.reduce_sums([[(key, 1) for key in keys + [keys[0] + keys[1]]]]) == [{}]
     assert len(pres._nf_memo) == 1 and pres._rule_memo == {}
+    for mon in [power(0, room + 1), (2 ** width - 1,) * n, power(n - 1, 2 ** width)]:
+        with pytest.raises(ExponentOverflow):
+            pres.ring.key(mon)
+    with pytest.raises(ExponentOverflow):
+        pres.ring.monomial(power(0, room)) * pres.ring.var(0)
 
 
 def test_standard_monomial_count():
@@ -306,8 +332,8 @@ def test_graded_ranks_match_poincare():
                 mons = pres.standard_monomials(d)
                 assert len(mons) == (expected[d] if d < len(expected) else 0)
                 assert all(pres.ring.monomial_degree(m) == d for m in mons)
-                assert pres.normal_form(pres.ring.from_terms(dict.fromkeys(mons, 1))) \
-                    == pres.ring.from_terms(dict.fromkeys(mons, 1))
+                basis_sum = GradedPolynomial(pres.ring, dict.fromkeys(mons, 1))
+                assert pres.normal_form(basis_sum) == basis_sum
             shapes += 1
     assert shapes == 127
 
@@ -326,7 +352,8 @@ def test_standard_monomials_are_the_bounded_monomials_in_descending_order():
                             for start, stop in shape.spans)),
                     reverse=True,
                 )
-                assert pres.standard_monomials(d) == want, (parts, d)
+                got = [pres.ring.exponents(m) for m in pres.standard_monomials(d)]
+                assert got == want, (parts, d)
 
 
 @pytest.mark.parametrize("parts", [(4, 4, 4), (2, 2, 2, 2, 2), (5, 5, 2), (2, 2, 14)])
@@ -373,15 +400,15 @@ def test_full_flag_rules_are_complete_homogeneous_tails():
     for N in range(2, 8):
         fl = FullFlagRing(N)
         for k in range(1, min(N, fl.dim) + 1):
-            lead = fl.ring.key([0] * (k - 1) + [k])
+            key = fl.ring.key([0] * (k - 1) + [k])
+            lead = fl.ring.exponents(key)
             h = {
                 m: 1
                 for m in monomials_of_degree(fl.ring, k)
                 if not any(m[: k - 1]) and m != lead
             }
-            key = fl._pack(lead)
             pairs, odd = fl._rule(key)
-            assert {fl._unpack(key + delta): -c for delta, c in pairs} == h
+            assert {fl.ring.exponents(key + delta): -c for delta, c in pairs} == h
             assert len(pairs) == len(h) and odd == [delta for delta, _ in pairs]
 
 
@@ -520,7 +547,7 @@ def test_integrate_matches_the_oracle_on_complementary_pairs():
             for d in range(pres.dim + 1):
                 for a in pres.standard_monomials(d):
                     for b in pres.standard_monomials(pres.dim - d):
-                        p = pres.ring.monomial(a) * pres.ring.monomial(b)
+                        p = GradedPolynomial(pres.ring, {a + b: 1})
                         assert pres.integrate(p) == integrate_fln(
                             pres.shape, pullback(pres, p)
                         ), (parts, a, b)
@@ -540,7 +567,7 @@ def test_poincare_duality_pairing_unimodular():
             assert len(rows) == len(cols)
             mat = [
                 [
-                    pres.integrate(pres.ring.monomial(a) * pres.ring.monomial(b))
+                    pres.integrate(GradedPolynomial(pres.ring, {a + b: 1}))
                     for b in cols
                 ]
                 for a in rows
@@ -587,7 +614,7 @@ def polynomial_multiplication_matrix(pres, g, d):
     """Multiplication by g on degree d through ring products and normal_form."""
     target = d + g.degree()
     cols = [
-        pres.coords(pres.normal_form(pres.ring.monomial(mon) * g), target)
+        pres.coords(pres.normal_form(GradedPolynomial(pres.ring, {mon: 1}) * g), target)
         for mon in pres.standard_monomials(d)
     ]
     return [[col[i] for col in cols] for i in range(pres.rank(target))]

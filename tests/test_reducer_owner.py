@@ -3,8 +3,9 @@
 Every other module reads normal forms through the readers of
 ``ChowRingPresentation``: ``reduce_sums`` (integer normal forms) and
 ``reduce_mod2_mask`` (a bitmask over the standard monomials), with
-monomials as exponent tuples.  So a change to either memo, to the rule
-table or to the packed-key layout touches one file.
+monomials as the keys of the ring.  So a change to either memo, to the
+rule table or to the block-count layout of the lead test touches one
+file; the key layout itself belongs to ``poly.py``.
 """
 
 import re

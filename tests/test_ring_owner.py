@@ -149,4 +149,4 @@ def test_a_shape_of_lines_has_the_empty_half_shape():
     assert pres.half_shape == FlagShape(())
     assert pres.A is chow_ring(FlagShape(()))
     assert isinstance(pres.A, FullFlagRing)
-    assert pres.A.dim == 0 and pres.A.standard_monomials(0) == [()]
+    assert pres.A.dim == 0 and pres.A.standard_monomials(0) == [pres.A.ring.unit]

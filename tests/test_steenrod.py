@@ -1,5 +1,4 @@
 import random
-from operator import add
 from pathlib import Path
 
 from flag_oracle import (
@@ -11,6 +10,7 @@ from flag_oracle import (
 )
 
 from flagcw import gf2, series, steenrod
+from flagcw.poly import GradedPolynomial
 from flagcw.flagchow import (
     ChowRingPresentation,
     FlagShape,
@@ -30,19 +30,20 @@ from flagcw.wdring import wd_poincare
 
 
 def odd(poly):
-    """The monomials of a polynomial with odd coefficient: its mod-2
+    """The monomial keys of a polynomial with odd coefficient: its mod-2
     reduction as an nf2 input."""
     return [mon for mon, c in poly.terms.items() if c % 2]
 
 
 def test_sq2_on_line_classes():
     ring = Mod2Chow(chow_ring(FlagShape((1, 1, 1))))
+    key = ring.pres.ring.key
     # Sq^2(x_i) = x_i^2, reduced mod the relations
     trivial = TwistClass.trivial(3)
     for i in range(3):
         x = tuple(int(k == i) for k in range(3))
-        assert ring.sq2([x], 1, trivial) == ring.nf2([tuple(2 * e for e in x)], 2)
-    assert ring.sq2([(1, 0, 0)], 1, trivial) != 0
+        assert ring.sq2([key(x)], 1, trivial) == ring.nf2([key(2 * e for e in x)], 2)
+    assert ring.sq2([key((1, 0, 0))], 1, trivial) != 0
 
 
 def test_sq2_chern_class_formula_on_blocks():
@@ -71,7 +72,7 @@ def test_sq2_chern_class_formula_on_blocks():
 
 def test_nf2_reduces_coefficients_mod_2():
     ring = Mod2Chow(chow_ring(FlagShape((3, 1))))
-    mon = (0, 0, 0, 3)
+    mon = ring.pres.ring.key((0, 0, 0, 3))
     index = ring.pres.standard_index(3)
     assert ring.nf2([mon], 3) == 1 << index[mon]
     # repeats cancel: a coefficient counts by its parity
@@ -116,10 +117,10 @@ def test_sq2_squares_to_zero_randomized():
 def test_twisted_sq2_of_unit_is_ell():
     ring = Mod2Chow(chow_ring(FlagShape((1, 1, 1))))
     twist = TwistClass.from_blocks(3, [1])
-    unit = [(0, 0, 0)]
+    unit = [ring.pres.ring.unit]
     assert ring.nf2(unit, 0) == 1
     # l = c_1(D_1) = x_1, the line class of the one twisted block
-    assert ring.sq2(unit, 0, twist) == ring.nf2([(1, 0, 0)], 1)
+    assert ring.sq2(unit, 0, twist) == ring.nf2([ring.pres.ring.key((1, 0, 0))], 1)
     assert ring.sq2(unit, 0, TwistClass.trivial(3)) == 0
 
 
@@ -158,21 +159,21 @@ def sq2_reference(ring, elt, d, twist):
     the derivation Sq^2(x_i) = x_i^2 on each monomial, plus the product
     with l = the sum of the line classes of the twisted blocks, every
     piece through nf2."""
-    N = ring.shape.N
+    poly_ring = ring.pres.ring
     mons = mask_monomials(ring.pres, elt, d)
     out = 0
     for mon in mons:
-        for i, e in enumerate(mon):
+        for i, e in enumerate(poly_ring.exponents(mon)):
             if e % 2:
-                out ^= ring.nf2([mon[:i] + (e + 1,) + mon[i + 1 :]], d + 1)
+                out ^= ring.nf2([mon + poly_ring.var_keys[i]], d + 1)
     lines = [
-        tuple(int(k == j) for k in range(N))
+        poly_ring.var_keys[j]
         for block, bit in enumerate(twist.bits, start=1)
         if bit
         for j in range(*ring.shape.spans[block - 1])
     ]
     ell = mask_monomials(ring.pres, ring.nf2(lines, 1), 1)
-    out ^= ring.nf2([tuple(map(add, m1, m2)) for m1 in mons for m2 in ell], d + 1)
+    out ^= ring.nf2([m1 + m2 for m1 in mons for m2 in ell], d + 1)
     return out
 
 
@@ -180,7 +181,7 @@ def pull2(full, ring, elt, d):
     """A degree-d mod-2 element of ring, pulled back to the complete flag
     ring full."""
     mons = mask_monomials(ring.pres, elt, d)
-    poly = pullback(ring.pres, ring.pres.ring.from_terms(dict.fromkeys(mons, 1)))
+    poly = pullback(ring.pres, GradedPolynomial(ring.pres.ring, dict.fromkeys(mons, 1)))
     return full.nf2(odd(poly), d)
 
 
