@@ -23,14 +23,13 @@ atoms, and both its Euler class and its rank are read from them.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from itertools import chain, islice, takewhile
 
 from .poly import GradedPolynomial, PolyRing
 from .symfunc import (
-    Partition,
-    binomial,
     box_dual,
     jacobi_trudi_delta,
     partitions_in_box,
@@ -60,13 +59,15 @@ def orientability_conditions(ell1: int, ell2: int, d: int) -> dict:
     rank equal to dim Fl(2,2,d) over an orientable flag variety:
     the last condition is the rank count ell1+1 + C(ell2+3,3) = 4(d+1).
     """
+    if ell1 < 0 or ell2 < 0:
+        raise ValueError("powers must be non-negative")
     checks = {
         "d_even": d % 2 == 0,
-        "c1_sym1_even": binomial(ell1 + 1, 2) % 2 == 0,
-        "c1_sym2_even": binomial(ell2 + 3, 4) % 2 == 0,
+        "c1_sym1_even": math.comb(ell1 + 1, 2) % 2 == 0,
+        "c1_sym2_even": math.comb(ell2 + 3, 4) % 2 == 0,
         "rank_sym1_even": (ell1 + 1) % 2 == 0,
-        "rank_sym2_even": binomial(ell2 + 3, 3) % 2 == 0,
-        "rank_matches_dim": ell1 + 1 + binomial(ell2 + 3, 3) == 4 * (d + 1),
+        "rank_sym2_even": math.comb(ell2 + 3, 3) % 2 == 0,
+        "rank_matches_dim": ell1 + 1 + math.comb(ell2 + 3, 3) == 4 * (d + 1),
     }
     checks["all"] = all(checks.values())
     return checks
@@ -462,7 +463,9 @@ def cauchy_box_total(expr, nblocks: int, limit: int):
     factors = _tensor_factors(expr, nblocks)
     total = 0
     for M, _, N, _ in factors:
-        total += binomial((M + 1) // 2 + (N + 1) // 2, (M + 1) // 2)
+        # M, N >= 1: the grammar reads no negative power, and a Sym^0
+        # factor is a trivial line, which no tensor takes
+        total += math.comb((M + 1) // 2 + (N + 1) // 2, (M + 1) // 2)
         if total > limit:
             return total, next(factors, None) is None
     return total, True

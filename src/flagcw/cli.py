@@ -63,24 +63,26 @@ TORSION_RANK_LIMIT = 40000
 EULER_BOX_LIMIT = 3432
 
 
-# W_D is budgeted by 2^|E| * sum_d rank(A^d)^3: E the even blocks, A =
-# CH^*(Fl(h)) of the half shape h, whose components e_I * A^d the W_D
-# commands work on.  ann_euler eliminates a kernel and an HNF per (degree,
-# twist) slot.  Single runs on a 2-core VM:
-# (2,2,2,2,2) 1.1e6 in 0.13 s, (2,2,2,2,4) 1.9e7 in 0.9 s, (6,6,6) 1.6e8
-# in 4.0 s, (2,2,2,2,2,2) 2.9e8 in 4.9 s; (4,4,4,4) 1.45e9 was killed
-# after 120 s and (2,2,2,2,2,2,2) 1.3e11 had not ended after 490 s.
-ANNIHILATOR_COST_LIMIT = 5 * 10**8
+# W_D is budgeted by its one estimate 2^|E| * M^3 // (dim h + 1)^2: E the
+# even blocks, and M and dim h the Chow rank and the dimension of the half
+# shape h, whose components e_I * A^d the W_D commands work on.  It reads
+# only the shape, and it is a lower bound on 2^|E| * sum_d rank(A^d)^3, since
+# sum_d r_d^3 >= (sum_d r_d)^3 / n^2 over n degrees.  ann_euler eliminates a
+# kernel and an HNF per (degree, twist) slot.  Single runs on a 2-core VM:
+# (2,2,2,2,2) 4.6e5 in 0.13 s, (2,2,2,2,4) 6.6e6 in 0.9 s, (6,6,6) 4.8e7
+# in 4.0 s, (2,2,2,2,2,2) 9.3e7 in 4.9 s; (4,4,4,4) 4.1e8 was killed
+# after 120 s and (2,2,2,2,2,2,2) 3.4e10 had not ended after 490 s.
+ANNIHILATOR_COST_LIMIT = 2 * 10**8
 
 # wring and poincare --theory w build one quotient record per (I, Chow
 # degree) and no kernel, so they admit more.  Single CLI runs of poincare
-# --theory w on a 2-core VM: (4,4,4,6) 2.8e10 in 3.6 s, (6,6,12) 1.0e11
-# in 32 s, (2,2,2,2,2,6) 1.1e11 in 4.1 s, (2,2,2,2,2,2,2) 1.28e11 in
-# 2.3 s, (2,2,2,6,6) 1.35e11 in 8.7 s; (2,6,6,6) 2.3e11 took 41 s,
-# (2,2,2,2,4,4) 3.6e11 took 16 s, and (4,4,4,8) 3.4e11 and (8,8,8) 6.3e11 had
-# not ended after 60 s.  Mixed and all-odd shapes take no quotient, so the
-# estimate overprices them: (2,2,2,2,2,2,2,1), at 1.28e11, answers in 0.1 s.
-W_COST_LIMIT = 2 * 10**11
+# --theory w on a 2-core VM: (4,4,4,6) 7.2e9 in 3.6 s, (6,6,12) 2.4e10 in
+# 32 s, (2,2,2,2,2,6) 2.9e10 in 4.1 s, (2,2,2,2,2,2,2) 3.39e10 in 2.3 s,
+# (2,2,2,6,6) 3.41e10 in 8.7 s; (2,6,6,6) 5.5e10 took 41 s, (2,2,2,2,4,4)
+# 9.0e10 took 16 s, and (4,4,4,8) 7.9e10 and (8,8,8) 1.4e11 had not ended
+# after 60 s.  Mixed and all-odd shapes take no quotient, so the estimate
+# overprices them: (2,2,2,2,2,2,2,1), at 3.4e10, answers in 0.1 s.
+W_COST_LIMIT = 4 * 10**10
 
 # wring prints every degree up to --degree-max, about 5 us and 13 bytes
 # each past the top degree.  Single CLI runs on a 2-core VM of wring
@@ -97,40 +99,35 @@ class OutputError(Exception):
 
 
 def multinomial(shape: FlagShape) -> int:
-    """N! / prod d_i!, the rank of CH^*(Fl(D))."""
-    out = math.factorial(shape.N)
-    for d in shape.d:
-        out //= math.factorial(d)
-    return out
+    """N! / prod d_i! = prod_i C(s_i, d_i), the rank of CH^*(Fl(D))."""
+    return math.prod(math.comb(stop, stop - start) for start, stop in shape.spans)
 
 
 def wd_cost(shape: FlagShape) -> int:
-    """2^|E| * sum_d rank(A^d)^3, the cost estimate of the W_D commands: E
-    the even blocks, A the Chow ring of the half shape."""
-    even = sum(1 for d in shape.d if d % 2 == 0)
-    ranks = flagchow.chow_poincare(wdring.half_shape(shape))
-    return 2**even * sum(r**3 for r in ranks)
-
-
-def wd_cost_floor(shape: FlagShape) -> int:
-    """2^|E| * M^3 // (dim h + 1)^2 <= wd_cost, with no Poincare series: the
-    ranks of the half shape h sum to its multinomial M over dim h + 1
-    degrees, and sum_d r_d^3 >= (sum_d r_d)^3 / n^2 over n degrees."""
+    """2^|E| * M^3 // (dim h + 1)^2, the cost estimate of the W_D commands:
+    E the even blocks, M and dim h the Chow rank and dimension of the half
+    shape h."""
     even = sum(1 for d in shape.d if d % 2 == 0)
     half = wdring.half_shape(shape)
     return 2**even * multinomial(half) ** 3 // (half.dim + 1) ** 2
 
 
+def above(value: int, limit: int) -> str:
+    """A value above limit as a refusal prints it: in full, or past twice
+    the bits of the limit as the power of 2 below it, which is still above
+    the limit and short enough to print."""
+    k = value.bit_length() - 1
+    return str(value) if k < 2 * limit.bit_length() else f"at least 2^{k}"
+
+
 def check_wd_cost(shape: FlagShape, command: str, limit: int) -> None:
     """Refuse a W_D command whose cost estimate is above its limit, before
-    any ring is built: at once when the lower bound is, named by the
-    power of 2 below it, and otherwise on the exact estimate."""
-    floor = wd_cost_floor(shape)
-    cost = f"at least 2^{floor.bit_length() - 1}" if floor > limit else wd_cost(shape)
-    if floor > limit or cost > limit:
+    any ring is built."""
+    cost = wd_cost(shape)
+    if cost > limit:
         raise ValidationError(
-            f"{command} of shape {shape} has cost estimate {cost} "
-            f"(2^|E| * sum_d rank(A^d)^3), above the limit {limit}"
+            f"{command} of shape {shape} has cost estimate {above(cost, limit)} "
+            f"(2^|E| * M_h^3 // (dim h + 1)^2), above the limit {limit}"
         )
 
 
@@ -232,10 +229,10 @@ def cmd_poincare(args) -> int:
     twist = parse_twist(args.twist, shape.m)
     checks = []
     sq2_route = args.theory == "torsion" and not shape.is_full_flag()
-    if sq2_route and multinomial(shape) > TORSION_RANK_LIMIT:
+    if sq2_route and (rank := multinomial(shape)) > TORSION_RANK_LIMIT:
         raise ValidationError(
-            f"shape {shape} has Chow rank {multinomial(shape)}, above the "
-            f"limit {TORSION_RANK_LIMIT} for Sq^2 torsion"
+            f"shape {shape} has Chow rank {above(rank, TORSION_RANK_LIMIT)}, "
+            f"above the limit {TORSION_RANK_LIMIT} for Sq^2 torsion"
         )
     if args.theory == "chow" or args.theory == "ch2":
         poly = flagchow.chow_poincare(shape)

@@ -537,18 +537,6 @@ class ChowRingPresentation:
             self._standard_index[d] = index
         return index
 
-    def coords(self, p: GradedPolynomial, d: int):
-        """Coordinates of a normal-form degree-d polynomial over the basis."""
-        index = self.standard_index(d)
-        v = [0] * len(index)
-        for mon, c in p.terms.items():
-            if mon not in index:
-                raise ValueError(
-                    "polynomial is not a normal form homogeneous of the degree"
-                )
-            v[index[mon]] = c
-        return v
-
     def multiplication_matrix(self, g: GradedPolynomial, d: int):
         """Matrix of multiplication by homogeneous g: degree d -> d + deg g.
 

@@ -397,12 +397,3 @@ def grassmann_bundle_pushforward(
                 result, ring.var(all_indices[a]) - ring.var(all_indices[b])
             )
     return result
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(min(k, n - k)):
-        out = out * (n - i) // (i + 1)
-    return out

@@ -333,6 +333,16 @@ def reference_sq2_rows(ring, d: int, twist):
     return rows
 
 
+def standard_coords(pres, p, d: int):
+    """Coordinates of a degree-d normal form p of pres over the standard
+    monomials, in pres.standard_index(d) order; KeyError on any other term."""
+    index = pres.standard_index(d)
+    v = [0] * len(index)
+    for mon, c in p.terms.items():
+        v[index[mon]] = c
+    return v
+
+
 def mask_monomials(pres, mask: int, d: int):
     """The degree-d standard monomials whose bits are set in a mod-2
     bitmask over pres.standard_index(d), in basis order."""

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 
@@ -27,7 +28,7 @@ from flagcw.charclass import (
     pontryagin_sym_rk2,
 )
 from flagcw.poly import PolyRing
-from flagcw.symfunc import Partition, binomial, jacobi_trudi_delta, q_spec
+from flagcw.symfunc import Partition, jacobi_trudi_delta, q_spec
 
 
 def roots_ab():
@@ -73,6 +74,9 @@ def test_orientability_conditions():
     assert not orientability_conditions(3, 5, 13)["all"]  # d odd
     res = orientability_conditions(2, 5, 14)
     assert not res["all"] and not res["rank_sym1_even"]
+    for ell1, ell2 in [(-2, 5), (3, -4)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            orientability_conditions(ell1, ell2, 14)
 
 
 # -- Levine's rank-2 formulas ------------------------------------------------
@@ -341,7 +345,7 @@ def tree_rank(expr):
     if isinstance(expr, Tensor):
         return tree_rank(expr.left) * tree_rank(expr.right)
     s = tree_rank(expr.inner)
-    return binomial(expr.power + s - 1, s - 1)
+    return math.comb(expr.power + s - 1, s - 1)
 
 
 def test_bundle_rank_matches_the_tree_formula():

@@ -287,7 +287,7 @@ def test_euler_refuses_a_huge_double_factorial_up_front():
 
 
 def test_euler_refuses_a_huge_sym_tensor_by_its_box():
-    # binomial(5000000001, 5000000000) takes one step, not 5 * 10^9
+    # math.comb(5000000001, 5000000000) takes one step, not 5 * 10^9
     proc = run_bounded("euler", "--expr", "sym^9999999999(D1) * D2")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == (
@@ -524,13 +524,12 @@ def test_annihilator_refuses_a_shape_above_the_cost_limit(monkeypatch, capsys):
         raise AssertionError("annihilator computed for a refused shape")
 
     monkeypatch.setattr(wdring, "ann_euler", no_work)
-    # (4,4,4,4) passes the lower bound (4.1e8) and is refused on its exact
-    # estimate; (2^7) is refused on the bound 3.4e10 >= 2^34 at once
-    for shape, cost in [("4,4,4,4", "1453467840"), ("2,2,2,2,2,2,2", "at least 2^34")]:
+    # each estimate is printed in full below 2^56, twice the bits of the limit
+    for shape, cost in [("4,4,4,4", "409677004"), ("2,2,2,2,2,2,2", "33857603702")]:
         assert cli.run(["annihilator", "--shape", shape, "--block", "1"]) == 1
         assert capsys.readouterr() == ("", (
             f"error: annihilator of shape {shape} has cost estimate {cost} "
-            "(2^|E| * sum_d rank(A^d)^3), above the limit "
+            "(2^|E| * M_h^3 // (dim h + 1)^2), above the limit "
             f"{cli.ANNIHILATOR_COST_LIMIT}\n"))
 
 
@@ -538,33 +537,36 @@ def test_annihilator_cost_admits_the_measured_and_used_shapes():
     def cost(parts):
         return cli.wd_cost(FlagShape(parts))
 
-    assert cost((2, 2, 2, 2, 2)) == 32 * 34986
-    assert cost((2, 2)) == 4 * (1 + 1)
-    # the last admitted rows of the timing table, then the refused ones
-    assert cost((6, 6, 6)) < cost((2, 2, 2, 2, 2, 2)) <= cli.ANNIHILATOR_COST_LIMIT
-    assert cli.ANNIHILATOR_COST_LIMIT < cost((4, 4, 4, 4)) < cost((2,) * 7)
-    # the shapes of the benchmark and of verify, and every composition of
-    # N <= 8, which the annihilator sweep of test_wdring.py covers
+    # half shape (1^5): 2^5 * 120^3 // 11^2; (1, 1): 2^2 * 2^3 // 2^2
+    assert cost((2, 2, 2, 2, 2)) == 456991
+    assert cost((2, 2)) == 8
+    # the refused rows of the timing table; the admitted ones, the shapes of
+    # the benchmark and of verify, and every composition of N <= 8, which
+    # the annihilator sweep of test_wdring.py covers
+    for parts in [(4, 4, 4, 4), (2,) * 7]:
+        assert cost(parts) > cli.ANNIHILATOR_COST_LIMIT, parts
     swept = [parts for N in range(1, 9) for parts in compositions(N)]
     assert len(swept) == 255
-    for parts in [(4, 4, 4), (2, 6, 4), (2, 2, 2, 2, 2), *swept]:
+    for parts in [(2, 2, 2, 2, 4), (6, 6, 6), (2,) * 6, (4, 4, 4), (2, 6, 4),
+                  (2, 2, 2, 2, 2), *swept]:
         assert cost(parts) <= cli.ANNIHILATOR_COST_LIMIT, parts
 
 
-# W_D commands refused on the lower bound of their cost estimate, each
-# before any ring or Poincare series is built, with the power of 2 below
-# that bound: 2^44, 2^44, 2^350, 2^64, 2^350 and 2^1491
-W_REFUSED = [
-    ["poincare", "--theory", "w", "--shape", "2,2,2,2,2,2,2,2"],
-    ["poincare", "--theory", "w", "--shape", "4,4,4,4,4"],
-    ["poincare", "--theory", "w", "--shape", "128,128"],
-    ["wring", "--shape", "2,2,2,2,2,2,2,2,2,2", "--degree-max", "0"],
-    ["annihilator", "--shape", "128,128", "--block", "1"],
-    ["poincare", "--theory", "w", "--shape", "512,512"],
-]
+# W_D commands refused on their cost estimate before any ring is built,
+# with the estimate as the message prints it
+W_REFUSED = {
+    ("poincare", "--theory", "w", "--shape", "2,2,2,2,2,2,2,2"): "19952877665407",
+    ("poincare", "--theory", "w", "--shape", "4,4,4,4,4"): "27760125715645",
+    ("poincare", "--theory", "w", "--shape", "128,128"): "at least 2^350",
+    ("wring", "--shape", "2,2,2,2,2,2,2,2,2,2", "--degree-max", "0"):
+        "23124555415892688090",
+    ("annihilator", "--shape", "128,128", "--block", "1"): "at least 2^350",
+    ("poincare", "--theory", "w", "--shape", "512,512"): "at least 2^1491",
+    ("annihilator", "--shape", "4,4,4,4", "--block", "1"): "409677004",
+}
 
 
-@pytest.mark.parametrize("argv", W_REFUSED)
+@pytest.mark.parametrize("argv", list(W_REFUSED))
 def test_w_commands_refuse_a_shape_above_the_cost_limit_at_once(argv):
     command, limit = (("annihilator", cli.ANNIHILATOR_COST_LIMIT)
                       if argv[0] == "annihilator" else ("W_D", cli.W_COST_LIMIT))
@@ -573,36 +575,51 @@ def test_w_commands_refuse_a_shape_above_the_cost_limit_at_once(argv):
     proc = run_bounded(*argv)
     assert time.perf_counter() - start < 1.0, argv
     assert proc.returncode == 1 and proc.stdout == ""
-    floor = cli.wd_cost_floor(FlagShape(int(d) for d in shape.split(",")))
-    assert floor > limit
     assert proc.stderr == (
-        f"error: {command} of shape {shape} has cost estimate at least "
-        f"2^{floor.bit_length() - 1} (2^|E| * sum_d rank(A^d)^3), above the "
-        f"limit {limit}\n")
+        f"error: {command} of shape {shape} has cost estimate {W_REFUSED[argv]} "
+        f"(2^|E| * M_h^3 // (dim h + 1)^2), above the limit {limit}\n")
 
 
-def test_the_cost_floor_is_a_lower_bound():
-    # on every composition of N <= 8, the shapes of the timing tables and
-    # two-block shapes up to (64, 64), where the series is still short
-    shapes = [parts for N in range(1, 9) for parts in compositions(N)]
-    shapes += [(4, 4, 4, 4), (6, 6, 6), (2, 6, 6, 6), (8, 8, 8), (2,) * 7,
-               (16, 16), (2, 64), (64, 64)]
-    for parts in shapes:
-        shape = FlagShape(parts)
-        assert cli.wd_cost_floor(shape) <= cli.wd_cost(shape), parts
+def test_torsion_refuses_a_long_shape_at_once():
+    # the rank is C(4000001, 4000000): one step, not 4 * 10^6 factorials
+    start = time.perf_counter()
+    proc = run_bounded("poincare", "--theory", "torsion", "--shape", "1,4000000")
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: shape 1,4000000 has Chow rank 4000001, above the limit "
+        f"{cli.TORSION_RANK_LIMIT} for Sq^2 torsion\n")
+
+
+def test_refusals_print_no_number_below_the_limit_or_too_long(capsys):
+    # C(40000, 20000) has 12040 digits, above the interpreter's limit
+    assert cli.run(["poincare", "--theory", "torsion", "--shape", "20000,20000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: shape 20000,20000 has Chow rank at least 2^39992, above the "
+        f"limit {cli.TORSION_RANK_LIMIT} for Sq^2 torsion\n")
+    for limit in (1, 2, 3, 40000, cli.ANNIHILATOR_COST_LIMIT, cli.W_COST_LIMIT):
+        for value in (limit + 1, 2 * limit, limit**2, 4 * limit**2, 2**9999):
+            shown = cli.above(value, limit)
+            if shown.startswith("at least 2^"):
+                assert limit < 2 ** int(shown[11:]) <= value, (limit, value)
+            else:
+                assert shown == str(value) and len(shown) <= 2 * len(str(limit)) + 1
 
 
 def test_w_cost_admits_the_measured_and_used_shapes():
     def cost(parts):
         return cli.wd_cost(FlagShape(parts))
 
-    # the largest measured shapes that answer, then the refused ones
-    assert cost((4, 4, 4, 4)) < cost((2,) * 7) <= cli.W_COST_LIMIT
-    assert cli.W_COST_LIMIT < cost((8, 8, 8)) < cost((2,) * 8) < cost((4,) * 5)
-    # the W shapes of the golden and pinned outputs and of the benchmark's
-    # torsion oracle
-    for parts in [(2, 2, 4), (1, 2, 3), (1, 2, 2), (1, 4), (1, 2), (4, 2, 2, 4),
-                  (1, 1, 1), (3, 3, 1), (1, 1, 1, 1, 2), (1, 1, 2, 2)]:
+    # the refused rows of the timing table; the admitted ones, the W shapes
+    # of the golden and pinned outputs and of the benchmark's torsion
+    # oracle, and every composition of N <= 8
+    for parts in [(2, 6, 6, 6), (2, 2, 2, 2, 4, 4), (4, 4, 4, 8), (8, 8, 8)]:
+        assert cost(parts) > cli.W_COST_LIMIT, parts
+    swept = [parts for N in range(1, 9) for parts in compositions(N)]
+    for parts in [(4, 4, 4, 6), (6, 6, 12), (2, 2, 2, 2, 2, 6), (2,) * 7,
+                  (2, 2, 2, 6, 6), (2,) * 7 + (1,),
+                  (2, 2, 4), (1, 2, 3), (1, 2, 2), (1, 4), (1, 2), (4, 2, 2, 4),
+                  (1, 1, 1), (3, 3, 1), (1, 1, 1, 1, 2), (1, 1, 2, 2), *swept]:
         assert cost(parts) <= cli.W_COST_LIMIT, parts
 
 

@@ -14,6 +14,7 @@ from flag_oracle import (
     pullback,
     pullback_nf,
     quotient_chow_poincare,
+    standard_coords,
 )
 
 from flagcw import intlinalg
@@ -614,7 +615,8 @@ def polynomial_multiplication_matrix(pres, g, d):
     """Multiplication by g on degree d through ring products and normal_form."""
     target = d + g.degree()
     cols = [
-        pres.coords(pres.normal_form(GradedPolynomial(pres.ring, {mon: 1}) * g), target)
+        standard_coords(pres, pres.normal_form(GradedPolynomial(pres.ring, {mon: 1}) * g),
+                        target)
         for mon in pres.standard_monomials(d)
     ]
     return [[col[i] for col in cols] for i in range(pres.rank(target))]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -10,7 +11,6 @@ from flagcw.poly import PolyRing
 from flagcw.symfunc import (
     Partition,
     _split_by_reversal,
-    binomial,
     box_complement,
     box_dual,
     grassmann_bundle_pushforward,
@@ -118,7 +118,7 @@ def test_partitions_in_box_counts():
     assert {p.parts for p in partitions_in_box(1, 1)} == {(), (1,)}
     for m, n in [(2, 2), (3, 3), (4, 2)]:
         seen = list(partitions_in_box(m, n))
-        assert len(seen) == len(set(seen)) == binomial(m + n, m)
+        assert len(seen) == len(set(seen)) == math.comb(m + n, m)
 
 
 # -- Jacobi-Trudi ------------------------------------------------------
