@@ -7,10 +7,16 @@ One function, ``respond``, builds every payload and picks the exit code
 of every answer; ``count`` prints its JSON object in either format, with
 the checks that ``counts.count_preset`` returns beside its result.
 
-Every run is a fresh interpreter, so each command pays for its imports.
-This module imports only argparse, json, math, os, sys and the flagcw
-modules; tests/test_import_footprint.py checks that neither it nor the
-package loads dataclasses, inspect, ast, dis, tokenize or typing.
+Every run is a fresh interpreter, so each command pays for its imports
+and its parser.  The command line is one table, ``OPTIONS``, read by a
+loop over argv, since argparse, with the gettext and locale it loads,
+would cost about 5 ms a run.  At module level this module imports json, math, os,
+sys, types and the flagcw modules every command reads; charclass,
+counts and steenrod (with gf2) are imported by the commands that use
+them.  tests/test_import_footprint.py checks that neither this module
+nor the package loads dataclasses, inspect, ast, dis, tokenize, typing,
+argparse, gettext or locale, and that ``annihilator`` loads none of the
+four command modules.
 
 It also pays for its exit.  Once ``run`` has returned, a normal exit
 tears down every module and the reducer memos, after the answer is
@@ -36,14 +42,41 @@ checks that ``os._exit`` is called only in ``main``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
-from . import charclass, counts, flagchow, series, steenrod, wdring
+from . import flagchow, series, wdring
 from .flagchow import FlagShape, TwistClass, all_twist_classes
+
+
+# The command line: command -> option -> (type, allowed values, default),
+# and under None the options that go before the command.  An option with
+# no default is required.
+OPTIONS = {
+    None: {"--format": (str, ("text", "json"), "text")},
+    "poincare": {
+        "--shape": (str, None, None),
+        "--theory": (str, ("chow", "ch2", "w", "torsion"), None),
+        "--twist": (str, None, "0"),
+    },
+    "wring": {
+        "--shape": (str, None, None),
+        "--degree-max": (int, None, None),
+        "--twist": (str, None, "0"),
+    },
+    "annihilator": {"--shape": (str, None, None), "--block": (int, None, None)},
+    "euler": {"--expr": (str, None, None), "--roots": (int, None, 2)},
+    "count": {
+        "--preset": (str, ("cubic-lines", "quintic-4planes", "flag-3-5"), None),
+    },
+    "verify": {
+        "--suite": (str, ("piqp", "annihilator", "sq2", "poincare"), None),
+    },
+}
+COMMANDS = tuple(name for name in OPTIONS if name)
 
 
 # Sq^2 torsion of a partial flag variety works on all multinomial(N; D)
@@ -98,18 +131,44 @@ class OutputError(Exception):
     """The answer could not be written: stdout is full or closed."""
 
 
+# A refusal prints a value past twice the bits of its limit only as "at
+# least 2^k" (see ``above``), and math.comb is slow on a large block: C(800000,
+# 400000) takes 6.5 s and C(4000000, 2000000) 115 s in-process on a 2-core
+# VM.  So the refusals take the Chow rank exactly only while a bound on its
+# bits is at most RANK_EXACT_BITS; C(65536, 32768), the largest central
+# binomial below it, takes 0.08 s.
+RANK_EXACT_BITS = 2**17
+
+
 def multinomial(shape: FlagShape) -> int:
     """N! / prod d_i! = prod_i C(s_i, d_i), the rank of CH^*(Fl(D))."""
     return math.prod(math.comb(stop, stop - start) for start, stop in shape.spans)
 
 
+def rank_floor(shape: FlagShape) -> int:
+    """The Chow rank multinomial(shape) while a bound on its bits is at most
+    RANK_EXACT_BITS; past that, a power of 2 at or below it with more than
+    RANK_EXACT_BITS // 4 bits, far above every limit.
+
+    With j = min(d_i, s_i - d_i) > 0 and q = s_i // j >= 2, (s_i / j)^j <=
+    C(s_i, d_i) <= (e s_i / j)^j, so the block's binomial has between
+    j * (q.bit_length() - 1) and j * (q.bit_length() + 2) bits."""
+    blocks = [(stop, j) for start, stop in shape.spans
+              if (j := min(start, stop - start))]
+    bits = [(j, (s // j).bit_length()) for s, j in blocks]
+    if sum(j * (b + 2) for j, b in bits) <= RANK_EXACT_BITS:
+        return math.prod(math.comb(s, j) for s, j in blocks)
+    return 1 << sum(j * (b - 1) for j, b in bits)
+
+
 def wd_cost(shape: FlagShape) -> int:
     """2^|E| * M^3 // (dim h + 1)^2, the cost estimate of the W_D commands:
     E the even blocks, M and dim h the Chow rank and dimension of the half
-    shape h."""
+    shape h; a lower bound on it when M is read by rank_floor as a power
+    of 2."""
     even = sum(1 for d in shape.d if d % 2 == 0)
     half = wdring.half_shape(shape)
-    return 2**even * multinomial(half) ** 3 // (half.dim + 1) ** 2
+    return 2**even * rank_floor(half) ** 3 // (half.dim + 1) ** 2
 
 
 def above(value: int, limit: int) -> str:
@@ -158,51 +217,97 @@ def parse_twist(text: str, m: int) -> TwistClass:
         raise ValidationError(f"malformed twist {text!r}: {exc}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flagcw",
-        description="Exact Chow / mod-2 Chow / Witt-sheaf cohomology of "
-        "type-A partial flag varieties.",
-    )
-    parser.add_argument(
-        "--format", choices=["text", "json"], default="text", dest="fmt"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser() -> dict:
+    """The option table that parse_args reads."""
+    return OPTIONS
 
-    p = sub.add_parser("poincare", help="Poincare polynomials")
-    p.add_argument("--shape", required=True)
-    p.add_argument(
-        "--theory", choices=["chow", "ch2", "w", "torsion"], required=True
-    )
-    p.add_argument("--twist", default="0")
 
-    p = sub.add_parser("wring", help="Witt-sheaf cohomology basis by degree")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--degree-max", type=int, required=True)
-    p.add_argument("--twist", default="0")
+def parse_args(argv) -> SimpleNamespace | None:
+    """argv read against OPTIONS: [--format text|json] COMMAND --opt value
+    ... (or --opt=value).  None if it asks for -h or --help; else the
+    command, and every option of the line under its name without the
+    dashes, '-' read as '_', its default where it is not given.
 
-    p = sub.add_parser("annihilator", help="annihilator of an Euler class")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--block", type=int, required=True)
+    An option is named in full, and the token after it is its value, even
+    one starting with '-'.  A malformed line raises ValidationError."""
+    command, values = None, {}
+    table = OPTIONS[None]
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if not token.startswith("-"):
+            if command is not None:
+                raise ValidationError(f"unexpected argument {token!r}")
+            if token not in COMMANDS:
+                raise ValidationError(f"unknown command {token!r}; "
+                                      f"choose from {', '.join(COMMANDS)}")
+            command, table = token, OPTIONS[token]
+            continue
+        name, eq, value = token.partition("=")
+        if name not in table:
+            scope = (f"{command} takes" if command
+                     else "the options before the command are")
+            raise ValidationError(f"unknown option {name!r}; "
+                                  f"{scope} {', '.join(table)}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise ValidationError(f"{name} needs a value")
+        kind, allowed, _ = table[name]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValidationError(
+                    f"{name} needs an integer, not {value!r}") from None
+        elif allowed and value not in allowed:
+            raise ValidationError(
+                f"{name} must be one of {', '.join(allowed)}, not {value!r}")
+        values[name] = value
+    if command is None:
+        raise ValidationError(f"no command; choose from {', '.join(COMMANDS)}")
+    specs = {**OPTIONS[None], **OPTIONS[command]}
+    missing = [name for name, (_, _, default) in specs.items()
+               if default is None and name not in values]
+    if missing:
+        raise ValidationError(f"{command} needs {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{
+        name[2:].replace("-", "_"): values.get(name, default)
+        for name, (_, _, default) in specs.items()})
 
-    p = sub.add_parser("euler", help="Euler class of a bundle expression")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--roots", type=int, default=2)
 
-    p = sub.add_parser("count", help="enumerative presets")
-    p.add_argument(
-        "--preset",
-        choices=["cubic-lines", "quintic-4planes", "flag-3-5"],
-        required=True,
-    )
+def usage() -> str:
+    """The -h/--help text, built from OPTIONS."""
+    def forms(table):
+        for name, (kind, allowed, default) in table.items():
+            value = ("|".join(allowed) if allowed
+                     else "N" if kind is int else name[2:].upper())
+            yield f"{name} {value}" if default is None else f"[{name} {value}]"
 
-    p = sub.add_parser("verify", help="verification suites")
-    p.add_argument(
-        "--suite",
-        choices=["piqp", "annihilator", "sq2", "poincare"],
-        required=True,
-    )
-    return parser
+    defaults = dict.fromkeys(
+        f"{name} {default}" for table in OPTIONS.values()
+        for name, (_, _, default) in table.items() if default is not None)
+    return "\n".join([
+        f"usage: flagcw {' '.join(forms(OPTIONS[None]))} COMMAND OPTION...",
+        "",
+        "Exact Chow, mod-2 Chow and Witt-sheaf cohomology of type-A partial",
+        "flag varieties.",
+        "",
+        "commands:",
+        *(f"  {' '.join((command, *forms(OPTIONS[command])))}"
+          for command in COMMANDS),
+        "",
+        f"Bracketed options default to {', '.join(defaults)}.",
+        "A value may also follow its option after '=', as in --shape=2,2.",
+    ])
+
+
+def write(lines) -> None:
+    """Print lines on stdout; a failed write raises OutputError."""
+    try:
+        for line in lines:
+            print(line)
+    except OSError as exc:
+        raise OutputError(exc) from exc
 
 
 def respond(args, inputs: dict, result: dict, checks, lines=None) -> int:
@@ -214,22 +319,20 @@ def respond(args, inputs: dict, result: dict, checks, lines=None) -> int:
     checks = [{"name": n, "status": "pass" if ok else "fail"} for n, ok in checks]
     payload = {"command": args.command, "input": inputs, "result": result,
                "checks": checks}
-    if args.fmt == "json" or lines is None:
+    if args.format == "json" or lines is None:
         lines = [json.dumps(payload, sort_keys=True)]
-    try:
-        for line in lines:
-            print(line)
-    except OSError as exc:
-        raise OutputError(exc) from exc
+    write(lines)
     return 2 if any(c["status"] == "fail" for c in checks) else 0
 
 
 def cmd_poincare(args) -> int:
+    from . import steenrod
+
     shape = parse_shape(args.shape)
     twist = parse_twist(args.twist, shape.m)
     checks = []
     sq2_route = args.theory == "torsion" and not shape.is_full_flag()
-    if sq2_route and (rank := multinomial(shape)) > TORSION_RANK_LIMIT:
+    if sq2_route and (rank := rank_floor(shape)) > TORSION_RANK_LIMIT:
         raise ValidationError(
             f"shape {shape} has Chow rank {above(rank, TORSION_RANK_LIMIT)}, "
             f"above the limit {TORSION_RANK_LIMIT} for Sq^2 torsion"
@@ -312,6 +415,8 @@ def cmd_annihilator(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    from . import charclass
+
     try:
         expr = charclass.parse_bundle(args.expr)
     except charclass.BundleGrammarError as exc:
@@ -354,6 +459,8 @@ def cmd_euler(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from . import counts
+
     result, checks = counts.count_preset(args.preset)
     return respond(args, {"preset": args.preset}, result, checks)
 
@@ -386,6 +493,8 @@ def cmd_verify(args) -> int:
             _, rep = flagchow.ann_top_chern(FlagShape(parts))
             reports.append(rep)
     elif args.suite == "sq2":
+        from . import steenrod
+
         for N in range(3, 6):
             shape = FlagShape([1] * N)
             for twist in all_twist_classes(N):
@@ -398,6 +507,8 @@ def cmd_verify(args) -> int:
                     len(computed), closed == computed and bock == wd,
                 ))
     else:  # poincare
+        from . import steenrod
+
         expectations = [
             ((1, 1, 1), "chow", [1, 2, 2, 1]),
             ((1, 1, 1, 1), "chow", [1, 3, 5, 6, 5, 3, 1]),
@@ -420,11 +531,6 @@ def cmd_verify(args) -> int:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
     handlers = {
         "poincare": cmd_poincare,
         "wring": cmd_wring,
@@ -434,6 +540,10 @@ def run(argv) -> int:
         "verify": cmd_verify,
     }
     try:
+        args = parse_args(argv)
+        if args is None:
+            write([usage()])
+            return 0
         return handlers[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -563,6 +563,8 @@ W_REFUSED = {
     ("annihilator", "--shape", "128,128", "--block", "1"): "at least 2^350",
     ("poincare", "--theory", "w", "--shape", "512,512"): "at least 2^1491",
     ("annihilator", "--shape", "4,4,4,4", "--block", "1"): "409677004",
+    # the half shape's rank read by rank_floor as 2^2000000
+    ("poincare", "--theory", "w", "--shape", "4000000,4000000"): "at least 2^5999918",
 }
 
 
@@ -589,6 +591,33 @@ def test_torsion_refuses_a_long_shape_at_once():
     assert proc.stderr == (
         "error: shape 1,4000000 has Chow rank 4000001, above the limit "
         f"{cli.TORSION_RANK_LIMIT} for Sq^2 torsion\n")
+
+
+@pytest.mark.parametrize("half", [400000, 2000000])
+def test_torsion_refuses_a_huge_block_at_once(half):
+    # math.comb(2 * half, half) takes 6.5 s or 115 s; rank_floor reads the
+    # rank as 2^half
+    start = time.perf_counter()
+    proc = run_bounded("poincare", "--theory", "torsion", "--shape", f"{half},{half}")
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
+        f"error: shape {half},{half} has Chow rank at least 2^{half}, above "
+        f"the limit {cli.TORSION_RANK_LIMIT} for Sq^2 torsion\n"))
+
+
+def test_rank_floor_is_the_rank_or_a_power_of_two_below_it():
+    # exact on every composition of N <= 8 and on the pinned refusals;
+    # (32769, 32769) is the first central shape past RANK_EXACT_BITS
+    for parts in [p for N in range(1, 9) for p in compositions(N)] + [
+            (20000, 20000), (32768, 32768), (5, 5, 5), (1, 4000000)]:
+        shape = FlagShape(parts)
+        assert cli.rank_floor(shape) == cli.multinomial(shape), parts
+    for parts in [(32769, 32769), (1, 100000, 40000), (30000, 30000, 30000)]:
+        shape = FlagShape(parts)
+        floor = cli.rank_floor(shape)
+        assert floor.bit_count() == 1, parts
+        assert cli.RANK_EXACT_BITS // 4 < floor.bit_length() - 1, parts
+        assert floor <= cli.multinomial(shape), parts
 
 
 def test_refusals_print_no_number_below_the_limit_or_too_long(capsys):
