@@ -454,21 +454,26 @@ def _tensor_factors(expr, nblocks: int):
             yield atom[1:]
 
 
-def cauchy_box_total(expr, nblocks: int, limit: int):
-    """(count, exact): the partitions that the Euler class of expr sums
-    over, C(m + n, m) in the m x n box of each distinct Sym^M (x) Sym^N
-    factor, m = ceil(M/2), n = ceil(N/2).  The count stops at the first
-    factor that takes it above limit; exact is False when factors are left
-    over, each with at least one partition."""
-    factors = _tensor_factors(expr, nblocks)
+def cauchy_minor_products(expr, nblocks: int, limit: int) -> int:
+    """The products of minors that the Cauchy-determinant check of the
+    Euler class of expr multiplies out, counted without building a factor.
+
+    Per distinct Sym^M (x) Sym^N factor, m = ceil(M/2), n = ceil(N/2):
+    jacobi_trudi_delta expands a determinant of j rows in j 2^(j-1)
+    products, the conjugate of a partition of the m x n box has as many
+    rows as its first part j, and C(j + m - 1, m - 1) of those partitions
+    have first part j; the dual partitions fill the n x m box.  The count
+    stops at the first term that takes it above limit.
+    """
     total = 0
-    for M, _, N, _ in factors:
-        # M, N >= 1: the grammar reads no negative power, and a Sym^0
-        # factor is a trivial line, which no tensor takes
-        total += math.comb((M + 1) // 2 + (N + 1) // 2, (M + 1) // 2)
-        if total > limit:
-            return total, next(factors, None) is None
-    return total, True
+    for M, _, N, _ in _tensor_factors(expr, nblocks):
+        m, n = (M + 1) // 2, (N + 1) // 2
+        for a, b in ((m, n), (n, m)):
+            for j in range(1, b + 1):
+                total += math.comb(j + a - 1, a - 1) * j << (j - 1)
+                if total > limit:
+                    return total
+    return total
 
 
 def euler_coefficient_floor(expr, nblocks: int, cap: int) -> int:
@@ -493,13 +498,35 @@ def euler_coefficient_floor(expr, nblocks: int, cap: int) -> int:
     return floor
 
 
-def euler_checks(expr, nblocks: int) -> list:
-    """(statement, holds) per Sym^M(D_i) (x) Sym^N(D_j) factor of expr: the
-    Cauchy-determinant route equals euler_sym_tensor(M, N)."""
-    return [
+def sym_powers(expr, nblocks: int):
+    """M of each Sym^M(D_i) atom of expr, one at a time."""
+    return (atom[1] for atom in _normalize(expr, nblocks) if atom[0] == "sym")
+
+
+def euler_checks(expr, nblocks: int, euler: GradedPolynomial) -> list:
+    """(statement, holds) pairs that check euler, the Euler class of expr,
+    by a second route.  Per Sym^M(D_i) (x) Sym^N(D_j) factor: the
+    Cauchy-determinant route equals euler_sym_tensor(M, N).  With no such
+    factor, every atom is Sym^M(D_i) or trivial, and e(E)^2 = p_top(E), the
+    part of degree 2 rank(E) of p(E): the product over the atoms of the
+    part of degree 2 rank of p(Sym^M(D_i)) from pontryagin_sym_rk2, which
+    is 0 for an odd rank or a trivial atom, as e is.
+    """
+    checks = [
         (f"Sym^{M}(D{i}) (x) Sym^{N}(D{j}): Cauchy determinant = "
          f"euler_sym_tensor({M}, {N})",
          _euler_sym_tensor_cauchy(M, N, a, b) == euler_sym_tensor(M, N, a, b))
         for M, i, N, j in _tensor_factors(expr, nblocks)
         for a, b in [euler_root_ring(2, (M + 1) * (N + 1)).gens()]
     ]
+    if checks:
+        return checks
+    ring = euler_root_ring(nblocks, 2 * bundle_rank(expr, nblocks))
+    p_top = ring.one()
+    for atom in _normalize(expr, nblocks):
+        p = ring.one() if atom[0] == "triv" else pontryagin_sym_rk2(
+            atom[1], ring.var(atom[2] - 1))
+        p_top = p_top * p.homogeneous_part(2 * _atom_rank(atom))
+    e = ring.from_terms({euler.ring.exponents(k): c for k, c in euler.terms.items()})
+    return [("e(E)^2 = p_top(E), p from pontryagin_sym_rk2 of each Sym^M(D_i)",
+             e * e == p_top)]

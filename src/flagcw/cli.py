@@ -7,31 +7,16 @@ One function, ``respond``, builds every payload and picks the exit code
 of every answer; ``count`` prints its JSON object in either format, with
 the checks that ``counts.count_preset`` returns beside its result.
 
-Every run is a fresh interpreter, so each command pays for its imports
-and its parser.  The command line is one table, ``OPTIONS``, read by a
-loop over argv, since argparse, with the gettext and locale it loads,
-would cost about 5 ms a run.  At module level this module imports json, math, os,
-sys, types and the flagcw modules every command reads; charclass,
-counts and steenrod (with gf2) are imported by the commands that use
-them.  tests/test_import_footprint.py checks that neither this module
-nor the package loads dataclasses, inspect, ast, dis, tokenize, typing,
-argparse, gettext or locale, and that ``annihilator`` loads none of the
-four command modules.
-
-It also pays for its exit.  Once ``run`` has returned, a normal exit
-tears down every module and the reducer memos, after the answer is
-already printed.  From the flushed answer to the exit seen by the
-parent, medians of 7 runs on a 2-core VM: 11.7 ms for ``count --preset
-flag-3-5``, 12.3 ms for ``verify --suite piqp`` and 19.3 ms for
-``annihilator --shape 2,2,2,2,2 --block 1``, against 1.1-1.7 ms with
-``os._exit``; that is 10-20% of a benchmark job.  So ``main`` flushes
-stdout and stderr and ends the process with ``os._exit``.  A flush that
-fails (a full disk, a closed pipe) is an error: exit code 1 and one
-``error: cannot write output`` line on stderr.  The outputs fit in the
-8 KiB buffer of a redirected stdout, so the final flush is where a write
-fails; with PYTHONUNBUFFERED or -u, or an answer larger than the
-buffer, ``print`` fails inside ``respond`` instead, which raises
-``OutputError``, and ``main`` ends that the same way.
+Every run is a fresh interpreter, so each command pays for its imports,
+its parser and its exit.  The command line is one table, ``OPTIONS``,
+read by a loop over argv, as argparse would cost about 5 ms a run.
+charclass, counts and steenrod (with gf2) load with the commands that use
+them (tests/test_import_footprint.py).  A normal exit would tear down
+every module and the reducer memos after the answer, 10-20 ms, so
+``main`` flushes stdout and stderr and ends with ``os._exit``.  A failed
+write (a full disk, a closed pipe) exits 1 with one ``error: cannot write
+output`` line, whether at the final flush or, unbuffered or past the 8 KiB
+buffer, inside ``respond``, which raises ``OutputError``.
 
 ``run`` is the library entry point and never exits the interpreter: it
 returns the exit code, and an exception it raises propagates (from
@@ -79,48 +64,40 @@ OPTIONS = {
 COMMANDS = tuple(name for name in OPTIONS if name)
 
 
-# Sq^2 torsion of a partial flag variety works on all multinomial(N; D)
-# standard monomials of its Chow ring.  CLI runs on a 2-core VM, 2-3
-# each: rank 16632 (5,5,2) in 8.8-12.6 s and (2,5,5) in 2.2-2.7 s, most
-# of it spent building their 138 and 330 rules; 16800 (3,3,3,1) in
-# 1.2-1.9 s; 34650 (4,4,4) in 0.3-0.4 s.  In-process, 113400 (2,2,2,2,2)
-# in 0.9 s and 92400 (3,3,3,2) in 28.5 s at 295 MB.  The rank is a coarse
-# guide to the cost, and the limit admits (4,4,4) but not (3,3,3,2).
+# Sq^2 torsion works on the N!/prod d_i! standard monomials of the Chow
+# ring, and its time depends on the orientation of the tower, which no
+# count of the shape reads: in-process on a 2-core VM, (3,3,6) takes 2.63 s
+# and (6,3,3) 0.05 s, (3,3,3,2) 10.9 s and (2,3,3,3) 1.7 s, (5,5,2) 1.46 s
+# and (2,5,5) 0.33 s.  So it keeps a limit on the rank until the tower is
+# oriented.  CLI runs: 16632 (5,5,2) in 1.5-2.7 s, 16800 (3,3,3,1) in 1.2
+# s, 34650 (4,4,4) in 0.2 s; in-process, 113400 (2,2,2,2,2) in 0.35 s.
+# (6,6,2), rank 84084, spent 327 s building its rules.
 TORSION_RANK_LIMIT = 40000
 
-
-# euler sums over the partitions in the Cauchy box of each distinct
-# Sym^M (x) Sym^N factor, C(m + n, m) of them.  Single runs on a 2-core
-# VM: sym^11(D1)*sym^11(D2) (924 partitions) in 1.7 s, sym^13 (3432) in
-# 10.9 s; sym^15 (12870) had not ended after 60 s.
-EULER_BOX_LIMIT = 3432
-
-
-# W_D is budgeted by its one estimate 2^|E| * M^3 // (dim h + 1)^2: E the
-# even blocks, and M and dim h the Chow rank and the dimension of the half
-# shape h, whose components e_I * A^d the W_D commands work on.  It reads
-# only the shape, and it is a lower bound on 2^|E| * sum_d rank(A^d)^3, since
-# sum_d r_d^3 >= (sum_d r_d)^3 / n^2 over n degrees.  ann_euler eliminates a
-# kernel and an HNF per (degree, twist) slot.  Single runs on a 2-core VM:
-# (2,2,2,2,2) 4.6e5 in 0.13 s, (2,2,2,2,4) 6.6e6 in 0.9 s, (6,6,6) 4.8e7
-# in 4.0 s, (2,2,2,2,2,2) 9.3e7 in 4.9 s; (4,4,4,4) 4.1e8 was killed
-# after 120 s and (2,2,2,2,2,2,2) 3.4e10 had not ended after 490 s.
-ANNIHILATOR_COST_LIMIT = 2 * 10**8
-
-# wring and poincare --theory w build one quotient record per (I, Chow
-# degree) and no kernel, so they admit more.  Single CLI runs of poincare
-# --theory w on a 2-core VM: (4,4,4,6) 7.2e9 in 3.6 s, (6,6,12) 2.4e10 in
-# 32 s, (2,2,2,2,2,6) 2.9e10 in 4.1 s, (2,2,2,2,2,2,2) 3.39e10 in 2.3 s,
-# (2,2,2,6,6) 3.41e10 in 8.7 s; (2,6,6,6) 5.5e10 took 41 s, (2,2,2,2,4,4)
-# 9.0e10 took 16 s, and (4,4,4,8) 7.9e10 and (8,8,8) 1.4e11 had not ended
-# after 60 s.  Mixed and all-odd shapes take no quotient, so the estimate
-# overprices them: (2,2,2,2,2,2,2,1), at 3.4e10, answers in 0.1 s.
-W_COST_LIMIT = 4 * 10**10
-
 # wring prints every degree up to --degree-max, about 5 us and 13 bytes
-# each past the top degree.  Single CLI runs on a 2-core VM of wring
-# --shape 2,2: 10^4 degrees in 0.10 s, 10^5 in 0.60 s, 10^6 in 5.2 s.
+# each past the top degree: CLI wring --shape 2,2 takes 0.10 s for 10^4
+# degrees, 0.60 s for 10^5 and 5.2 s for 10^6.
 WRING_DEGREE_LIMIT = 10**5
+
+# Every other long run is refused by one cost model before any ring is
+# built: ``predict_ms`` prices counts read off the shape or the expression
+# at rates in picoseconds, fitted once to the CLI runs on a 2-core VM that
+# tests/test_cost_model.py holds.  W_D works on the half shape h, its Chow
+# ring A, the records (I, Chow degree) of the subsets I of the even blocks
+# E, and the exterior generators, #R = N // 2 - N_h of them.
+COST_LIMIT_MS = 60_000
+PS_PER_COUNT = {
+    "slot": 17_000_000,  # the slot table: 2^(|E| + #R) * (dim h + 1)
+    "generator pair": 250_000,  # A's rules and products: N_h^2
+    "monomial": 15_000_000,  # rank A per subset I whose records are read
+    "cell": 11_000,  # intlinalg.smith_cells of each record read
+    # annihilator's kernels and HNFs grow faster: cells * isqrt(cells)
+    "annihilator cell^(3/2)": 12,
+    "series step": 400_000,  # flagchow.series_steps, of D or of h
+    # euler's checks: charclass.cauchy_minor_products, or with no tensor
+    "minor product": 3_000_000,  # factor p(Sym^M) of each Sym^M atom,
+    "pontryagin step": 700,  # multiplied out in (M // 2 + 1)^3 steps
+}
 
 
 class ValidationError(Exception):
@@ -131,44 +108,23 @@ class OutputError(Exception):
     """The answer could not be written: stdout is full or closed."""
 
 
-# A refusal prints a value past twice the bits of its limit only as "at
-# least 2^k" (see ``above``), and math.comb is slow on a large block: C(800000,
-# 400000) takes 6.5 s and C(4000000, 2000000) 115 s in-process on a 2-core
-# VM.  So the refusals take the Chow rank exactly only while a bound on its
-# bits is at most RANK_EXACT_BITS; C(65536, 32768), the largest central
-# binomial below it, takes 0.08 s.
+# math.comb is slow on a large block: C(800000, 400000) takes 6.5 s
+# in-process.  So rank_floor is exact only while a bound on the bits is at
+# most RANK_EXACT_BITS; C(65536, 32768), just below it, takes 0.08 s.
 RANK_EXACT_BITS = 2**17
 
 
-def multinomial(shape: FlagShape) -> int:
-    """N! / prod d_i! = prod_i C(s_i, d_i), the rank of CH^*(Fl(D))."""
-    return math.prod(math.comb(stop, stop - start) for start, stop in shape.spans)
-
-
 def rank_floor(shape: FlagShape) -> int:
-    """The Chow rank multinomial(shape) while a bound on its bits is at most
-    RANK_EXACT_BITS; past that, a power of 2 at or below it with more than
-    RANK_EXACT_BITS // 4 bits, far above every limit.
-
-    With j = min(d_i, s_i - d_i) > 0 and q = s_i // j >= 2, (s_i / j)^j <=
-    C(s_i, d_i) <= (e s_i / j)^j, so the block's binomial has between
-    j * (q.bit_length() - 1) and j * (q.bit_length() + 2) bits."""
+    """The Chow rank prod_i C(s_i, d_i) while a bound on its bits is at most
+    RANK_EXACT_BITS, else a power of 2 below it of over RANK_EXACT_BITS // 4
+    bits.  With j = min(d_i, s_i - d_i), q = s_i // j, C(s_i, d_i) has
+    j (q.bit_length() - 1) to j (q.bit_length() + 2) bits."""
     blocks = [(stop, j) for start, stop in shape.spans
               if (j := min(start, stop - start))]
     bits = [(j, (s // j).bit_length()) for s, j in blocks]
     if sum(j * (b + 2) for j, b in bits) <= RANK_EXACT_BITS:
         return math.prod(math.comb(s, j) for s, j in blocks)
     return 1 << sum(j * (b - 1) for j, b in bits)
-
-
-def wd_cost(shape: FlagShape) -> int:
-    """2^|E| * M^3 // (dim h + 1)^2, the cost estimate of the W_D commands:
-    E the even blocks, M and dim h the Chow rank and dimension of the half
-    shape h; a lower bound on it when M is read by rank_floor as a power
-    of 2."""
-    even = sum(1 for d in shape.d if d % 2 == 0)
-    half = wdring.half_shape(shape)
-    return 2**even * rank_floor(half) ** 3 // (half.dim + 1) ** 2
 
 
 def above(value: int, limit: int) -> str:
@@ -179,15 +135,63 @@ def above(value: int, limit: int) -> str:
     return str(value) if k < 2 * limit.bit_length() else f"at least 2^{k}"
 
 
-def check_wd_cost(shape: FlagShape, command: str, limit: int) -> None:
-    """Refuse a W_D command whose cost estimate is above its limit, before
-    any ring is built."""
-    cost = wd_cost(shape)
-    if cost > limit:
-        raise ValidationError(
-            f"{command} of shape {shape} has cost estimate {above(cost, limit)} "
-            f"(2^|E| * M_h^3 // (dim h + 1)^2), above the limit {limit}"
-        )
+def work(args, subject, twist=None):
+    """(rate name, count) for each part of a command's work; the counts
+    that read the half shape's Poincare series come last."""
+    if args.command == "euler":
+        from . import charclass
+
+        products = charclass.cauchy_minor_products(
+            subject, args.roots, COST_LIMIT_MS * 10**9 // PS_PER_COUNT["minor product"])
+        yield "minor product", products
+        if not products:  # no tensor factor
+            yield "pontryagin step", sum(
+                (M // 2 + 1) ** 3 for M in charclass.sym_powers(subject, args.roots))
+        return
+    if args.command == "poincare" and args.theory != "w":
+        yield "series step", flagchow.series_steps(subject)
+        return
+    shape, half = subject, wdring.half_shape(subject)
+    even = sum(1 for d in shape.d if d % 2 == 0)
+    yield "slot", 2 ** (even + shape.N // 2 - half.N) * (half.dim + 1)
+    yield "generator pair", half.N**2
+    yield "series step", flagchow.series_steps(half)
+    annihilator = args.command == "annihilator"
+    ks = wdring.records_read(shape, None if annihilator else twist)
+    yield "monomial", sum(ks.values()) * rank_floor(half)
+    if even < shape.m:
+        return  # mixed and all-odd shapes take no quotient
+    cells = wdring.smith_cells_read(
+        shape, ks, args.degree_max if args.command == "wring" else None)
+    if annihilator:
+        yield "annihilator cell^(3/2)", cells * math.isqrt(cells)
+    else:
+        yield "cell", cells
+
+
+def predict_ms(args, subject, twist=None) -> int:
+    """The predicted run time in milliseconds, rounded up, of ``work`` on
+    subject (a shape, or euler's bundle expression) and twist (read by
+    wring and poincare --theory w) at PS_PER_COUNT.  The sum stops at the
+    first part past COST_LIMIT_MS: a refusal reads no more than it needs."""
+    ps = 0
+    for name, count in work(args, subject, twist):
+        ps += count * PS_PER_COUNT[name]
+        if ps > COST_LIMIT_MS * 10**9:
+            break
+    return -(-ps // 10**9)
+
+
+def check_cost(args, subject, twist=None) -> None:
+    """Refuse a command whose predicted run time is above COST_LIMIT_MS."""
+    ms = predict_ms(args, subject, twist)
+    if ms > COST_LIMIT_MS:
+        name = args.command + (f" --theory {args.theory}"
+                               if args.command == "poincare" else "")
+        what = f"shape {subject}" if isinstance(subject, FlagShape) else repr(args.expr)
+        raise ValidationError(f"{name} of {what} is predicted to take "
+                              f"{above(ms, COST_LIMIT_MS)} ms, above the limit "
+                              f"{COST_LIMIT_MS} ms")
 
 
 def chi_check(shape: FlagShape, ranks) -> tuple:
@@ -337,13 +341,15 @@ def cmd_poincare(args) -> int:
             f"shape {shape} has Chow rank {above(rank, TORSION_RANK_LIMIT)}, "
             f"above the limit {TORSION_RANK_LIMIT} for Sq^2 torsion"
         )
+    if args.theory != "torsion":
+        check_cost(args, shape, twist)
     if args.theory == "chow" or args.theory == "ch2":
         poly = flagchow.chow_poincare(shape)
-        cells = multinomial(shape)
+        # exact on every shape that the cost model admits
+        cells = rank_floor(shape)
         checks = [(f"coefficients sum to the multinomial N!/prod d_i! = {cells}",
                    sum(poly) == cells)]
     elif args.theory == "w":
-        check_wd_cost(shape, "W_D", W_COST_LIMIT)
         poly = wdring.wd_poincare(shape, twist)
         if shape.is_full_flag() and twist.is_trivial():
             checks = [("slot-table series = closed form P_0(Fl(N))",
@@ -377,7 +383,7 @@ def cmd_wring(args) -> int:
     if args.degree_max > WRING_DEGREE_LIMIT:
         raise ValidationError(f"--degree-max {args.degree_max} is above the "
                               f"limit {WRING_DEGREE_LIMIT}")
-    check_wd_cost(shape, "W_D", W_COST_LIMIT)
+    check_cost(args, shape, twist)
     pres = wdring.build_sigma(shape)
     degrees = {}
     lines = []
@@ -401,7 +407,7 @@ def cmd_annihilator(args) -> int:
         wdring.check_even_block(shape, args.block)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    check_wd_cost(shape, "annihilator", ANNIHILATOR_COST_LIMIT)
+    check_cost(args, shape)
     x, report = wdring.ann_euler(shape, args.block)
     return respond(
         args,
@@ -433,14 +439,7 @@ def cmd_euler(args) -> int:
     bound = 10 ** digits if digits else 0
     euler = None
     try:
-        # both budgets are read before the atoms or coefficients they bound
-        # are built
-        boxes, exact = charclass.cauchy_box_total(expr, args.roots, EULER_BOX_LIMIT)
-        if boxes > EULER_BOX_LIMIT:
-            raise ValidationError(
-                f"expression sums over {'' if exact else 'more than '}{boxes} "
-                f"partitions in its Cauchy boxes, above the limit {EULER_BOX_LIMIT}"
-            )
+        check_cost(args, expr)  # before any atom or coefficient is built
         rank = charclass.bundle_rank(expr, args.roots)
         if not bound or charclass.euler_coefficient_floor(
                 expr, args.roots, bound) < bound:
@@ -454,7 +453,7 @@ def cmd_euler(args) -> int:
         )
     return respond(args, {"expr": args.expr, "roots": args.roots},
                    {"rank": rank, "euler": str(euler)},
-                   charclass.euler_checks(expr, args.roots),
+                   charclass.euler_checks(expr, args.roots, euler),
                    [f"rank: {rank}", f"euler: {euler}"])
 
 

@@ -14,7 +14,7 @@ from flagcw.charclass import (
     Tensor,
     Trivial,
     bundle_rank,
-    cauchy_box_total,
+    cauchy_minor_products,
     euler_checks,
     euler_coefficient_floor,
     euler_of_expression,
@@ -28,7 +28,13 @@ from flagcw.charclass import (
     pontryagin_sym_rk2,
 )
 from flagcw.poly import PolyRing
-from flagcw.symfunc import Partition, jacobi_trudi_delta, q_spec
+from flagcw.symfunc import (
+    Partition,
+    box_dual,
+    jacobi_trudi_delta,
+    partitions_in_box,
+    q_spec,
+)
 
 
 def roots_ab():
@@ -174,12 +180,14 @@ def test_euler_checks_cauchy_route_on_every_parity():
     for M in range(1, 8):
         for N in range(1, 8):
             expr = parse_bundle(f"sym^{M}(D1) * sym^{N}(D2)")
-            checks = euler_checks(expr, 2)
+            checks = euler_checks(expr, 2, euler_of_expression(expr, 2))
             assert len(checks) == 1, (M, N)
             assert checks[0][1], checks
-    # a repeated factor is checked once; rank-2 factors carry no check
+    # a repeated factor is checked once; with a tensor factor, the other
+    # atoms carry no check
     expr = parse_bundle("D1 * D2 + D1 * D2 + sym^3(D1)")
-    assert [holds for _, holds in euler_checks(expr, 2)] == [True]
+    assert [holds for _, holds in euler_checks(
+        expr, 2, euler_of_expression(expr, 2))] == [True]
 
 
 def test_q_spec_consistency_with_pontryagin():
@@ -381,16 +389,28 @@ def test_coefficient_floor_divides_every_coefficient():
     assert euler_coefficient_floor(expr, 2, 10 ** 9) == 45
 
 
-def test_box_count_stops_past_its_limit():
-    # sym^7(D1 + D2) has the six factors Sym^(7-i)(D1) (x) Sym^i(D2),
-    # with boxes C(4, 1), C(4, 1), C(4, 2), C(4, 2), C(4, 3), C(4, 3)
-    expr = parse_bundle("sym^7(D1 + D2)")
-    assert cauchy_box_total(expr, 2, 100) == (4 + 4 + 6 + 6 + 4 + 4, True)
-    assert cauchy_box_total(expr, 2, 10) == (14, False)
-    assert cauchy_box_total(expr, 2, 27) == (28, True)
-    # the factors are read one at a time: Sym^k(D1 + D2) for a huge k
-    assert cauchy_box_total(parse_bundle("sym^99999999(D1 + D2)"), 2, 3432) == (
-        50000000, False)
+def test_minor_product_count_stops_past_its_limit():
+    # D1 * D2 is Sym^1 (x) Sym^1, a 1 x 1 box: one 1 x 1 determinant on
+    # each side.  sym^3(D1) * sym^7(D2), the 2 x 4 box: partitions with
+    # first part j = 1..4 number j + 1 and take j 2^(j-1) products, their
+    # duals in the 4 x 2 box C(j + 3, 3) for j = 1, 2
+    assert cauchy_minor_products(parse_bundle("D1 * D2"), 2, 100) == 2
+    expr = parse_bundle("sym^3(D1) * sym^7(D2)")
+    left = 2 * 1 + 3 * 4 + 4 * 12 + 5 * 32
+    right = 4 * 1 + 10 * 4
+    assert cauchy_minor_products(expr, 2, 10**6) == left + right
+    assert cauchy_minor_products(expr, 2, 50) == 2 + 12 + 48
+    # the count is the sum over jacobi_trudi_delta's products
+    count = 0
+    for lam in partitions_in_box(2, 4):
+        for mu in (lam, box_dual(lam, 2, 4)):
+            ell = len(mu.transpose())
+            count += ell << (ell - 1) if ell else 0
+    assert count == left + right
+    # no tensor factor, no product; factors are read one at a time
+    assert cauchy_minor_products(parse_bundle("sym^3(D1) + D2"), 2, 1) == 0
+    assert cauchy_minor_products(
+        parse_bundle("sym^99999999(D1 + D2)"), 2, 10**7) > 10**7
 
 
 def test_euler_rejects_a_d_block_past_the_roots():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -235,15 +236,16 @@ def test_euler_checks_the_cauchy_route(capsys):
     assert all(c["status"] == "pass" for c in checks)
 
 
-def test_euler_refuses_large_cauchy_boxes(monkeypatch, capsys):
+def test_euler_refuses_a_long_cauchy_check(monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("Euler class computed for a refused expression")
 
     with monkeypatch.context() as patch:
         patch.setattr(charclass, "euler_of_expression", no_work)
-        assert cli.run(["euler", "--expr", "sym^15(D1)*sym^15(D2)"]) == 1
-        err = capsys.readouterr().err
-        assert "12870" in err and str(cli.EULER_BOX_LIMIT) in err
+        assert cli.run(["euler", "--expr", "sym^17(D1)*sym^17(D2)"]) == 1
+        assert capsys.readouterr().err == (
+            "error: euler of 'sym^17(D1)*sym^17(D2)' is predicted to take "
+            f"218309 ms, above the limit {cli.COST_LIMIT_MS} ms\n")
     assert cli.run(["euler", "--expr", "sym^5(D1 + D2)"]) == 0
 
 
@@ -278,31 +280,56 @@ def run_bounded(*args):
     )
 
 
-def test_euler_refuses_a_huge_double_factorial_up_front():
-    # (10^10 - 1)!! is never computed: the product of its first factors
-    # already passes the digit limit
+def test_euler_refuses_a_huge_sym_power_up_front():
+    # (10^10 - 1)!! is never computed: the e^2 = p_top check would multiply
+    # out 5 * 10^9 factors of its Pontryagin class
     proc = run_bounded("euler", "--expr", "sym^9999999999(D1)")
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: the Euler class has a coefficient")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
+        "error: euler of 'sym^9999999999(D1)' is predicted to take at least "
+        f"2^76 ms, above the limit {cli.COST_LIMIT_MS} ms\n"))
 
 
 def test_euler_refuses_a_huge_sym_tensor_by_its_box():
-    # math.comb(5000000001, 5000000000) takes one step, not 5 * 10^9
+    # math.comb(5000000000, 4999999999) takes one step, not 5 * 10^9, and
+    # the count stops at the first term past the limit
     proc = run_bounded("euler", "--expr", "sym^9999999999(D1) * D2")
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == (
-        "error: expression sums over 5000000001 partitions in its Cauchy "
-        f"boxes, above the limit {cli.EULER_BOX_LIMIT}\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
+        "error: euler of 'sym^9999999999(D1) * D2' is predicted to take "
+        f"15000000 ms, above the limit {cli.COST_LIMIT_MS} ms\n"))
 
 
 def test_euler_refuses_a_huge_sym_of_a_sum_before_building_its_atoms():
-    # the box count stops at the first tensor factor, Sym^99999998(D1) (x)
-    # Sym^1(D2), and says that more factors are left
+    # the count stops inside the first tensor factor, Sym^99999998(D1) (x)
+    # Sym^1(D2)
     proc = run_bounded("euler", "--expr", "sym^99999999(D1 + D2)")
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == (
-        "error: expression sums over more than 50000000 partitions in its "
-        f"Cauchy boxes, above the limit {cli.EULER_BOX_LIMIT}\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
+        "error: euler of 'sym^99999999(D1 + D2)' is predicted to take "
+        f"150000 ms, above the limit {cli.COST_LIMIT_MS} ms\n"))
+
+
+EULER_SQUARE_CHECK = "e(E)^2 = p_top(E), p from pontryagin_sym_rk2 of each Sym^M(D_i)"
+
+
+@pytest.mark.parametrize("expr, roots", [
+    ("sym^3(D1)", 2), ("sym^3(D1) + sym^5(D2)", 2), ("sym^255(D1)", 1),
+    ("D1 + D2", 2), ("S2", 2), ("sym^3(D1) + sym^3(D1)", 1), ("sym^4(D1)", 1),
+    ("sym^7(D2) + triv(1)", 2), ("dual(sym^5(D1))", 1),
+])
+def test_euler_without_a_tensor_factor_checks_e_squared(capsys, expr, roots):
+    # every atom is Sym^M(D_i) or trivial; an odd rank or a trivial atom
+    # makes both sides 0
+    assert cli.run(["--format", "json", "euler", "--expr", expr,
+                    "--roots", str(roots)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [{"name": EULER_SQUARE_CHECK, "status": "pass"}], expr
+
+
+def test_a_wrong_pontryagin_class_fails_the_e_squared_check(monkeypatch, capsys):
+    monkeypatch.setattr(charclass, "pontryagin_sym_rk2",
+                        lambda m, var: var.ring.one() + var ** (m + 1))
+    assert cli.run(["--format", "json", "euler", "--expr", "sym^3(D1)"]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [{"name": EULER_SQUARE_CHECK, "status": "fail"}]
 
 
 def test_failed_euler_check_exits_2(monkeypatch, capsys):
@@ -428,7 +455,7 @@ PINNED_OUTPUT = [
     # 255!! a^128: a^128 needs the 16-bit fields that rank 256 gives
     (("euler", "--expr", "sym^255(D1)", "--roots", "1"), 0,
      "3956dad3151c1dbefa13a5e478c2acfae90fed33d719bbf25df4568d7617b481",
-     "e919ffc9f4c9f3de8b6b7bf5fc927555acda8be2f70b0e4b4958f682c0e7ac9d"),
+     "e4fdad47b85e6438eb4a7177dac7c81024fca1417a5f005cbfb03af8d79e8d84"),
     (("poincare", "--theory", "chow", "--shape", "2,2,4"), 0,
      "f33e817e2034060e2caba728c187d2ce989dfe2ca05e2bb600363da1ed7d9d48",
      "0295b6038b4d328e73d0356d6c006a4cdb60e8485f362391efb3982da62c3088"),
@@ -466,7 +493,7 @@ def test_torsion_refuses_a_shape_above_the_rank_limit(monkeypatch, capsys):
     assert cli.run(["poincare", "--shape", "5,5,5", "--theory", "torsion"]) == 1
     err = capsys.readouterr().err
     assert "756756" in err and str(cli.TORSION_RANK_LIMIT) in err
-    assert cli.multinomial(FlagShape([4, 4, 4])) == 34650 <= cli.TORSION_RANK_LIMIT
+    assert cli.rank_floor(FlagShape([4, 4, 4])) == 34650 <= cli.TORSION_RANK_LIMIT
     # complete flags print the closed form and need no limit
     assert cli.run(["poincare", "--shape", "1,1,1,1,1,1,1,1,1",
                     "--theory", "torsion"]) == 0
@@ -524,62 +551,41 @@ def test_annihilator_refuses_a_shape_above_the_cost_limit(monkeypatch, capsys):
         raise AssertionError("annihilator computed for a refused shape")
 
     monkeypatch.setattr(wdring, "ann_euler", no_work)
-    # each estimate is printed in full below 2^56, twice the bits of the limit
-    for shape, cost in [("4,4,4,4", "409677004"), ("2,2,2,2,2,2,2", "33857603702")]:
+    for shape, ms in [("4,4,4,4", "65667"), ("2,2,2,2,2,2,2", "54117048")]:
         assert cli.run(["annihilator", "--shape", shape, "--block", "1"]) == 1
         assert capsys.readouterr() == ("", (
-            f"error: annihilator of shape {shape} has cost estimate {cost} "
-            "(2^|E| * M_h^3 // (dim h + 1)^2), above the limit "
-            f"{cli.ANNIHILATOR_COST_LIMIT}\n"))
+            f"error: annihilator of shape {shape} is predicted to take {ms} ms, "
+            f"above the limit {cli.COST_LIMIT_MS} ms\n"))
 
 
-def test_annihilator_cost_admits_the_measured_and_used_shapes():
-    def cost(parts):
-        return cli.wd_cost(FlagShape(parts))
-
-    # half shape (1^5): 2^5 * 120^3 // 11^2; (1, 1): 2^2 * 2^3 // 2^2
-    assert cost((2, 2, 2, 2, 2)) == 456991
-    assert cost((2, 2)) == 8
-    # the refused rows of the timing table; the admitted ones, the shapes of
-    # the benchmark and of verify, and every composition of N <= 8, which
-    # the annihilator sweep of test_wdring.py covers
-    for parts in [(4, 4, 4, 4), (2,) * 7]:
-        assert cost(parts) > cli.ANNIHILATOR_COST_LIMIT, parts
-    swept = [parts for N in range(1, 9) for parts in compositions(N)]
-    assert len(swept) == 255
-    for parts in [(2, 2, 2, 2, 4), (6, 6, 6), (2,) * 6, (4, 4, 4), (2, 6, 4),
-                  (2, 2, 2, 2, 2), *swept]:
-        assert cost(parts) <= cli.ANNIHILATOR_COST_LIMIT, parts
-
-
-# W_D commands refused on their cost estimate before any ring is built,
-# with the estimate as the message prints it
+# W_D commands refused on their predicted time before any ring is built,
+# with the prediction as the message prints it; a prediction stops at the
+# first part past the limit, so the half shape's series is not read for
+# the long two-block shapes
 W_REFUSED = {
-    ("poincare", "--theory", "w", "--shape", "2,2,2,2,2,2,2,2"): "19952877665407",
-    ("poincare", "--theory", "w", "--shape", "4,4,4,4,4"): "27760125715645",
-    ("poincare", "--theory", "w", "--shape", "128,128"): "at least 2^350",
-    ("wring", "--shape", "2,2,2,2,2,2,2,2,2,2", "--degree-max", "0"):
-        "23124555415892688090",
-    ("annihilator", "--shape", "128,128", "--block", "1"): "at least 2^350",
-    ("poincare", "--theory", "w", "--shape", "512,512"): "at least 2^1491",
-    ("annihilator", "--shape", "4,4,4,4", "--block", "1"): "409677004",
-    # the half shape's rank read by rank_floor as 2^2000000
-    ("poincare", "--theory", "w", "--shape", "4000000,4000000"): "at least 2^5999918",
+    ("poincare", "--theory", "w", "--shape", "2,2,2,2,2,2,2,2"): "1290231",
+    ("poincare", "--theory", "w", "--shape", "4,4,4,4,4"): "15730314",
+    ("poincare", "--theory", "w", "--shape", "128,128"): "at least 2^119",
+    ("wring", "--shape", "2,2,2,2,2,2,2,2,2,2", "--degree-max", "0"): "109665",
+    ("annihilator", "--shape", "128,128", "--block", "1"): "at least 2^120",
+    ("poincare", "--theory", "w", "--shape", "512,512"): "at least 2^502",
+    ("annihilator", "--shape", "4,4,4,4", "--block", "1"): "65667",
+    # the slot table of the half shape (2000000, 2000000)
+    ("poincare", "--theory", "w", "--shape", "4000000,4000000"): "at least 2^37",
 }
 
 
 @pytest.mark.parametrize("argv", list(W_REFUSED))
 def test_w_commands_refuse_a_shape_above_the_cost_limit_at_once(argv):
-    command, limit = (("annihilator", cli.ANNIHILATOR_COST_LIMIT)
-                      if argv[0] == "annihilator" else ("W_D", cli.W_COST_LIMIT))
+    name = "poincare --theory w" if argv[0] == "poincare" else argv[0]
     shape = argv[argv.index("--shape") + 1]
     start = time.perf_counter()
     proc = run_bounded(*argv)
     assert time.perf_counter() - start < 1.0, argv
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == (
-        f"error: {command} of shape {shape} has cost estimate {W_REFUSED[argv]} "
-        f"(2^|E| * M_h^3 // (dim h + 1)^2), above the limit {limit}\n")
+        f"error: {name} of shape {shape} is predicted to take {W_REFUSED[argv]} "
+        f"ms, above the limit {cli.COST_LIMIT_MS} ms\n")
 
 
 def test_torsion_refuses_a_long_shape_at_once():
@@ -605,19 +611,24 @@ def test_torsion_refuses_a_huge_block_at_once(half):
         f"the limit {cli.TORSION_RANK_LIMIT} for Sq^2 torsion\n"))
 
 
+def multinomial(shape: FlagShape) -> int:
+    """N! / prod d_i! = prod_i C(s_i, d_i)."""
+    return math.prod(math.comb(stop, stop - start) for start, stop in shape.spans)
+
+
 def test_rank_floor_is_the_rank_or_a_power_of_two_below_it():
     # exact on every composition of N <= 8 and on the pinned refusals;
     # (32769, 32769) is the first central shape past RANK_EXACT_BITS
     for parts in [p for N in range(1, 9) for p in compositions(N)] + [
             (20000, 20000), (32768, 32768), (5, 5, 5), (1, 4000000)]:
         shape = FlagShape(parts)
-        assert cli.rank_floor(shape) == cli.multinomial(shape), parts
+        assert cli.rank_floor(shape) == multinomial(shape), parts
     for parts in [(32769, 32769), (1, 100000, 40000), (30000, 30000, 30000)]:
         shape = FlagShape(parts)
         floor = cli.rank_floor(shape)
         assert floor.bit_count() == 1, parts
         assert cli.RANK_EXACT_BITS // 4 < floor.bit_length() - 1, parts
-        assert floor <= cli.multinomial(shape), parts
+        assert floor <= multinomial(shape), parts
 
 
 def test_refusals_print_no_number_below_the_limit_or_too_long(capsys):
@@ -626,30 +637,13 @@ def test_refusals_print_no_number_below_the_limit_or_too_long(capsys):
     assert capsys.readouterr().err == (
         "error: shape 20000,20000 has Chow rank at least 2^39992, above the "
         f"limit {cli.TORSION_RANK_LIMIT} for Sq^2 torsion\n")
-    for limit in (1, 2, 3, 40000, cli.ANNIHILATOR_COST_LIMIT, cli.W_COST_LIMIT):
+    for limit in (1, 2, 3, 40000, cli.COST_LIMIT_MS, 2 * 10**8, 4 * 10**10):
         for value in (limit + 1, 2 * limit, limit**2, 4 * limit**2, 2**9999):
             shown = cli.above(value, limit)
             if shown.startswith("at least 2^"):
                 assert limit < 2 ** int(shown[11:]) <= value, (limit, value)
             else:
                 assert shown == str(value) and len(shown) <= 2 * len(str(limit)) + 1
-
-
-def test_w_cost_admits_the_measured_and_used_shapes():
-    def cost(parts):
-        return cli.wd_cost(FlagShape(parts))
-
-    # the refused rows of the timing table; the admitted ones, the W shapes
-    # of the golden and pinned outputs and of the benchmark's torsion
-    # oracle, and every composition of N <= 8
-    for parts in [(2, 6, 6, 6), (2, 2, 2, 2, 4, 4), (4, 4, 4, 8), (8, 8, 8)]:
-        assert cost(parts) > cli.W_COST_LIMIT, parts
-    swept = [parts for N in range(1, 9) for parts in compositions(N)]
-    for parts in [(4, 4, 4, 6), (6, 6, 12), (2, 2, 2, 2, 2, 6), (2,) * 7,
-                  (2, 2, 2, 6, 6), (2,) * 7 + (1,),
-                  (2, 2, 4), (1, 2, 3), (1, 2, 2), (1, 4), (1, 2), (4, 2, 2, 4),
-                  (1, 1, 1), (3, 3, 1), (1, 1, 1, 1, 2), (1, 1, 2, 2), *swept]:
-        assert cost(parts) <= cli.W_COST_LIMIT, parts
 
 
 def test_w_ranks_sum_to_the_real_euler_characteristic():
