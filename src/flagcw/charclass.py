@@ -73,15 +73,26 @@ def orientability_conditions(ell1: int, ell2: int, d: int) -> dict:
     return checks
 
 
-def pontryagin_sym_rk2(m: int, var: GradedPolynomial) -> GradedPolynomial:
-    """Total Pontryagin class of Sym^m of a rank-2 bundle with Euler class var."""
+def pontryagin_sym_rk2(m: int, var: GradedPolynomial,
+                       top: bool = False) -> GradedPolynomial:
+    """Total Pontryagin class of Sym^m of a rank-2 bundle with Euler class
+    var: the product of 1 + (m - 2i)^2 var^2 over 0 <= i <= m // 2.
+
+    With top, only its part of degree 2 (m + 1), p_top of Sym^m: the
+    product of the factors' top terms (m - 2i)^2 var^2, in m // 2 + 1
+    integer products where the whole class takes O(m^2) big-integer ones.
+    It is 0 for an even m, whose factor i = m / 2 is 1."""
     if m < 0:
         raise ValueError("m must be non-negative")
     ring = var.ring
+    squares = [(m - 2 * i) ** 2 for i in range(m // 2 + 1)]
+    if top:
+        c = math.prod(squares)
+        return c * var ** (2 * len(squares)) if c else ring.zero()
     out = ring.one()
     a2 = var * var
-    for i in range(m // 2 + 1):
-        out = out * (ring.one() + (m - 2 * i) ** 2 * a2)
+    for c in squares:
+        out = out * (ring.one() + c * a2)
     return out
 
 
@@ -498,19 +509,14 @@ def euler_coefficient_floor(expr, nblocks: int, cap: int) -> int:
     return floor
 
 
-def sym_powers(expr, nblocks: int):
-    """M of each Sym^M(D_i) atom of expr, one at a time."""
-    return (atom[1] for atom in _normalize(expr, nblocks) if atom[0] == "sym")
-
-
 def euler_checks(expr, nblocks: int, euler: GradedPolynomial) -> list:
     """(statement, holds) pairs that check euler, the Euler class of expr,
     by a second route.  Per Sym^M(D_i) (x) Sym^N(D_j) factor: the
     Cauchy-determinant route equals euler_sym_tensor(M, N).  With no such
     factor, every atom is Sym^M(D_i) or trivial, and e(E)^2 = p_top(E), the
-    part of degree 2 rank(E) of p(E): the product over the atoms of the
-    part of degree 2 rank of p(Sym^M(D_i)) from pontryagin_sym_rk2, which
-    is 0 for an odd rank or a trivial atom, as e is.
+    part of degree 2 rank(E) of p(E): the product over the atoms of
+    p_top(Sym^M(D_i)) from pontryagin_sym_rk2, and of 0 for a trivial atom
+    of positive rank.  Both sides are 0 for an odd rank, as e is.
     """
     checks = [
         (f"Sym^{M}(D{i}) (x) Sym^{N}(D{j}): Cauchy determinant = "
@@ -524,9 +530,9 @@ def euler_checks(expr, nblocks: int, euler: GradedPolynomial) -> list:
     ring = euler_root_ring(nblocks, 2 * bundle_rank(expr, nblocks))
     p_top = ring.one()
     for atom in _normalize(expr, nblocks):
-        p = ring.one() if atom[0] == "triv" else pontryagin_sym_rk2(
-            atom[1], ring.var(atom[2] - 1))
-        p_top = p_top * p.homogeneous_part(2 * _atom_rank(atom))
+        p_top = p_top * (
+            ring.one().homogeneous_part(2 * atom[1]) if atom[0] == "triv"
+            else pontryagin_sym_rk2(atom[1], ring.var(atom[2] - 1), top=True))
     e = ring.from_terms({euler.ring.exponents(k): c for k, c in euler.terms.items()})
     return [("e(E)^2 = p_top(E), p from pontryagin_sym_rk2 of each Sym^M(D_i)",
              e * e == p_top)]

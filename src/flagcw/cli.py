@@ -7,16 +7,31 @@ One function, ``respond``, builds every payload and picks the exit code
 of every answer; ``count`` prints its JSON object in either format, with
 the checks that ``counts.count_preset`` returns beside its result.
 
-Every run is a fresh interpreter, so each command pays for its imports,
-its parser and its exit.  The command line is one table, ``OPTIONS``,
-read by a loop over argv, as argparse would cost about 5 ms a run.
-charclass, counts and steenrod (with gf2) load with the commands that use
-them (tests/test_import_footprint.py).  A normal exit would tear down
-every module and the reducer memos after the answer, 10-20 ms, so
-``main`` flushes stdout and stderr and ends with ``os._exit``.  A failed
-write (a full disk, a closed pipe) exits 1 with one ``error: cannot write
-output`` line, whether at the final flush or, unbuffered or past the 8 KiB
-buffer, inside ``respond``, which raises ``OutputError``.
+Every run is a fresh interpreter, so each command pays for its imports
+and its parser.  The command line is one table, ``OPTIONS``, read by a
+loop over argv, since argparse, with the gettext and locale it loads,
+would cost about 5 ms a run.  At module level this module imports json, math, os,
+sys, types and the flagcw modules every command reads; charclass,
+counts and steenrod (with gf2) are imported by the commands that use
+them.  tests/test_import_footprint.py checks that neither this module
+nor the package loads dataclasses, inspect, ast, dis, tokenize, typing,
+argparse, gettext or locale, and that ``annihilator`` loads none of the
+four command modules.
+
+It also pays for its exit.  Once ``run`` has returned, a normal exit
+tears down every module and the reducer memos, after the answer is
+already printed.  From the flushed answer to the exit seen by the
+parent, medians of 7 runs on a 2-core VM: 11.7 ms for ``count --preset
+flag-3-5``, 12.3 ms for ``verify --suite piqp`` and 19.3 ms for
+``annihilator --shape 2,2,2,2,2 --block 1``, against 1.1-1.7 ms with
+``os._exit``; that is 10-20% of a benchmark job.  So ``main`` flushes
+stdout and stderr and ends the process with ``os._exit``.  A flush that
+fails (a full disk, a closed pipe) is an error: exit code 1 and one
+``error: cannot write output`` line on stderr.  The outputs fit in the
+8 KiB buffer of a redirected stdout, so the final flush is where a write
+fails; with PYTHONUNBUFFERED or -u, or an answer larger than the
+buffer, ``print`` fails inside ``respond`` instead, which raises
+``OutputError``, and ``main`` ends that the same way.
 
 ``run`` is the library entry point and never exits the interpreter: it
 returns the exit code, and an exception it raises propagates (from
@@ -75,8 +90,8 @@ COMMANDS = tuple(name for name in OPTIONS if name)
 TORSION_RANK_LIMIT = 40000
 
 # wring prints every degree up to --degree-max, about 5 us and 13 bytes
-# each past the top degree: CLI wring --shape 2,2 takes 0.10 s for 10^4
-# degrees, 0.60 s for 10^5 and 5.2 s for 10^6.
+# each past the top degree.  Single CLI runs on a 2-core VM of wring
+# --shape 2,2: 10^4 degrees in 0.10 s, 10^5 in 0.60 s, 10^6 in 5.2 s.
 WRING_DEGREE_LIMIT = 10**5
 
 # Every other long run is refused by one cost model before any ring is
@@ -84,19 +99,21 @@ WRING_DEGREE_LIMIT = 10**5
 # at rates in picoseconds, fitted once to the CLI runs on a 2-core VM that
 # tests/test_cost_model.py holds.  W_D works on the half shape h, its Chow
 # ring A, the records (I, Chow degree) of the subsets I of the even blocks
-# E, and the exterior generators, #R = N // 2 - N_h of them.
+# E, and the exterior generators, #R = N // 2 - N_h of them.  No count sees
+# a record whose Smith form entries explode, as on (2,2,4,10): the test's
+# SMITH_BLOWUPS lists the admitted shapes that run past the limit so.
 COST_LIMIT_MS = 60_000
 PS_PER_COUNT = {
     "slot": 17_000_000,  # the slot table: 2^(|E| + #R) * (dim h + 1)
     "generator pair": 250_000,  # A's rules and products: N_h^2
     "monomial": 15_000_000,  # rank A per subset I whose records are read
-    "cell": 11_000,  # intlinalg.smith_cells of each record read
+    "cell": 11_000,  # smith_cells of each record read
     # annihilator's kernels and HNFs grow faster: cells * isqrt(cells)
     "annihilator cell^(3/2)": 12,
-    "series step": 400_000,  # flagchow.series_steps, of D or of h
-    # euler's checks: charclass.cauchy_minor_products, or with no tensor
-    "minor product": 3_000_000,  # factor p(Sym^M) of each Sym^M atom,
-    "pontryagin step": 700,  # multiplied out in (M // 2 + 1)^3 steps
+    "series step": 400_000,  # series_steps, of D or of h
+    # euler's Cauchy-determinant checks, charclass.cauchy_minor_products;
+    # with no tensor factor the e^2 = p_top check is a few products
+    "minor product": 3_000_000,
 }
 
 
@@ -108,17 +125,23 @@ class OutputError(Exception):
     """The answer could not be written: stdout is full or closed."""
 
 
-# math.comb is slow on a large block: C(800000, 400000) takes 6.5 s
-# in-process.  So rank_floor is exact only while a bound on the bits is at
-# most RANK_EXACT_BITS; C(65536, 32768), just below it, takes 0.08 s.
+# A refusal prints a value past twice the bits of its limit only as "at
+# least 2^k" (see ``above``), and math.comb is slow on a large block: C(800000,
+# 400000) takes 6.5 s and C(4000000, 2000000) 115 s in-process on a 2-core
+# VM.  So rank_floor takes the Chow rank exactly only while a bound on its
+# bits is at most RANK_EXACT_BITS; C(65536, 32768), the largest central
+# binomial below it, takes 0.08 s.
 RANK_EXACT_BITS = 2**17
 
 
 def rank_floor(shape: FlagShape) -> int:
-    """The Chow rank prod_i C(s_i, d_i) while a bound on its bits is at most
-    RANK_EXACT_BITS, else a power of 2 below it of over RANK_EXACT_BITS // 4
-    bits.  With j = min(d_i, s_i - d_i), q = s_i // j, C(s_i, d_i) has
-    j (q.bit_length() - 1) to j (q.bit_length() + 2) bits."""
+    """The Chow rank N! / prod d_i! = prod_i C(s_i, d_i) while a bound on its
+    bits is at most RANK_EXACT_BITS; past that, a power of 2 at or below it
+    with more than RANK_EXACT_BITS // 4 bits, far above every limit.
+
+    With j = min(d_i, s_i - d_i) > 0 and q = s_i // j >= 2, (s_i / j)^j <=
+    C(s_i, d_i) <= (e s_i / j)^j, so the block's binomial has between
+    j * (q.bit_length() - 1) and j * (q.bit_length() + 2) bits."""
     blocks = [(stop, j) for start, stop in shape.spans
               if (j := min(start, stop - start))]
     bits = [(j, (s // j).bit_length()) for s, j in blocks]
@@ -135,33 +158,81 @@ def above(value: int, limit: int) -> str:
     return str(value) if k < 2 * limit.bit_length() else f"at least 2^{k}"
 
 
+def smith_cells(a: int, b: int) -> int:
+    """sum_t (a - t)(b - t) over t < min(a, b): the cells that
+    intlinalg.smith_normal_form copies on an a x b matrix of full rank, one
+    working block a round."""
+    a, b = sorted((a, b))
+    return a * (a + 1) * (2 * a + 1) // 6 + (b - a) * a * (a + 1) // 2
+
+
+def series_steps(shape: FlagShape) -> int:
+    """dim Fl(D) * sum_i min(d_i, s_{i-1}): flagchow.chow_poincare
+    multiplies in that many factors, each over at most dim + 1
+    coefficients."""
+    return shape.dim * sum(min(start, stop - start) for start, stop in shape.spans)
+
+
+def records_read(shape: FlagShape, twist: TwistClass | None = None) -> dict:
+    """The subsets I of the even blocks whose records (I, Chow degree) a
+    W_D command reads, counted by k, the Chow degree of p_{I^c}: every I
+    for twist None, as ``wdring.ann_euler`` reads them, else the two I of
+    the twist, as ``wd_poincare`` and ``wd_basis`` read them."""
+    h = {i: d // 2 for i, d in enumerate(shape.d, start=1) if d % 2 == 0}
+    if twist is None:
+        ks = [1]
+        for k in h.values():
+            ks = series.mul(ks, series.add([1], series.shift([1], k)))
+        return dict(enumerate(ks))
+    ks = {}
+    T = {i for i, bit in enumerate(twist.bits, start=1) if bit}
+    for I in (T, set(range(1, shape.m + 1)) - T):
+        if I <= h.keys():
+            k = sum(h.values()) - sum(h[i] for i in I)
+            ks[k] = ks.get(k, 0) + 1
+    return ks
+
+
+def smith_cells_read(shape: FlagShape, ks: dict, degree_max=None) -> int:
+    """smith_cells summed over the records of an all-even shape that the
+    subsets ks of ``records_read`` have, up to W_D degree degree_max; read
+    off the half shape's Poincare series.  I = {}, with k = N_h, takes no
+    Smith form."""
+    half = wdring.half_shape(shape)
+    r, cells = flagchow.chow_poincare(half), 0
+    for k, c in ks.items():
+        top = half.dim
+        if degree_max is not None:  # slot degree 2 (N_h - k) + 4 d
+            top = min(top, (degree_max - 2 * (half.N - k)) // 4)
+        if k < half.N:
+            cells += c * sum(smith_cells(r[d], r[d - k])
+                             for d in range(k, top + 1))
+    return cells
+
+
 def work(args, subject, twist=None):
     """(rate name, count) for each part of a command's work; the counts
     that read the half shape's Poincare series come last."""
     if args.command == "euler":
         from . import charclass
 
-        products = charclass.cauchy_minor_products(
+        yield "minor product", charclass.cauchy_minor_products(
             subject, args.roots, COST_LIMIT_MS * 10**9 // PS_PER_COUNT["minor product"])
-        yield "minor product", products
-        if not products:  # no tensor factor
-            yield "pontryagin step", sum(
-                (M // 2 + 1) ** 3 for M in charclass.sym_powers(subject, args.roots))
         return
     if args.command == "poincare" and args.theory != "w":
-        yield "series step", flagchow.series_steps(subject)
+        yield "series step", series_steps(subject)
         return
     shape, half = subject, wdring.half_shape(subject)
     even = sum(1 for d in shape.d if d % 2 == 0)
     yield "slot", 2 ** (even + shape.N // 2 - half.N) * (half.dim + 1)
     yield "generator pair", half.N**2
-    yield "series step", flagchow.series_steps(half)
+    yield "series step", series_steps(half)
     annihilator = args.command == "annihilator"
-    ks = wdring.records_read(shape, None if annihilator else twist)
+    ks = records_read(shape, None if annihilator else twist)
     yield "monomial", sum(ks.values()) * rank_floor(half)
     if even < shape.m:
         return  # mixed and all-odd shapes take no quotient
-    cells = wdring.smith_cells_read(
+    cells = smith_cells_read(
         shape, ks, args.degree_max if args.command == "wring" else None)
     if annihilator:
         yield "annihilator cell^(3/2)", cells * math.isqrt(cells)

@@ -214,12 +214,6 @@ def chow_poincare(shape: FlagShape):
     return out
 
 
-def series_steps(shape: FlagShape) -> int:
-    """dim Fl(D) * sum_i min(d_i, s_{i-1}): chow_poincare multiplies in
-    that many factors, each over at most dim + 1 coefficients."""
-    return shape.dim * sum(min(start, stop - start) for start, stop in shape.spans)
-
-
 # ----------------------------------------------------------------------
 # The Chow ring of Fl(D) on its own generators
 # ----------------------------------------------------------------------

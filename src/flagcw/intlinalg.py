@@ -110,14 +110,6 @@ def kernel_basis(mat, ncols: int):
     return [r[m:] for r in reduced if not any(r[:m])]
 
 
-def smith_cells(a: int, b: int) -> int:
-    """sum_t (a - t)(b - t) over t < min(a, b): the cells that
-    smith_normal_form copies on an a x b matrix of full rank, one working
-    block a round."""
-    a, b = sorted((a, b))
-    return a * (a + 1) * (2 * a + 1) // 6 + (b - a) * a * (a + 1) // 2
-
-
 def smith_normal_form(mat):
     """Diagonal form, reduced to what a free quotient reads: (diag, P, B).
 

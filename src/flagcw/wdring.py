@@ -66,7 +66,7 @@ import math
 from functools import lru_cache
 
 from . import intlinalg, series
-from .flagchow import FlagShape, TwistClass, chow_poincare, chow_ring
+from .flagchow import FlagShape, TwistClass, chow_ring
 from .poly import GradedPolynomial
 
 
@@ -86,43 +86,6 @@ def real_euler_characteristic(shape: FlagShape) -> int:
         k = stop - start
         out *= math.comb(stop // 2, k // 2) if k * start % 2 == 0 else 0
     return out
-
-
-def records_read(shape: FlagShape, twist: TwistClass | None = None) -> dict:
-    """The subsets I of the even blocks whose records (I, Chow degree) a
-    W_D command reads, counted by k, the Chow degree of p_{I^c}: every I
-    for twist None, as ``ann_euler`` reads them, else the two I of the
-    twist, as ``poincare`` and ``wd_basis`` read them.  Read off the shape."""
-    h = {i: d // 2 for i, d in enumerate(shape.d, start=1) if d % 2 == 0}
-    if twist is None:
-        ks = [1]
-        for k in h.values():
-            ks = series.mul(ks, series.add([1], series.shift([1], k)))
-        return dict(enumerate(ks))
-    ks = {}
-    T = {i for i, bit in enumerate(twist.bits, start=1) if bit}
-    for I in (T, set(range(1, shape.m + 1)) - T):
-        if I <= h.keys():
-            k = sum(h.values()) - sum(h[i] for i in I)
-            ks[k] = ks.get(k, 0) + 1
-    return ks
-
-
-def smith_cells_read(shape: FlagShape, ks: dict, degree_max=None) -> int:
-    """intlinalg.smith_cells summed over the records of an all-even shape
-    that the subsets ks of ``records_read`` have, up to W_D degree
-    degree_max; read off the half shape's Poincare series.  I = {}, with
-    k = N_h, takes no Smith form."""
-    half = half_shape(shape)
-    r, cells = chow_poincare(half), 0
-    for k, c in ks.items():
-        top = half.dim
-        if degree_max is not None:  # slot degree 2 (N_h - k) + 4 d
-            top = min(top, (degree_max - 2 * (half.N - k)) // 4)
-        if k < half.N:
-            cells += c * sum(intlinalg.smith_cells(r[d], r[d - k])
-                             for d in range(k, top + 1))
-    return cells
 
 
 class WDPresentation:

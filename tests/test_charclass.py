@@ -93,6 +93,10 @@ def test_pontryagin_sym_rk2():
     assert pontryagin_sym_rk2(3, a) == (1 + 9 * a * a) * (1 + a * a)
     assert pontryagin_sym_rk2(0, a) == ring.one()
     assert pontryagin_sym_rk2(2, a) == 1 + 4 * a * a
+    # top reads the part of degree 2 (m + 1) without multiplying out
+    for m in range(12):
+        assert pontryagin_sym_rk2(m, a, top=True) == pontryagin_sym_rk2(
+            m, a).homogeneous_part(2 * (m + 1)), m
 
 
 def test_euler_sym_rk2():

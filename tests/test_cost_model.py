@@ -4,7 +4,9 @@ Each row is (argv, seconds): one CLI run (``python -m flagcw``) on a
 2-core VM under a 3 GB address-space limit, timed from spawn to exit.  A
 run that was stopped at 70 s is entered as 70 s.  Each prediction of a row
 of 1 s or more must be within a factor of 4 of it, and no row above the
-limit may be admitted.
+limit may be admitted.  The rows of SMITH_BLOWUPS break that rule; their
+test is expected to fail until the Smith form or the model sees their
+growth.
 """
 
 import math
@@ -19,7 +21,7 @@ import pytest
 from flag_oracle import compositions
 from test_cli import GOLDEN_COMMANDS, PINNED_OUTPUT
 
-from flagcw import charclass, cli, flagchow, intlinalg, wdring
+from flagcw import charclass, cli, flagchow
 from flagcw.flagchow import FlagShape, TwistClass
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -40,6 +42,15 @@ ROWS = [
     (("annihilator", "--shape", "2,2,2,2,6", "--block", "1"), 1.76),
     (("annihilator", "--shape", "6,6,6", "--block", "1"), 2.19),
     (("annihilator", "--shape", "2,2,2,2,2,2", "--block", "1"), 3.18),
+    # ... and shapes near the limit, most with half blocks of 2
+    (("annihilator", "--shape", "4,4,14", "--block", "1"), 2.33),
+    (("annihilator", "--shape", "2,2,2,4,4", "--block", "1"), 5.04),
+    (("annihilator", "--shape", "2,4,4,6", "--block", "2"), 4.91),
+    (("annihilator", "--shape", "4,4,16", "--block", "1"), 6.75),
+    (("annihilator", "--shape", "4,8,8", "--block", "1"), 9.23),
+    (("annihilator", "--shape", "2,8,12", "--block", "1"), 4.0),
+    (("annihilator", "--shape", "4,6,10", "--block", "1"), 4.73),
+    (("annihilator", "--shape", "2,10,10", "--block", "1"), 4.94),
     (("annihilator", "--shape", "4,4,4,4", "--block", "1"), 70.02),  # stopped
     # annihilator, mixed shapes: no quotient records
     (("annihilator", "--shape", "3,4,4", "--block", "2"), 0.07),
@@ -101,6 +112,25 @@ ROWS = [
     (("euler", "--expr", "sym^15(D1)*sym^15(D2)"), 45.24),
     (("euler", "--expr", "sym^7(D1)*sym^19(D2)"), 3.1),
     (("euler", "--expr", "sym^3(D1)*sym^41(D2)"), 70.01),  # stopped
+    # euler with no tensor factor: e(E)^2 = p_top(E) reads the top terms
+    (("euler", "--expr", "sym^1001(D1)"), 0.1),
+    (("euler", "--expr", "sym^2801(D1)"), 0.07),
+    (("euler", "--expr", "sym^1501(D1) + sym^1201(D2)"), 0.07),
+]
+
+# Measured rows that the model admits though they ran past the limit: one
+# record of each, (2,2,4,10) I = {1,4} in Chow degree 13 a 133 x 116
+# matrix with 4-bit entries, drives the entries of
+# intlinalg.smith_normal_form from 76 to 12991 bits in two rounds.  No
+# count of the shape sees that growth; the other records of these shapes
+# take milliseconds.
+SMITH_BLOWUPS = [
+    (("annihilator", "--shape", "2,2,4,10", "--block", "1"), 70.08),  # stopped
+    (("annihilator", "--shape", "2,2,4,12", "--block", "1"), 70.06),  # stopped
+    (("annihilator", "--shape", "2,2,6,8", "--block", "1"), 70.1),  # stopped
+    (("annihilator", "--shape", "2,2,2,2,8", "--block", "1"), 70.09),  # stopped
+    (("poincare", "--theory", "w", "--shape", "2,2,4,10", "--twist", "1,4"),
+     70.09),  # stopped
 ]
 
 
@@ -122,6 +152,14 @@ def test_each_prediction_matches_its_measured_row():
             assert ms > cli.COST_LIMIT_MS, (argv, ms)
         elif seconds >= 1:
             assert seconds / 4 <= ms / 1000 <= 4 * seconds, (argv, ms, seconds)
+
+
+@pytest.mark.xfail(strict=True, reason="the Smith form's entries explode on "
+                   "one record of each row, which no count of the shape reads")
+def test_no_row_where_the_smith_form_explodes_is_admitted():
+    for argv, seconds in SMITH_BLOWUPS:
+        assert seconds > cli.COST_LIMIT_MS / 1000
+        assert predicted(argv) > cli.COST_LIMIT_MS, argv
 
 
 def test_the_table_covers_every_family():
@@ -219,14 +257,14 @@ def test_smith_cells_count_the_copies_of_the_smith_form():
     for a in range(6):
         for b in range(6):
             copies = sum((a - t) * (b - t) for t in range(min(a, b)))
-            assert intlinalg.smith_cells(a, b) == copies, (a, b)
+            assert cli.smith_cells(a, b) == copies, (a, b)
 
 
 def test_series_steps_count_the_tower_factors():
     # (2,2,4): dim 20, and blocks 2 and 3 multiply in min(2, 2) and min(4, 4)
     # factors
     shape = FlagShape([2, 2, 4])
-    assert shape.dim == 20 and flagchow.series_steps(shape) == 20 * (0 + 2 + 4)
+    assert shape.dim == 20 and cli.series_steps(shape) == 20 * (0 + 2 + 4)
 
 
 def test_records_read_are_the_subsets_of_the_twist():
@@ -247,9 +285,9 @@ def test_records_read_are_the_subsets_of_the_twist():
                     ks[k] = ks.get(k, 0) + 1
                 return ks
 
-            got = {k: c for k, c in wdring.records_read(shape).items() if c}
+            got = {k: c for k, c in cli.records_read(shape).items() if c}
             assert got == by_k(subsets), parts
             for twist in flagchow.all_twist_classes(shape.m):
-                assert wdring.records_read(shape, twist) == by_k(
+                assert cli.records_read(shape, twist) == by_k(
                     [I for I in subsets
                      if TwistClass.from_blocks(shape.m, I) == twist]), (parts, twist)
