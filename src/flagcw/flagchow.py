@@ -10,28 +10,27 @@ Sq^2 and W_D are graded by.
 CH^*(Fl(D)), D = (d_1, ..., d_m), is generated by the Chern classes
 c_{i,j} = c_j(D_i) of the subquotient blocks subject to prod_i c(D_i) = 1,
 and it is computed on these generators.  Put s_{i-1} = d_1 + ... + d_{i-1},
-the rank of F_{i-1} = D_1 + ... + D_{i-1}, whose total Chern class is
-sigma = prod_{t >= i} c(D_t)^{-1}.  Each partition lam with s_{i-1} + 1
-parts, all at most d_i, gives the relation
+the rank of F_{i-1} = D_1 + ... + D_{i-1}.  Since c(F_{i-1}) c(D_i + ...
++ D_m) = 1, the complete homogeneous classes of F_{i-1} are
+h_k = (-1)^k c_k(D_i + ... + D_m), products of the Chern classes of the
+blocks alone.  Each partition lam with s_{i-1} + 1 parts, all at most
+d_i, gives the relation
 
-    G_lam = det(sigma_{lam'_a - a + b})_{a, b <= lam_1} = 0
+    G_lam = det(h_{lam_a - a + b})_{a, b <= s_{i-1} + 1} = 0
 
-(up to sign the Schur class s_lam of F_{i-1}, which has too few roots),
-whose leading monomial prod_a c_{i,lam_a} has coefficient +-1.  When
-lam_1 > s_{i-1} + 1 the same polynomial is the smaller determinant
-det(h_{lam_a - a + b})_{a, b <= s_{i-1} + 1}, h_k = (-1)^k c_k(D_i + ... + D_m)
-the complete homogeneous classes of F_{i-1}.  A
-monomial is standard when it has at most s_{i-1} factors from every
-block i.  By Leray-Hirsch along the tower of Grassmann bundles
-Fl(D) -> Fl(d_1 + d_2, d_3, ..., d_m) -> ..., the standard monomials are a
-ZZ-basis, multinomial(N; D) of them: the product of the fibre bases, in
-which block i contributes its C(s_i, d_i) monomials with at most s_{i-1}
-factors, a basis of CH^*(Gr(d_i, s_i)).  The Poincare polynomial is the
-same tower product: ``chow_poincare`` multiplies the fibre series
-[s_i choose d_i]_t one block at a time.  ``ChowRingPresentation`` holds the
-only rewrite rules and leading terms, applied monomial by monomial
-through per-ring memos that also keep every monomial a rewrite passes
-through.
+(the Jacobi-Trudi determinant of the Schur class s_lam of F_{i-1}, which
+has too few roots), whose leading monomial prod_a c_{i,lam_a} has
+coefficient +-1.  A monomial is standard when it has at most s_{i-1}
+factors from every block i.  By Leray-Hirsch along the tower of
+Grassmann bundles Fl(D) -> Fl(d_1 + d_2, d_3, ..., d_m) -> ..., the
+standard monomials are a ZZ-basis, multinomial(N; D) of them: the
+product of the fibre bases, in which block i contributes its C(s_i, d_i)
+monomials with at most s_{i-1} factors, a basis of CH^*(Gr(d_i, s_i)).
+The Poincare polynomial is the same tower product: ``chow_poincare``
+multiplies the fibre series [s_i choose d_i]_t one block at a time.
+``ChowRingPresentation`` holds the only rewrite rules and leading terms,
+applied monomial by monomial through per-ring memos that also keep every
+monomial a rewrite passes through.
 
 A monomial is its key in the ring of the shape (see ``poly``), whose
 degree bound is dim Fl(D), and the reducer reads the keys of polynomial
@@ -242,7 +241,7 @@ class ChowRingPresentation:
         # block i holds the variables start..stop-1, and start = s_{i-1}
         self._spans = shape.spans
         self._poincare = chow_poincare(shape)
-        self._sigmas = None
+        self._completes = None
         self._init_keys()
         # leading key -> its rule, as key deltas
         self._rule_memo = {}
@@ -320,53 +319,36 @@ class ChowRingPresentation:
 
     # -- the rewrite rules --------------------------------------------------
 
-    def _sigma(self, b: int):
-        """sigma_0..sigma_K of prod_{t >= b} c(D_t)^{-1} for the 0-based
-        block b, K = min(s_{b+1}, dim): the Chern classes of D_1 + ... + D_b."""
-        if self._sigmas is None:
+    def _complete(self, b: int):
+        """h_0..h_K for the 0-based block b, K = min(N - s_b, dim):
+        h_k = (-1)^k c_k(D_{b+1} + ... + D_m), the complete homogeneous
+        classes of D_1 + ... + D_b.  Built for every block at once, from
+        the last block up, as the products c(D_t) c(D_{t+1} + ... + D_m)."""
+        if self._completes is None:
             one, zero = self.ring.one(), self.ring.zero()
-            later = [one] + [zero] * self.dim
             rest = [one]  # c(D_t + ... + D_m) up to the top degree
-            self._sigmas = [None] * len(self._spans)
             self._completes = [None] * len(self._spans)
             for t in reversed(range(len(self._spans))):
                 start, stop = self._spans[t]
                 c = [one] + [self.ring.var(v) for v in range(start, stop)]
-                inv = [one]  # c(D_t)^{-1}
-                for k in range(1, min(stop, self.dim) + 1):
-                    terms = (c[j] * inv[k - j] for j in range(1, min(k, stop - start) + 1))
-                    inv.append(-sum(terms, zero))
-                later = [
-                    sum((inv[p] * later[k - p] for p in range(k + 1)), zero)
-                    for k in range(len(inv))
-                ]
-                self._sigmas[t] = later
+                d, top = stop - start, len(rest) - 1
                 rest = [
-                    sum((c[j] * rest[k - j] for j in range(min(k, stop - start) + 1)
-                         if k - j < len(rest)), zero)
-                    for k in range(min(len(rest) + stop - start, self.dim + 1))
+                    sum((c[j] * rest[k - j] for j in range(max(0, k - top), min(k, d) + 1)),
+                        zero)
+                    for k in range(min(top + d, self.dim) + 1)
                 ]
                 self._completes[t] = [-p if k % 2 else p for k, p in enumerate(rest)]
-        return self._sigmas[b]
-
-    def _complete(self, b: int):
-        """h_0..h_K for the 0-based block b, K = min(N - s_b, dim):
-        h_k = (-1)^k c_k(D_{b+1} + ... + D_m), the complete homogeneous
-        classes of D_1 + ... + D_b."""
-        self._sigma(b)
         return self._completes[b]
 
     def _tails(self, lead: int):
         """[(key, coefficient), ...] whose sum equals the key lead in the ring.
 
         lead = prod_a c_{i,lam_a} with lam of s_{i-1} + 1 parts, and the
-        relation is G_lam = det(sigma_{lam'_a - a + b})_{a,b <= lam_1}, the
-        Schur class s_lam of D_1 + ... + D_{i-1} up to sign, zero because
-        that bundle has only s_{i-1} Chern roots.  When lam has fewer parts
-        than columns, the other Jacobi-Trudi identity gives the same
-        polynomial on the smaller matrix: det(h_{lam_a - a + b})_{a,b <=
-        s_{i-1}+1}.  Every index either determinant reads is at most
-        |lam| <= dim, where sigma and h are exact, so the two agree.
+        relation is G_lam = det(h_{lam_a - a + b})_{a,b <= s_{i-1}+1}, the
+        Jacobi-Trudi determinant of the Schur class s_lam of D_1 + ... +
+        D_{i-1}, zero because that bundle has only s_{i-1} Chern roots.
+        Every index the determinant reads is at most lam_1 + s_{i-1} <=
+        |lam| <= dim, where h is exact.
         """
         exps = self.ring.exponents(lead)
         b = next(b for b, (start, stop) in enumerate(self._spans)
@@ -374,12 +356,7 @@ class ChowRingPresentation:
         start, stop = self._spans[b]
         lam = [v - start + 1 for v in range(stop - 1, start - 1, -1)
                for _ in range(exps[v])]
-        conj = [sum(1 for p in lam if p > a) for a in range(lam[0])]
-        if len(lam) < len(conj):
-            rel = jacobi_trudi_delta(lam, self._complete(b))
-        else:
-            rel = jacobi_trudi_delta(conj, self._sigma(b))
-        rel = self.ring.zero() + rel
+        rel = self.ring.zero() + jacobi_trudi_delta(lam, self._complete(b))
         c = rel.terms.get(lead, 0)
         if c not in (1, -1):
             raise ArithmeticError(

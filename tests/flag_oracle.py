@@ -23,6 +23,10 @@ replaced: the same leading terms found by walking the exponent tuple,
 the same rule tails applied by adding tuples, and memos keyed by tuple,
 against which the packed integer and mod-2 normal forms are checked.
 
+The inverse Chern series prod_{t >= i} c(D_t)^{-1}, the Chern classes
+of F_{i-1}, read by the dual Jacobi-Trudi determinant against which the
+complete-class relations of flagchow are checked.
+
 The quotient formula prod_{j <= N} (1 - t^j) / prod_i prod_{j <= d_i}
 (1 - t^j) for the Chow Poincare polynomial, one long division, against
 which the Grassmannian tower product of flagchow is checked.
@@ -172,6 +176,27 @@ def compositions(N, min_parts=1):
         for cuts in itertools.combinations(range(1, N), r):
             bounds = (0,) + cuts + (N,)
             yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def inverse_chern_series(pres, b: int):
+    """sigma_0..sigma_K of prod_{t >= b} c(D_t)^{-1} for the 0-based block
+    b of pres, K = min(s_{b+1}, dim): the Chern classes of D_1 + ... + D_b,
+    each c(D_t)^{-1} a power series cut at the top degree.  The dual
+    Jacobi-Trudi determinant det(sigma_{lam'_a - a + b})_{a, b <= lam_1}
+    reads indices up to s_{b+1}, so these suffice."""
+    ring, spans, dim = pres.ring, pres.shape.spans, pres.dim
+    one, zero = ring.one(), ring.zero()
+    later = [one] + [zero] * dim
+    for t in reversed(range(b, len(spans))):
+        start, stop = spans[t]
+        c = [one] + [ring.var(v) for v in range(start, stop)]
+        inv = [one]  # c(D_t)^{-1}
+        for k in range(1, min(stop, dim) + 1):
+            terms = (c[j] * inv[k - j] for j in range(1, min(k, stop - start) + 1))
+            inv.append(-sum(terms, zero))
+        later = [sum((inv[p] * later[k - p] for p in range(k + 1)), zero)
+                 for k in range(len(inv))]
+    return later
 
 
 def quotient_chow_poincare(shape):

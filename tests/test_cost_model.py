@@ -52,6 +52,9 @@ ROWS = [
     (("annihilator", "--shape", "4,6,10", "--block", "1"), 4.73),
     (("annihilator", "--shape", "2,10,10", "--block", "1"), 4.94),
     (("annihilator", "--shape", "4,4,4,4", "--block", "1"), 70.02),  # stopped
+    # ... and one long block
+    (("annihilator", "--shape", "2,160", "--block", "1"), 0.06),
+    (("annihilator", "--shape", "2,1000", "--block", "1"), 0.33),
     # annihilator, mixed shapes: no quotient records
     (("annihilator", "--shape", "3,4,4", "--block", "2"), 0.07),
     (("annihilator", "--shape", "1,4,4,4", "--block", "2"), 0.08),
@@ -250,6 +253,22 @@ def test_a_long_run_is_refused_at_once(argv):
     shown = cli.above(predicted(argv), cli.COST_LIMIT_MS)
     assert line == (f"error: {name} of shape {shape} is predicted to take "
                     f"{shown} ms, above the limit {cli.COST_LIMIT_MS} ms")
+
+
+# admitted runs with one long block, each well under a second: a rule of
+# the long block is a determinant in the Chern classes of that block alone
+LONG_BLOCK = [
+    ("annihilator", "--shape", "2,160", "--block", "1"),
+    ("poincare", "--theory", "torsion", "--shape", "1,200"),
+]
+
+
+@pytest.mark.parametrize("argv", LONG_BLOCK)
+def test_an_admitted_long_block_finishes(argv):
+    proc = subprocess.run([sys.executable, "-m", "flagcw", *argv],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_smith_cells_count_the_copies_of_the_smith_form():

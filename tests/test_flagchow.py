@@ -10,6 +10,7 @@ from flag_oracle import (
     compositions,
     identity,
     integrate_fln,
+    inverse_chern_series,
     monomials_of_degree,
     pullback,
     pullback_nf,
@@ -414,32 +415,39 @@ def test_full_flag_rules_are_complete_homogeneous_tails():
 
 
 def test_both_jacobi_trudi_forms_give_the_same_relation():
-    # det(h_{lam_a - a + b}), which _rule takes when lam has fewer parts
-    # than columns, is the polynomial det(sigma_{lam'_a - a + b}) for each
-    # such relation up to the top degree: on every composition of N <= 6
-    # and on two shapes with a long last block
+    # every relation _tails builds from the complete classes,
+    # lead - sum(tails), is up to the sign of its lead the dual
+    # determinant det(sigma_{lam'_a - a + b}) over the inverse Chern
+    # series: on every composition of N <= 6 and on two shapes with a
+    # long last block
     shapes = [parts for N in range(1, 7) for parts in compositions(N)]
     shapes += [(1, 1, 7), (2, 5, 5)]
     relations = 0
     for parts in shapes:
         pres = ChowRingPresentation(FlagShape(parts))
+        ring = pres.ring
         for b, (start, stop) in enumerate(pres._spans):
+            sigma = inverse_chern_series(pres, b)
             for lam in partitions_in_box(start + 1, stop - start):
-                if len(lam) != start + 1 or len(lam) >= lam[0]:
+                if len(lam) != start + 1 or lam.size > pres.dim:
                     continue
-                if lam.size > pres.dim:
-                    continue
-                by_h = jacobi_trudi_delta(lam, pres._complete(b))
-                by_sigma = jacobi_trudi_delta(lam.transpose(), pres._sigma(b))
-                assert pres.ring.zero() + by_h == pres.ring.zero() + by_sigma
+                exps = [0] * ring.nvars
+                for p in lam:
+                    exps[start + p - 1] += 1
+                lead = ring.key(exps)
+                terms = {tail: -k for tail, k in pres._tails(lead)}
+                rel = GradedPolynomial(ring, {lead: 1, **terms})
+                by_sigma = ring.zero() + jacobi_trudi_delta(lam.transpose(), sigma)
+                assert by_sigma.terms[lead] in (1, -1)
+                assert rel * by_sigma.terms[lead] == by_sigma, (parts, lam)
                 relations += 1
-    assert relations == 156
+    assert relations == 1068
 
 
 def test_rule_leading_coefficient_must_be_a_unit(monkeypatch):
     pres = ChowRingPresentation(FlagShape([2, 2]))
-    doubled = [2 * s for s in pres._sigma(1)]
-    monkeypatch.setattr(pres, "_sigma", lambda b: doubled)
+    doubled = [2 * h for h in pres._complete(1)]
+    monkeypatch.setattr(pres, "_complete", lambda b: doubled)
     with pytest.raises(ArithmeticError):
         pres.normal_form(pres.generator(2, 1) ** 3)
 
