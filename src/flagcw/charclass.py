@@ -466,15 +466,17 @@ def _tensor_factors(expr, nblocks: int):
 
 
 def cauchy_minor_products(expr, nblocks: int, limit: int) -> int:
-    """The products of minors that the Cauchy-determinant check of the
-    Euler class of expr multiplies out, counted without building a factor.
+    """A bound on the products of minors that the Cauchy-determinant check
+    of the Euler class of expr multiplies out, counted without building a
+    factor.
 
     Per distinct Sym^M (x) Sym^N factor, m = ceil(M/2), n = ceil(N/2):
-    jacobi_trudi_delta expands a determinant of j rows in j 2^(j-1)
-    products, the conjugate of a partition of the m x n box has as many
-    rows as its first part j, and C(j + m - 1, m - 1) of those partitions
-    have first part j; the dual partitions fill the n x m box.  The count
-    stops at the first term that takes it above limit.
+    jacobi_trudi_delta expands a determinant of j rows in at most
+    j 2^(j-1) products (fewer where the matrix has zero entries, most when
+    j > m + 1 makes it banded), the conjugate of a partition of the m x n
+    box has as many rows as its first part j, and C(j + m - 1, m - 1) of
+    those partitions have first part j; the dual partitions fill the n x m
+    box.  The count stops at the first term that takes it above limit.
     """
     total = 0
     for M, _, N, _ in _tensor_factors(expr, nblocks):

@@ -81,12 +81,12 @@ COMMANDS = tuple(name for name in OPTIONS if name)
 
 # Sq^2 torsion works on the N!/prod d_i! standard monomials of the Chow
 # ring, and its time depends on the orientation of the tower, which no
-# count of the shape reads: in-process on a 2-core VM, (3,3,6) takes 1.73 s
-# and (6,3,3) 0.21 s, (3,3,3,2) 23.1 s and (2,3,3,3) 3.4 s, (5,5,2) 1.30 s
-# and (2,5,5) 0.44 s.  So it keeps a limit on the rank until the tower is
-# oriented.  CLI runs: 16632 (5,5,2) in 1.1-1.3 s, 16800 (3,3,3,1) in 1.1
+# count of the shape reads: in-process on a 2-core VM, (3,3,6) takes 1.1 s
+# and (6,3,3) 0.1 s, (3,3,3,2) 22 s and (2,3,3,3) 3.2 s, (5,5,2) 1.04 s
+# and (2,5,5) 0.21 s.  So it keeps a limit on the rank until the tower is
+# oriented.  CLI runs: 16632 (5,5,2) in 1.1-1.5 s, 16800 (3,3,3,1) in 1.6
 # s, 34650 (4,4,4) in 0.2 s; in-process, 113400 (2,2,2,2,2) in 0.6 s.
-# (6,6,2), rank 84084, builds all 812 of its rules in 8.4 s in-process.
+# (6,6,2), rank 84084, builds all 812 of its rules in 5.4 s in-process.
 TORSION_RANK_LIMIT = 40000
 
 # wring prints every degree up to --degree-max, about 5 us and 13 bytes

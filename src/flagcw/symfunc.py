@@ -116,8 +116,12 @@ def jacobi_trudi_delta(lam: Partition, v):
     ``v`` is a sequence v_0, v_1, ...; entries beyond its end are zero.
     Entries may be integers or polynomials, so no division happens: the
     determinant is expanded by minors along the rows, bottom up, with each
-    minor on the last rows kept by its set of columns (2^ell * ell
-    products in place of ell! * ell).
+    minor on the last rows kept by its set of columns.  A set is kept only
+    while it can still be completed, that is while it holds every column
+    in which no row above has a nonzero entry, and only nonzero minors are
+    kept.  So at most 2^ell * ell products are taken, and about
+    ell * w * 2^w when the nonzero entries lie in a band of width w (v ends
+    early).
     """
     ell = len(lam)
     if ell == 0:
@@ -125,21 +129,27 @@ def jacobi_trudi_delta(lam: Partition, v):
     n = len(v)
     entries = [[v[k] if 0 <= k < n else 0 for k in range(lam[i] - i, lam[i] - i + ell)]
                for i in range(ell)]
+    # need[i]: the columns that no row above row i can fill; only integer
+    # zeros count as zero, a polynomial is always truthy
+    full, need, above = (1 << ell) - 1, [], 0
+    for row in entries:
+        need.append(full & ~above)
+        above |= sum(1 << j for j, e in enumerate(row) if e)
     # minors[cols]: determinant of the last popcount(cols) rows on the
-    # columns in the bitmask cols; a smaller mask is always filled first
-    minors = [1] + [0] * ((1 << ell) - 1)
-    for cols in range(1, 1 << ell):
-        row = entries[ell - bin(cols).count("1")]
-        total, sign = 0, 1
-        for j in range(ell):
-            if cols >> j & 1:
-                rest = minors[cols ^ (1 << j)]
-                # only integer zeros are skipped; a polynomial is always truthy
-                if row[j] and rest:
-                    total = total + sign * row[j] * rest
-                sign = -sign
-        minors[cols] = total
-    return minors[-1]
+    # columns in the bitmask cols
+    minors = {0: 1}
+    for i in reversed(range(ell)):
+        grown = {}
+        for cols, rest in minors.items():
+            sign = 1
+            for j, e in enumerate(entries[i]):
+                if cols >> j & 1:
+                    sign = -sign
+                elif e and need[i] & ~cols & ~(1 << j) == 0:
+                    new = cols | 1 << j
+                    grown[new] = grown.get(new, 0) + sign * e * rest
+        minors = {cols: m for cols, m in grown.items() if m}
+    return minors.get(full, 0)
 
 
 def elementary_values(points):

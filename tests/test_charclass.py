@@ -404,7 +404,8 @@ def test_minor_product_count_stops_past_its_limit():
     right = 4 * 1 + 10 * 4
     assert cauchy_minor_products(expr, 2, 10**6) == left + right
     assert cauchy_minor_products(expr, 2, 50) == 2 + 12 + 48
-    # the count is the sum over jacobi_trudi_delta's products
+    # the count is the sum of j 2^(j-1) over the determinants that
+    # jacobi_trudi_delta expands, a bound on its products
     count = 0
     for lam in partitions_in_box(2, 4):
         for mu in (lam, box_dual(lam, 2, 4)):

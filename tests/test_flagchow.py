@@ -418,10 +418,11 @@ def test_both_jacobi_trudi_forms_give_the_same_relation():
     # every relation _tails builds from the complete classes,
     # lead - sum(tails), is up to the sign of its lead the dual
     # determinant det(sigma_{lam'_a - a + b}) over the inverse Chern
-    # series: on every composition of N <= 6 and on two shapes with a
-    # long last block
+    # series: on every composition of N <= 6, on two shapes with a long
+    # last block and on two with a long first block, whose h matrices are
+    # banded
     shapes = [parts for N in range(1, 7) for parts in compositions(N)]
-    shapes += [(1, 1, 7), (2, 5, 5)]
+    shapes += [(1, 1, 7), (2, 5, 5), (9, 1, 1), (7, 2)]
     relations = 0
     for parts in shapes:
         pres = ChowRingPresentation(FlagShape(parts))
@@ -441,7 +442,7 @@ def test_both_jacobi_trudi_forms_give_the_same_relation():
                 assert by_sigma.terms[lead] in (1, -1)
                 assert rel * by_sigma.terms[lead] == by_sigma, (parts, lam)
                 relations += 1
-    assert relations == 1068
+    assert relations == 1093
 
 
 def test_rule_leading_coefficient_must_be_a_unit(monkeypatch):

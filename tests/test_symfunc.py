@@ -132,6 +132,24 @@ def test_jacobi_trudi_small():
     assert jacobi_trudi_delta(Partition([]), v) == 1
 
 
+def test_jacobi_trudi_matches_the_leibniz_sum_on_banded_sequences():
+    # short sequences make the matrix banded, and zeros inside it leave
+    # columns that only some rows can fill: the expansion keeps only the
+    # column sets that can still be completed, which must not change det
+    rng = random.Random(5)
+    for _ in range(300):
+        ell = rng.randint(1, 6)
+        lam = Partition(sorted((rng.randint(1, 4) for _ in range(ell)), reverse=True))
+        v = [rng.choice([0, 0, 1, -2, 3, 7]) for _ in range(rng.randint(1, 6))]
+        M = [[v[k] if 0 <= k < len(v) else 0
+              for k in range(lam[i] - i, lam[i] - i + ell)] for i in range(ell)]
+        leibniz = 0
+        for perm in itertools.permutations(range(ell)):
+            inversions = sum(perm[a] > perm[b] for a in range(ell) for b in range(a + 1, ell))
+            leibniz += (-1) ** inversions * math.prod(M[i][perm[i]] for i in range(ell))
+        assert jacobi_trudi_delta(lam, v) == leibniz, (lam, v)
+
+
 def test_second_jacobi_trudi_identity_by_evaluation():
     # s_lam(x_1..x_n) = Delta_{lam^T}(e_1..e_n), |lam| <= 8, n <= 4
     rng = random.Random(13)
